@@ -33,11 +33,9 @@ from .codec import (
 from .errors import SvError
 from .model import (
     DatasetSchema,
-    GeoCoordinate,
     LOGIC_NODES,
     LogicNodeDescriptor,
     Quality,
-    RectCoordinate,
     ScaledValue,
     SchemaMember,
     Validity,

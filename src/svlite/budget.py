@@ -13,14 +13,12 @@ from fractions import Fraction
 
 from .codec import SavApdu
 from .errors import UnsupportedRate
-from .model import DatasetSchema
+from .model import SUPPORTED_POINTS, DatasetSchema
 
 # Outer Ethernet(14) + IPv4(20) + UDP(8) around the SV payload.
 OVERHEAD_UDP_IPV4 = 42
 # Same with IPv6 in place of IPv4.
 OVERHEAD_UDP_IPV6 = 62
-
-SUPPORTED_POINTS = (80, 256)
 
 MAX_ASDU_COUNT = 1
 MAX_DATA_ATTRIBUTES = 2

@@ -14,7 +14,7 @@ from .codec import UtcTimestamp, dissect, encode_frame, pack_seq_data, \
     render_dissection
 from .config import build_template, default_config, dump_config, load_config
 from .errors import ConfigError, TransportError, UnsupportedRate
-from .netsim import Channel, ChannelSpec
+from .netsim import Channel, LinkSpec
 from .sources import sample_provider
 
 EXIT_OK = 0
@@ -293,7 +293,7 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     if _dump_requested(cfg, args):
         return EXIT_OK
-    channel = Channel(ChannelSpec(
+    channel = Channel(LinkSpec(
         loss_probability=args.loss,
         jitter=args.jitter,
         reorder_probability=args.reorder,

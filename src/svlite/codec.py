@@ -246,6 +246,76 @@ def encode_frame(frame: SvFrame, schema: DatasetSchema) -> bytes:
     )
 
 
+# Tag of the one container the walker enters at each depth.
+_CONTAINER_TAGS = (TAG_SAVPDU, TAG_SEQASDU, TAG_ASDU)
+_CONTAINER_NAMES = ("savPdu", "seqASDU", "ASDU")
+
+
+def _walk(data: bytes, cursor: int):
+    """Yield ``(depth, tag, tlv_start, value_start, value_end)`` depth
+    first for the savPdu at ``cursor`` (depth 0) and the TLVs inside it,
+    entering only seqASDU (depth 1) and ASDU (depth 2). The walk is lazy,
+    so a consumer has seen a TLV before the next header is read.
+
+    A bad header, or a value past its container, raises ``Truncated`` or
+    ``UnsupportedLength`` with ``offset``, where dissection stops, and
+    ``overrun``, the TLV as read past its container, or None.
+    """
+    n = len(data)
+    if cursor >= n:
+        raise _stopped(Truncated, f"no tag at offset {cursor}", n)
+    ends = [n]  # value end of each open container, the buffer outermost
+    while True:
+        depth = len(ends) - 1
+        end = ends[-1]
+        tag = data[cursor]
+        pos = cursor + 1
+        if pos < end and data[pos] < 0x80:
+            start = pos + 1
+            value_end = start + data[pos]
+        else:
+            # Length octets past the container's end are read from the buffer
+            # so dissect can show the overrun; decoding still finds it Truncated.
+            if pos >= n:
+                raise _stopped(Truncated, f"missing length octet at offset {pos}", n)
+            first = data[pos]
+            count = first & 0x7F if first & 0x80 else 0
+            if first == 0x80 or count > 2:
+                raise _stopped(
+                    UnsupportedLength if pos < end else Truncated,
+                    f"length octet 0x{first:02x} at offset {pos} is indefinite "
+                    "or exceeds the 2-octet cap", pos)
+            start = pos + 1 + count
+            if start > n:
+                raise _stopped(Truncated, f"length octets cut at offset {pos + 1}", n)
+            value_end = start + (int.from_bytes(data[pos + 1:start], "big")
+                                 if count else first)
+        if value_end > end:
+            raise _stopped(
+                Truncated, f"tag 0x{tag:02x} at offset {cursor} overruns "
+                           f"its container ending at {end}",
+                min(n, value_end), (depth, tag, cursor, start, value_end))
+        yield depth, tag, cursor, start, value_end
+        if depth < 3 and tag == _CONTAINER_TAGS[depth]:
+            ends.append(value_end)
+            cursor = start
+        elif depth == 0:
+            return
+        else:
+            cursor = value_end
+        while cursor == ends[-1]:
+            ends.pop()
+            if len(ends) == 1:
+                return
+
+
+def _stopped(error: type, message: str, offset: int, overrun=None):
+    exc = error(message)
+    exc.offset = offset
+    exc.overrun = overrun
+    return exc
+
+
 def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
     """Parse a frame back into its model.
 
@@ -256,6 +326,13 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
     """
     strict = mode is DecodeMode.STRICT
     warnings: list[str] = []
+
+    def tolerate(error: type, message: str, lenient: str | None = None):
+        """Raise ``error`` in strict mode, else record the warning."""
+        if strict:
+            raise error(message)
+        warnings.append(message if lenient is None else lenient)
+
     n = len(data)
     if n < 14:
         raise Truncated(f"frame of {n} octets ends inside the link header")
@@ -281,132 +358,103 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
         raise Truncated("frame ends inside the APPID header")
     appid, length_field, res1, res2 = struct.unpack_from(">HHHH", data, cursor)
     if res1 or res2:
-        msg = f"reserved octets nonzero (0x{res1:04x} 0x{res2:04x})"
-        if strict:
-            raise BadHeader(msg)
-        warnings.append(msg)
+        tolerate(BadHeader, f"reserved octets nonzero (0x{res1:04x} 0x{res2:04x})")
     cursor += _FIXED_HEADER_LEN
-    tag, savpdu, end = ber.decode_tlv(data, cursor)
+    walk = _walk(data, cursor)
+    _, tag, _, _, end = next(walk)
     if tag != TAG_SAVPDU:
         raise UnknownTag(f"expected savPdu tag 0x60, got 0x{tag:02x}")
     actual = _FIXED_HEADER_LEN + (end - cursor)
     if length_field != actual:
-        msg = f"Length field {length_field} != actual APDU length {actual}"
-        if strict:
-            raise LengthMismatch(msg)
-        warnings.append(msg)
+        tolerate(LengthMismatch,
+                 f"Length field {length_field} != actual APDU length {actual}")
     if end != n:
-        msg = f"{n - end} trailing octets after savPdu"
-        if strict:
-            raise LengthMismatch(msg)
-        warnings.append(msg)
-    apdu = _decode_savpdu(savpdu, strict, warnings)
-    return SvFrame(dst, src, vlan, appid, apdu, decode_warnings=tuple(warnings))
+        tolerate(LengthMismatch, f"{n - end} trailing octets after savPdu")
 
-
-def _decode_savpdu(content: bytes, strict: bool, warnings: list[str]) -> SavApdu:
     no_asdu = None
     asdus: list[Asdu] = []
-    cursor = 0
-    while cursor < len(content):
-        tag, value, cursor = ber.decode_tlv(content, cursor)
-        if tag == TAG_NOASDU:
-            no_asdu = int.from_bytes(value, "big")
-        elif tag == TAG_SEQASDU:
-            inner = 0
-            while inner < len(value):
-                t, v, inner = ber.decode_tlv(value, inner)
-                if t == TAG_ASDU:
-                    asdus.append(_decode_asdu(v, strict, warnings))
-                elif strict:
-                    raise UnknownTag(f"unexpected tag 0x{t:02x} inside seqASDU")
-                else:
-                    warnings.append(f"skipped tag 0x{t:02x} inside seqASDU")
-        elif strict:
-            raise UnknownTag(f"unexpected tag 0x{tag:02x} inside savPdu")
-        else:
-            warnings.append(f"skipped tag 0x{tag:02x} inside savPdu")
+    fields: dict[int, bytes] = {}
+    asdu_end = -1
+    for depth, tag, _, start, end in walk:
+        if depth == 3 and tag in _ASDU_FIELD_NAMES:
+            if tag in fields:
+                message = f"duplicate {_ASDU_FIELD_NAMES[tag]} in ASDU"
+                tolerate(SchemaMismatch, message, message + ", keeping the last")
+            fields[tag] = bytes(data[start:end])
+        elif depth == 2 and tag == TAG_ASDU:
+            fields = {}
+            asdu_end = end
+        elif depth == 1 and tag == TAG_NOASDU:
+            no_asdu = int.from_bytes(data[start:end], "big")
+        elif depth != 1 or tag != TAG_SEQASDU:
+            where = _CONTAINER_NAMES[depth - 1]
+            tolerate(UnknownTag, f"unexpected tag 0x{tag:02x} inside {where}",
+                     f"skipped tag 0x{tag:02x} inside {where}")
+        # An ASDU is checked once its last field is in, or at once when it
+        # is empty, before the walk reads the header of whatever follows.
+        if end == asdu_end and (depth == 3 or start == end):
+            asdus.append(_asdu_from_fields(fields, tolerate))
     if no_asdu is None:
-        msg = "savPdu carries no noASDU field"
-        if strict:
-            raise SchemaMismatch(msg)
-        warnings.append(msg)
+        tolerate(SchemaMismatch, "savPdu carries no noASDU field")
     elif no_asdu != len(asdus):
-        msg = f"noASDU says {no_asdu}, found {len(asdus)} ASDU elements"
-        if strict:
-            raise CountMismatch(msg)
-        warnings.append(msg)
-    return SavApdu(asdus)
+        tolerate(CountMismatch,
+                 f"noASDU says {no_asdu}, found {len(asdus)} ASDU elements")
+    return SvFrame(dst, src, vlan, appid, SavApdu(asdus),
+                   decode_warnings=tuple(warnings))
 
 
-def _decode_asdu(content: bytes, strict: bool, warnings: list[str]) -> Asdu:
-    raw: dict[int, bytes] = {}
-    cursor = 0
-    while cursor < len(content):
-        tag, value, cursor = ber.decode_tlv(content, cursor)
-        if tag in _ASDU_FIELD_NAMES:
-            if tag in raw:
-                msg = f"duplicate {_ASDU_FIELD_NAMES[tag]} in ASDU"
-                if strict:
-                    raise SchemaMismatch(msg)
-                warnings.append(msg + ", keeping the last")
-            raw[tag] = value
-        elif strict:
-            raise UnknownTag(f"unexpected tag 0x{tag:02x} inside ASDU")
-        else:
-            warnings.append(f"skipped tag 0x{tag:02x} inside ASDU")
+def _asdu_from_fields(raw: dict[int, bytes], tolerate) -> Asdu:
     missing = [name for tag, name in _ASDU_FIELD_NAMES.items() if tag not in raw]
     if missing:
-        msg = "ASDU missing " + ", ".join(missing)
-        if strict:
-            raise SchemaMismatch(msg)
-        warnings.append(msg)
+        tolerate(SchemaMismatch, "ASDU missing " + ", ".join(missing))
 
     asdu = Asdu()
     if TAG_SVID in raw:
-        try:
-            asdu.sv_id = raw[TAG_SVID].decode("ascii")
-        except UnicodeDecodeError:
-            if strict:
-                raise SchemaMismatch("svID is not ASCII") from None
-            warnings.append("svID is not ASCII, decoded with replacements")
-            asdu.sv_id = raw[TAG_SVID].decode("ascii", "replace")
-    asdu.smp_cnt = _decode_uint(raw, TAG_SMPCNT, 2, strict, warnings)
-    asdu.conf_rev = _decode_uint(raw, TAG_CONFREV, 4, strict, warnings) \
-        if TAG_CONFREV in raw else asdu.conf_rev
+        octets = raw[TAG_SVID]
+        if not octets.isascii():
+            tolerate(SchemaMismatch, "svID is not ASCII",
+                     "svID is not ASCII, decoded with replacements")
+        asdu.sv_id = octets.decode("ascii", "replace")
+    asdu.smp_cnt = _decode_uint(raw, TAG_SMPCNT, 2, tolerate)
+    asdu.conf_rev = _decode_uint(raw, TAG_CONFREV, 4, tolerate, asdu.conf_rev)
     if TAG_REFRTM in raw:
         octets = raw[TAG_REFRTM]
         if len(octets) != 8:
-            msg = f"refrTm is {len(octets)} octets, expected 8"
-            if strict:
-                raise LengthMismatch(msg)
-            warnings.append(msg)
+            tolerate(LengthMismatch, f"refrTm is {len(octets)} octets, expected 8")
             octets = octets[:8].ljust(8, b"\x00")
         asdu.refr_tm = UtcTimestamp.from_octets(octets)
-    synch = _decode_uint(raw, TAG_SMPSYNCH, 1, strict, warnings)
-    try:
-        asdu.smp_synch = SmpSynch(synch)
-    except ValueError:
-        if strict:
-            raise SchemaMismatch(f"smpSynch value {synch} is not 0/1/2") from None
-        warnings.append(f"smpSynch value {synch} is not 0/1/2, using none")
-        asdu.smp_synch = SmpSynch.NONE
+    synch = _decode_uint(raw, TAG_SMPSYNCH, 1, tolerate)
+    if synch not in (0, 1, 2):
+        message = f"smpSynch value {synch} is not 0/1/2"
+        tolerate(SchemaMismatch, message, message + ", using none")
+        synch = SmpSynch.NONE
+    asdu.smp_synch = SmpSynch(synch)
     asdu.seq_data = raw.get(TAG_SEQDATA, b"")
     return asdu
 
 
-def _decode_uint(raw: dict[int, bytes], tag: int, width: int, strict: bool,
-                 warnings: list[str]) -> int:
+def _decode_uint(raw: dict[int, bytes], tag: int, width: int, tolerate,
+                 missing: int = 0) -> int:
     if tag not in raw:
-        return 0
+        return missing
     octets = raw[tag]
     if len(octets) != width:
-        msg = (f"{_ASDU_FIELD_NAMES[tag]} is {len(octets)} octets, "
-               f"expected {width}")
-        if strict:
-            raise LengthMismatch(msg)
-        warnings.append(msg)
+        tolerate(LengthMismatch,
+                 f"{_ASDU_FIELD_NAMES[tag]} is {len(octets)} octets, expected {width}")
     return int.from_bytes(octets, "big")
+
+
+def field_offsets(wire: bytes) -> list[dict[int, int]]:
+    """Value offset of each field, by tag, in every ASDU of an encoded
+    frame. With a fixed schema and svID every BER length is constant, so
+    the publisher patches smpCnt, refrTm and seqData in place."""
+    offsets: list[dict[int, int]] = []
+    for depth, tag, _, start, _ in _walk(wire, 18 + _FIXED_HEADER_LEN):
+        if depth == 2 and tag == TAG_ASDU:
+            offsets.append({})
+        elif depth == 3:
+            offsets[-1][tag] = start
+    return offsets
 
 
 def pack_seq_data(values, schema: DatasetSchema) -> bytes:
@@ -457,11 +505,6 @@ _SMP_SYNCH_NAMES = {0: "none", 1: "local", 2: "global"}
 DissectLine = tuple[int, str, str, str]
 
 
-class _OutOfData(Exception):
-    def __init__(self, offset: int):
-        self.offset = offset
-
-
 def dissect(data: bytes) -> list[DissectLine]:
     """Best-effort field walk for captures; never raises.
 
@@ -474,7 +517,9 @@ def dissect(data: bytes) -> list[DissectLine]:
     lines: list[DissectLine] = []
     try:
         _dissect_frame(data, lines)
-    except _OutOfData as stop:
+    except (Truncated, UnsupportedLength) as stop:
+        if stop.overrun is not None:
+            lines.append(_overrun_row(data, *stop.overrun))
         lines.append((0, f"TRUNCATED at offset {stop.offset}", "", ""))
     return lines
 
@@ -488,152 +533,94 @@ def render_dissection(lines: list[DissectLine]) -> str:
 
 
 def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
-    def take(cursor: int, count: int) -> bytes:
-        if cursor + count > len(data):
-            raise _OutOfData(len(data))
-        return data[cursor:cursor + count]
-
     c = 0
-    dst = take(c, 6)
-    lines.append((0, "Destination", dst.hex(), mac_to_str(dst)))
-    c += 6
-    src = take(c, 6)
-    lines.append((0, "Source", src.hex(), mac_to_str(src)))
-    c += 6
-    tpid = int.from_bytes(take(c, 2), "big")
-    if tpid == TPID_VLAN:
-        lines.append((0, "Type", take(c, 2).hex(), "0x8100 (802.1Q Virtual LAN)"))
-        c += 2
-        tci = int.from_bytes(take(c, 2), "big")
-        tag = VlanTag.from_tci(tci)
-        lines.append((0, "PRI/DEI/ID", take(c, 2).hex(),
+
+    def take(count: int) -> bytes:
+        nonlocal c
+        if c + count > len(data):
+            raise _stopped(Truncated, "capture ends in the link header", len(data))
+        c += count
+        return data[c - count:c]
+
+    for name in ("Destination", "Source"):
+        mac = take(6)
+        lines.append((0, name, mac.hex(), mac_to_str(mac)))
+    octets = take(2)
+    if octets == b"\x81\x00":
+        lines.append((0, "Type", octets.hex(), "0x8100 (802.1Q Virtual LAN)"))
+        tci = take(2)
+        tag = VlanTag.from_tci(int.from_bytes(tci, "big"))
+        lines.append((0, "PRI/DEI/ID", tci.hex(),
                       f"priority {tag.priority}, DEI {int(tag.dei)}, VID {tag.vid}"))
-        c += 2
-        ethertype = int.from_bytes(take(c, 2), "big")
+        octets = take(2)
     else:
         lines.append((0, "no 802.1Q tag", "", ""))
-        ethertype = tpid
+    ethertype = int.from_bytes(octets, "big")
     note = "IEC 61850/SV" if ethertype == ETHERTYPE_SV else "not IEC 61850/SV"
-    lines.append((0, "EtherType", take(c, 2).hex(), f"0x{ethertype:04x} ({note})"))
-    c += 2
-    lines.append((0, "APPID", take(c, 2).hex(),
-                  f"0x{int.from_bytes(take(c, 2), 'big'):04x}"))
-    c += 2
-    length_field = int.from_bytes(take(c, 2), "big")
-    lines.append((0, "Length", take(c, 2).hex(), str(length_field)))
-    c += 2
+    lines.append((0, "EtherType", octets.hex(), f"0x{ethertype:04x} ({note})"))
+    apdu_start = c
+    octets = take(2)
+    lines.append((0, "APPID", octets.hex(), f"0x{int.from_bytes(octets, 'big'):04x}"))
+    octets = take(2)
+    length_field = int.from_bytes(octets, "big")
+    lines.append((0, "Length", octets.hex(), str(length_field)))
     for name in ("Reserved1", "Reserved2"):
-        lines.append((0, name, take(c, 2).hex(),
-                      f"0x{int.from_bytes(take(c, 2), 'big'):04x}"))
-        c += 2
-    apdu_start = c - _FIXED_HEADER_LEN
-    end = _dissect_tlv_tree(data, c, lines)
-    actual = end - apdu_start
+        octets = take(2)
+        lines.append((0, name, octets.hex(), f"0x{int.from_bytes(octets, 'big'):04x}"))
+    asdu_index = 0
+    for depth, tag, tlv_start, start, end in _walk(data, c):
+        if depth == 0:
+            apdu_end = end
+        elif depth == 2 and tag == TAG_ASDU:
+            asdu_index += 1
+        lines.append(_tlv_row(data, depth, tag, tlv_start, start, end, asdu_index))
+    actual = apdu_end - apdu_start
     if length_field != actual:
         lines.append((0, f"Length field {length_field} != actual {actual}", "", ""))
-    if end < len(data):
-        tail = data[end:]
+    if apdu_end < len(data):
+        tail = data[apdu_end:]
         lines.append((0, f"{len(tail)} trailing octets", tail.hex(), tail.hex()))
 
 
-def _read_tlv_header(data: bytes, cursor: int) -> tuple[int, int, int, str]:
-    """Returns (tag, content_length, content_start, header_hex)."""
-    if cursor >= len(data):
-        raise _OutOfData(len(data))
-    tag = data[cursor]
-    try:
-        length, start = ber.decode_length(data, cursor + 1)
-    except Truncated:
-        raise _OutOfData(len(data)) from None
-    except UnsupportedLength:
-        raise _OutOfData(cursor + 1) from None
-    return tag, length, start, data[cursor:start].hex()
-
-
-def _dissect_tlv_tree(data: bytes, cursor: int, lines: list[DissectLine]) -> int:
-    tag, length, start, header = _read_tlv_header(data, cursor)
-    end = start + length
-    if tag != TAG_SAVPDU:
-        lines.append((0, f"tag 0x{tag:02x}", header,
-                      f"{length} octets (expected savPdu 0x60)"))
-        if end > len(data):
-            raise _OutOfData(len(data))
-        return end
-    lines.append((0, "savPdu", header, f"{length} octets"))
-    if end > len(data):
-        raise _OutOfData(len(data))
-    c = start
-    asdu_index = 0
-    while c < end:
-        tag, length, start, header = _read_tlv_header(data, c)
-        child_end = start + length
-        if child_end > end:
-            lines.append((1, f"tag 0x{tag:02x} overruns savPdu", header, ""))
-            raise _OutOfData(min(len(data), child_end))
-        value = data[start:child_end]
-        if tag == TAG_NOASDU:
-            lines.append((1, "noASDU", data[c:child_end].hex(),
-                          str(int.from_bytes(value, "big"))))
-        elif tag == TAG_SEQASDU:
-            lines.append((1, "seqASDU", header, f"{length} octets"))
-            asdu_index = _dissect_asdus(data, start, child_end, lines, asdu_index)
-        else:
-            lines.append((1, f"tag 0x{tag:02x}", data[c:child_end].hex(),
-                          f"{length} octets (skipped)"))
-        c = child_end
-    return end
-
-
-def _dissect_asdus(data: bytes, cursor: int, end: int,
-                   lines: list[DissectLine], index: int) -> int:
-    c = cursor
-    while c < end:
-        tag, length, start, header = _read_tlv_header(data, c)
-        child_end = start + length
-        if child_end > end:
-            lines.append((2, f"tag 0x{tag:02x} overruns seqASDU", header, ""))
-            raise _OutOfData(min(len(data), child_end))
-        if tag == TAG_ASDU:
-            index += 1
-            lines.append((2, f"ASDU{index}", header, f"{length} octets"))
-            _dissect_asdu_fields(data, start, child_end, lines)
-        else:
-            lines.append((2, f"tag 0x{tag:02x}", data[c:child_end].hex(),
-                          f"{length} octets (skipped)"))
-        c = child_end
-    return index
-
-
-def _dissect_asdu_fields(data: bytes, cursor: int, end: int,
-                         lines: list[DissectLine]) -> None:
-    c = cursor
-    while c < end:
-        tag, length, start, _ = _read_tlv_header(data, c)
-        child_end = start + length
-        if child_end > end or child_end > len(data):
-            lines.append((3, f"{_ASDU_FIELD_NAMES.get(tag, f'tag 0x{tag:02x}')} "
-                             "overruns ASDU", "", ""))
-            raise _OutOfData(min(len(data), child_end))
-        value = data[start:child_end]
-        raw_hex = data[c:child_end].hex()
+def _tlv_row(data: bytes, depth: int, tag: int, tlv_start: int, start: int,
+             end: int, asdu_index: int = 0) -> DissectLine:
+    """Row of one TLV the walker yielded."""
+    header, length = data[tlv_start:start].hex(), end - start
+    if depth == 3 and tag in _ASDU_FIELD_NAMES:
+        value = data[start:end]
         if tag == TAG_SVID:
-            lines.append((3, "svID", raw_hex, value.decode("ascii", "replace")))
-        elif tag == TAG_SMPCNT:
-            lines.append((3, "smpCnt", raw_hex, str(int.from_bytes(value, "big"))))
-        elif tag == TAG_CONFREV:
-            lines.append((3, "confRev", raw_hex, str(int.from_bytes(value, "big"))))
+            text = value.decode("ascii", "replace")
         elif tag == TAG_REFRTM:
-            lines.append((3, "refrTm", raw_hex, _render_refr_tm(value)))
+            text = _render_refr_tm(value)
         elif tag == TAG_SMPSYNCH:
             synch = int.from_bytes(value, "big")
-            name = _SMP_SYNCH_NAMES.get(synch, "?")
-            lines.append((3, "smpSynch", raw_hex, f"{synch} ({name})"))
+            text = f"{synch} ({_SMP_SYNCH_NAMES.get(synch, '?')})"
         elif tag == TAG_SEQDATA:
-            lines.append((3, "seqData", raw_hex, f"{length} octets {value.hex()}"))
+            text = f"{length} octets {value.hex()}"
         else:
-            lines.append((3, f"tag 0x{tag:02x}", raw_hex,
-                          f"{length} octets (skipped)"))
-        c = child_end
+            text = str(int.from_bytes(value, "big"))
+        return (3, _ASDU_FIELD_NAMES[tag], data[tlv_start:end].hex(), text)
+    if depth < 3 and tag == _CONTAINER_TAGS[depth]:
+        name = _CONTAINER_NAMES[depth] if depth < 2 else f"ASDU{asdu_index}"
+        return (depth, name, header, f"{length} octets")
+    if depth == 0:
+        return (0, f"tag 0x{tag:02x}", header, f"{length} octets (expected savPdu 0x60)")
+    if depth == 1 and tag == TAG_NOASDU:
+        return (1, "noASDU", data[tlv_start:end].hex(),
+                str(int.from_bytes(data[start:end], "big")))
+    return (depth, f"tag 0x{tag:02x}", data[tlv_start:end].hex(),
+            f"{length} octets (skipped)")
+
+
+def _overrun_row(data: bytes, depth: int, tag: int, tlv_start: int, start: int,
+                 end: int) -> DissectLine:
+    if depth == 0:
+        return _tlv_row(data, depth, tag, tlv_start, start, end)
+    if depth == 3:
+        name = _ASDU_FIELD_NAMES.get(tag, f"tag 0x{tag:02x}")
+        return (3, f"{name} overruns ASDU", "", "")
+    return (depth, f"tag 0x{tag:02x} overruns {_CONTAINER_NAMES[depth - 1]}",
+            data[tlv_start:start].hex(), "")
 
 
 def _render_refr_tm(value: bytes) -> str:
@@ -643,3 +630,4 @@ def _render_refr_tm(value: bytes) -> str:
     moment = datetime.fromtimestamp(ts.seconds, tz=timezone.utc)
     return (f"{moment.strftime('%Y-%m-%d %H:%M:%S')}Z "
             f"+{ts.fraction}/16777216 s (q=0x{ts.time_quality:02x})")
+

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .codec import SmpSynch, SvFrame, SavApdu, Asdu, UtcTimestamp, VlanTag, \
     mac_from_str, mac_to_str
 from .errors import ConfigError
-from .model import DatasetSchema, SchemaMember, LOGIC_NODES
+from .model import DatasetSchema, SchemaMember, LOGIC_NODES, SUPPORTED_POINTS
 from .sources import ChannelSpec, WaveKind
 from .transport import EndpointConfig, Mode
 
@@ -128,9 +128,7 @@ _CHANNEL_KEYS = ("amp", "freq", "phase", "dc", "sigma", "invalid_every")
 
 def _parse_channel(lineno: int, value: str, member: SchemaMember,
                    nominal_hz: int) -> ChannelSpec:
-    tokens = value.split()
-    if not tokens or tokens[0] not in _CHANNEL_KINDS:
-        _fail(lineno, f"channel expects one of {sorted(_CHANNEL_KINDS)} first")
+    tokens = value.split()  # parse_config has checked the kind up front
     params = {"freq": float(nominal_hz)}
     for token in tokens[1:]:
         key, sep, raw = token.partition("=")
@@ -244,10 +242,6 @@ def _conv_sv_id(lineno, key, value):
     return value
 
 
-def _conv_int(lineno, key, value):
-    return _parse_int(lineno, key, value)
-
-
 def _conv_int_range(lo, hi):
     def convert(lineno, key, value):
         parsed = _parse_int(lineno, key, value)
@@ -259,8 +253,9 @@ def _conv_int_range(lo, hi):
 
 def _conv_points(lineno, key, value):
     parsed = _parse_int(lineno, key, value)
-    if parsed not in (80, 256):
-        _fail(lineno, f"{key} must be 80 or 256, got {parsed}")
+    if parsed not in SUPPORTED_POINTS:
+        _fail(lineno, f"{key} must be {' or '.join(map(str, SUPPORTED_POINTS))}, "
+                      f"got {parsed}")
     return parsed
 
 

@@ -1,8 +1,8 @@
 """Domain model of the reduced sampled-value service.
 
-Integer-scaled measurement values, the two-attribute quality, GNSS and
-local rectangular coordinates, the sensor logic-node registry and the
-dataset layout that governs how seqData octets are packed.
+Integer-scaled measurement values, the two-attribute quality, the
+sensor logic-node registry, the supported sampling rates and the dataset
+layout that governs how seqData octets are packed.
 
 The wire never carries floating point: a transmitted sample is an integer
 ``i`` that the receiver maps to engineering units as
@@ -18,8 +18,10 @@ from enum import IntEnum
 
 from .errors import Overflow, UnknownLogicNode
 
+# Points per nominal period the profile samples at.
+SUPPORTED_POINTS = (80, 256)
+
 _INT8 = (-0x80, 0x7F)
-_INT16 = (-0x8000, 0x7FFF)
 _INT32 = (-0x8000_0000, 0x7FFF_FFFF)
 
 
@@ -108,70 +110,6 @@ def decode_quality(octets: bytes) -> Quality:
     word = octets[1]
     validity = Validity(word & 0x03)
     return Quality(validity=validity, test=bool(word & 0x04))
-
-
-@dataclass(frozen=True)
-class GeoCoordinate:
-    """GNSS position as raw scaled integers.
-
-    B and L use scale factor -4, H and the precision figures -1, all
-    offsets zero. Signs on B/L follow the profile convention (N/S, E/W).
-    """
-
-    b_raw: int
-    l_raw: int
-    h_raw: int
-    pdop: int
-    hdop: int
-    vdop: int
-
-    SCALE_BL = -4
-    SCALE_H = -1
-    SCALE_DOP = -1
-
-    def __post_init__(self):
-        _check_range("b_raw", self.b_raw, -180_000_000, 180_000_000)
-        _check_range("l_raw", self.l_raw, -90_000_000, 90_000_000)
-        _check_range("h_raw", self.h_raw, -9999, 9999)
-        for name in ("pdop", "hdop", "vdop"):
-            _check_range(name, getattr(self, name), 5, 999)
-
-    @property
-    def latitude(self) -> Decimal:
-        return to_engineering(ScaledValue(self.b_raw, 0, self.SCALE_BL))
-
-    @property
-    def longitude(self) -> Decimal:
-        return to_engineering(ScaledValue(self.l_raw, 0, self.SCALE_BL))
-
-    @property
-    def height(self) -> Decimal:
-        return to_engineering(ScaledValue(self.h_raw, 0, self.SCALE_H))
-
-
-@dataclass(frozen=True)
-class RectCoordinate:
-    """Local rectangular position with a shared scale factor and offset."""
-
-    x_raw: int
-    y_raw: int
-    z_raw: int
-    pdop: int
-    xdop: int
-    ydop: int
-    zdop: int
-    scale_factor: int = 0
-    offset: int = 0
-
-    SCALE_DOP = -1
-
-    def __post_init__(self):
-        for name in ("x_raw", "y_raw", "z_raw"):
-            _check_range(name, getattr(self, name), *_INT16)
-        _check_range("scale_factor", self.scale_factor, *_INT8)
-        _check_range("offset", self.offset, *_INT16)
-        for name in ("pdop", "xdop", "ydop", "zdop"):
-            _check_range(name, getattr(self, name), 5, 999)
 
 
 @dataclass(frozen=True)

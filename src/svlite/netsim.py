@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class ChannelSpec:
+class LinkSpec:
     loss_probability: float = 0.0
     jitter: float = 0.0  # uniform +/- bound, seconds
     reorder_probability: float = 0.0
@@ -42,7 +42,7 @@ class Channel:
 
     REORDER_EPSILON = 1e-6
 
-    def __init__(self, spec: ChannelSpec):
+    def __init__(self, spec: LinkSpec):
         self.spec = spec
         self.transmitted = 0
         self.delivered = 0

@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from .codec import UtcTimestamp
 from .errors import UnsupportedRate
-from .model import LogicNodeDescriptor, Quality, ScaledValue, Validity, from_engineering
-
-_SUPPORTED_POINTS = (80, 256)
+from .model import (SUPPORTED_POINTS, LogicNodeDescriptor, Quality, ScaledValue,
+                    Validity, from_engineering)
 
 
 class WaveKind(Enum):
@@ -104,10 +103,10 @@ def sample_at(
     The timestamp comes from a virtual clock starting at the epoch and
     advancing one exact sample interval per tick.
     """
-    if points_per_period not in _SUPPORTED_POINTS:
+    if points_per_period not in SUPPORTED_POINTS:
         raise UnsupportedRate(
             f"{points_per_period} points per period, supported: "
-            f"{_SUPPORTED_POINTS}")
+            f"{SUPPORTED_POINTS}")
     if spec.kind is WaveKind.SINE:
         # The waveform is periodic in points_per_period; reducing the tick
         # first keeps the sine argument small so late ticks quantise

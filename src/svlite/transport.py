@@ -14,16 +14,14 @@ from dataclasses import dataclass
 from enum import Enum
 from ipaddress import IPv4Address
 
-from . import ber
 from .codec import (
-    TAG_ASDU,
     TAG_REFRTM,
-    TAG_SEQASDU,
     TAG_SEQDATA,
     TAG_SMPCNT,
     SvFrame,
     UtcTimestamp,
     encode_frame,
+    field_offsets,
     pack_seq_data,
 )
 from .errors import TransportError
@@ -83,41 +81,6 @@ def _sleep_until(deadline: float) -> None:
             time.sleep(remaining - 0.001)
 
 
-def _tlv_header_at(wire: bytes, cursor: int) -> tuple[int, int, int]:
-    tag = wire[cursor]
-    length, start = ber.decode_length(wire, cursor + 1)
-    return tag, length, start
-
-
-def _asdu_value_offsets(wire: bytes) -> list[dict[int, int]]:
-    """Absolute offsets of the per-tick fields inside an encoded frame.
-
-    With a fixed schema and svID every BER length is constant, so the
-    publisher can patch smpCnt, refrTm and seqData bytes in place rather
-    than re-encoding the whole frame each tick.
-    """
-    _, savpdu_len, savpdu_start = _tlv_header_at(wire, 26)
-    plans = []
-    cursor = savpdu_start
-    while cursor < savpdu_start + savpdu_len:
-        tag, length, start = _tlv_header_at(wire, cursor)
-        if tag == TAG_SEQASDU:
-            inner = start
-            while inner < start + length:
-                a_tag, a_len, a_start = _tlv_header_at(wire, inner)
-                if a_tag == TAG_ASDU:
-                    fields = {}
-                    cur = a_start
-                    while cur < a_start + a_len:
-                        f_tag, f_len, f_start = _tlv_header_at(wire, cur)
-                        fields[f_tag] = f_start
-                        cur = f_start + f_len
-                    plans.append(fields)
-                inner = a_start + a_len
-        cursor = start + length
-    return plans
-
-
 def _open_publish_socket(cfg: EndpointConfig) -> socket.socket:
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
@@ -172,7 +135,7 @@ def publish_stream(
     # Encode once, then patch the variable fields in place each tick; the
     # 250 us budget has no room for a full re-encode.
     wire = bytearray(encode_frame(template, schema))
-    plans = _asdu_value_offsets(wire)
+    plans = field_offsets(wire)
     own_sock = sock is None
     if own_sock:
         sock = _open_publish_socket(cfg)

@@ -31,8 +31,8 @@ from svlite.codec import (
     pack_seq_data,
 )
 from svlite.model import DatasetSchema, SchemaMember
-from svlite.netsim import Channel, ChannelSpec
-from svlite.sources import ChannelSpec as SourceSpec, WaveKind, sample_provider
+from svlite.netsim import Channel, LinkSpec
+from svlite.sources import ChannelSpec, WaveKind, sample_provider
 from svlite.transport import EndpointConfig, Mode, publish_stream, subscribe
 
 
@@ -123,16 +123,16 @@ def test_criterion_5_constraint_validation():
 
 
 def _loss_experiment(seed: int, frames: int = 100_000):
-    channel = Channel(ChannelSpec(loss_probability=0.01, seed=seed))
+    channel = Channel(LinkSpec(loss_probability=0.01, seed=seed))
     analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
     template = golden_frame()
     asdu = template.apdu.asdus[0]
     interval = 1.0 / 4000
     provider = sample_provider(
-        [SourceSpec(kind=WaveKind.SINE, amplitude=1000.0),
-         SourceSpec(kind=WaveKind.CONSTANT, dc_offset=26.0745, scale_factor=-4),
-         SourceSpec(kind=WaveKind.CONSTANT, dc_offset=119.3064, scale_factor=-4),
-         SourceSpec(kind=WaveKind.CONSTANT, dc_offset=12.0, scale_factor=-1)],
+        [ChannelSpec(kind=WaveKind.SINE, amplitude=1000.0),
+         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=26.0745, scale_factor=-4),
+         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=119.3064, scale_factor=-4),
+         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=12.0, scale_factor=-1)],
         80)
     for tick in range(frames):
         asdu.smp_cnt = tick % 4000
@@ -246,10 +246,10 @@ def test_criterion_7_loopback_integration():
 
     cfg = EndpointConfig(mode=Mode.UNICAST, address="127.0.0.1", port=port)
     provider = sample_provider(
-        [SourceSpec(kind=WaveKind.SINE, amplitude=1000.0),
-         SourceSpec(kind=WaveKind.CONSTANT, dc_offset=26.0745, scale_factor=-4),
-         SourceSpec(kind=WaveKind.CONSTANT, dc_offset=119.3064, scale_factor=-4),
-         SourceSpec(kind=WaveKind.CONSTANT, dc_offset=12.0, scale_factor=-1)],
+        [ChannelSpec(kind=WaveKind.SINE, amplitude=1000.0),
+         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=26.0745, scale_factor=-4),
+         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=119.3064, scale_factor=-4),
+         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=12.0, scale_factor=-1)],
         80)
     t0 = time.monotonic()
     state = publish_stream(cfg, golden_frame(), GOLDEN_SCHEMA, provider,
@@ -293,7 +293,7 @@ def test_criterion_7_loopback_integration():
 def test_criterion_8_quality_discard_policy():
     schema = DatasetSchema([
         SchemaMember("TMGF1.MagFld.instMag.i", 4, include_quality=True)])
-    spec = SourceSpec(kind=WaveKind.SINE, amplitude=1000.0,
+    spec = ChannelSpec(kind=WaveKind.SINE, amplitude=1000.0,
                       invalid_every_nth=10)
     provider = sample_provider([spec], 80)
     template = golden_frame()

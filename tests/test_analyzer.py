@@ -4,7 +4,7 @@ from helpers import GOLDEN_SCHEMA, golden_frame
 from svlite.analyzer import StreamAnalyzer, format_link_stats
 from svlite.codec import encode_frame, pack_seq_data
 from svlite.model import DatasetSchema, Quality, SchemaMember, Validity
-from svlite.netsim import Channel, ChannelSpec
+from svlite.netsim import Channel, LinkSpec
 
 QUALITY_SCHEMA = DatasetSchema([
     SchemaMember("TMGF1.MagFld.instMag.i", 4, include_quality=True)])
@@ -161,7 +161,7 @@ class TestLossRate:
         assert stats.loss_rate == pytest.approx(3 / 7)
 
     def test_against_channel_ground_truth(self):
-        channel = Channel(ChannelSpec(loss_probability=0.05, seed=7))
+        channel = Channel(LinkSpec(loss_probability=0.05, seed=7))
         sent = 10_000
         interval = 250e-6
         for tick in range(sent):

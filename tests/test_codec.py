@@ -23,6 +23,7 @@ from svlite.codec import (
     decode_frame,
     dissect,
     encode_frame,
+    field_offsets,
     mac_from_str,
     mac_to_str,
     pack_seq_data,
@@ -61,6 +62,12 @@ class TestGoldenFrame:
     def test_strict_round_trip(self):
         frame = golden_frame()
         assert decode_frame(encode_frame(frame, GOLDEN_SCHEMA)) == frame
+
+    def test_decodes_any_byte_buffer(self):
+        for buffer in (bytearray(GOLDEN_WIRE), memoryview(GOLDEN_WIRE)):
+            frame = decode_frame(buffer)
+            assert frame == golden_frame()
+            assert type(frame.apdu.asdus[0].seq_data) is bytes
 
     def test_decoded_field_values(self):
         frame = decode_frame(GOLDEN_WIRE)
@@ -302,6 +309,22 @@ class TestDissect:
     def test_line_count_covers_parsed_fields(self):
         # 9 header rows + savPdu + noASDU + seqASDU + ASDU1 + 6 fields
         assert len(dissect(GOLDEN_WIRE)) == 19
+
+
+class TestFieldOffsets:
+    def test_golden_value_offsets(self):
+        # svID value after savPdu(2) noASDU(3) seqASDU(2) ASDU(2) svID(2)
+        assert field_offsets(GOLDEN_WIRE) == [
+            {0x80: 37, 0x82: 49, 0x83: 53, 0x84: 59, 0x85: 69, 0x87: 72}]
+
+    def test_one_table_per_asdu(self):
+        frame = golden_frame()
+        frame.apdu.asdus.append(Asdu(
+            sv_id="x", smp_cnt=2, seq_data=frame.apdu.asdus[0].seq_data))
+        wire = encode_frame(frame, GOLDEN_SCHEMA)
+        first, second = field_offsets(wire)
+        assert wire[second[0x82]:second[0x82] + 2] == b"\x00\x02"
+        assert wire[first[0x87]:first[0x87] + 14] == GOLDEN_WIRE[72:]
 
 
 class TestRoundTripProperty:

@@ -7,10 +7,8 @@ from svlite import model
 from svlite.errors import Overflow, UnknownLogicNode
 from svlite.model import (
     DatasetSchema,
-    GeoCoordinate,
     LOGIC_NODES,
     Quality,
-    RectCoordinate,
     ScaledValue,
     SchemaMember,
     Validity,
@@ -107,49 +105,6 @@ class TestQuality:
     def test_decode_rejects_bad_width(self):
         with pytest.raises(ValueError):
             decode_quality(b"\x00")
-
-
-class TestGeoCoordinate:
-    def test_boundary_values_accepted(self):
-        GeoCoordinate(180_000_000, 90_000_000, 9999, 5, 999, 5)
-        GeoCoordinate(-180_000_000, -90_000_000, -9999, 999, 5, 999)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(b_raw=180_000_001),
-        dict(b_raw=-180_000_001),
-        dict(l_raw=90_000_001),
-        dict(l_raw=-90_000_001),
-        dict(h_raw=10_000),
-        dict(h_raw=-10_000),
-        dict(pdop=4),
-        dict(pdop=1000),
-        dict(hdop=4),
-        dict(vdop=1000),
-    ])
-    def test_out_of_range_rejected(self, kwargs):
-        base = dict(b_raw=0, l_raw=0, h_raw=0, pdop=50, hdop=50, vdop=50)
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            GeoCoordinate(**base)
-
-    def test_fixed_scale_factors(self):
-        geo = GeoCoordinate(260_745, 1_193_064, 120, 50, 50, 50)
-        assert geo.latitude == Decimal("26.0745")
-        assert geo.longitude == Decimal("119.3064")
-        assert geo.height == Decimal("12.0")
-
-
-class TestRectCoordinate:
-    def test_accepts_int16_extremes(self):
-        RectCoordinate(32767, -32768, 0, 5, 999, 5, 999)
-
-    def test_rejects_wide_x(self):
-        with pytest.raises(ValueError):
-            RectCoordinate(32768, 0, 0, 5, 5, 5, 5)
-
-    def test_rejects_bad_dop(self):
-        with pytest.raises(ValueError):
-            RectCoordinate(0, 0, 0, 4, 5, 5, 5)
 
 
 class TestLogicNodes:

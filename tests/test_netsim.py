@@ -3,7 +3,7 @@ import pytest
 from helpers import GOLDEN_SCHEMA, golden_frame
 from svlite.analyzer import StreamAnalyzer
 from svlite.codec import encode_frame
-from svlite.netsim import Channel, ChannelSpec
+from svlite.netsim import Channel, LinkSpec
 
 
 def _send_all(channel, count, interval=250e-6, payload=b"datagram"):
@@ -13,20 +13,20 @@ def _send_all(channel, count, interval=250e-6, payload=b"datagram"):
 
 class TestLossFree:
     def test_every_datagram_delivered_once(self):
-        channel = Channel(ChannelSpec(seed=1, base_latency=1e-3))
+        channel = Channel(LinkSpec(seed=1, base_latency=1e-3))
         _send_all(channel, 50)
         deliveries = channel.drain()
         assert len(deliveries) == 50
         assert channel.delivered == 50 and channel.lost == 0
 
     def test_order_preserved_without_jitter(self):
-        channel = Channel(ChannelSpec(seed=1))
+        channel = Channel(LinkSpec(seed=1))
         _send_all(channel, 20)
         payloads = [p for _, p in channel.drain()]
         assert payloads == sorted(payloads, key=lambda p: p[-4:])
 
     def test_latency_applied(self):
-        channel = Channel(ChannelSpec(seed=1, base_latency=2e-3))
+        channel = Channel(LinkSpec(seed=1, base_latency=2e-3))
         channel.transmit(b"x", 1.0)
         ((at, _),) = channel.drain()
         assert at == pytest.approx(1.002)
@@ -34,13 +34,13 @@ class TestLossFree:
 
 class TestLoss:
     def test_total_loss(self):
-        channel = Channel(ChannelSpec(loss_probability=1.0, seed=5))
+        channel = Channel(LinkSpec(loss_probability=1.0, seed=5))
         _send_all(channel, 10)
         assert channel.drain() == []
         assert channel.lost == 10
 
     def test_binomial_band(self):
-        channel = Channel(ChannelSpec(loss_probability=0.01, seed=42))
+        channel = Channel(LinkSpec(loss_probability=0.01, seed=42))
         _send_all(channel, 100_000)
         delivered = len(channel.drain())
         # 3 sigma around Binomial(100000, 0.99)
@@ -48,7 +48,7 @@ class TestLoss:
         assert delivered == channel.delivered
 
     def test_conservation_exact(self):
-        channel = Channel(ChannelSpec(loss_probability=0.25, jitter=1e-4,
+        channel = Channel(LinkSpec(loss_probability=0.25, jitter=1e-4,
                                       reorder_probability=0.05, seed=99))
         _send_all(channel, 5000)
         delivered = len(channel.drain())
@@ -58,7 +58,7 @@ class TestLoss:
 
 class TestReproducibility:
     def test_identical_runs(self):
-        spec = ChannelSpec(loss_probability=0.1, jitter=5e-4,
+        spec = LinkSpec(loss_probability=0.1, jitter=5e-4,
                            reorder_probability=0.02, seed=1234,
                            base_latency=1e-3)
         runs = []
@@ -71,10 +71,10 @@ class TestReproducibility:
 
 class TestJitterReorder:
     def test_drain_before_transmit(self):
-        assert Channel(ChannelSpec()).drain() == []
+        assert Channel(LinkSpec()).drain() == []
 
     def test_partial_drain_by_time(self):
-        channel = Channel(ChannelSpec(seed=1))
+        channel = Channel(LinkSpec(seed=1))
         _send_all(channel, 10, interval=1.0)
         early = channel.drain(until=4.5)
         assert len(early) == 5
@@ -86,7 +86,7 @@ class TestJitterReorder:
         interval = 250e-6
         swap_seed = None
         for seed in range(1000):
-            channel = Channel(ChannelSpec(jitter=300e-6, seed=seed))
+            channel = Channel(LinkSpec(jitter=300e-6, seed=seed))
             channel.transmit(b"first", 0.0)
             channel.transmit(b"second", interval)
             deliveries = [p for _, p in channel.drain()]
@@ -100,7 +100,7 @@ class TestJitterReorder:
         for smp_cnt in (0, 1):
             frame.apdu.asdus[0].smp_cnt = smp_cnt
             wires.append(encode_frame(frame, GOLDEN_SCHEMA))
-        channel = Channel(ChannelSpec(jitter=300e-6, seed=swap_seed))
+        channel = Channel(LinkSpec(jitter=300e-6, seed=swap_seed))
         channel.transmit(wires[0], 0.0)
         channel.transmit(wires[1], interval)
         analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
@@ -111,7 +111,7 @@ class TestJitterReorder:
         assert stats.lost == 0
 
     def test_forced_reorder_delays_past_next(self):
-        channel = Channel(ChannelSpec(reorder_probability=1.0, seed=3))
+        channel = Channel(LinkSpec(reorder_probability=1.0, seed=3))
         channel.transmit(b"a", 0.0)
         channel.transmit(b"b", 1.0)
         channel.transmit(b"c", 2.0)
@@ -122,7 +122,7 @@ class TestJitterReorder:
         assert times[b"a"] > times[b"b"] or times[b"a"] > 1.0
 
     def test_delivery_never_precedes_send(self):
-        channel = Channel(ChannelSpec(jitter=10.0, seed=8))
+        channel = Channel(LinkSpec(jitter=10.0, seed=8))
         sends = {i: float(i) for i in range(200)}
         for index, at in sends.items():
             channel.transmit(index.to_bytes(2, "big"), at)
@@ -140,4 +140,4 @@ class TestChannelSpecValidation:
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            ChannelSpec(**kwargs)
+            LinkSpec(**kwargs)
