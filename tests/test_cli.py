@@ -1,3 +1,4 @@
+import hashlib
 import socket
 import threading
 import time
@@ -14,6 +15,7 @@ from svlite.config import (
     parse_config,
 )
 from svlite.errors import ConfigError
+from svlite.netsim import Channel
 from svlite.transport import EndpointConfig, Mode, subscribe
 
 
@@ -329,6 +331,20 @@ class TestSubscribeCommand:
         assert "transport error" in err
 
 
+# 50 Hz x 256 with quality on every member, a channel that goes invalid
+# every 7th tick and a noise channel.
+IMPAIRED_256 = "\n".join([
+    "nominal_hz = 50",
+    "points_per_period = 256",
+    "member = TCTR1.AmpSv.instMag.i:4:signed:-3:0:q",
+    "member = TCTR1.AmpSv.instMag.n:4:signed:-2:0:q",
+    "member = VCVR1.VolSv.instMag.c:2:signed:-1:0:q",
+    "channel = sine amp=120.5 phase=0.3 invalid_every=7",
+    "channel = noise dc=1.5 sigma=2.0",
+    "channel = const dc=12.3",
+])
+
+
 class TestSimulateCommand:
     def test_loss_free(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--loss", "0",
@@ -363,6 +379,46 @@ class TestSimulateCommand:
         code_b, out_b, _ = run_cli(capsys, *args)
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    @pytest.mark.parametrize("config,args,stdout_sha,datagrams_sha", [
+        pytest.param(
+            None, ["--loss", "0.01", "--frames", "5000", "--seed", "42"],
+            "68d7da55ff1b72f51d5b75385ea24e26635d4f183660c8bc2d5740568766c41f",
+            "f6e6d6152f53eb3dd25449eea18ecb4a67a29bfcf8fec3cb8d3927c1ae892f7a",
+            id="builtin-loss"),
+        pytest.param(
+            IMPAIRED_256, ["--loss", "0.02", "--jitter", "5e-5", "--reorder",
+                           "0.02", "--frames", "13000", "--seed", "3"],
+            "cc436ca89c3bbab92783e2450465ca41c6bc25b19050f8ff9a11fa4ef6f2c176",
+            "afd4ce309f59502f2163e3169e6d62ac8d9569af233e7a0c3d72f893b56dd5d9",
+            id="256q-impaired"),
+        pytest.param(
+            None, ["--jitter", "1e-4", "--reorder", "0.05", "--frames", "5000",
+                   "--seed", "9"],
+            "4b9f63716bd3fa91f68fb643904dfa7c863a07c72915bd6d293df972da67ac80",
+            "f6e6d6152f53eb3dd25449eea18ecb4a67a29bfcf8fec3cb8d3927c1ae892f7a",
+            id="builtin-jitter-reorder"),
+    ])
+    def test_pinned_output(self, config, args, stdout_sha, datagrams_sha,
+                           tmp_path, monkeypatch, capsys):
+        """Report text and every datagram offered to the channel, byte
+        for byte, across smpCnt wrap, quality, loss, jitter and reorder."""
+        offered = hashlib.sha256()
+        transmit = Channel.transmit
+
+        def recording_transmit(channel, datagram, send_time):
+            offered.update(datagram)
+            return transmit(channel, datagram, send_time)
+
+        monkeypatch.setattr(Channel, "transmit", recording_transmit)
+        if config is not None:
+            path = tmp_path / "stream.cfg"
+            path.write_text(config)
+            args = ["--config", str(path), *args]
+        code, out, _ = run_cli(capsys, "simulate", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+        assert offered.hexdigest() == datagrams_sha
 
 
 def _free_port() -> int:
