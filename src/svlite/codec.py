@@ -505,12 +505,20 @@ _SMP_SYNCH_NAMES = {0: "none", 1: "local", 2: "global"}
 DissectLine = tuple[int, str, str, str]
 
 
+class WarningLine(tuple):
+    """A ``DissectLine`` that flags a fault in the capture."""
+
+
+def _warning(depth: int, name: str, raw: str = "", decoded: str = "") -> DissectLine:
+    return WarningLine((depth, name, raw, decoded))
+
+
 def dissect(data: bytes) -> list[DissectLine]:
     """Best-effort field walk for captures; never raises.
 
     Returns ``(depth, name, raw_hex, decoded)`` rows in wire order.
-    Parse problems become annotation rows, a short buffer ends in a
-    ``TRUNCATED at offset N`` row.
+    Faults become :class:`WarningLine` rows, a short buffer ends in a
+    ``TRUNCATED at offset N`` one.
     """
     if not data:
         return [(0, "empty capture", "", "")]
@@ -520,7 +528,7 @@ def dissect(data: bytes) -> list[DissectLine]:
     except (Truncated, UnsupportedLength) as stop:
         if stop.overrun is not None:
             lines.append(_overrun_row(data, *stop.overrun))
-        lines.append((0, f"TRUNCATED at offset {stop.offset}", "", ""))
+        lines.append(_warning(0, f"TRUNCATED at offset {stop.offset}"))
     return lines
 
 
@@ -554,7 +562,7 @@ def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
                       f"priority {tag.priority}, DEI {int(tag.dei)}, VID {tag.vid}"))
         octets = take(2)
     else:
-        lines.append((0, "no 802.1Q tag", "", ""))
+        lines.append(_warning(0, "no 802.1Q tag"))
     ethertype = int.from_bytes(octets, "big")
     note = "IEC 61850/SV" if ethertype == ETHERTYPE_SV else "not IEC 61850/SV"
     lines.append((0, "EtherType", octets.hex(), f"0x{ethertype:04x} ({note})"))
@@ -576,10 +584,10 @@ def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
         lines.append(_tlv_row(data, depth, tag, tlv_start, start, end, asdu_index))
     actual = apdu_end - apdu_start
     if length_field != actual:
-        lines.append((0, f"Length field {length_field} != actual {actual}", "", ""))
+        lines.append(_warning(0, f"Length field {length_field} != actual {actual}"))
     if apdu_end < len(data):
         tail = data[apdu_end:]
-        lines.append((0, f"{len(tail)} trailing octets", tail.hex(), tail.hex()))
+        lines.append(_warning(0, f"{len(tail)} trailing octets", tail.hex(), tail.hex()))
 
 
 def _tlv_row(data: bytes, depth: int, tag: int, tlv_start: int, start: int,
@@ -589,7 +597,7 @@ def _tlv_row(data: bytes, depth: int, tag: int, tlv_start: int, start: int,
     if depth == 3 and tag in _ASDU_FIELD_NAMES:
         value = data[start:end]
         if tag == TAG_SVID:
-            text = value.decode("ascii", "replace")
+            text = bytes(value).decode("ascii", "replace")
         elif tag == TAG_REFRTM:
             text = _render_refr_tm(value)
         elif tag == TAG_SMPSYNCH:
@@ -604,12 +612,13 @@ def _tlv_row(data: bytes, depth: int, tag: int, tlv_start: int, start: int,
         name = _CONTAINER_NAMES[depth] if depth < 2 else f"ASDU{asdu_index}"
         return (depth, name, header, f"{length} octets")
     if depth == 0:
-        return (0, f"tag 0x{tag:02x}", header, f"{length} octets (expected savPdu 0x60)")
+        return _warning(0, f"tag 0x{tag:02x}", header,
+                        f"{length} octets (expected savPdu 0x60)")
     if depth == 1 and tag == TAG_NOASDU:
         return (1, "noASDU", data[tlv_start:end].hex(),
                 str(int.from_bytes(data[start:end], "big")))
-    return (depth, f"tag 0x{tag:02x}", data[tlv_start:end].hex(),
-            f"{length} octets (skipped)")
+    return _warning(depth, f"tag 0x{tag:02x}", data[tlv_start:end].hex(),
+                    f"{length} octets (skipped)")
 
 
 def _overrun_row(data: bytes, depth: int, tag: int, tlv_start: int, start: int,
@@ -618,9 +627,9 @@ def _overrun_row(data: bytes, depth: int, tag: int, tlv_start: int, start: int,
         return _tlv_row(data, depth, tag, tlv_start, start, end)
     if depth == 3:
         name = _ASDU_FIELD_NAMES.get(tag, f"tag 0x{tag:02x}")
-        return (3, f"{name} overruns ASDU", "", "")
-    return (depth, f"tag 0x{tag:02x} overruns {_CONTAINER_NAMES[depth - 1]}",
-            data[tlv_start:start].hex(), "")
+        return _warning(3, f"{name} overruns ASDU")
+    return _warning(depth, f"tag 0x{tag:02x} overruns {_CONTAINER_NAMES[depth - 1]}",
+                    data[tlv_start:start].hex())
 
 
 def _render_refr_tm(value: bytes) -> str:

@@ -54,6 +54,10 @@ class WidthMismatch(SvError):
     """Packed dataset octets do not match the schema width."""
 
 
+class BadQuality(SvError):
+    """A quality word carries validity bits 0b11, which no code uses."""
+
+
 class UnsupportedRate(SvError):
     """Sampling configuration outside the supported 80/256 points per period."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from enum import IntEnum
 
-from .errors import Overflow, UnknownLogicNode
+from .errors import BadQuality, Overflow, UnknownLogicNode
 
 # Points per nominal period the profile samples at.
 SUPPORTED_POINTS = (80, 256)
@@ -108,8 +108,9 @@ def decode_quality(octets: bytes) -> Quality:
     if len(octets) != 2:
         raise ValueError(f"quality needs 2 octets, got {len(octets)}")
     word = octets[1]
-    validity = Validity(word & 0x03)
-    return Quality(validity=validity, test=bool(word & 0x04))
+    if word & 0x03 == 0x03:
+        raise BadQuality(f"quality validity bits 0b11 in word 0x{word:02x}")
+    return Quality(validity=Validity(word & 0x03), test=bool(word & 0x04))
 
 
 @dataclass(frozen=True)

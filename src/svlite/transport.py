@@ -8,6 +8,7 @@ at t0 + N * interval) so scheduling error never accumulates as drift.
 
 from __future__ import annotations
 
+import itertools
 import socket
 import time
 from dataclasses import dataclass
@@ -100,6 +101,31 @@ def _open_publish_socket(cfg: EndpointConfig) -> socket.socket:
     return sock
 
 
+def frame_ticks(template: SvFrame, schema: DatasetSchema, source, wrap: int,
+                start_smp_cnt: int, stamp):
+    """Encode ``template`` now, then on tick N yield it with smpCnt
+    ``(start_smp_cnt + N) % wrap``, refrTm ``stamp(N)`` and seqData packed
+    from ``source(N)`` patched into every ASDU. A fixed schema and svID
+    keep every BER length constant, so the patch is byte-exact and no
+    tick pays for a re-encode. Each tick yields the same buffer."""
+    wire = bytearray(encode_frame(template, schema))
+    plans = field_offsets(wire)
+
+    def ticks():
+        for tick in itertools.count():
+            seq_data = pack_seq_data(source(tick), schema)
+            refr_tm = stamp(tick).to_octets()
+            counter = ((start_smp_cnt + tick) % wrap).to_bytes(2, "big")
+            for fields in plans:
+                wire[fields[TAG_SMPCNT]:fields[TAG_SMPCNT] + 2] = counter
+                wire[fields[TAG_REFRTM]:fields[TAG_REFRTM] + 8] = refr_tm
+                offset = fields[TAG_SEQDATA]
+                wire[offset:offset + len(seq_data)] = seq_data
+            yield wire
+
+    return ticks()
+
+
 def publish_stream(
     cfg: EndpointConfig,
     template: SvFrame,
@@ -132,10 +158,8 @@ def publish_stream(
     pace = pace_hz if pace_hz is not None else float(rate)
     interval = 1.0 / pace
     state = PublisherState(smp_cnt=start_smp_cnt % wrap, wrap_modulus=wrap)
-    # Encode once, then patch the variable fields in place each tick; the
-    # 250 us budget has no room for a full re-encode.
-    wire = bytearray(encode_frame(template, schema))
-    plans = field_offsets(wire)
+    ticks = frame_ticks(template, schema, source, wrap, start_smp_cnt,
+                        lambda _: UtcTimestamp.from_unix(timestamper()))
     own_sock = sock is None
     if own_sock:
         sock = _open_publish_socket(cfg)
@@ -144,14 +168,7 @@ def publish_stream(
         t0 = time.monotonic()
         for tick in range(frames):
             _sleep_until(t0 + tick * interval)
-            seq_data = pack_seq_data(source(tick), schema)
-            stamp = UtcTimestamp.from_unix(timestamper()).to_octets()
-            counter = state.smp_cnt.to_bytes(2, "big")
-            for fields in plans:
-                wire[fields[TAG_SMPCNT]:fields[TAG_SMPCNT] + 2] = counter
-                wire[fields[TAG_REFRTM]:fields[TAG_REFRTM] + 8] = stamp
-                offset = fields[TAG_SEQDATA]
-                wire[offset:offset + len(seq_data)] = seq_data
+            wire = next(ticks)
             try:
                 sock.sendto(wire, destination)
             except OSError as exc:

@@ -17,21 +17,14 @@ from helpers import (
     random_valid_frame,
     verify_frame_lengths,
 )
-from svlite import ber
+from svlite import ber, codec
 from svlite.analyzer import StreamAnalyzer, format_link_stats
 from svlite.budget import project_bitrate, sample_interval, validate_constraints
-from svlite.codec import (
-    Asdu,
-    DecodeMode,
-    SavApdu,
-    SmpSynch,
-    UtcTimestamp,
-    decode_frame,
-    encode_frame,
-    pack_seq_data,
-)
+from svlite.cli import simulate
+from svlite.codec import Asdu, DecodeMode, SavApdu, decode_frame
+from svlite.config import RunConfig, default_config
 from svlite.model import DatasetSchema, SchemaMember
-from svlite.netsim import Channel, LinkSpec
+from svlite.netsim import LinkSpec
 from svlite.sources import ChannelSpec, WaveKind, sample_provider
 from svlite.transport import EndpointConfig, Mode, publish_stream, subscribe
 
@@ -64,7 +57,7 @@ def test_criterion_2_timing_reproduction():
 
 
 def test_criterion_3_golden_frame():
-    wire = encode_frame(golden_frame(), GOLDEN_SCHEMA)
+    wire = codec.encode_frame(golden_frame(), GOLDEN_SCHEMA)
     tags = verify_frame_lengths(wire)  # asserts every BER length internally
     decoded = decode_frame(wire, DecodeMode.LENIENT)
     ok = (len(wire) == 86
@@ -83,7 +76,7 @@ def test_criterion_4_round_trip_property_suite():
     rng = random.Random(92)
     for _ in range(1000):
         frame, schema = random_valid_frame(rng)
-        assert decode_frame(encode_frame(frame, schema),
+        assert decode_frame(codec.encode_frame(frame, schema),
                             DecodeMode.STRICT) == frame
     for _ in range(10_000):
         tag = rng.randrange(256)
@@ -122,31 +115,15 @@ def test_criterion_5_constraint_validation():
              ok)
 
 
-def _loss_experiment(seed: int, frames: int = 100_000):
-    channel = Channel(LinkSpec(loss_probability=0.01, seed=seed))
-    analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
-    template = golden_frame()
-    asdu = template.apdu.asdus[0]
-    interval = 1.0 / 4000
-    provider = sample_provider(
-        [ChannelSpec(kind=WaveKind.SINE, amplitude=1000.0),
-         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=26.0745, scale_factor=-4),
-         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=119.3064, scale_factor=-4),
-         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=12.0, scale_factor=-1)],
-        80)
-    for tick in range(frames):
-        asdu.smp_cnt = tick % 4000
-        asdu.seq_data = pack_seq_data(provider(tick), GOLDEN_SCHEMA)
-        channel.transmit(encode_frame(template, GOLDEN_SCHEMA),
-                         tick * interval)
-    for arrival, payload in channel.drain():
-        analyzer.ingest(payload, arrival)
-    return analyzer.report(), channel
+# Criteria 6 and 9: 1% loss on the built-in stream, as
+# ``svlite simulate --loss 0.01 --frames 100000 --seed 42``.
+LOSS_LINK = LinkSpec(loss_probability=0.01, seed=42)
 
 
 def test_criterion_6_simulated_loss_experiment():
     start = time.perf_counter()
-    stats, channel = _loss_experiment(seed=42)
+    analyzer, channel = simulate(default_config(), LOSS_LINK, 100_000, 42)
+    stats = analyzer.report()
     elapsed = time.perf_counter() - start
     ok = (0.007 <= stats.loss_rate <= 0.013
           and stats.received + stats.lost == 100_000
@@ -245,12 +222,7 @@ def test_criterion_7_loopback_integration():
     time.sleep(0.3)
 
     cfg = EndpointConfig(mode=Mode.UNICAST, address="127.0.0.1", port=port)
-    provider = sample_provider(
-        [ChannelSpec(kind=WaveKind.SINE, amplitude=1000.0),
-         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=26.0745, scale_factor=-4),
-         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=119.3064, scale_factor=-4),
-         ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=12.0, scale_factor=-1)],
-        80)
+    provider = sample_provider(default_config().channels, 80)
     t0 = time.monotonic()
     state = publish_stream(cfg, golden_frame(), GOLDEN_SCHEMA, provider,
                            rate=rate, frames=frames)
@@ -291,18 +263,12 @@ def test_criterion_7_loopback_integration():
 
 
 def test_criterion_8_quality_discard_policy():
-    schema = DatasetSchema([
-        SchemaMember("TMGF1.MagFld.instMag.i", 4, include_quality=True)])
-    spec = ChannelSpec(kind=WaveKind.SINE, amplitude=1000.0,
-                      invalid_every_nth=10)
-    provider = sample_provider([spec], 80)
-    template = golden_frame()
-    asdu = template.apdu.asdus[0]
-    analyzer = StreamAnalyzer(4000, schema)
-    for tick in range(1000):
-        asdu.smp_cnt = tick % 4000
-        asdu.seq_data = pack_seq_data(provider(tick), schema)
-        analyzer.ingest(encode_frame(template, schema), tick / 4000)
+    cfg = RunConfig(
+        members=(SchemaMember("TMGF1.MagFld.instMag.i", 4,
+                              include_quality=True),),
+        channels=(ChannelSpec(kind=WaveKind.SINE, amplitude=1000.0,
+                              invalid_every_nth=10),))
+    analyzer, _ = simulate(cfg, LinkSpec(), 1000, 0)
     stats = analyzer.report()
     ok = (stats.quality_discarded == 100
           and len(analyzer.accepted) == 900
@@ -312,9 +278,9 @@ def test_criterion_8_quality_discard_policy():
 
 
 def test_criterion_9_determinism():
-    first, _ = _loss_experiment(seed=42)
-    second, _ = _loss_experiment(seed=42)
-    text_a = format_link_stats(first)
-    text_b = format_link_stats(second)
+    first, _ = simulate(default_config(), LOSS_LINK, 100_000, 42)
+    second, _ = simulate(default_config(), LOSS_LINK, 100_000, 42)
+    text_a = format_link_stats(first.report())
+    text_b = format_link_stats(second.report())
     ok = text_a == text_b and text_a.encode() == text_b.encode()
     _verdict("criterion 9: identical seeds give byte-identical reports", ok)

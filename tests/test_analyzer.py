@@ -147,6 +147,16 @@ class TestQualityPolicy:
         assert stats.quality_discarded == 0
         assert analyzer.accepted == [[(7, Quality())]]
 
+    def test_undefined_validity_is_a_decode_failure(self):
+        analyzer = StreamAnalyzer(4000, QUALITY_SCHEMA)
+        wire = bytearray(make_wire(0, QUALITY_SCHEMA, [(7, Quality())]))
+        wire[-1] = 0x03  # the quality word ends the frame: validity 0b11
+        analyzer.ingest(bytes(wire), 0.0)
+        stats = analyzer.report()
+        assert (stats.received, stats.decode_failures,
+                stats.quality_discarded) == (1, 1, 0)
+        assert analyzer.accepted == []
+
     def test_members_without_quality_always_accepted(self):
         analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
         feed(analyzer, range(10))

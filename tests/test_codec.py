@@ -68,6 +68,7 @@ class TestGoldenFrame:
             frame = decode_frame(buffer)
             assert frame == golden_frame()
             assert type(frame.apdu.asdus[0].seq_data) is bytes
+            assert dissect(buffer) == dissect(GOLDEN_WIRE)
 
     def test_decoded_field_values(self):
         frame = decode_frame(GOLDEN_WIRE)
