@@ -33,14 +33,10 @@ from .codec import (
 from .errors import SvError
 from .model import (
     DatasetSchema,
-    LOGIC_NODES,
-    LogicNodeDescriptor,
     Quality,
-    ScaledValue,
     SchemaMember,
     Validity,
     from_engineering,
-    lookup_logic_node,
     to_engineering,
 )
 from .transport import EndpointConfig, Mode, PublisherState, publish_stream, subscribe

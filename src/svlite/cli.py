@@ -14,7 +14,7 @@ from .codec import UtcTimestamp, WarningLine, dissect, render_dissection
 from .codec import encode_frame, pack_seq_data  # noqa: F401, perfbench traces
 from .config import RunConfig, build_template, default_config, dump_config, \
     load_config
-from .errors import ConfigError, TransportError, UnsupportedRate
+from .errors import ConfigError, SvError, TransportError
 from .netsim import Channel, LinkSpec
 from .sources import sample_provider
 
@@ -35,10 +35,7 @@ def main(argv=None) -> int:
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except UnsupportedRate as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (SvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

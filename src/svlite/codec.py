@@ -565,7 +565,8 @@ def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
         lines.append(_warning(0, "no 802.1Q tag"))
     ethertype = int.from_bytes(octets, "big")
     note = "IEC 61850/SV" if ethertype == ETHERTYPE_SV else "not IEC 61850/SV"
-    lines.append((0, "EtherType", octets.hex(), f"0x{ethertype:04x} ({note})"))
+    row = (0, "EtherType", octets.hex(), f"0x{ethertype:04x} ({note})")
+    lines.append(row if ethertype == ETHERTYPE_SV else _warning(*row))
     apdu_start = c
     octets = take(2)
     lines.append((0, "APPID", octets.hex(), f"0x{int.from_bytes(octets, 'big'):04x}"))

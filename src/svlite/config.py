@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import SmpSynch, SvFrame, SavApdu, Asdu, UtcTimestamp, VlanTag, \
-    mac_from_str, mac_to_str
+from .budget import MAX_DATA_ATTRIBUTES
+from .codec import SVID_MAX_LEN, SmpSynch, SvFrame, SavApdu, Asdu, \
+    UtcTimestamp, VlanTag, mac_from_str, mac_to_str
 from .errors import ConfigError
-from .model import DatasetSchema, SchemaMember, LOGIC_NODES, SUPPORTED_POINTS
+from .model import DatasetSchema, SchemaMember, SUPPORTED_POINTS
 from .sources import ChannelSpec, WaveKind
 from .transport import EndpointConfig, Mode
 
@@ -62,10 +63,9 @@ class RunConfig:
 
 def default_config() -> RunConfig:
     """Built-in configuration with sources bound to the default members."""
-    cfg = RunConfig()
     channels = tuple(
-        _parse_channel(0, line, member, cfg.nominal_hz)
-        for line, member in zip(_DEFAULT_CHANNEL_LINES, cfg.members))
+        _parse_channel(0, line, member)
+        for line, member in zip(_DEFAULT_CHANNEL_LINES, DEFAULT_MEMBERS))
     return RunConfig(channels=channels)
 
 
@@ -123,13 +123,12 @@ def _parse_member(lineno: int, value: str) -> SchemaMember:
 
 
 _CHANNEL_KINDS = {k.value: k for k in WaveKind}
-_CHANNEL_KEYS = ("amp", "freq", "phase", "dc", "sigma", "invalid_every")
+_CHANNEL_KEYS = ("amp", "phase", "dc", "sigma", "invalid_every")
 
 
-def _parse_channel(lineno: int, value: str, member: SchemaMember,
-                   nominal_hz: int) -> ChannelSpec:
+def _parse_channel(lineno: int, value: str, member: SchemaMember) -> ChannelSpec:
     tokens = value.split()  # parse_config has checked the kind up front
-    params = {"freq": float(nominal_hz)}
+    params = {}
     for token in tokens[1:]:
         key, sep, raw = token.partition("=")
         if not sep or key not in _CHANNEL_KEYS:
@@ -139,19 +138,14 @@ def _parse_channel(lineno: int, value: str, member: SchemaMember,
             params[key] = int(raw) if key == "invalid_every" else float(raw)
         except ValueError:
             _fail(lineno, f"bad number in channel parameter {token!r}")
-    ln_name = member.name.split(".")[0].rstrip("0123456789")
     try:
         return ChannelSpec(
-            logic_node=LOGIC_NODES.get(ln_name),
+            member=member,
             kind=_CHANNEL_KINDS[tokens[0]],
             amplitude=params.get("amp", 0.0),
-            frequency_hz=params["freq"],
             phase_rad=params.get("phase", 0.0),
             dc_offset=params.get("dc", 0.0),
             noise_sigma=params.get("sigma", 0.0),
-            scale_factor=member.scale_factor,
-            offset=member.offset,
-            width=member.width,
             invalid_every_nth=params.get("invalid_every", 0),
         )
     except ValueError as exc:
@@ -198,13 +192,12 @@ def parse_config(text: str) -> RunConfig:
     if not members:
         members = [(0, m) for m in DEFAULT_MEMBERS]
     schema = DatasetSchema(m for _, m in members)
-    if schema.data_attribute_count > 2:
+    if schema.data_attribute_count > MAX_DATA_ATTRIBUTES:
         _fail(members[-1][0],
               f"dataset spans {schema.data_attribute_count} data attributes, "
-              "at most 2 are allowed")
+              f"at most {MAX_DATA_ATTRIBUTES} are allowed")
     members = [m for _, m in members]
     fields["members"] = tuple(members)
-    nominal_hz = fields.get("nominal_hz", RunConfig.nominal_hz)
     if not channel_lines:
         channel_lines = [(0, line) for line in
                          _DEFAULT_CHANNEL_LINES[:len(members)]]
@@ -214,7 +207,7 @@ def parse_config(text: str) -> RunConfig:
         _fail(channel_lines[-1][0],
               f"{len(channel_lines)} channel lines for {len(members)} members")
     fields["channels"] = tuple(
-        _parse_channel(lineno, value, member, nominal_hz)
+        _parse_channel(lineno, value, member)
         for (lineno, value), member in zip(channel_lines, members))
     try:
         if endpoint:
@@ -237,8 +230,8 @@ def _conv_str(lineno, key, value):
 
 
 def _conv_sv_id(lineno, key, value):
-    if not value or not value.isascii() or len(value) > 64:
-        _fail(lineno, f"{key} must be 1..64 ASCII characters")
+    if not value or not value.isascii() or len(value) > SVID_MAX_LEN:
+        _fail(lineno, f"{key} must be 1..{SVID_MAX_LEN} ASCII characters")
     return value
 
 
@@ -337,7 +330,7 @@ def dump_config(cfg: RunConfig) -> str:
     for channel in cfg.channels:
         lines.append(
             f"channel = {channel.kind.value} amp={channel.amplitude!r} "
-            f"freq={channel.frequency_hz!r} phase={channel.phase_rad!r} "
+            f"phase={channel.phase_rad!r} "
             f"dc={channel.dc_offset!r} sigma={channel.noise_sigma!r} "
             f"invalid_every={channel.invalid_every_nth}")
     return "\n".join(lines) + "\n"

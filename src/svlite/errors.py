@@ -62,10 +62,6 @@ class UnsupportedRate(SvError):
     """Sampling configuration outside the supported 80/256 points per period."""
 
 
-class UnknownLogicNode(SvError):
-    """Logic-node name not present in the registry."""
-
-
 class TransportError(SvError):
     """Socket-level failure while publishing or subscribing.
 

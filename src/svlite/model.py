@@ -1,8 +1,8 @@
 """Domain model of the reduced sampled-value service.
 
-Integer-scaled measurement values, the two-attribute quality, the
-sensor logic-node registry, the supported sampling rates and the dataset
-layout that governs how seqData octets are packed.
+Integer scaling to and from engineering units, the two-attribute
+quality, the supported sampling rates and the dataset layout that
+governs how seqData octets are packed.
 
 The wire never carries floating point: a transmitted sample is an integer
 ``i`` that the receiver maps to engineering units as
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from enum import IntEnum
 
-from .errors import BadQuality, Overflow, UnknownLogicNode
+from .errors import BadQuality, Overflow
 
 # Points per nominal period the profile samples at.
 SUPPORTED_POINTS = (80, 256)
@@ -37,26 +37,9 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
 
 
-@dataclass(frozen=True)
-class ScaledValue:
-    """Transmitted integer sample with its decoding parameters.
-
-    Engineering value is exactly ``(raw_i + offset) * 10**scale_factor``.
-    """
-
-    raw_i: int
-    offset: int = 0
-    scale_factor: int = 0
-
-    def __post_init__(self):
-        _check_range("raw_i", self.raw_i, *_INT32)
-        _check_range("offset", self.offset, *_INT32)
-        _check_range("scale_factor", self.scale_factor, *_INT8)
-
-
-def to_engineering(v: ScaledValue) -> Decimal:
-    """Exact decimal engineering value of a scaled sample."""
-    return Decimal(v.raw_i + v.offset).scaleb(v.scale_factor)
+def to_engineering(raw: int, scale_factor: int, offset: int = 0) -> Decimal:
+    """Exact decimal engineering value ``(raw + offset) * 10**scale_factor``."""
+    return Decimal(raw + offset).scaleb(scale_factor)
 
 
 def from_engineering(
@@ -111,38 +94,6 @@ def decode_quality(octets: bytes) -> Quality:
     if word & 0x03 == 0x03:
         raise BadQuality(f"quality validity bits 0b11 in word 0x{word:02x}")
     return Quality(validity=Validity(word & 0x03), test=bool(word & 0x04))
-
-
-@dataclass(frozen=True)
-class LogicNodeDescriptor:
-    ln_name: str
-    description: str
-    measurement_do: str
-    cdc: str = "SAV"
-
-
-# Sensor logic nodes supported on this profile. TEEF covers non-contact
-# electric-field measurement alongside the magnetic-field TMGF.
-LOGIC_NODES: dict[str, LogicNodeDescriptor] = {
-    d.ln_name: d
-    for d in (
-        LogicNodeDescriptor("TMGF", "Magnetic field sensor", "MagFld"),
-        LogicNodeDescriptor("TEEF", "Electrical field sensor", "EleFld"),
-        LogicNodeDescriptor("TTMP", "Temperature sensor", "Tmp"),
-        LogicNodeDescriptor("TVBR", "Vibration sensor", "Vbr"),
-        LogicNodeDescriptor("THUM", "Humidity sensor", "Hmdt"),
-        LogicNodeDescriptor("TCTR", "Current transformer", "AmpSv"),
-        LogicNodeDescriptor("VCVR", "Voltage transformer", "VolSv"),
-    )
-}
-
-
-def lookup_logic_node(name: str) -> LogicNodeDescriptor:
-    """Case-sensitive exact lookup in the logic-node registry."""
-    try:
-        return LOGIC_NODES[name]
-    except KeyError:
-        raise UnknownLogicNode(f"unknown logic node {name!r}") from None
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 Every sample is a pure function of (channel spec, tick, seed), so a run
 can be replayed bit for bit. Periodic channels are locked to the sampling
 grid: one electrical period spans exactly ``points_per_period`` ticks.
+Each channel quantises through its own dataset member, so a sample is the
+raw integer that member puts on the wire.
 """
 
 from __future__ import annotations
@@ -10,12 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .codec import UtcTimestamp
 from .errors import UnsupportedRate
-from .model import (SUPPORTED_POINTS, LogicNodeDescriptor, Quality, ScaledValue,
-                    Validity, from_engineering)
+from .model import (SUPPORTED_POINTS, Quality, SchemaMember, Validity,
+                    from_engineering)
 
 
 class WaveKind(Enum):
@@ -26,18 +26,14 @@ class WaveKind(Enum):
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One simulated measurement channel and its quantisation."""
+    """One simulated measurement channel, quantised through ``member``."""
 
-    logic_node: LogicNodeDescriptor | None = None
+    member: SchemaMember
     kind: WaveKind = WaveKind.CONSTANT
     amplitude: float = 0.0
-    frequency_hz: float = 50.0
     phase_rad: float = 0.0
     dc_offset: float = 0.0
     noise_sigma: float = 0.0
-    scale_factor: int = 0
-    offset: int = 0
-    width: int = 4
     invalid_every_nth: int = 0  # 0: quality always good
 
     def __post_init__(self):
@@ -45,19 +41,9 @@ class ChannelSpec:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
-        if self.frequency_hz <= 0:
-            raise ValueError(f"frequency must be > 0, got {self.frequency_hz}")
         if self.invalid_every_nth < 0:
             raise ValueError(
                 f"invalid_every_nth must be >= 0, got {self.invalid_every_nth}")
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    tick_index: int
-    raw: ScaledValue
-    quality: Quality
-    timestamp: UtcTimestamp
 
 
 # Minimal PCG generator (64-bit state, 32-bit XSH-RR output) keyed per
@@ -97,12 +83,8 @@ def sample_at(
     tick: int,
     points_per_period: int,
     seed: int = 0,
-) -> SampleRecord:
-    """Produce the sample this channel emits at a given tick.
-
-    The timestamp comes from a virtual clock starting at the epoch and
-    advancing one exact sample interval per tick.
-    """
+) -> int:
+    """Raw integer this channel's member carries at a given tick."""
     if points_per_period not in SUPPORTED_POINTS:
         raise UnsupportedRate(
             f"{points_per_period} points per period, supported: "
@@ -118,32 +100,23 @@ def sample_at(
         engineering = spec.dc_offset
     else:
         engineering = spec.dc_offset + spec.noise_sigma * _gauss(seed, tick)
-
-    raw = from_engineering(
-        engineering, spec.scale_factor, spec.offset, spec.width)
-    if spec.invalid_every_nth and (tick + 1) % spec.invalid_every_nth == 0:
-        quality = Quality(validity=Validity.INVALID)
-    else:
-        quality = Quality()
-    interval = Fraction(1, int(spec.frequency_hz * points_per_period))
-    timestamp = UtcTimestamp.from_exact_seconds(tick * interval)
-    return SampleRecord(
-        tick_index=tick,
-        raw=ScaledValue(raw, spec.offset, spec.scale_factor),
-        quality=quality,
-        timestamp=timestamp,
-    )
+    m = spec.member
+    return from_engineering(
+        engineering, m.scale_factor, m.offset, m.width, m.signed)
 
 
 def sample_provider(channels, points_per_period: int, seed: int = 0):
     """Bind channel specs into a per-tick provider for the publisher.
 
     The returned callable maps a tick index to the ``(raw, quality)``
-    sequence expected by seqData packing, one entry per channel, and
-    produces exactly what :func:`sample_at` would. Constant and periodic
-    channels are precomputed into lookup tables: the publisher calls this
-    once per 250 us tick and cannot afford the decimal quantisation path
-    there.
+    sequence expected by seqData packing, one entry per channel. Raw
+    values are exactly what :func:`sample_at` gives; quality is invalid
+    on every ``invalid_every_nth`` tick (the n-th, 2n-th, ... counting
+    from 1) and good otherwise. Constant and periodic channels are
+    precomputed into lookup tables, so a value that does not fit its
+    member raises here rather than on a later tick: the publisher calls
+    this once per 250 us tick and cannot afford the decimal quantisation
+    path there.
     """
     specs = tuple(channels)
     tables: list[tuple[int, ...] | None] = []
@@ -151,11 +124,10 @@ def sample_provider(channels, points_per_period: int, seed: int = 0):
         if spec.kind is WaveKind.GAUSSIAN_NOISE:
             tables.append(None)
         elif spec.kind is WaveKind.CONSTANT:
-            tables.append(
-                (sample_at(spec, 0, points_per_period, seed).raw.raw_i,))
+            tables.append((sample_at(spec, 0, points_per_period, seed),))
         else:
             tables.append(tuple(
-                sample_at(spec, tick, points_per_period, seed).raw.raw_i
+                sample_at(spec, tick, points_per_period, seed)
                 for tick in range(points_per_period)))
     good = Quality()
     invalid = Quality(validity=Validity.INVALID)
@@ -164,7 +136,7 @@ def sample_provider(channels, points_per_period: int, seed: int = 0):
         out = []
         for spec, table in zip(specs, tables):
             if table is None:
-                raw = sample_at(spec, tick, points_per_period, seed).raw.raw_i
+                raw = sample_at(spec, tick, points_per_period, seed)
             else:
                 raw = table[tick % len(table)]
             n = spec.invalid_every_nth

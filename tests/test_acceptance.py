@@ -120,11 +120,17 @@ def test_criterion_5_constraint_validation():
 LOSS_LINK = LinkSpec(loss_probability=0.01, seed=42)
 
 
-def test_criterion_6_simulated_loss_experiment():
+@pytest.fixture(scope="module")
+def loss_run():
+    """The criterion 6 run, which criterion 9 repeats and compares."""
     start = time.perf_counter()
     analyzer, channel = simulate(default_config(), LOSS_LINK, 100_000, 42)
+    return analyzer, channel, time.perf_counter() - start
+
+
+def test_criterion_6_simulated_loss_experiment(loss_run):
+    analyzer, channel, elapsed = loss_run
     stats = analyzer.report()
-    elapsed = time.perf_counter() - start
     ok = (0.007 <= stats.loss_rate <= 0.013
           and stats.received + stats.lost == 100_000
           and channel.transmitted == 100_000
@@ -263,10 +269,10 @@ def test_criterion_7_loopback_integration():
 
 
 def test_criterion_8_quality_discard_policy():
+    member = SchemaMember("TMGF1.MagFld.instMag.i", 4, include_quality=True)
     cfg = RunConfig(
-        members=(SchemaMember("TMGF1.MagFld.instMag.i", 4,
-                              include_quality=True),),
-        channels=(ChannelSpec(kind=WaveKind.SINE, amplitude=1000.0,
+        members=(member,),
+        channels=(ChannelSpec(member, kind=WaveKind.SINE, amplitude=1000.0,
                               invalid_every_nth=10),))
     analyzer, _ = simulate(cfg, LinkSpec(), 1000, 0)
     stats = analyzer.report()
@@ -277,8 +283,8 @@ def test_criterion_8_quality_discard_policy():
              f"discarded {stats.quality_discarded}")
 
 
-def test_criterion_9_determinism():
-    first, _ = simulate(default_config(), LOSS_LINK, 100_000, 42)
+def test_criterion_9_determinism(loss_run):
+    first = loss_run[0]
     second, _ = simulate(default_config(), LOSS_LINK, 100_000, 42)
     text_a = format_link_stats(first.report())
     text_b = format_link_stats(second.report())

@@ -114,6 +114,14 @@ class TestDecodeCommand:
         assert "TRUNCATED at offset 40" in out
         assert "1 warnings" in out
 
+    def test_wrong_ethertype_is_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "ipv4.hex"
+        path.write_text((GOLDEN_WIRE[:16] + b"\x08\x00" + GOLDEN_WIRE[18:]).hex())
+        code, out, _ = run_cli(capsys, "decode", "--hex", str(path))
+        assert code == 0
+        assert "EtherType: 0x0800 (not IEC 61850/SV)" in out
+        assert "1 datagrams, 1 warnings" in out
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "decode", "--hex", "/no/such/file")
         assert code == 2
@@ -178,7 +186,7 @@ class TestConfigRoundTrip:
         assert cfg.samples_per_second == 60 * 256
         assert cfg.members[0].include_quality is True
         assert cfg.channels[0].amplitude == 250.5
-        assert cfg.channels[0].scale_factor == -2
+        assert cfg.channels[0].member.scale_factor == -2
         again = parse_config(dump_config(cfg))
         assert again == cfg
 
@@ -207,6 +215,17 @@ class TestConfigRoundTrip:
             parse_config(text)
         assert "line 2" in str(excinfo.value)
         assert fragment in str(excinfo.value)
+
+    def test_freq_is_not_a_channel_key(self):
+        text = "\n".join([
+            "member = TCTR1.AmpSv.instMag.i:4:signed:0:0:noq",
+            "channel = sine freq=60",
+        ])
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert "line 2" in str(excinfo.value)
+        assert "bad channel parameter" in str(excinfo.value)
+        assert "freq=" not in dump_config(default_config())
 
     def test_channel_count_must_match_members(self):
         text = "\n".join([
@@ -371,6 +390,19 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", "--loss", "1.5",
                                "--frames", "10")
         assert code == 2
+
+    def test_sample_that_does_not_fit_its_member_exits_2(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "narrow.cfg"
+        path.write_text("member = TCTR1.AmpSv.instMag.i:2:signed:0:0:noq\n"
+                        "channel = const dc=40000\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path),
+                                 "--frames", "10")
+        assert code == 2
+        assert out == ""
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [err.strip()]
+        assert "Traceback" not in err
 
     def test_deterministic_output(self, capsys):
         args = ["simulate", "--loss", "0.02", "--jitter", "1e-4",

@@ -4,37 +4,34 @@ import pytest
 from hypothesis import given, strategies as st
 
 from svlite import model
-from svlite.errors import Overflow, UnknownLogicNode
+from svlite.errors import Overflow
 from svlite.model import (
     DatasetSchema,
-    LOGIC_NODES,
     Quality,
-    ScaledValue,
     SchemaMember,
     Validity,
     decode_quality,
     encode_quality,
     from_engineering,
-    lookup_logic_node,
     to_engineering,
 )
 
 
 class TestScaling:
     def test_height_example(self):
-        assert to_engineering(ScaledValue(9999, 0, -1)) == Decimal("999.9")
+        assert to_engineering(9999, -1) == Decimal("999.9")
 
     def test_zero(self):
-        assert to_engineering(ScaledValue(0, 0, -4)) == 0
+        assert to_engineering(0, -4) == 0
 
     def test_identity_exponent(self):
-        assert to_engineering(ScaledValue(123, 0, 0)) == 123
+        assert to_engineering(123, 0) == 123
 
     def test_offset_applies_before_scaling(self):
-        assert to_engineering(ScaledValue(90, 10, -2)) == Decimal("1.00")
+        assert to_engineering(90, -2, 10) == Decimal("1.00")
 
     def test_positive_exponent(self):
-        assert to_engineering(ScaledValue(25, 0, 2)) == 2500
+        assert to_engineering(25, 2) == 2500
 
     def test_inverse_height(self):
         assert from_engineering(Decimal("999.9"), -1, 0, width=2) == 9999
@@ -66,15 +63,8 @@ class TestScaling:
 
     @given(st.integers(-4, 2), st.integers(-(10 ** 7), 10 ** 7))
     def test_round_trip_at_each_precision(self, scale_factor, raw):
-        value = ScaledValue(raw, 0, scale_factor)
-        engineering = to_engineering(value)
+        engineering = to_engineering(raw, scale_factor)
         assert from_engineering(engineering, scale_factor, 0, width=4) == raw
-
-    def test_scaled_value_field_ranges(self):
-        with pytest.raises(ValueError):
-            ScaledValue(0x8000_0000)
-        with pytest.raises(ValueError):
-            ScaledValue(0, 0, 200)
 
 
 class TestQuality:
@@ -105,35 +95,6 @@ class TestQuality:
     def test_decode_rejects_bad_width(self):
         with pytest.raises(ValueError):
             decode_quality(b"\x00")
-
-
-class TestLogicNodes:
-    def test_registry_is_exactly_seven(self):
-        assert sorted(LOGIC_NODES) == [
-            "TCTR", "TEEF", "THUM", "TMGF", "TTMP", "TVBR", "VCVR"]
-
-    def test_magnetic_field_row(self):
-        node = lookup_logic_node("TMGF")
-        assert node.description == "Magnetic field sensor"
-        assert node.measurement_do == "MagFld"
-        assert node.cdc == "SAV"
-
-    def test_electric_field_row(self):
-        node = lookup_logic_node("TEEF")
-        assert node.description == "Electrical field sensor"
-        assert node.measurement_do == "EleFld"
-
-    def test_transformer_rows(self):
-        assert lookup_logic_node("TCTR").measurement_do == "AmpSv"
-        assert lookup_logic_node("VCVR").measurement_do == "VolSv"
-
-    def test_unknown_name(self):
-        with pytest.raises(UnknownLogicNode):
-            lookup_logic_node("XXXX")
-
-    def test_lookup_is_case_sensitive(self):
-        with pytest.raises(UnknownLogicNode):
-            lookup_logic_node("tmgf")
 
 
 class TestDatasetSchema:

@@ -7,8 +7,9 @@ import pytest
 from helpers import GOLDEN_SCHEMA, golden_frame
 from svlite.analyzer import StreamAnalyzer
 from svlite.codec import DecodeMode, decode_frame, encode_frame, pack_seq_data
+from svlite.config import default_config
 from svlite.errors import TransportError
-from svlite.sources import ChannelSpec, WaveKind, sample_provider
+from svlite.sources import sample_provider
 from svlite.transport import (
     EndpointConfig,
     Mode,
@@ -17,13 +18,7 @@ from svlite.transport import (
     subscribe,
 )
 
-CHANNELS = [
-    ChannelSpec(kind=WaveKind.SINE, amplitude=1000.0),
-    ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=26.0745, scale_factor=-4),
-    ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=119.3064, scale_factor=-4),
-    ChannelSpec(kind=WaveKind.CONSTANT, dc_offset=12.0, scale_factor=-1,
-                width=2),
-]
+CHANNELS = default_config().channels
 
 
 def free_port() -> int:
