@@ -1,6 +1,7 @@
 """Subscriber-side stream analysis.
 
-Decodes arriving datagrams leniently, infers loss from smpCnt gaps,
+Decodes arriving datagrams leniently, or reads them through the stream's
+compiled frame layout once one is known, infers loss from smpCnt gaps,
 separates reordering from loss with a half-window heuristic, and applies
 the discard policy: a record whose quality is not good never enters the
 accepted stream.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codec import DecodeMode, decode_frame, unpack_seq_data
+from .codec import DecodeMode, FramePlan, decode_frame, unpack_seq_data
 from .errors import SvError
 from .model import DatasetSchema, Quality
 
@@ -53,6 +54,11 @@ class StreamAnalyzer:
     reordering or duplication and adds nothing to the loss count. Frames
     that fail to decode increment ``decode_failures`` only and do not
     advance the expected counter.
+
+    The first datagram that decodes with no warning compiles a
+    :class:`FramePlan`; each later datagram that matches it is read at the
+    plan's offsets without a decode, every other one is decoded as before.
+    Both give the same counters.
     """
 
     def __init__(self, wrap_modulus: int, schema: DatasetSchema | None = None):
@@ -67,6 +73,8 @@ class StreamAnalyzer:
         self.quality_discarded = 0
         self.accepted: list = []
         self._expected: int | None = None
+        # Layout of the first datagram that decoded with no warning.
+        self._plan: FramePlan | None = None
         self._last_arrival: float | None = None
         # Welford accumulator over inter-arrival deltas.
         self._deltas = 0
@@ -74,17 +82,30 @@ class StreamAnalyzer:
         self._delta_m2 = 0.0
 
     def ingest(self, datagram: bytes, arrival_time: float) -> None:
-        try:
-            frame = decode_frame(datagram, DecodeMode.LENIENT)
-        except SvError:
-            self.decode_failures += 1
-            return
-        if not frame.apdu.asdus:
-            self.decode_failures += 1
-            return
+        plan = self._plan
+        if plan is not None and plan.matches(datagram):
+            # Same fixed octets as the frame the plan was learned from, so
+            # a lenient decode would give that frame, no warning, and the
+            # smpCnt and seqData octets read here.
+            first = plan.asdus[0][0]
+            smp_cnt = int.from_bytes(datagram[first:first + 2], "big")
+            seq_data = [datagram[start:end] for _, _, start, end in plan.asdus]
+        else:
+            try:
+                frame = decode_frame(datagram, DecodeMode.LENIENT)
+            except SvError:
+                self.decode_failures += 1
+                return
+            if not frame.apdu.asdus:
+                self.decode_failures += 1
+                return
+            if plan is None and not frame.decode_warnings:
+                self._plan = FramePlan(datagram)
+            smp_cnt = frame.apdu.asdus[0].smp_cnt
+            seq_data = [asdu.seq_data for asdu in frame.apdu.asdus]
         self.received += 1
         self._track_arrival(arrival_time)
-        smp_cnt = frame.apdu.asdus[0].smp_cnt % self.wrap_modulus
+        smp_cnt %= self.wrap_modulus
         if self._expected is None:
             self._expected = (smp_cnt + 1) % self.wrap_modulus
         else:
@@ -96,7 +117,7 @@ class StreamAnalyzer:
                 self._expected = (smp_cnt + 1) % self.wrap_modulus
             else:
                 self.out_of_order += 1
-        self._apply_quality_policy(frame)
+        self._apply_quality_policy(seq_data)
 
     def _track_arrival(self, arrival_time: float) -> None:
         if self._last_arrival is not None:
@@ -107,13 +128,13 @@ class StreamAnalyzer:
             self._delta_m2 += diff * (delta - self._delta_mean)
         self._last_arrival = float(arrival_time)
 
-    def _apply_quality_policy(self, frame) -> None:
+    def _apply_quality_policy(self, seq_data: list[bytes]) -> None:
         if self.schema is None:
             self.accepted.append(None)
             return
-        for asdu in frame.apdu.asdus:
+        for octets in seq_data:
             try:
-                values = unpack_seq_data(asdu.seq_data, self.schema)
+                values = unpack_seq_data(octets, self.schema)
             except SvError:
                 self.decode_failures += 1
                 continue

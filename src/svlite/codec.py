@@ -32,7 +32,8 @@ from .errors import (
     UnsupportedLength,
     WidthMismatch,
 )
-from .model import DatasetSchema, Quality, decode_quality, encode_quality
+from .model import DatasetSchema, Quality, encode_quality, quality_from_word, \
+    quality_word
 
 TPID_VLAN = 0x8100
 ETHERTYPE_SV = 0x88BA
@@ -444,17 +445,47 @@ def _decode_uint(raw: dict[int, bytes], tag: int, width: int, tolerate,
     return int.from_bytes(octets, "big")
 
 
-def field_offsets(wire: bytes) -> list[dict[int, int]]:
-    """Value offset of each field, by tag, in every ASDU of an encoded
-    frame. With a fixed schema and svID every BER length is constant, so
-    the publisher patches smpCnt, refrTm and seqData in place."""
-    offsets: list[dict[int, int]] = []
-    for depth, tag, _, start, _ in _walk(wire, 18 + _FIXED_HEADER_LEN):
-        if depth == 2 and tag == TAG_ASDU:
-            offsets.append({})
-        elif depth == 3:
-            offsets[-1][tag] = start
-    return offsets
+class FramePlan:
+    """The compiled layout of one encoded frame.
+
+    ``asdus`` holds, per ASDU in wire order, the value offsets of smpCnt
+    and refrTm and the value span of seqData: the octets that change from
+    tick to tick. With a fixed schema and svID every BER length is
+    constant, so the publisher patches them in place. Every other octet
+    is fixed. A datagram that :meth:`matches` the frame it was built from
+    carries those same fixed octets, so every tag and length in it is the
+    frame's, and it decodes to the frame with only smpCnt, refrTm and
+    seqData read anew.
+    """
+
+    def __init__(self, wire: bytes):
+        fields: list[dict[int, tuple[int, int]]] = []
+        for depth, tag, _, start, end in _walk(wire, 18 + _FIXED_HEADER_LEN):
+            if depth == 2 and tag == TAG_ASDU:
+                fields.append({})
+            elif depth == 3:
+                fields[-1][tag] = (start, end)
+        self.asdus = tuple(
+            (f[TAG_SMPCNT][0], f[TAG_REFRTM][0], *f[TAG_SEQDATA]) for f in fields)
+        holes = []
+        for smp_cnt, refr_tm, seq_start, seq_end in self.asdus:
+            holes += [(smp_cnt, smp_cnt + 2), (refr_tm, refr_tm + 8),
+                      (seq_start, seq_end)]
+        codes, cursor = [">"], 0
+        for start, end in sorted(holes):
+            if start > cursor:
+                codes.append(f"{start - cursor}s")
+            codes.append(f"{end - start}x")
+            cursor = end
+        if len(wire) > cursor:
+            codes.append(f"{len(wire) - cursor}s")
+        self._fixed = struct.Struct("".join(codes))
+        self._chunks = self._fixed.unpack(wire)
+
+    def matches(self, datagram: bytes) -> bool:
+        """Whether ``datagram`` has the frame's length and fixed octets."""
+        return (len(datagram) == self._fixed.size
+                and self._fixed.unpack(datagram) == self._chunks)
 
 
 def pack_seq_data(values, schema: DatasetSchema) -> bytes:
@@ -467,12 +498,23 @@ def pack_seq_data(values, schema: DatasetSchema) -> bytes:
     if len(values) != len(schema):
         raise CountMismatch(
             f"{len(values)} values for a schema of {len(schema)} members")
+    fields = []
+    for item, member in zip(values, schema.members):
+        value, quality = item if isinstance(item, tuple) else (item, None)
+        fields.append(value)
+        if member.include_quality:
+            fields.append(0 if quality is None else quality_word(quality))
+    try:
+        return schema.seq_struct.pack(*fields)
+    except struct.error:
+        # A value that does not fit: raise as packing member by member does.
+        return _pack_members(values, schema)
+
+
+def _pack_members(values, schema: DatasetSchema) -> bytes:
     out = bytearray()
     for item, member in zip(values, schema):
-        if isinstance(item, tuple):
-            value, quality = item
-        else:
-            value, quality = item, None
+        value, quality = item if isinstance(item, tuple) else (item, None)
         out += ber.encode_int_fixed(value, member.width, signed=member.signed)
         if member.include_quality:
             out += encode_quality(quality if quality is not None else Quality())
@@ -481,20 +523,18 @@ def pack_seq_data(values, schema: DatasetSchema) -> bytes:
 
 def unpack_seq_data(octets: bytes, schema: DatasetSchema) -> list:
     """Inverse of :func:`pack_seq_data`."""
-    if len(octets) != schema.packed_width:
+    layout = schema.seq_struct
+    if len(octets) != layout.size:
         raise WidthMismatch(
-            f"{len(octets)} octets against a schema of {schema.packed_width}")
+            f"{len(octets)} octets against a schema of {layout.size}")
+    fields = layout.unpack(octets)
+    if len(fields) == len(schema.members):
+        return list(fields)
     out = []
-    cursor = 0
-    for member in schema:
-        value = ber.decode_int_fixed(
-            octets[cursor:cursor + member.width], signed=member.signed)
-        cursor += member.width
-        if member.include_quality:
-            out.append((value, decode_quality(octets[cursor:cursor + 2])))
-            cursor += 2
-        else:
-            out.append(value)
+    words = iter(fields)
+    for member, value in zip(schema.members, words):
+        out.append((value, quality_from_word(next(words)))
+                   if member.include_quality else value)
     return out
 
 

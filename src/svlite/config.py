@@ -52,6 +52,15 @@ class RunConfig:
     members: tuple[SchemaMember, ...] = DEFAULT_MEMBERS
     channels: tuple[ChannelSpec, ...] = ()
 
+    def __post_init__(self):
+        # Each source quantises through its own member and the schema
+        # packs ``members``, so a channel on another member is misread.
+        bound = tuple(c.member for c in self.channels)
+        if bound and bound != tuple(self.members):
+            raise ConfigError(
+                f"{len(bound)} channels do not bind the {len(self.members)} "
+                "members one each, in order")
+
     @property
     def schema(self) -> DatasetSchema:
         return DatasetSchema(self.members)

@@ -12,7 +12,9 @@ configuration, not payload.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from decimal import ROUND_HALF_EVEN, Decimal
 from enum import IntEnum
 
@@ -81,19 +83,29 @@ class Quality:
     test: bool = False
 
 
+def quality_word(q: Quality) -> int:
+    """Validity in bits 0-1, test in bit 2, rest zero."""
+    return int(q.validity) | (int(q.test) << 2)
+
+
 def encode_quality(q: Quality) -> bytes:
-    """Two octets: validity in bits 0-1, test in bit 2, rest zero."""
-    word = int(q.validity) | (int(q.test) << 2)
-    return bytes([0x00, word])
+    """Two octets, the high one zero, the low one :func:`quality_word`."""
+    return bytes([0x00, quality_word(q)])
+
+
+@lru_cache(maxsize=256)
+def quality_from_word(word: int) -> Quality:
+    """Quality of the low quality octet; every octet maps to one shared
+    immutable value, so the analyzer builds none per sample."""
+    if word & 0x03 == 0x03:
+        raise BadQuality(f"quality validity bits 0b11 in word 0x{word:02x}")
+    return Quality(validity=Validity(word & 0x03), test=bool(word & 0x04))
 
 
 def decode_quality(octets: bytes) -> Quality:
     if len(octets) != 2:
         raise ValueError(f"quality needs 2 octets, got {len(octets)}")
-    word = octets[1]
-    if word & 0x03 == 0x03:
-        raise BadQuality(f"quality validity bits 0b11 in word 0x{word:02x}")
-    return Quality(validity=Validity(word & 0x03), test=bool(word & 0x04))
+    return quality_from_word(octets[1])
 
 
 @dataclass(frozen=True)
@@ -143,6 +155,20 @@ class DatasetSchema:
     @property
     def packed_width(self) -> int:
         return sum(m.packed_width for m in self.members)
+
+    @cached_property
+    def seq_struct(self) -> struct.Struct:
+        """Big-endian seqData layout, built on first use: ``h``/``H`` or
+        ``i``/``I`` per member, and a quality word as a pad octet and ``B``
+        (its low octet, as :func:`encode_quality` and :func:`decode_quality`
+        use it)."""
+        codes = [">"]
+        for m in self.members:
+            code = "h" if m.width == 2 else "i"
+            codes.append(code if m.signed else code.upper())
+            if m.include_quality:
+                codes.append("xB")
+        return struct.Struct("".join(codes))
 
     @property
     def data_attribute_count(self) -> int:

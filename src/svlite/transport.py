@@ -15,16 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from ipaddress import IPv4Address
 
-from .codec import (
-    TAG_REFRTM,
-    TAG_SEQDATA,
-    TAG_SMPCNT,
-    SvFrame,
-    UtcTimestamp,
-    encode_frame,
-    field_offsets,
-    pack_seq_data,
-)
+from .codec import FramePlan, SvFrame, UtcTimestamp, encode_frame, \
+    pack_seq_data
 from .errors import TransportError
 from .model import DatasetSchema
 
@@ -104,23 +96,23 @@ def _open_publish_socket(cfg: EndpointConfig) -> socket.socket:
 def frame_ticks(template: SvFrame, schema: DatasetSchema, source, wrap: int,
                 start_smp_cnt: int, stamp):
     """Encode ``template`` now, then on tick N yield it with smpCnt
-    ``(start_smp_cnt + N) % wrap``, refrTm ``stamp(N)`` and seqData packed
-    from ``source(N)`` patched into every ASDU. A fixed schema and svID
-    keep every BER length constant, so the patch is byte-exact and no
-    tick pays for a re-encode. Each tick yields the same buffer."""
+    ``(start_smp_cnt + N) % wrap``, the 8 refrTm octets ``stamp(N)`` and
+    seqData packed from ``source(N)`` patched into every ASDU at its
+    :class:`FramePlan` offsets. A fixed schema and svID keep every BER
+    length constant, so the patch is byte-exact and no tick pays for a
+    re-encode. Each tick yields the same buffer."""
     wire = bytearray(encode_frame(template, schema))
-    plans = field_offsets(wire)
+    plan = FramePlan(wire)
 
     def ticks():
         for tick in itertools.count():
             seq_data = pack_seq_data(source(tick), schema)
-            refr_tm = stamp(tick).to_octets()
+            refr_tm = stamp(tick)
             counter = ((start_smp_cnt + tick) % wrap).to_bytes(2, "big")
-            for fields in plans:
-                wire[fields[TAG_SMPCNT]:fields[TAG_SMPCNT] + 2] = counter
-                wire[fields[TAG_REFRTM]:fields[TAG_REFRTM] + 8] = refr_tm
-                offset = fields[TAG_SEQDATA]
-                wire[offset:offset + len(seq_data)] = seq_data
+            for smp_cnt, refr_tm_at, seq_start, seq_end in plan.asdus:
+                wire[smp_cnt:smp_cnt + 2] = counter
+                wire[refr_tm_at:refr_tm_at + 8] = refr_tm
+                wire[seq_start:seq_end] = seq_data
             yield wire
 
     return ticks()
@@ -158,8 +150,9 @@ def publish_stream(
     pace = pace_hz if pace_hz is not None else float(rate)
     interval = 1.0 / pace
     state = PublisherState(smp_cnt=start_smp_cnt % wrap, wrap_modulus=wrap)
-    ticks = frame_ticks(template, schema, source, wrap, start_smp_cnt,
-                        lambda _: UtcTimestamp.from_unix(timestamper()))
+    ticks = frame_ticks(
+        template, schema, source, wrap, start_smp_cnt,
+        lambda _: UtcTimestamp.from_unix(timestamper()).to_octets())
     own_sock = sock is None
     if own_sock:
         sock = _open_publish_socket(cfg)

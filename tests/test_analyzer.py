@@ -1,8 +1,12 @@
+import copy
+import random
+
 import pytest
 
-from helpers import GOLDEN_SCHEMA, golden_frame
+from helpers import GOLDEN_SCHEMA, golden_frame, random_valid_frame
+from svlite import analyzer as analyzer_module
 from svlite.analyzer import StreamAnalyzer, format_link_stats
-from svlite.codec import encode_frame, pack_seq_data
+from svlite.codec import FramePlan, UtcTimestamp, encode_frame, pack_seq_data
 from svlite.model import DatasetSchema, Quality, SchemaMember, Validity
 from svlite.netsim import Channel, LinkSpec
 
@@ -225,3 +229,97 @@ class TestReport:
     def test_requires_sane_modulus(self):
         with pytest.raises(ValueError):
             StreamAnalyzer(1)
+
+
+def _varied_stream(seed: int) -> tuple:
+    """Datagrams of one ``random_valid_frame`` layout with smpCnt, refrTm
+    and seqData varied, mixed with mutated copies: bit flips anywhere,
+    truncations, quality validity 0b11 and another svID."""
+    rng = random.Random(seed)
+    frame, schema = random_valid_frame(rng)
+    quality_ends = []  # seqData offset just past each quality word
+    cursor = 0
+    for member in schema:
+        cursor += member.packed_width
+        if member.include_quality:
+            quality_ends.append(cursor)
+    counter = rng.randrange(0x10000)
+    datagrams = []
+    for index in range(80):
+        counter = (counter + rng.choice((1, 1, 1, 2, 5, -1, 3000))) % 0x10000
+        varied = copy.deepcopy(frame)
+        for offset, asdu in enumerate(varied.apdu.asdus):
+            asdu.smp_cnt = (counter + offset) % 0x10000
+            asdu.refr_tm = UtcTimestamp(rng.randrange(1 << 32),
+                                        rng.randrange(1 << 24), rng.randrange(256))
+            asdu.seq_data = rng.randbytes(schema.packed_width)
+            for end in quality_ends:  # mostly valid quality, any high octet
+                if rng.random() < 0.8:
+                    word = bytearray(asdu.seq_data)
+                    word[end - 1] &= rng.choice((0x00, 0x01, 0x02, 0x04, 0xf6))
+                    asdu.seq_data = bytes(word)
+        wire = bytearray(encode_frame(varied, schema))
+        kind = rng.random() if index else 1.0  # the plan is learned first
+        if kind < 0.1:
+            wire[rng.randrange(len(wire))] ^= 1 << rng.randrange(8)
+        elif kind < 0.15:
+            del wire[rng.randrange(len(wire)):]
+        elif kind < 0.2 and quality_ends:
+            seq_start = FramePlan(wire).asdus[0][2]
+            wire[seq_start + rng.choice(quality_ends) - 1] |= 0x03
+        elif kind < 0.25:
+            varied.apdu.asdus[0].sv_id += "x"
+            wire = bytearray(encode_frame(varied, schema))
+        datagrams.append(bytes(wire))
+    return schema, datagrams
+
+
+def _state(schema, datagrams):
+    analyzer = StreamAnalyzer(4000, schema)
+    for index, datagram in enumerate(datagrams):
+        analyzer.ingest(datagram, index * 250e-6)
+    return analyzer.report(), analyzer.decode_failures, analyzer.accepted
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Arguments of every ``decode_frame`` call the analyzer makes."""
+    calls = []
+    decode_frame = analyzer_module.decode_frame
+
+    def counting(*args):
+        calls.append(args)
+        return decode_frame(*args)
+
+    monkeypatch.setattr(analyzer_module, "decode_frame", counting)
+    return calls
+
+
+class TestFramePlanFastPath:
+    """Datagrams read at the learned plan's offsets leave the analyzer in
+    the same state as a lenient decode of every datagram."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_state_as_decoding_every_datagram(self, seed, decode_calls,
+                                                   monkeypatch):
+        schema, datagrams = _varied_stream(seed)
+        fast = _state(schema, datagrams)
+        assert len(decode_calls) < len(datagrams) / 2  # the fast path ran
+        monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
+        assert fast == _state(schema, datagrams)
+
+    def test_clean_stream_decodes_once(self, decode_calls):
+        analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
+        feed(analyzer, range(100))
+        assert len(decode_calls) == 1
+        assert analyzer.report().received == 100
+        assert len(analyzer.accepted) == 100
+
+    def test_warning_frame_teaches_no_plan(self, decode_calls):
+        analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
+        sloppy = bytearray(make_wire(0))
+        sloppy[20:22] = (92).to_bytes(2, "big")  # Length field warning
+        analyzer.ingest(bytes(sloppy), 0.0)
+        feed(analyzer, range(1, 4))
+        assert len(decode_calls) == 2  # the sloppy frame, then the plan's source
+        assert analyzer.report().received == 4

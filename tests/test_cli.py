@@ -2,11 +2,13 @@ import hashlib
 import socket
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
 from helpers import GOLDEN_HEX, GOLDEN_WIRE
-from svlite.cli import main
+from svlite.cli import main, virtual_refr_tm
+from svlite.codec import UtcTimestamp
 from svlite.config import (
     RunConfig,
     default_config,
@@ -15,7 +17,9 @@ from svlite.config import (
     parse_config,
 )
 from svlite.errors import ConfigError
+from svlite.model import SchemaMember
 from svlite.netsim import Channel
+from svlite.sources import ChannelSpec
 from svlite.transport import EndpointConfig, Mode, subscribe
 
 
@@ -236,6 +240,22 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    def test_channel_must_quantise_through_its_member(self):
+        # Raw 12 from the unsigned 2-octet channel would read back as 0.012
+        # through the packed member's scale factor -3.
+        name = "TMGF1.MagFld.instMag.i"
+        with pytest.raises(ConfigError):
+            RunConfig(
+                members=(SchemaMember(name, 4, scale_factor=-3),),
+                channels=(ChannelSpec(SchemaMember(name, 2, signed=False),
+                                      dc_offset=12.5),))
+
+    def test_channel_count_must_match_members_in_code(self):
+        cfg = default_config()
+        with pytest.raises(ConfigError):
+            RunConfig(members=cfg.members, channels=cfg.channels[:3])
+        assert RunConfig(members=cfg.members[:1]).channels == ()
+
     def test_attribute_limit_enforced_at_load(self):
         text = "\n".join([
             "member = TCTR1.AmpSv.instMag.i:4:signed:0:0:noq",
@@ -451,6 +471,32 @@ class TestSimulateCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
         assert offered.hexdigest() == datagrams_sha
+
+
+class TestVirtualStamp:
+    """simulate's integer refrTm against the exact rational conversion."""
+
+    @staticmethod
+    def exact(tick, wrap):
+        return UtcTimestamp.from_exact_seconds(Fraction(tick, wrap)).to_octets()
+
+    @pytest.mark.parametrize("wrap", [4000, 12800])
+    def test_three_wraps(self, wrap):
+        for tick in range(3 * wrap):
+            assert virtual_refr_tm(tick, wrap) == self.exact(tick, wrap), tick
+
+    def test_exact_halves_round_to_even(self):
+        wrap = 2 ** 25  # odd ticks fall on half a fraction step
+        for tick in range(10_000):
+            assert virtual_refr_tm(tick, wrap) == self.exact(tick, wrap), tick
+        assert virtual_refr_tm(1, wrap)[4:7] == bytes(3)
+        assert virtual_refr_tm(3, wrap)[4:7] == (2).to_bytes(3, "big")
+
+    def test_fraction_carries_into_seconds(self):
+        wrap = 2 ** 25 + 1  # the last tick of a second rounds up to 1 s
+        for tick in (wrap - 1, 2 * wrap - 1):
+            assert virtual_refr_tm(tick, wrap) == self.exact(tick, wrap)
+        assert virtual_refr_tm(2 * wrap - 1, wrap) == bytes([0, 0, 0, 2]) + bytes(4)
 
 
 def _free_port() -> int:

@@ -15,6 +15,7 @@ from svlite import ber
 from svlite.codec import (
     Asdu,
     DecodeMode,
+    FramePlan,
     SavApdu,
     SmpSynch,
     SvFrame,
@@ -23,7 +24,6 @@ from svlite.codec import (
     decode_frame,
     dissect,
     encode_frame,
-    field_offsets,
     mac_from_str,
     mac_to_str,
     pack_seq_data,
@@ -33,6 +33,7 @@ from svlite.codec import (
 from svlite.errors import (
     BadEtherType,
     BadHeader,
+    BadQuality,
     CountMismatch,
     LengthMismatch,
     Overflow,
@@ -42,7 +43,14 @@ from svlite.errors import (
     UnknownTag,
     WidthMismatch,
 )
-from svlite.model import DatasetSchema, Quality, SchemaMember, Validity
+from svlite.model import (
+    DatasetSchema,
+    Quality,
+    SchemaMember,
+    Validity,
+    decode_quality,
+    encode_quality,
+)
 
 
 class TestGoldenFrame:
@@ -272,6 +280,115 @@ class TestSeqData:
         assert unpack_seq_data(packed, schema) == [999]
 
 
+def _pack_reference(values, schema):
+    """Member by member through ``ber``, as seqData was packed before it
+    went through one ``struct.Struct`` per schema."""
+    out = b""
+    for item, member in zip(values, schema):
+        value, quality = item if isinstance(item, tuple) else (item, None)
+        out += ber.encode_int_fixed(value, member.width, signed=member.signed)
+        if member.include_quality:
+            out += encode_quality(quality or Quality())
+    return out
+
+
+class TestCompiledSeqData:
+    """The compiled layout raises the same ``SvError`` as packing member by
+    member did, never ``struct.error``."""
+
+    QUALITY = DatasetSchema([
+        SchemaMember("TCTR1.AmpSv.instMag.i", 4, include_quality=True)])
+
+    def test_unsigned_4_octet_overflow(self):
+        schema = DatasetSchema([
+            SchemaMember("TCTR1.AmpSv.instMag.i", 4, signed=False)])
+        with pytest.raises(Overflow):
+            pack_seq_data([2 ** 32], schema)
+
+    def test_negative_on_unsigned_2_octets(self):
+        schema = DatasetSchema([
+            SchemaMember("TCTR1.AmpSv.GeoCrd.H", 2, signed=False)])
+        with pytest.raises(Overflow):
+            pack_seq_data([-1], schema)
+
+    def test_wrong_value_count(self):
+        with pytest.raises(CountMismatch):
+            pack_seq_data([1, 2, 3, 4, 5], GOLDEN_SCHEMA)
+
+    def test_wrong_width(self):
+        with pytest.raises(WidthMismatch):
+            unpack_seq_data(bytes(15), GOLDEN_SCHEMA)
+
+    def test_undefined_validity(self):
+        with pytest.raises(BadQuality):
+            unpack_seq_data(bytes.fromhex("000000070003"), self.QUALITY)
+
+    def test_quality_high_octet_is_ignored(self):
+        word = bytes.fromhex("ff06")
+        assert unpack_seq_data(bytes.fromhex("00000007") + word, self.QUALITY) \
+            == [(7, decode_quality(word))] \
+            == [(7, Quality(Validity.QUESTIONABLE, test=True))]
+
+    def test_quality_word_over_one_octet(self):
+        with pytest.raises(ValueError):
+            pack_seq_data([(7, Quality(validity=300))], self.QUALITY)
+
+    def test_layout_is_built_once_per_schema(self):
+        schema = DatasetSchema(GOLDEN_SCHEMA.members)
+        assert schema.seq_struct is schema.seq_struct
+        assert schema.seq_struct.format == ">iiih"
+        assert self.QUALITY.seq_struct.size == self.QUALITY.packed_width == 6
+
+    def test_matches_member_by_member_packing(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            frame, schema = random_valid_frame(rng)
+            for asdu in frame.apdu.asdus:
+                values = unpack_seq_data(asdu.seq_data, schema)
+                assert _pack_reference(values, schema) == asdu.seq_data
+                assert pack_seq_data(values, schema) == asdu.seq_data
+
+
+class TestFramePlan:
+    def test_golden_value_offsets(self):
+        # smpCnt value after savPdu(2) noASDU(3) seqASDU(2) ASDU(2) svID(12)
+        # and its own header(2); seqData runs to the end of the frame
+        assert FramePlan(GOLDEN_WIRE).asdus == ((49, 59, 72, 86),)
+
+    def test_patched_fields_still_match(self):
+        plan = FramePlan(GOLDEN_WIRE)
+        wire = bytearray(GOLDEN_WIRE)
+        smp_cnt, refr_tm, seq_start, seq_end = plan.asdus[0]
+        wire[smp_cnt:smp_cnt + 2] = b"\xff\xff"
+        wire[refr_tm:refr_tm + 8] = bytes(range(8))
+        wire[seq_start:seq_end] = bytes(range(seq_end - seq_start))
+        assert plan.matches(bytes(wire))
+        assert plan.matches(memoryview(wire))
+
+    def test_any_fixed_octet_or_length_change_misses(self):
+        plan = FramePlan(GOLDEN_WIRE)
+        variable = {i for smp_cnt, refr_tm, seq_start, seq_end in plan.asdus
+                    for i in [*range(smp_cnt, smp_cnt + 2),
+                              *range(refr_tm, refr_tm + 8),
+                              *range(seq_start, seq_end)]}
+        for index in range(len(GOLDEN_WIRE)):
+            wire = bytearray(GOLDEN_WIRE)
+            wire[index] ^= 0x01
+            assert plan.matches(bytes(wire)) == (index in variable), index
+        assert not plan.matches(GOLDEN_WIRE[:-1])
+        assert not plan.matches(GOLDEN_WIRE + b"\x00")
+
+    def test_one_table_per_asdu(self):
+        frame = golden_frame()
+        frame.apdu.asdus.append(Asdu(
+            sv_id="x", smp_cnt=2, seq_data=frame.apdu.asdus[0].seq_data))
+        wire = encode_frame(frame, GOLDEN_SCHEMA)
+        first, second = FramePlan(wire).asdus
+        assert wire[second[0]:second[0] + 2] == b"\x00\x02"
+        assert wire[first[2]:first[3]] == GOLDEN_WIRE[72:]
+        assert second[3] == len(wire)
+
+
 class TestDissect:
     def test_golden_lines(self):
         text = render_dissection(dissect(GOLDEN_WIRE))
@@ -310,22 +427,6 @@ class TestDissect:
     def test_line_count_covers_parsed_fields(self):
         # 9 header rows + savPdu + noASDU + seqASDU + ASDU1 + 6 fields
         assert len(dissect(GOLDEN_WIRE)) == 19
-
-
-class TestFieldOffsets:
-    def test_golden_value_offsets(self):
-        # svID value after savPdu(2) noASDU(3) seqASDU(2) ASDU(2) svID(2)
-        assert field_offsets(GOLDEN_WIRE) == [
-            {0x80: 37, 0x82: 49, 0x83: 53, 0x84: 59, 0x85: 69, 0x87: 72}]
-
-    def test_one_table_per_asdu(self):
-        frame = golden_frame()
-        frame.apdu.asdus.append(Asdu(
-            sv_id="x", smp_cnt=2, seq_data=frame.apdu.asdus[0].seq_data))
-        wire = encode_frame(frame, GOLDEN_SCHEMA)
-        first, second = field_offsets(wire)
-        assert wire[second[0x82]:second[0x82] + 2] == b"\x00\x02"
-        assert wire[first[0x87]:first[0x87] + 14] == GOLDEN_WIRE[72:]
 
 
 class TestRoundTripProperty:

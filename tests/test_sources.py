@@ -120,7 +120,8 @@ class TestMemberQuantisation:
         cfg = parse_config(self.UNSIGNED_16 + "channel = const dc=40000\n")
         provide = sample_provider(cfg.channels, cfg.points_per_period)
         ticks = frame_ticks(build_template(cfg), cfg.schema, provide,
-                            cfg.samples_per_second, 0, lambda _: UtcTimestamp())
+                            cfg.samples_per_second, 0,
+                            lambda _: UtcTimestamp().to_octets())
         frame = decode_frame(bytes(next(ticks)), DecodeMode.STRICT)
         assert frame.apdu.asdus[0].seq_data == bytes.fromhex("9c40")
 
