@@ -19,7 +19,7 @@ from svlite.config import (
 from svlite.errors import ConfigError
 from svlite.model import SchemaMember
 from svlite.netsim import Channel
-from svlite.sources import ChannelSpec
+from svlite.sources import ChannelSpec, WaveKind
 from svlite.transport import EndpointConfig, Mode, subscribe
 
 
@@ -160,32 +160,34 @@ class TestDecodeCommand:
         assert excinfo.value.code == 2
 
 
+CUSTOM_CONFIG = "\n".join([
+    "sv_id = fieldMU07",
+    "appid = 0x4abc",
+    "dst_mac = 01:0c:cd:04:00:01",
+    "src_mac = 00:11:22:33:44:55",
+    "vlan_priority = 5",
+    "vlan_id = 7",
+    "conf_rev = 9",
+    "smp_synch = local",
+    "nominal_hz = 60",
+    "points_per_period = 256",
+    "endpoint_mode = unicast",
+    "endpoint_address = 127.0.0.1",
+    "endpoint_port = 15000",
+    "member = TCTR1.AmpSv.instMag.i:4:signed:-2:0:q",
+    "member = TCTR1.AmpSv.GeoCrd.H:2:signed:-1:0:noq",
+    "channel = sine amp=250.5 phase=0.5",
+    "channel = const dc=88.0",
+])
+
+
 class TestConfigRoundTrip:
     def test_default_dump_reloads_identically(self):
         cfg = default_config()
         assert parse_config(dump_config(cfg)) == cfg
 
     def test_custom_config_round_trip(self, tmp_path):
-        text = "\n".join([
-            "sv_id = fieldMU07",
-            "appid = 0x4abc",
-            "dst_mac = 01:0c:cd:04:00:01",
-            "src_mac = 00:11:22:33:44:55",
-            "vlan_priority = 5",
-            "vlan_id = 7",
-            "conf_rev = 9",
-            "smp_synch = local",
-            "nominal_hz = 60",
-            "points_per_period = 256",
-            "endpoint_mode = unicast",
-            "endpoint_address = 127.0.0.1",
-            "endpoint_port = 15000",
-            "member = TCTR1.AmpSv.instMag.i:4:signed:-2:0:q",
-            "member = TCTR1.AmpSv.GeoCrd.H:2:signed:-1:0:noq",
-            "channel = sine amp=250.5 phase=0.5",
-            "channel = const dc=88.0",
-        ])
-        cfg = parse_config(text)
+        cfg = parse_config(CUSTOM_CONFIG)
         assert cfg.sv_id == "fieldMU07"
         assert cfg.samples_per_second == 60 * 256
         assert cfg.members[0].include_quality is True
@@ -193,6 +195,51 @@ class TestConfigRoundTrip:
         assert cfg.channels[0].member.scale_factor == -2
         again = parse_config(dump_config(cfg))
         assert again == cfg
+
+    @pytest.mark.parametrize("text,digest", [
+        pytest.param(
+            "",
+            "b18c4bf6e2b10e25d28f66d61bb49069057e7ece99d17370663a38655c726020",
+            id="builtin"),
+        pytest.param(
+            CUSTOM_CONFIG,
+            "ecb96ade7a42d13af2f28b241dd67563f1de3198199c9c30c3a2941b1b7a2f44",
+            id="custom"),
+        pytest.param(
+            "bind_interface = 10.0.0.1\n",
+            "7a616c3188aa38768ce0db929ce7fbf2eb99a4a4748601ed6eb4cd9db88b674f",
+            id="bind-interface"),
+    ])
+    def test_pinned_dump(self, text, digest):
+        dumped = dump_config(parse_config(text))
+        assert hashlib.sha256(dumped.encode()).hexdigest() == digest
+
+    def test_one_member_without_channels_gets_the_builtin_sine(self):
+        cfg = parse_config("member = TCTR1.AmpSv.instMag.i:4:signed:-2:0:q\n")
+        member = SchemaMember("TCTR1.AmpSv.instMag.i", 4, scale_factor=-2,
+                              include_quality=True)
+        assert cfg.channels == (
+            ChannelSpec(member, WaveKind.SINE, amplitude=1000.0),)
+
+    def test_extra_members_without_channels_get_a_zero_constant(self):
+        text = "\n".join([
+            "member = TMGF1.MagFld.instMag.i:4:signed:0:0:noq",
+            "member = TMGF1.MagFld.GeoCrd.B:4:signed:-4:0:noq",
+            "member = TMGF1.MagFld.GeoCrd.L:4:signed:-4:0:noq",
+            "member = TCTR1.AmpSv.instMag.i:4:signed:-2:0:q",
+            "member = TCTR1.AmpSv.GeoCrd.H:2:signed:-1:0:noq",
+        ])
+        cfg = parse_config(text)
+        members = cfg.schema.members
+        assert [m.name for m in members][3:] == [
+            "TCTR1.AmpSv.instMag.i", "TCTR1.AmpSv.GeoCrd.H"]
+        assert cfg.channels == (
+            ChannelSpec(members[0], WaveKind.SINE, amplitude=1000.0),
+            ChannelSpec(members[1], dc_offset=26.0745),
+            ChannelSpec(members[2], dc_offset=119.3064),
+            ChannelSpec(members[3], dc_offset=12.0),
+            ChannelSpec(members[4], dc_offset=0.0),
+        )
 
     def test_dump_config_flag_writes_reloadable_file(self, tmp_path, capsys):
         target = tmp_path / "dumped.cfg"
