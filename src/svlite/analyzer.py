@@ -61,7 +61,7 @@ class StreamAnalyzer:
     Both give the same counters.
     """
 
-    def __init__(self, wrap_modulus: int, schema: DatasetSchema | None = None):
+    def __init__(self, wrap_modulus: int, schema: DatasetSchema):
         if wrap_modulus <= 1:
             raise ValueError(f"wrap modulus must exceed 1, got {wrap_modulus}")
         self.wrap_modulus = wrap_modulus
@@ -129,9 +129,6 @@ class StreamAnalyzer:
         self._last_arrival = float(arrival_time)
 
     def _apply_quality_policy(self, seq_data: list[bytes]) -> None:
-        if self.schema is None:
-            self.accepted.append(None)
-            return
         for octets in seq_data:
             try:
                 values = unpack_seq_data(octets, self.schema)

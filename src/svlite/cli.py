@@ -11,7 +11,7 @@ from . import budget, transport
 from .analyzer import StreamAnalyzer, format_link_stats
 from .codec import WarningLine, dissect, render_dissection
 from .codec import encode_frame, pack_seq_data  # noqa: F401, perfbench traces
-from .config import RunConfig, build_template, default_config, dump_config, \
+from .config import RunConfig, build_template, dump_config, \
     load_config
 from .errors import ConfigError, SvError, TransportError
 from .netsim import Channel, LinkSpec
@@ -114,7 +114,7 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args):
-    return load_config(args.config) if args.config else default_config()
+    return load_config(args.config) if args.config else RunConfig()
 
 
 def _dump_requested(cfg, args) -> bool:

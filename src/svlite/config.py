@@ -8,7 +8,7 @@ reloads to an identical object and diffs line by line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .budget import MAX_DATA_ATTRIBUTES
 from .codec import SVID_MAX_LEN, SmpSynch, SvFrame, SavApdu, Asdu, \
@@ -18,21 +18,15 @@ from .model import DatasetSchema, SchemaMember, SUPPORTED_POINTS
 from .sources import ChannelSpec, WaveKind
 from .transport import EndpointConfig, Mode
 
-_SMP_SYNCH_NAMES = {"none": SmpSynch.NONE, "local": SmpSynch.LOCAL,
-                    "global": SmpSynch.GLOBAL}
-
-DEFAULT_MEMBERS = (
-    SchemaMember("TMGF1.MagFld.instMag.i", width=4, signed=True),
-    SchemaMember("TMGF1.MagFld.GeoCrd.B", width=4, signed=True, scale_factor=-4),
-    SchemaMember("TMGF1.MagFld.GeoCrd.L", width=4, signed=True, scale_factor=-4),
-    SchemaMember("TMGF1.MagFld.GeoCrd.H", width=2, signed=True, scale_factor=-1),
-)
-
-_DEFAULT_CHANNEL_LINES = (
-    "sine amp=1000.0",
-    "const dc=26.0745",
-    "const dc=119.3064",
-    "const dc=12.0",
+DEFAULT_CHANNELS = (
+    ChannelSpec(SchemaMember("TMGF1.MagFld.instMag.i", width=4, signed=True),
+                WaveKind.SINE, amplitude=1000.0),
+    ChannelSpec(SchemaMember("TMGF1.MagFld.GeoCrd.B", width=4, signed=True,
+                             scale_factor=-4), dc_offset=26.0745),
+    ChannelSpec(SchemaMember("TMGF1.MagFld.GeoCrd.L", width=4, signed=True,
+                             scale_factor=-4), dc_offset=119.3064),
+    ChannelSpec(SchemaMember("TMGF1.MagFld.GeoCrd.H", width=2, signed=True,
+                             scale_factor=-1), dc_offset=12.0),
 )
 
 
@@ -49,33 +43,16 @@ class RunConfig:
     nominal_hz: int = 50
     points_per_period: int = 80
     endpoint: EndpointConfig = EndpointConfig()
-    members: tuple[SchemaMember, ...] = DEFAULT_MEMBERS
-    channels: tuple[ChannelSpec, ...] = ()
-
-    def __post_init__(self):
-        # Each source quantises through its own member and the schema
-        # packs ``members``, so a channel on another member is misread.
-        bound = tuple(c.member for c in self.channels)
-        if bound and bound != tuple(self.members):
-            raise ConfigError(
-                f"{len(bound)} channels do not bind the {len(self.members)} "
-                "members one each, in order")
+    # One source per dataset member, in packing order.
+    channels: tuple[ChannelSpec, ...] = DEFAULT_CHANNELS
 
     @property
     def schema(self) -> DatasetSchema:
-        return DatasetSchema(self.members)
+        return DatasetSchema(c.member for c in self.channels)
 
     @property
     def samples_per_second(self) -> int:
         return self.nominal_hz * self.points_per_period
-
-
-def default_config() -> RunConfig:
-    """Built-in configuration with sources bound to the default members."""
-    channels = tuple(
-        _parse_channel(0, line, member)
-        for line, member in zip(_DEFAULT_CHANNEL_LINES, DEFAULT_MEMBERS))
-    return RunConfig(channels=channels)
 
 
 def build_template(cfg: RunConfig) -> SvFrame:
@@ -163,7 +140,7 @@ def _parse_channel(lineno: int, value: str, member: SchemaMember) -> ChannelSpec
 
 def parse_config(text: str) -> RunConfig:
     scalars: dict[str, tuple[int, str]] = {}
-    members: list[SchemaMember] = []
+    members: list[tuple[int, SchemaMember]] = []
     channel_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -181,7 +158,7 @@ def parse_config(text: str) -> RunConfig:
                 _fail(lineno,
                       f"channel expects one of {sorted(_CHANNEL_KINDS)} first")
             channel_lines.append((lineno, value))
-        elif key in _SCALAR_PARSERS:
+        elif key in _KEYS:
             if key in scalars:
                 _fail(lineno, f"duplicate key {key!r}")
             scalars[key] = (lineno, value)
@@ -191,47 +168,39 @@ def parse_config(text: str) -> RunConfig:
     fields = {}
     endpoint = {}
     for key, (lineno, value) in scalars.items():
-        target, convert = _SCALAR_PARSERS[key]
-        parsed = convert(lineno, key, value)
-        if target is None:
+        field, parse, _ = _KEYS[key]
+        parsed = parse(lineno, key, value)
+        if field is None:
             fields[key] = parsed
         else:
-            endpoint[target] = parsed
+            endpoint[field] = parsed
 
     if not members:
-        members = [(0, m) for m in DEFAULT_MEMBERS]
+        members = [(0, c.member) for c in DEFAULT_CHANNELS]
     schema = DatasetSchema(m for _, m in members)
     if schema.data_attribute_count > MAX_DATA_ATTRIBUTES:
         _fail(members[-1][0],
               f"dataset spans {schema.data_attribute_count} data attributes, "
               f"at most {MAX_DATA_ATTRIBUTES} are allowed")
-    members = [m for _, m in members]
-    fields["members"] = tuple(members)
-    if not channel_lines:
-        channel_lines = [(0, line) for line in
-                         _DEFAULT_CHANNEL_LINES[:len(members)]]
-        while len(channel_lines) < len(members):
-            channel_lines.append((0, "const dc=0.0"))
-    if len(channel_lines) != len(members):
-        _fail(channel_lines[-1][0],
-              f"{len(channel_lines)} channel lines for {len(members)} members")
-    fields["channels"] = tuple(
-        _parse_channel(lineno, value, member)
-        for (lineno, value), member in zip(channel_lines, members))
+    members = schema.members
+    if channel_lines:
+        if len(channel_lines) != len(members):
+            _fail(channel_lines[-1][0],
+                  f"{len(channel_lines)} channel lines for {len(members)} members")
+        channels = [_parse_channel(lineno, value, member)
+                    for (lineno, value), member in zip(channel_lines, members)]
+    else:
+        # The built-in sources in order, then a zero constant per extra member.
+        channels = [replace(c, member=m)
+                    for c, m in zip(DEFAULT_CHANNELS, members)]
+        channels += [ChannelSpec(m) for m in members[len(channels):]]
+    fields["channels"] = tuple(channels)
     try:
         if endpoint:
             fields["endpoint"] = EndpointConfig(**endpoint)
         return RunConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _scalar(convert):
-    return (None, convert)
-
-
-def _endpoint(name, convert):
-    return (name, convert)
 
 
 def _conv_str(lineno, key, value):
@@ -270,7 +239,7 @@ def _conv_mac(lineno, key, value):
 
 def _conv_smp_synch(lineno, key, value):
     try:
-        return _SMP_SYNCH_NAMES[value.lower()]
+        return SmpSynch[value.upper()]
     except KeyError:
         _fail(lineno, f"{key} must be none|local|global, got {value!r}")
 
@@ -282,22 +251,24 @@ def _conv_mode(lineno, key, value):
         _fail(lineno, f"{key} must be unicast|multicast, got {value!r}")
 
 
-_SCALAR_PARSERS = {
-    "sv_id": _scalar(_conv_sv_id),
-    "appid": _scalar(_conv_int_range(0, 0xFFFF)),
-    "dst_mac": _scalar(_conv_mac),
-    "src_mac": _scalar(_conv_mac),
-    "vlan_priority": _scalar(_conv_int_range(0, 7)),
-    "vlan_id": _scalar(_conv_int_range(0, 0x0FFF)),
-    "conf_rev": _scalar(_conv_int_range(0, 0xFFFF_FFFF)),
-    "smp_synch": _scalar(_conv_smp_synch),
-    "nominal_hz": _scalar(_conv_int_range(1, 1000)),
-    "points_per_period": _scalar(_conv_points),
-    "endpoint_mode": _endpoint("mode", _conv_mode),
-    "endpoint_address": _endpoint("address", _conv_str),
-    "endpoint_port": _endpoint("port", _conv_int_range(1, 0xFFFF)),
-    "endpoint_ttl": _endpoint("multicast_ttl", _conv_int_range(0, 255)),
-    "bind_interface": _endpoint("bind_interface", _conv_str),
+# Every scalar key in file order: the EndpointConfig field it sets (None
+# for a RunConfig field of the same name), its parser and its renderer.
+_KEYS = {
+    "sv_id": (None, _conv_sv_id, str),
+    "appid": (None, _conv_int_range(0, 0xFFFF), "0x{:04x}".format),
+    "dst_mac": (None, _conv_mac, mac_to_str),
+    "src_mac": (None, _conv_mac, mac_to_str),
+    "vlan_priority": (None, _conv_int_range(0, 7), str),
+    "vlan_id": (None, _conv_int_range(0, 0x0FFF), str),
+    "conf_rev": (None, _conv_int_range(0, 0xFFFF_FFFF), str),
+    "smp_synch": (None, _conv_smp_synch, lambda s: s.name.lower()),
+    "nominal_hz": (None, _conv_int_range(1, 1000), str),
+    "points_per_period": (None, _conv_points, str),
+    "endpoint_mode": ("mode", _conv_mode, lambda m: m.value),
+    "endpoint_address": ("address", _conv_str, str),
+    "endpoint_port": ("port", _conv_int_range(1, 0xFFFF), str),
+    "endpoint_ttl": ("multicast_ttl", _conv_int_range(0, 255), str),
+    "bind_interface": ("bind_interface", _conv_str, str),
 }
 
 
@@ -312,26 +283,12 @@ def load_config(path) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> str:
     """Canonical text form; reloads to an equal RunConfig."""
-    lines = [
-        "# svlite stream configuration",
-        f"sv_id = {cfg.sv_id}",
-        f"appid = 0x{cfg.appid:04x}",
-        f"dst_mac = {mac_to_str(cfg.dst_mac)}",
-        f"src_mac = {mac_to_str(cfg.src_mac)}",
-        f"vlan_priority = {cfg.vlan_priority}",
-        f"vlan_id = {cfg.vlan_id}",
-        f"conf_rev = {cfg.conf_rev}",
-        f"smp_synch = {cfg.smp_synch.name.lower()}",
-        f"nominal_hz = {cfg.nominal_hz}",
-        f"points_per_period = {cfg.points_per_period}",
-        f"endpoint_mode = {cfg.endpoint.mode.value}",
-        f"endpoint_address = {cfg.endpoint.address}",
-        f"endpoint_port = {cfg.endpoint.port}",
-        f"endpoint_ttl = {cfg.endpoint.multicast_ttl}",
-    ]
-    if cfg.endpoint.bind_interface:
-        lines.append(f"bind_interface = {cfg.endpoint.bind_interface}")
-    for member in cfg.members:
+    lines = ["# svlite stream configuration"]
+    for key, (field, _, render) in _KEYS.items():
+        value = getattr(cfg.endpoint, field) if field else getattr(cfg, key)
+        if value is not None:  # an unset bind_interface writes no line
+            lines.append(f"{key} = {render(value)}")
+    for member in cfg.schema:
         lines.append(
             "member = {m.name}:{m.width}:{s}:{m.scale_factor}:{m.offset}:{q}"
             .format(m=member, s="signed" if member.signed else "unsigned",

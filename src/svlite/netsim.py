@@ -35,9 +35,8 @@ class Channel:
     """Impaired datagram channel with exact conservation accounting.
 
     A reorder hit holds the datagram back until the next one is
-    transmitted, then schedules it just past that delivery; the held
-    datagram therefore surfaces from a later ``transmit`` call or from
-    the final drain.
+    transmitted, then schedules it just past that delivery. Deliveries
+    surface only from ``drain``.
     """
 
     REORDER_EPSILON = 1e-6
@@ -52,38 +51,35 @@ class Channel:
         self._held: tuple[float, int, bytes] | None = None
         self._seq = 0
 
-    def transmit(self, datagram: bytes, send_time: float) -> list[tuple[float, bytes]]:
-        """Offer one datagram; returns the deliveries finalised by this call."""
+    def transmit(self, datagram: bytes, send_time: float) -> None:
+        """Offer one datagram at ``send_time``."""
         spec = self.spec
         self.transmitted += 1
         if self._rng.random() < spec.loss_probability:
             self.lost += 1
-            return []
+            return
         delay = spec.base_latency + self._rng.uniform(-spec.jitter, spec.jitter)
         at = send_time + delay
         if at < send_time:
             at = send_time
-        finalized = []
         if self._held is not None:
-            finalized.append(self._finalize_held(past=at))
+            self._finalize_held(past=at)
         seq = self._seq
         self._seq += 1
+        entry = (at, seq, bytes(datagram))
         if self._rng.random() < spec.reorder_probability:
-            self._held = (at, seq, bytes(datagram))
+            self._held = entry
         else:
-            heapq.heappush(self._pending, (at, seq, bytes(datagram)))
+            heapq.heappush(self._pending, entry)
             self.delivered += 1
-            finalized.append((at, bytes(datagram)))
-        return finalized
 
-    def _finalize_held(self, past: float | None = None) -> tuple[float, bytes]:
+    def _finalize_held(self, past: float | None = None) -> None:
         at, seq, payload = self._held
         self._held = None
         if past is not None:
             at = max(at, past + self.REORDER_EPSILON)
         heapq.heappush(self._pending, (at, seq, payload))
         self.delivered += 1
-        return (at, payload)
 
     def drain(self, until: float | None = None) -> list[tuple[float, bytes]]:
         """Remove and return deliveries due by ``until``, in delivery order.

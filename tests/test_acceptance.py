@@ -24,7 +24,7 @@ from svlite.analyzer import StreamAnalyzer, format_link_stats
 from svlite.budget import project_bitrate, sample_interval, validate_constraints
 from svlite.cli import simulate
 from svlite.codec import Asdu, DecodeMode, SavApdu, decode_frame
-from svlite.config import RunConfig, default_config
+from svlite.config import RunConfig
 from svlite.model import DatasetSchema, SchemaMember
 from svlite.netsim import LinkSpec
 from svlite.sources import ChannelSpec, WaveKind, sample_provider
@@ -126,7 +126,7 @@ LOSS_LINK = LinkSpec(loss_probability=0.01, seed=42)
 def loss_run():
     """The criterion 6 run, which criterion 9 repeats and compares."""
     start = time.perf_counter()
-    analyzer, channel = simulate(default_config(), LOSS_LINK, 100_000, 42)
+    analyzer, channel = simulate(RunConfig(), LOSS_LINK, 100_000, 42)
     return analyzer, channel, time.perf_counter() - start
 
 
@@ -270,7 +270,7 @@ def test_criterion_7_loopback_integration():
         time.sleep(0.3)
 
         cfg = EndpointConfig(mode=Mode.UNICAST, address="127.0.0.1", port=port)
-        provider = sample_provider(default_config().channels, 80)
+        provider = sample_provider(RunConfig().channels, 80)
         t0 = time.monotonic()
         state = publish_stream(cfg, golden_frame(), GOLDEN_SCHEMA, provider,
                                rate=rate, frames=frames)
@@ -313,7 +313,6 @@ def test_criterion_7_loopback_integration():
 def test_criterion_8_quality_discard_policy():
     member = SchemaMember("TMGF1.MagFld.instMag.i", 4, include_quality=True)
     cfg = RunConfig(
-        members=(member,),
         channels=(ChannelSpec(member, kind=WaveKind.SINE, amplitude=1000.0,
                               invalid_every_nth=10),))
     analyzer, _ = simulate(cfg, LinkSpec(), 1000, 0)
@@ -327,7 +326,7 @@ def test_criterion_8_quality_discard_policy():
 
 def test_criterion_9_determinism(loss_run):
     first = loss_run[0]
-    second, _ = simulate(default_config(), LOSS_LINK, 100_000, 42)
+    second, _ = simulate(RunConfig(), LOSS_LINK, 100_000, 42)
     text_a = format_link_stats(first.report())
     text_b = format_link_stats(second.report())
     ok = text_a == text_b and text_a.encode() == text_b.encode()

@@ -228,7 +228,7 @@ class TestReport:
 
     def test_requires_sane_modulus(self):
         with pytest.raises(ValueError):
-            StreamAnalyzer(1)
+            StreamAnalyzer(1, GOLDEN_SCHEMA)
 
 
 def _varied_stream(seed: int) -> tuple:

@@ -7,20 +7,20 @@ from fractions import Fraction
 import pytest
 
 from helpers import GOLDEN_HEX, GOLDEN_WIRE
-from svlite.cli import main, virtual_refr_tm
+from svlite.analyzer import format_link_stats
+from svlite.cli import main, simulate, virtual_refr_tm
 from svlite.codec import UtcTimestamp
 from svlite.config import (
     RunConfig,
-    default_config,
     dump_config,
     load_config,
     parse_config,
 )
 from svlite.errors import ConfigError
 from svlite.model import SchemaMember
-from svlite.netsim import Channel
+from svlite.netsim import Channel, LinkSpec
 from svlite.sources import ChannelSpec, WaveKind
-from svlite.transport import EndpointConfig, Mode, subscribe
+from svlite.transport import subscribe
 
 
 def run_cli(capsys, *argv):
@@ -183,14 +183,23 @@ CUSTOM_CONFIG = "\n".join([
 
 class TestConfigRoundTrip:
     def test_default_dump_reloads_identically(self):
-        cfg = default_config()
+        cfg = RunConfig()
         assert parse_config(dump_config(cfg)) == cfg
+
+    def test_dataclass_default_is_the_builtin_stream(self, capsys):
+        assert RunConfig() == parse_config("")
+        analyzer, _ = simulate(
+            RunConfig(), LinkSpec(loss_probability=0.01, seed=42), 2000, 42)
+        code, out, _ = run_cli(capsys, "simulate", "--loss", "0.01",
+                               "--frames", "2000", "--seed", "42")
+        assert code == 0
+        assert out.startswith(format_link_stats(analyzer.report()) + "\n")
 
     def test_custom_config_round_trip(self, tmp_path):
         cfg = parse_config(CUSTOM_CONFIG)
         assert cfg.sv_id == "fieldMU07"
         assert cfg.samples_per_second == 60 * 256
-        assert cfg.members[0].include_quality is True
+        assert cfg.schema.members[0].include_quality is True
         assert cfg.channels[0].amplitude == 250.5
         assert cfg.channels[0].member.scale_factor == -2
         again = parse_config(dump_config(cfg))
@@ -213,6 +222,11 @@ class TestConfigRoundTrip:
     def test_pinned_dump(self, text, digest):
         dumped = dump_config(parse_config(text))
         assert hashlib.sha256(dumped.encode()).hexdigest() == digest
+
+    def test_empty_bind_interface_round_trips(self):
+        cfg = parse_config("bind_interface =\n")
+        assert cfg.endpoint.bind_interface == ""
+        assert parse_config(dump_config(cfg)) == cfg
 
     def test_one_member_without_channels_gets_the_builtin_sine(self):
         cfg = parse_config("member = TCTR1.AmpSv.instMag.i:4:signed:-2:0:q\n")
@@ -246,7 +260,7 @@ class TestConfigRoundTrip:
         code, out, _ = run_cli(capsys, "simulate",
                                "--dump-config", str(target))
         assert code == 0
-        assert load_config(target) == default_config()
+        assert load_config(target) == RunConfig()
 
     @pytest.mark.parametrize("line,fragment", [
         ("bogus_key = 1", "unknown key"),
@@ -276,7 +290,7 @@ class TestConfigRoundTrip:
             parse_config(text)
         assert "line 2" in str(excinfo.value)
         assert "bad channel parameter" in str(excinfo.value)
-        assert "freq=" not in dump_config(default_config())
+        assert "freq=" not in dump_config(RunConfig())
 
     def test_channel_count_must_match_members(self):
         text = "\n".join([
@@ -286,22 +300,6 @@ class TestConfigRoundTrip:
         ])
         with pytest.raises(ConfigError):
             parse_config(text)
-
-    def test_channel_must_quantise_through_its_member(self):
-        # Raw 12 from the unsigned 2-octet channel would read back as 0.012
-        # through the packed member's scale factor -3.
-        name = "TMGF1.MagFld.instMag.i"
-        with pytest.raises(ConfigError):
-            RunConfig(
-                members=(SchemaMember(name, 4, scale_factor=-3),),
-                channels=(ChannelSpec(SchemaMember(name, 2, signed=False),
-                                      dc_offset=12.5),))
-
-    def test_channel_count_must_match_members_in_code(self):
-        cfg = default_config()
-        with pytest.raises(ConfigError):
-            RunConfig(members=cfg.members, channels=cfg.channels[:3])
-        assert RunConfig(members=cfg.members[:1]).channels == ()
 
     def test_attribute_limit_enforced_at_load(self):
         text = "\n".join([
@@ -321,7 +319,7 @@ class TestConfigRoundTrip:
             "channel = sine amp=10",
             "channel = sine amp=10",
         ])
-        assert len(parse_config(text).members) == 2
+        assert len(parse_config(text).schema.members) == 2
 
     def test_comments_and_blanks_ignored(self):
         text = "# heading\n\nsv_id = abc  # trailing comment\n"
@@ -336,7 +334,7 @@ class TestPublishCommand:
 
     def test_small_run_summary(self, tmp_path, capsys):
         port = _free_port()
-        cfg_text = dump_config(default_config()).replace(
+        cfg_text = dump_config(RunConfig()).replace(
             "endpoint_mode = multicast", "endpoint_mode = unicast").replace(
             "endpoint_address = 239.255.61.85",
             "endpoint_address = 127.0.0.1").replace(
@@ -350,7 +348,7 @@ class TestPublishCommand:
 
     def test_rate_limit_paces_slowly(self, tmp_path, capsys):
         port = _free_port()
-        cfg_text = dump_config(default_config()).replace(
+        cfg_text = dump_config(RunConfig()).replace(
             "endpoint_mode = multicast", "endpoint_mode = unicast").replace(
             "endpoint_address = 239.255.61.85",
             "endpoint_address = 127.0.0.1").replace(
@@ -369,7 +367,7 @@ class TestPublishCommand:
 class TestSubscribeCommand:
     def test_receives_published_frames(self, tmp_path, capsys):
         port = _free_port()
-        cfg_text = dump_config(default_config()).replace(
+        cfg_text = dump_config(RunConfig()).replace(
             "endpoint_mode = multicast", "endpoint_mode = unicast").replace(
             "endpoint_address = 239.255.61.85",
             "endpoint_address = 127.0.0.1").replace(
@@ -392,7 +390,7 @@ class TestSubscribeCommand:
 
     def test_immediate_stop(self, tmp_path, capsys):
         port = _free_port()
-        cfg_text = dump_config(default_config()).replace(
+        cfg_text = dump_config(RunConfig()).replace(
             "endpoint_mode = multicast", "endpoint_mode = unicast").replace(
             "endpoint_address = 239.255.61.85",
             "endpoint_address = 127.0.0.1").replace(
@@ -405,7 +403,7 @@ class TestSubscribeCommand:
         assert "received" in out
 
     def test_bad_bind_exits_1(self, tmp_path, capsys):
-        cfg_text = dump_config(default_config()).replace(
+        cfg_text = dump_config(RunConfig()).replace(
             "endpoint_mode = multicast", "endpoint_mode = unicast").replace(
             "endpoint_address = 239.255.61.85",
             "endpoint_address = 192.0.2.1")

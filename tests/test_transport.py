@@ -7,7 +7,7 @@ import pytest
 from helpers import GOLDEN_SCHEMA, golden_frame
 from svlite.analyzer import StreamAnalyzer
 from svlite.codec import DecodeMode, decode_frame, encode_frame, pack_seq_data
-from svlite.config import default_config
+from svlite.config import RunConfig
 from svlite.errors import TransportError
 from svlite.sources import sample_provider
 from svlite.transport import (
@@ -18,7 +18,7 @@ from svlite.transport import (
     subscribe,
 )
 
-CHANNELS = default_config().channels
+CHANNELS = RunConfig().channels
 
 
 def free_port() -> int:
