@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codec import SavApdu
-from .errors import UnsupportedRate
-from .model import SUPPORTED_POINTS, DatasetSchema
+from .model import DatasetSchema, check_points
 
 # Outer Ethernet(14) + IPv4(20) + UDP(8) around the SV payload.
 OVERHEAD_UDP_IPV4 = 42
@@ -46,13 +45,6 @@ class Violation:
         return f"{self.rule}({self.observed})"
 
 
-def _check_points(points_per_period: int) -> None:
-    if points_per_period not in SUPPORTED_POINTS:
-        raise UnsupportedRate(
-            f"{points_per_period} points per period, supported: "
-            f"{SUPPORTED_POINTS}")
-
-
 def project_bitrate(
     payload_octets: int,
     nominal_hz: int,
@@ -61,7 +53,7 @@ def project_bitrate(
     overhead_octets: int = OVERHEAD_UDP_IPV4,
 ) -> BudgetReport:
     """Project the on-air bit rate of a stream and check it against capacity."""
-    _check_points(points_per_period)
+    check_points(points_per_period)
     if nominal_hz <= 0:
         raise ValueError(f"nominal frequency must be positive, got {nominal_hz}")
     wire = payload_octets + overhead_octets
@@ -80,7 +72,7 @@ def project_bitrate(
 
 def sample_interval(nominal_hz: int, points_per_period: int) -> Fraction:
     """Exact seconds between consecutive samples."""
-    _check_points(points_per_period)
+    check_points(points_per_period)
     if nominal_hz <= 0:
         raise ValueError(f"nominal frequency must be positive, got {nominal_hz}")
     return Fraction(1, nominal_hz * points_per_period)

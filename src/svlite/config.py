@@ -46,6 +46,13 @@ class RunConfig:
     # One source per dataset member, in packing order.
     channels: tuple[ChannelSpec, ...] = DEFAULT_CHANNELS
 
+    def __post_init__(self):
+        # The profile rules, so that every RunConfig dumps to a file that
+        # reloads; parse_config checks them first, with line numbers.
+        error = _sv_id_error(self.sv_id) or _attribute_error(self.schema)
+        if error:
+            raise ValueError(error)
+
     @property
     def schema(self) -> DatasetSchema:
         return DatasetSchema(c.member for c in self.channels)
@@ -53,6 +60,20 @@ class RunConfig:
     @property
     def samples_per_second(self) -> int:
         return self.nominal_hz * self.points_per_period
+
+
+def _sv_id_error(sv_id: str) -> str | None:
+    if not sv_id or not sv_id.isascii() or len(sv_id) > SVID_MAX_LEN:
+        return f"sv_id must be 1..{SVID_MAX_LEN} ASCII characters"
+    return None
+
+
+def _attribute_error(schema: DatasetSchema) -> str | None:
+    count = schema.data_attribute_count
+    if count > MAX_DATA_ATTRIBUTES:
+        return (f"dataset spans {count} data attributes, "
+                f"at most {MAX_DATA_ATTRIBUTES} are allowed")
+    return None
 
 
 def build_template(cfg: RunConfig) -> SvFrame:
@@ -178,10 +199,9 @@ def parse_config(text: str) -> RunConfig:
     if not members:
         members = [(0, c.member) for c in DEFAULT_CHANNELS]
     schema = DatasetSchema(m for _, m in members)
-    if schema.data_attribute_count > MAX_DATA_ATTRIBUTES:
-        _fail(members[-1][0],
-              f"dataset spans {schema.data_attribute_count} data attributes, "
-              f"at most {MAX_DATA_ATTRIBUTES} are allowed")
+    error = _attribute_error(schema)
+    if error:
+        _fail(members[-1][0], error)
     members = schema.members
     if channel_lines:
         if len(channel_lines) != len(members):
@@ -208,8 +228,9 @@ def _conv_str(lineno, key, value):
 
 
 def _conv_sv_id(lineno, key, value):
-    if not value or not value.isascii() or len(value) > SVID_MAX_LEN:
-        _fail(lineno, f"{key} must be 1..{SVID_MAX_LEN} ASCII characters")
+    error = _sv_id_error(value)
+    if error:
+        _fail(lineno, error)
     return value
 
 

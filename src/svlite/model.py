@@ -18,10 +18,19 @@ from functools import cached_property, lru_cache
 from decimal import ROUND_HALF_EVEN, Decimal
 from enum import IntEnum
 
-from .errors import BadQuality, Overflow
+from .errors import BadQuality, Overflow, UnsupportedRate
 
 # Points per nominal period the profile samples at.
 SUPPORTED_POINTS = (80, 256)
+
+
+def check_points(points_per_period: int) -> None:
+    """Raise :class:`UnsupportedRate` unless the profile samples at this rate."""
+    if points_per_period not in SUPPORTED_POINTS:
+        raise UnsupportedRate(
+            f"{points_per_period} points per period, supported: "
+            f"{SUPPORTED_POINTS}")
+
 
 _INT8 = (-0x80, 0x7F)
 _INT32 = (-0x8000_0000, 0x7FFF_FFFF)
@@ -129,6 +138,12 @@ class SchemaMember:
     def packed_width(self) -> int:
         return self.width + (2 if self.include_quality else 0)
 
+    @property
+    def struct_code(self) -> str:
+        """``struct`` code of the value: ``h``/``H`` or ``i``/``I``."""
+        code = "h" if self.width == 2 else "i"
+        return code if self.signed else code.upper()
+
 
 def _attribute_key(name: str) -> str:
     # Dataset members reference LN.DO; deeper components are the packed
@@ -164,8 +179,7 @@ class DatasetSchema:
         use it)."""
         codes = [">"]
         for m in self.members:
-            code = "h" if m.width == 2 else "i"
-            codes.append(code if m.signed else code.upper())
+            codes.append(m.struct_code)
             if m.include_quality:
                 codes.append("xB")
         return struct.Struct("".join(codes))

@@ -10,12 +10,13 @@ raw integer that member puts on the wire.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import UnsupportedRate
-from .model import (SUPPORTED_POINTS, Quality, SchemaMember, Validity,
-                    from_engineering)
+from .codec import pack_seq_data
+from .model import (DatasetSchema, Quality, SchemaMember, Validity,
+                    check_points, from_engineering, quality_word)
 
 
 class WaveKind(Enum):
@@ -85,10 +86,7 @@ def sample_at(
     seed: int = 0,
 ) -> int:
     """Raw integer this channel's member carries at a given tick."""
-    if points_per_period not in SUPPORTED_POINTS:
-        raise UnsupportedRate(
-            f"{points_per_period} points per period, supported: "
-            f"{SUPPORTED_POINTS}")
+    check_points(points_per_period)
     if spec.kind is WaveKind.SINE:
         # The waveform is periodic in points_per_period; reducing the tick
         # first keeps the sine argument small so late ticks quantise
@@ -105,43 +103,69 @@ def sample_at(
         engineering, m.scale_factor, m.offset, m.width, m.signed)
 
 
-def sample_provider(channels, points_per_period: int, seed: int = 0):
-    """Bind channel specs into a per-tick provider for the publisher.
+_INVALID = quality_word(Quality(validity=Validity.INVALID))
 
-    The returned callable maps a tick index to the ``(raw, quality)``
-    sequence expected by seqData packing, one entry per channel. Raw
-    values are exactly what :func:`sample_at` gives; quality is invalid
-    on every ``invalid_every_nth`` tick (the n-th, 2n-th, ... counting
-    from 1) and good otherwise. Constant and periodic channels are
-    precomputed into lookup tables, so a value that does not fit its
-    member raises here rather than on a later tick: the publisher calls
-    this once per 250 us tick and cannot afford the decimal quantisation
-    path there.
+
+def sample_provider(channels, points_per_period: int, seed: int = 0):
+    """Bind channel specs into a per-tick seqData source for the publisher.
+
+    The returned callable maps a tick index to that tick's seqData
+    octets: :func:`~svlite.codec.pack_seq_data` of one ``(raw, quality)``
+    pair per channel, in the schema of the channels' members. Raw values
+    are exactly what :func:`sample_at` gives; quality is invalid on every
+    ``invalid_every_nth`` tick (the n-th, 2n-th, ... counting from 1) and
+    good otherwise, and reaches the wire only for a member with quality.
+
+    Sine and constant channels repeat once per period, so one seqData per
+    tick of the period is packed here, and an unsupported rate or a value
+    that does not fit its member raises now rather than on a later tick.
+    A tick looks its octets up in that table, sets the validity octet of
+    each quality member whose channel is on an invalid tick, and packs
+    each noise channel's sample into its own span. Noise still quantises
+    through Decimal on every tick, and a noise sample that does not fit
+    its member raises :class:`~svlite.errors.Overflow` at its tick.
     """
+    check_points(points_per_period)
     specs = tuple(channels)
-    tables: list[tuple[int, ...] | None] = []
+    schema = DatasetSchema(spec.member for spec in specs)
+    columns = []  # raw values per channel, repeating; noise packs as 0
+    flags = []    # (validity octet, n) per quality member that goes invalid
+    noise = []    # (spec, offset, pack_into) per noise channel
+    at = 0
     for spec in specs:
+        member = spec.member
         if spec.kind is WaveKind.GAUSSIAN_NOISE:
-            tables.append(None)
+            columns.append((0,))
+            noise.append((spec, at,
+                          struct.Struct(">" + member.struct_code).pack_into))
         elif spec.kind is WaveKind.CONSTANT:
-            tables.append((sample_at(spec, 0, points_per_period, seed),))
+            columns.append((sample_at(spec, 0, points_per_period, seed),))
         else:
-            tables.append(tuple(
+            columns.append(tuple(
                 sample_at(spec, tick, points_per_period, seed)
                 for tick in range(points_per_period)))
-    good = Quality()
-    invalid = Quality(validity=Validity.INVALID)
+        if spec.invalid_every_nth and member.include_quality:
+            # The quality word follows the value; validity is its low octet.
+            flags.append((at + member.width + 1, spec.invalid_every_nth))
+        at += member.packed_width
+    table = tuple(
+        pack_seq_data([column[tick % len(column)] for column in columns],
+                      schema)
+        for tick in range(points_per_period))
 
-    def provide(tick: int):
-        out = []
-        for spec, table in zip(specs, tables):
-            if table is None:
-                raw = sample_at(spec, tick, points_per_period, seed)
-            else:
-                raw = table[tick % len(table)]
-            n = spec.invalid_every_nth
-            quality = invalid if n and (tick + 1) % n == 0 else good
-            out.append((raw, quality))
-        return out
+    if not flags and not noise:
+        def provide(tick: int) -> bytes:
+            return table[tick % points_per_period]
+        return provide
+
+    def provide(tick: int) -> bytes:
+        octets = bytearray(table[tick % points_per_period])
+        for offset, n in flags:
+            if (tick + 1) % n == 0:
+                octets[offset] = _INVALID
+        for spec, offset, pack_into in noise:
+            pack_into(octets, offset,
+                      sample_at(spec, tick, points_per_period, seed))
+        return bytes(octets)
 
     return provide

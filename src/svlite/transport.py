@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from ipaddress import IPv4Address
 
-from .codec import FramePlan, SvFrame, UtcTimestamp, encode_frame, \
-    pack_seq_data
-from .errors import TransportError
+from .codec import FramePlan, SvFrame, UtcTimestamp, encode_frame
+from .codec import pack_seq_data  # noqa: F401, perfbench traces
+from .errors import TransportError, WidthMismatch
 from .model import DatasetSchema
 
 DEFAULT_GROUP = "239.255.61.85"
@@ -97,16 +97,23 @@ def frame_ticks(template: SvFrame, schema: DatasetSchema, source, wrap: int,
                 start_smp_cnt: int, stamp):
     """Encode ``template`` now, then on tick N yield it with smpCnt
     ``(start_smp_cnt + N) % wrap``, the 8 refrTm octets ``stamp(N)`` and
-    seqData packed from ``source(N)`` patched into every ASDU at its
-    :class:`FramePlan` offsets. A fixed schema and svID keep every BER
-    length constant, so the patch is byte-exact and no tick pays for a
-    re-encode. Each tick yields the same buffer."""
+    the seqData octets ``source(N)`` patched into every ASDU at its
+    :class:`FramePlan` offsets, as they are. A fixed schema and svID keep
+    every BER length constant, so the patch is byte-exact and no tick pays
+    for a re-encode. seqData octets of another length than the schema's
+    packed width raise :class:`WidthMismatch` rather than resize the
+    frame. Each tick yields the same buffer."""
     wire = bytearray(encode_frame(template, schema))
     plan = FramePlan(wire)
+    width = schema.packed_width
 
     def ticks():
         for tick in itertools.count():
-            seq_data = pack_seq_data(source(tick), schema)
+            seq_data = source(tick)
+            if len(seq_data) != width:
+                raise WidthMismatch(
+                    f"source gave {len(seq_data)} seqData octets at tick "
+                    f"{tick}, the schema packs {width}")
             refr_tm = stamp(tick)
             counter = ((start_smp_cnt + tick) % wrap).to_bytes(2, "big")
             for smp_cnt, refr_tm_at, seq_start, seq_end in plan.asdus:
@@ -134,7 +141,9 @@ def publish_stream(
 ) -> PublisherState:
     """Send ``frames`` datagrams paced at ``pace_hz`` (default: ``rate``).
 
-    ``source(tick)`` supplies the per-member values for seqData packing.
+    ``source(tick)`` returns that tick's seqData octets, packed in
+    ``schema`` (see :func:`~svlite.sources.sample_provider`); they are sent
+    as they are, and a wrong length raises :class:`WidthMismatch`.
     smpCnt starts at ``start_smp_cnt`` and wraps at ``wrap_modulus``
     (default: ``rate``, one wrap per nominal second). A tick whose send
     completes after the next tick's deadline counts as a deadline miss.

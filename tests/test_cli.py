@@ -312,6 +312,24 @@ class TestConfigRoundTrip:
         assert "line 3" in str(excinfo.value)
         assert "3 data attributes" in str(excinfo.value)
 
+    def test_attribute_limit_enforced_in_code(self):
+        channels = tuple(ChannelSpec(SchemaMember(name, 4))
+                         for name in ("A.B.i", "C.D.i", "E.F.i"))
+        with pytest.raises(ValueError,
+                           match="dataset spans 3 data attributes"):
+            RunConfig(channels=channels)
+        two = RunConfig(channels=channels[:2])
+        assert parse_config(dump_config(two)) == two
+
+    @pytest.mark.parametrize("sv_id", ["x" * 65, "x" * 200, "", "caf\u00e9"])
+    def test_sv_id_rule_enforced_in_code(self, sv_id):
+        with pytest.raises(ValueError, match="sv_id must be 1..64 ASCII"):
+            RunConfig(sv_id=sv_id)
+
+    def test_longest_sv_id_round_trips(self):
+        cfg = RunConfig(sv_id="x" * 64)
+        assert parse_config(dump_config(cfg)) == cfg
+
     def test_two_attributes_load_fine(self):
         text = "\n".join([
             "member = TCTR1.AmpSv.instMag.i:4:signed:0:0:noq",

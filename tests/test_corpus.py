@@ -27,7 +27,8 @@ from pathlib import Path
 from helpers import GOLDEN_SCHEMA, GOLDEN_WIRE, golden_frame, random_valid_frame
 from svlite import ber
 from svlite.cli import main
-from svlite.codec import DecodeMode, decode_frame, dissect, encode_frame
+from svlite.codec import DecodeMode, decode_frame, dissect, encode_frame, \
+    pack_seq_data
 from svlite.model import Quality, Validity
 from svlite.transport import EndpointConfig, publish_stream
 
@@ -211,7 +212,7 @@ def _published(template, schema) -> str:
             if member.include_quality:
                 raw = (raw, Quality(Validity(rng.randint(0, 2)), rng.random() < 0.5))
             values.append(raw)
-        return values
+        return pack_seq_data(values, schema)
 
     sock = _SentDatagrams()
     publish_stream(EndpointConfig(), template, schema, source, 4000, 2,

@@ -1,13 +1,17 @@
 import math
 import statistics
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svlite.codec import DecodeMode, UtcTimestamp, decode_frame
+from svlite.codec import DecodeMode, UtcTimestamp, decode_frame, \
+    pack_seq_data, unpack_seq_data
 from svlite.config import build_template, parse_config
 from svlite.errors import Overflow, UnsupportedRate
-from svlite.model import SchemaMember, Validity, to_engineering
+from svlite.model import DatasetSchema, Quality, SchemaMember, Validity, \
+    to_engineering
 from svlite.sources import ChannelSpec, WaveKind, sample_at, sample_provider
 from svlite.transport import frame_ticks
 
@@ -33,8 +37,12 @@ def _noise(sigma, scale_factor):
 
 
 def _validity(spec, ticks):
+    """Validity on the wire of ``spec`` over a member that carries quality."""
+    spec = replace(spec, member=replace(spec.member, include_quality=True))
+    schema = DatasetSchema([spec.member])
     provide = sample_provider([spec], 80)
-    return [provide(t)[0][1].validity for t in range(ticks)]
+    return [unpack_seq_data(provide(t), schema)[0][1].validity
+            for t in range(ticks)]
 
 
 class TestSine:
@@ -152,16 +160,79 @@ class TestValidation:
 
 
 class TestProvider:
-    def test_yields_one_pair_per_channel(self):
+    def test_yields_seq_data_octets(self):
         channels = [_sine(), _const(5.0)]
         provide = sample_provider(channels, 80, seed=3)
-        values = provide(20)
-        assert len(values) == 2
-        assert values[0][0] == 10_000
-        assert values[1][0] == 5
+        assert provide(20) == bytes.fromhex("00002710" "00000005")
+        assert provide(100) == provide(20)  # one period later
 
     def test_deterministic(self):
         channels = [_noise(2.0, -3)]
         a = sample_provider(channels, 80, seed=11)
         b = sample_provider(channels, 80, seed=11)
         assert [a(t) for t in range(100)] == [b(t) for t in range(100)]
+
+    @pytest.mark.parametrize("channels", [
+        [], [_noise(1.0, 0)], [_const()], [_sine(), _noise(1.0, 0)]],
+        ids=["none", "noise", "const", "sine-noise"])
+    def test_unsupported_rate_raises_when_built(self, channels):
+        with pytest.raises(UnsupportedRate):
+            sample_provider(channels, 100)
+
+    def test_noise_that_does_not_fit_raises_at_its_tick(self):
+        spec = ChannelSpec(_member(width=2), kind=WaveKind.GAUSSIAN_NOISE,
+                           dc_offset=32767.0, noise_sigma=1.0)
+        provide = sample_provider([spec], 80)  # nothing is sampled yet
+        with pytest.raises(Overflow):
+            for tick in range(100):
+                provide(tick)
+
+
+def _member_strategy():
+    return st.builds(
+        lambda name, width, signed, scale_factor, quality: SchemaMember(
+            name, width, signed=signed, scale_factor=scale_factor,
+            include_quality=quality),
+        st.sampled_from(["TCTR1.AmpSv.instMag.i", "TCTR1.AmpSv.q",
+                         "VCVR1.VolSv.instMag.i"]),
+        st.sampled_from([2, 4]), st.booleans(), st.sampled_from([0, -1]),
+        st.booleans())
+
+
+@st.composite
+def _channels(draw):
+    """A channel whose every sample fits its member: engineering values
+    stay within 1000 + 1000 + 6.7 * 100 of the centre, times 10 at most."""
+    member = draw(_member_strategy())
+    centre = 0.0 if member.signed else 3000.0
+    return ChannelSpec(
+        member,
+        kind=draw(st.sampled_from(list(WaveKind))),
+        amplitude=draw(st.floats(0, 1000)),
+        phase_rad=draw(st.floats(0, 6.3)),
+        dc_offset=centre + draw(st.floats(-1000, 1000)),
+        noise_sigma=draw(st.floats(0, 100)),
+        invalid_every_nth=draw(st.one_of(
+            st.sampled_from([0, 1]), st.integers(2, 300))),
+    )
+
+
+class TestProviderProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.lists(_channels(), max_size=5),
+           points=st.sampled_from([80, 256]),
+           seed=st.integers(0, 2**32),
+           start=st.integers(0, 10**6))
+    def test_matches_packing_each_sample(self, channels, points, seed, start):
+        """Over three periods, every tick's octets are seqData packed from
+        :func:`sample_at` and the invalid_every rule, channel by channel."""
+        schema = DatasetSchema(c.member for c in channels)
+        provide = sample_provider(channels, points, seed)
+        invalid = Quality(validity=Validity.INVALID)
+        for tick in range(start, start + 3 * points):
+            expected = pack_seq_data([
+                (sample_at(c, tick, points, seed),
+                 invalid if c.invalid_every_nth
+                 and (tick + 1) % c.invalid_every_nth == 0 else Quality())
+                for c in channels], schema)
+            assert provide(tick) == expected

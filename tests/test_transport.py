@@ -8,12 +8,13 @@ from helpers import GOLDEN_SCHEMA, golden_frame
 from svlite.analyzer import StreamAnalyzer
 from svlite.codec import DecodeMode, decode_frame, encode_frame, pack_seq_data
 from svlite.config import RunConfig
-from svlite.errors import TransportError
-from svlite.sources import sample_provider
+from svlite.errors import TransportError, WidthMismatch
+from svlite.sources import sample_at, sample_provider
 from svlite.transport import (
     EndpointConfig,
     Mode,
     PublisherState,
+    frame_ticks,
     publish_stream,
     subscribe,
 )
@@ -84,6 +85,24 @@ class TestEndpointConfig:
             EndpointConfig(mode=Mode.UNICAST, address="127.0.0.1", port=0)
 
 
+class TestFrameTicks:
+    @pytest.mark.parametrize("width", [0, 13, 15])
+    def test_seq_data_of_the_wrong_length_raises(self, width):
+        ticks = frame_ticks(golden_frame(), GOLDEN_SCHEMA,
+                            lambda tick: bytes(width), 4000, 0,
+                            lambda tick: bytes(8))
+        with pytest.raises(WidthMismatch):
+            next(ticks)
+
+    def test_seq_data_is_patched_as_it_is(self):
+        seq_data = bytes(range(1, 15))
+        ticks = frame_ticks(golden_frame(), GOLDEN_SCHEMA,
+                            lambda tick: seq_data, 4000, 0,
+                            lambda tick: bytes(8))
+        frame = decode_frame(bytes(next(ticks)), DecodeMode.STRICT)
+        assert frame.apdu.asdus[0].seq_data == seq_data
+
+
 class TestPublishCounters:
     def test_smp_cnt_wraps_at_rate(self):
         # Pace far above nominal so 4000 frames take well under a second.
@@ -143,12 +162,13 @@ class TestLoopbackUnicast:
         received = [payload for payload, _ in collector.datagrams]
         assert len(received) == 100  # loopback should be loss free
 
-        # Byte identity: re-encode what the publisher must have sent.
+        # Byte identity: re-encode what the publisher must have sent, from
+        # the samples themselves rather than from the provider under test.
         reference = golden_frame()
         for tick, payload in enumerate(received):
             reference.apdu.asdus[0].smp_cnt = tick
             reference.apdu.asdus[0].seq_data = pack_seq_data(
-                provider(tick), GOLDEN_SCHEMA)
+                [sample_at(c, tick, 80) for c in CHANNELS], GOLDEN_SCHEMA)
             assert payload == encode_frame(reference, GOLDEN_SCHEMA)
 
     def test_smp_cnt_continuity_observed(self):
