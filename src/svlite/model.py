@@ -12,6 +12,7 @@ configuration, not payload.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -48,6 +49,9 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
 
 
+_POW10 = tuple(float(10 ** k) for k in range(23))  # each exact in binary64
+
+
 def to_engineering(raw: int, scale_factor: int, offset: int = 0) -> Decimal:
     """Exact decimal engineering value ``(raw + offset) * 10**scale_factor``."""
     return Decimal(raw + offset).scaleb(scale_factor)
@@ -64,14 +68,24 @@ def from_engineering(
 
     Rounds half to even so repeated sampling does not bias up or down.
     Floats are interpreted at their shortest decimal representation;
-    pass a Decimal or string to control precision explicitly.
+    pass a Decimal or string to control precision explicitly. A value
+    that is not finite or does not fit raises :class:`Overflow`.
+
+    Exact float path: with ``-22 <= scale_factor <= 22``, ``y = x *
+    10**-scale_factor`` in one rounded float operation is within 1.5 ulp(y)
+    of the product of ``repr(x)``; ``round(y)`` is returned when ``abs(y)
+    < 2**49`` and ``y`` is over 4 ulp(y) from a half-integer, else Decimal.
     """
-    if isinstance(x, float):
-        x = Decimal(str(x))
-    elif not isinstance(x, Decimal):
-        x = Decimal(x)
-    scaled = x.scaleb(-scale_factor)
-    raw = int(scaled.to_integral_value(rounding=ROUND_HALF_EVEN)) - offset
+    raw = None  # set only on the exact float path
+    if isinstance(x, float) and -22 <= scale_factor <= 22:
+        y = x / _POW10[scale_factor] if scale_factor > 0 else x * _POW10[-scale_factor]
+        if abs(y) < 2.0 ** 49 and abs(abs(y - round(y)) - 0.5) > 4 * math.ulp(y):
+            raw = round(y) - offset
+    if raw is None:
+        x = Decimal(str(x) if isinstance(x, float) else x)
+        if not x.is_finite():
+            raise Overflow(f"engineering value {x} is not finite")
+        raw = int(x.scaleb(-scale_factor).to_integral_value(ROUND_HALF_EVEN)) - offset
     lo, hi = _int_range(width, signed)
     if not lo <= raw <= hi:
         raise Overflow(f"raw value {raw} does not fit {width} octets (signed={signed})")

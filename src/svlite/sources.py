@@ -38,6 +38,9 @@ class ChannelSpec:
     invalid_every_nth: int = 0  # 0: quality always good
 
     def __post_init__(self):
+        for name in ("amplitude", "phase_rad", "dc_offset", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.noise_sigma < 0:
@@ -53,27 +56,15 @@ _PCG_MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
 
 
-def _pcg32_pair(seed: int, stream: int) -> tuple[int, int]:
-    inc = ((stream << 1) | 1) & _MASK64
-    state = (inc + seed) & _MASK64
-    state = (state * _PCG_MULT + inc) & _MASK64
-
-    def draw(state: int) -> tuple[int, int]:
-        x = state
-        state = (x * _PCG_MULT + inc) & _MASK64
-        xorshifted = (((x >> 18) ^ x) >> 27) & 0xFFFF_FFFF
-        rot = x >> 59
-        out = ((xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))) & 0xFFFF_FFFF
-        return out, state
-
-    a, state = draw(state)
-    b, _ = draw(state)
-    return a, b
-
-
 def _gauss(seed: int, tick: int) -> float:
-    """Standard normal via the Box-Muller transform over a keyed PCG draw."""
-    a, b = _pcg32_pair(seed, tick)
+    """Standard normal by Box-Muller over PCG stream ``tick``'s first two draws."""
+    inc = ((tick << 1) | 1) & _MASK64
+    s1 = ((inc + seed) * _PCG_MULT + inc) & _MASK64
+    s2 = (s1 * _PCG_MULT + inc) & _MASK64
+    x = (((s1 >> 18) ^ s1) >> 27) & 0xFFFF_FFFF  # XSH-RR output of s1
+    a = ((x >> (s1 >> 59)) | (x << (32 - (s1 >> 59)))) & 0xFFFF_FFFF
+    x = (((s2 >> 18) ^ s2) >> 27) & 0xFFFF_FFFF
+    b = ((x >> (s2 >> 59)) | (x << (32 - (s2 >> 59)))) & 0xFFFF_FFFF
     u1 = (a + 1) / 4294967296.0  # (0, 1]
     u2 = b / 4294967296.0        # [0, 1)
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
@@ -87,17 +78,22 @@ def sample_at(
 ) -> int:
     """Raw integer this channel's member carries at a given tick."""
     check_points(points_per_period)
-    if spec.kind is WaveKind.SINE:
+    return _sample(spec, tick, points_per_period, seed)
+
+
+def _sample(spec: ChannelSpec, tick: int, points_per_period: int, seed: int) -> int:
+    """:func:`sample_at` at a rate already checked."""
+    if spec.kind is WaveKind.GAUSSIAN_NOISE:
+        engineering = spec.dc_offset + spec.noise_sigma * _gauss(seed, tick)
+    elif spec.kind is WaveKind.SINE:
         # The waveform is periodic in points_per_period; reducing the tick
         # first keeps the sine argument small so late ticks quantise
         # exactly like the first period.
         angle = (2.0 * math.pi * (tick % points_per_period) / points_per_period
                  + spec.phase_rad)
         engineering = spec.dc_offset + spec.amplitude * math.sin(angle)
-    elif spec.kind is WaveKind.CONSTANT:
-        engineering = spec.dc_offset
     else:
-        engineering = spec.dc_offset + spec.noise_sigma * _gauss(seed, tick)
+        engineering = spec.dc_offset
     m = spec.member
     return from_engineering(
         engineering, m.scale_factor, m.offset, m.width, m.signed)
@@ -121,8 +117,8 @@ def sample_provider(channels, points_per_period: int, seed: int = 0):
     that does not fit its member raises now rather than on a later tick.
     A tick looks its octets up in that table, sets the validity octet of
     each quality member whose channel is on an invalid tick, and packs
-    each noise channel's sample into its own span. Noise still quantises
-    through Decimal on every tick, and a noise sample that does not fit
+    each noise channel's sample into its own span, drawn and quantised on
+    every tick with no second rate check; a noise sample that does not fit
     its member raises :class:`~svlite.errors.Overflow` at its tick.
     """
     check_points(points_per_period)
@@ -165,7 +161,7 @@ def sample_provider(channels, points_per_period: int, seed: int = 0):
                 octets[offset] = _INVALID
         for spec, offset, pack_into in noise:
             pack_into(octets, offset,
-                      sample_at(spec, tick, points_per_period, seed))
+                      _sample(spec, tick, points_per_period, seed))
         return bytes(octets)
 
     return provide

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -70,6 +73,19 @@ class TestBudgetCommand:
         code, _, err = run_cli(capsys, "budget", "--payload", "84",
                                "--capacity", "lots")
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_svlite_runs_the_cli(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "svlite", "budget", "--payload", "84"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert "4.032 Mbps" in result.stdout
 
 
 class TestArgparseContract:
@@ -485,6 +501,21 @@ class TestSimulateCommand:
         assert out == ""
         assert [line for line in err.splitlines()
                 if line.startswith("error:")] == [err.strip()]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["amp", "phase", "dc", "sigma"])
+    @pytest.mark.parametrize("number", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_channel_number_is_a_config_error(self, key, number,
+                                                         tmp_path, capsys):
+        path = tmp_path / "non-finite.cfg"
+        path.write_text("member = A.B.i:4:signed:0:0:noq\n"
+                        f"channel = const {key}={number}\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path),
+                                 "--frames", "10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: line 2: ")
+        assert "must be finite" in err
         assert "Traceback" not in err
 
     def test_deterministic_output(self, capsys):

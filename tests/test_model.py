@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 
 import pytest
@@ -65,6 +66,81 @@ class TestScaling:
     def test_round_trip_at_each_precision(self, scale_factor, raw):
         engineering = to_engineering(raw, scale_factor)
         assert from_engineering(engineering, scale_factor, 0, width=4) == raw
+
+    @pytest.mark.parametrize("x", [
+        math.inf, -math.inf, math.nan, Decimal("Infinity"), Decimal("NaN")],
+        ids=["inf", "-inf", "nan", "Decimal-inf", "Decimal-nan"])
+    def test_non_finite_is_an_overflow(self, x):
+        with pytest.raises(Overflow, match="not finite"):
+            from_engineering(x, 0, 0, width=4)
+
+    def test_float_off_a_tie_skips_decimal(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(model, "Decimal",
+                            lambda v: seen.append(v) or Decimal(v))
+        assert from_engineering(1.2345678, -3, 0, width=4) == 1235
+        assert from_engineering(-7.5e-3, 2, 0, width=4) == 0
+        assert seen == []
+        assert from_engineering(22.505, -2, 0, width=4) == 2250  # a tie
+        assert from_engineering(3, -1, 0, width=4) == 30
+        assert seen == ["22.505", 3]
+
+
+def _outcome(x, *args):
+    try:
+        return from_engineering(x, *args)
+    except Overflow as exc:
+        return f"Overflow: {exc}"
+
+
+@st.composite
+def _float_and_scale(draw):
+    """A float and an int8 scale factor, half the time in the float path's
+    range: any float, or one placed on, or an ulp either side of, a decimal
+    tie or ``2**49`` after scaling."""
+    scale_factor = draw(st.integers(-22, 22) | st.integers(-128, 127))
+    unit = 10.0 ** scale_factor
+    k = draw(st.integers(-(10 ** 6), 10 ** 6))
+    placed = [float(f"{k}.5e{scale_factor}"), float(f"{k}.5") * unit,
+              (2.0 ** 49 + draw(st.integers(-8, 8)) / 8) * unit]
+    x = draw(st.one_of(
+        st.floats(),
+        st.floats(-1e7, 1e7).map(lambda v: v * unit),
+        st.sampled_from(placed),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308]),
+    ))
+    step = draw(st.sampled_from([0, 0, 1, -1]))
+    if step and math.isfinite(x):
+        x = math.nextafter(x, step * math.inf)
+    return x, scale_factor
+
+
+class TestFloatPathParity:
+    """The float path of from_engineering against the Decimal path, which a
+    Decimal argument always takes. Examples per run come from the active
+    hypothesis profile."""
+
+    @given(_float_and_scale(),
+           st.integers(-(2 ** 31), 2 ** 31 - 1) | st.integers(-1000, 1000),
+           st.sampled_from([2, 4]), st.booleans())
+    def test_float_parity_with_decimal_of_repr(self, x_scale, offset, width,
+                                               signed):
+        x, scale_factor = x_scale
+        args = (scale_factor, offset, width, signed)
+        assert _outcome(x, *args) == _outcome(Decimal(repr(x)), *args)
+
+    def test_parity_on_ties_at_every_scale(self):
+        """Most ties scale onto an exact half, which both paths round to
+        even; the few that land an ulp off it must fall back to Decimal."""
+        for scale_factor in range(-128, 128):
+            for k in [*range(-20, 20), 12345, -99999, 214748364, 10 ** 9 + 7]:
+                for tie in (float(f"{k}.5e{scale_factor}"),
+                            float(f"{k}.5") * 10.0 ** scale_factor):
+                    for x in (math.nextafter(tie, -math.inf), tie,
+                              math.nextafter(tie, math.inf)):
+                        args = (scale_factor, 0, 4, True)
+                        assert (_outcome(x, *args)
+                                == _outcome(Decimal(repr(x)), *args))
 
 
 class TestQuality:

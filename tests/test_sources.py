@@ -1,3 +1,4 @@
+import hashlib
 import math
 import statistics
 from dataclasses import replace
@@ -12,7 +13,8 @@ from svlite.config import build_template, parse_config
 from svlite.errors import Overflow, UnsupportedRate
 from svlite.model import DatasetSchema, Quality, SchemaMember, Validity, \
     to_engineering
-from svlite.sources import ChannelSpec, WaveKind, sample_at, sample_provider
+from svlite.sources import ChannelSpec, WaveKind, _gauss, sample_at, \
+    sample_provider
 from svlite.transport import frame_ticks
 
 
@@ -103,6 +105,18 @@ class TestNoise:
         assert abs(statistics.fmean(values)) < 0.1
         assert 0.93 < statistics.pstdev(values) < 1.07
 
+    def test_pinned_gauss_stream(self):
+        """Every draw of three seeds over ticks 0..9999 and near 2**32 and
+        2**62, bit for bit: a change to the keyed PCG shows up here."""
+        ticks = [*range(10000), *(2 ** 32 + d for d in range(-3, 4)),
+                 *(2 ** 62 + d for d in range(-3, 4))]
+        digest = hashlib.sha256()
+        for seed in (0, 1, 2 ** 63 - 1):
+            for tick in ticks:
+                digest.update(float.hex(_gauss(seed, tick)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "5b1f0cff05d3d228c708957da90e7743e0ec361177e837ed87cee2e9a6475e6f")
+
 
 class TestQualityProfile:
     def test_always_good_by_default(self):
@@ -153,6 +167,13 @@ class TestValidation:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             ChannelSpec(_member(), amplitude=-1.0)
+
+    @pytest.mark.parametrize("field", [
+        "amplitude", "phase_rad", "dc_offset", "noise_sigma"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ChannelSpec(_member(), **{field: value})
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
