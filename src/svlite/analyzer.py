@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .codec import DecodeMode, FramePlan, decode_frame, unpack_seq_data
 from .errors import SvError
-from .model import DatasetSchema, Quality
+from .model import DatasetSchema
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,10 @@ class StreamAnalyzer:
     The first datagram that decodes with no warning compiles a
     :class:`FramePlan`; each later datagram that matches it is read at the
     plan's offsets without a decode, every other one is decoded as before.
-    Both give the same counters.
+    Both give the same counters. Each ASDU's seqData is then unpacked: a
+    wrong width or an undefined validity is a decode failure, and a record
+    with a quality that is not good is discarded, a scan that a schema
+    without quality members skips.
     """
 
     def __init__(self, wrap_modulus: int, schema: DatasetSchema):
@@ -72,6 +75,7 @@ class StreamAnalyzer:
         self.out_of_order = 0
         self.quality_discarded = 0
         self.accepted: list = []
+        self._has_quality = any(m.include_quality for m in schema)
         self._expected: int | None = None
         # Layout of the first datagram that decoded with no warning.
         self._plan: FramePlan | None = None
@@ -104,7 +108,14 @@ class StreamAnalyzer:
             smp_cnt = frame.apdu.asdus[0].smp_cnt
             seq_data = [asdu.seq_data for asdu in frame.apdu.asdus]
         self.received += 1
-        self._track_arrival(arrival_time)
+        arrival_time = float(arrival_time)
+        if self._last_arrival is not None:
+            delta = arrival_time - self._last_arrival
+            self._deltas += 1
+            diff = delta - self._delta_mean
+            self._delta_mean += diff / self._deltas
+            self._delta_m2 += diff * (delta - self._delta_mean)
+        self._last_arrival = arrival_time
         smp_cnt %= self.wrap_modulus
         if self._expected is None:
             self._expected = (smp_cnt + 1) % self.wrap_modulus
@@ -117,27 +128,14 @@ class StreamAnalyzer:
                 self._expected = (smp_cnt + 1) % self.wrap_modulus
             else:
                 self.out_of_order += 1
-        self._apply_quality_policy(seq_data)
-
-    def _track_arrival(self, arrival_time: float) -> None:
-        if self._last_arrival is not None:
-            delta = float(arrival_time) - self._last_arrival
-            self._deltas += 1
-            diff = delta - self._delta_mean
-            self._delta_mean += diff / self._deltas
-            self._delta_m2 += diff * (delta - self._delta_mean)
-        self._last_arrival = float(arrival_time)
-
-    def _apply_quality_policy(self, seq_data: list[bytes]) -> None:
         for octets in seq_data:
             try:
                 values = unpack_seq_data(octets, self.schema)
             except SvError:
                 self.decode_failures += 1
                 continue
-            bad = any(
-                isinstance(v, tuple) and not _is_good(v[1]) for v in values)
-            if bad:
+            if self._has_quality and any(
+                    isinstance(v, tuple) and v[1].validity != 0 for v in values):
                 self.quality_discarded += 1
             else:
                 self.accepted.append(values)
@@ -157,7 +155,3 @@ class StreamAnalyzer:
             inter_arrival_mean=self._delta_mean if self._deltas else 0.0,
             inter_arrival_stddev=stddev,
         )
-
-
-def _is_good(quality: Quality) -> bool:
-    return quality.validity == 0

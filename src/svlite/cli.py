@@ -300,6 +300,8 @@ def simulate(cfg: RunConfig, link: LinkSpec, frames: int,
              seed: int) -> tuple[StreamAnalyzer, Channel]:
     """Send ``frames`` ticks of ``cfg``'s stream through a netsim channel
     in virtual time and analyze what it delivers; ``seed`` seeds sources."""
+    if frames < 0:
+        raise ValueError(f"frame count must be >= 0, got {frames}")
     wrap = cfg.samples_per_second
     interval = 1.0 / wrap
     channel = Channel(link)

@@ -7,9 +7,11 @@ reproduces the same deliveries, byte for byte and time for time.
 
 from __future__ import annotations
 
-import heapq
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -25,10 +27,10 @@ class LinkSpec:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name}={p} outside [0, 1]")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-        if self.base_latency < 0:
-            raise ValueError(f"base latency must be >= 0, got {self.base_latency}")
+        for name in ("jitter", "base_latency"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 class Channel:
@@ -36,7 +38,7 @@ class Channel:
 
     A reorder hit holds the datagram back until the next one is
     transmitted, then schedules it just past that delivery. Deliveries
-    surface only from ``drain``.
+    wait in a plain list and surface only from ``drain``, which sorts it.
     """
 
     REORDER_EPSILON = 1e-6
@@ -70,7 +72,7 @@ class Channel:
         if self._rng.random() < spec.reorder_probability:
             self._held = entry
         else:
-            heapq.heappush(self._pending, entry)
+            self._pending.append(entry)
             self.delivered += 1
 
     def _finalize_held(self, past: float | None = None) -> None:
@@ -78,19 +80,20 @@ class Channel:
         self._held = None
         if past is not None:
             at = max(at, past + self.REORDER_EPSILON)
-        heapq.heappush(self._pending, (at, seq, payload))
+        self._pending.append((at, seq, payload))
         self.delivered += 1
 
     def drain(self, until: float | None = None) -> list[tuple[float, bytes]]:
         """Remove and return deliveries due by ``until``, in delivery order.
 
         ``None`` means end of experiment: any held datagram is finalised
-        at its original time and everything pending is returned.
+        at its original time and everything pending is returned. Ties in
+        time leave in scheduling order, since ``(at, seq)`` is unique.
         """
         if until is None and self._held is not None:
             self._finalize_held()
-        out = []
-        while self._pending and (until is None or self._pending[0][0] <= until):
-            at, _, payload = heapq.heappop(self._pending)
-            out.append((at, payload))
-        return out
+        self._pending.sort()
+        cut = len(self._pending) if until is None else bisect_right(
+            self._pending, until, key=itemgetter(0))
+        due, self._pending = self._pending[:cut], self._pending[cut:]
+        return [(at, payload) for at, _, payload in due]

@@ -295,11 +295,19 @@ def decode_calls(monkeypatch):
     return calls
 
 
+FAST_PATH_SEEDS = range(40)
+
+
 class TestFramePlanFastPath:
     """Datagrams read at the learned plan's offsets leave the analyzer in
     the same state as a lenient decode of every datagram."""
 
-    @pytest.mark.parametrize("seed", range(40))
+    def test_seeds_cover_schemas_with_and_without_quality(self):
+        """Both sides of the analyzer's quality scan run below."""
+        assert {any(member.include_quality for member in _varied_stream(seed)[0])
+                for seed in FAST_PATH_SEEDS} == {False, True}
+
+    @pytest.mark.parametrize("seed", FAST_PATH_SEEDS)
     def test_same_state_as_decoding_every_datagram(self, seed, decode_calls,
                                                    monkeypatch):
         schema, datagrams = _varied_stream(seed)
@@ -307,6 +315,16 @@ class TestFramePlanFastPath:
         assert len(decode_calls) < len(datagrams) / 2  # the fast path ran
         monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
         assert fast == _state(schema, datagrams)
+
+    def test_wrong_width_stream_fails_every_asdu_on_both_paths(
+            self, decode_calls, monkeypatch):
+        datagrams = [make_wire(smp_cnt) for smp_cnt in range(50)]
+        fast = _state(QUALITY_SCHEMA, datagrams)  # 14 octets against 6
+        assert len(decode_calls) == 1  # the plan was learned
+        stats, decode_failures, accepted = fast
+        assert (stats.received, decode_failures, accepted) == (50, 50, [])
+        monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
+        assert fast == _state(QUALITY_SCHEMA, datagrams)
 
     def test_clean_stream_decodes_once(self, decode_calls):
         analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)

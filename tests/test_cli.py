@@ -490,6 +490,27 @@ class TestSimulateCommand:
                                "--frames", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--jitter", "--latency"])
+    @pytest.mark.parametrize("number", ["nan", "inf"])
+    def test_non_finite_link_parameter_exits_2(self, flag, number, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--frames", "50",
+                                 flag, number)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+        assert "Traceback" not in err
+
+    def test_negative_frame_count_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--frames", "-5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: frame count must be >= 0, got -5\n"
+
+    def test_zero_frames_is_valid(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--frames", "0")
+        assert code == 0
+        assert "frames_transmitted    0" in out
+
     def test_sample_that_does_not_fit_its_member_exits_2(self, tmp_path,
                                                          capsys):
         path = tmp_path / "narrow.cfg"

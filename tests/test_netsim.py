@@ -1,4 +1,9 @@
+import heapq
+import random
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import GOLDEN_SCHEMA, golden_frame
 from svlite.analyzer import StreamAnalyzer
@@ -137,7 +142,107 @@ class TestChannelSpecValidation:
         dict(reorder_probability=2.0),
         dict(jitter=-1e-6),
         dict(base_latency=-1.0),
+        dict(jitter=float("nan")),
+        dict(jitter=float("inf")),
+        dict(base_latency=float("nan")),
+        dict(base_latency=float("inf")),
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LinkSpec(**kwargs)
+
+
+class HeapChannel:
+    """Reference: the channel as it was with a binary heap of pending
+    deliveries, popped one at a time in ``drain``."""
+
+    REORDER_EPSILON = Channel.REORDER_EPSILON
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.transmitted = 0
+        self.delivered = 0
+        self.lost = 0
+        self._rng = random.Random(spec.seed)
+        self._pending = []
+        self._held = None
+        self._seq = 0
+
+    def transmit(self, datagram, send_time):
+        spec = self.spec
+        self.transmitted += 1
+        if self._rng.random() < spec.loss_probability:
+            self.lost += 1
+            return
+        delay = spec.base_latency + self._rng.uniform(-spec.jitter, spec.jitter)
+        at = send_time + delay
+        if at < send_time:
+            at = send_time
+        if self._held is not None:
+            self._finalize_held(past=at)
+        seq = self._seq
+        self._seq += 1
+        entry = (at, seq, bytes(datagram))
+        if self._rng.random() < spec.reorder_probability:
+            self._held = entry
+        else:
+            heapq.heappush(self._pending, entry)
+            self.delivered += 1
+
+    def _finalize_held(self, past=None):
+        at, seq, payload = self._held
+        self._held = None
+        if past is not None:
+            at = max(at, past + self.REORDER_EPSILON)
+        heapq.heappush(self._pending, (at, seq, payload))
+        self.delivered += 1
+
+    def drain(self, until=None):
+        if until is None and self._held is not None:
+            self._finalize_held()
+        out = []
+        while self._pending and (until is None or self._pending[0][0] <= until):
+            at, _, payload = heapq.heappop(self._pending)
+            out.append((at, payload))
+        return out
+
+
+QUANTUM = 250e-6
+# Send and drain times on a coarse grid, so equal delivery times (ties
+# broken by scheduling order) and drains at an exact delivery time occur.
+_operation = st.one_of(
+    st.tuples(st.just("transmit"), st.integers(0, 12)),
+    st.tuples(st.just("until"), st.integers(-1, 14)),
+    st.tuples(st.just("drain"), st.none()),
+)
+
+
+class TestDrainParity:
+    """The sorted-list drain against the heap it replaced. Examples per run
+    come from the active hypothesis profile."""
+
+    @given(
+        loss=st.just(0.0) | st.floats(0.0, 1.0),
+        jitter=st.just(0.0) | st.floats(0.0, 5e-3),
+        reorder=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        latency=st.just(0.0) | st.floats(0.0, 5e-3),
+        seed=st.integers(0, 2 ** 32 - 1),
+        operations=st.lists(_operation, max_size=120),
+    )
+    @example(loss=0.0, jitter=0.0, reorder=0.0, latency=0.0, seed=0,
+             operations=[("transmit", 1), ("transmit", 1), ("until", 1)])
+    def test_sorted_drain_parity_with_heap(self, loss, jitter, reorder,
+                                           latency, seed, operations):
+        spec = LinkSpec(loss_probability=loss, jitter=jitter,
+                        reorder_probability=reorder, seed=seed,
+                        base_latency=latency)
+        channel, reference = Channel(spec), HeapChannel(spec)
+        for index, (kind, slot) in enumerate([*operations, ("drain", None)]):
+            if kind == "transmit":
+                for ch in (channel, reference):
+                    ch.transmit(index.to_bytes(2, "big"), slot * QUANTUM)
+            else:
+                until = None if kind == "drain" else slot * QUANTUM
+                assert channel.drain(until) == reference.drain(until)
+        assert ((channel.transmitted, channel.delivered, channel.lost)
+                == (reference.transmitted, reference.delivered, reference.lost))
