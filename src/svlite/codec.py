@@ -15,23 +15,15 @@ content, and the Length header field is 8 plus the encoded savPdu size.
 from __future__ import annotations
 
 import struct
+import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum, IntEnum
+from operator import itemgetter
 
 from . import ber
-from .errors import (
-    BadEtherType,
-    BadHeader,
-    CountMismatch,
-    LengthMismatch,
-    OversizeValue,
-    SchemaMismatch,
-    Truncated,
-    UnknownTag,
-    UnsupportedLength,
-    WidthMismatch,
-)
+from .errors import BadEtherType, BadHeader, CountMismatch, LengthMismatch, \
+    OversizeValue, SchemaMismatch, Truncated, UnknownTag, UnsupportedLength, \
+    WidthMismatch
 from .model import DatasetSchema, Quality, encode_quality, quality_from_word, \
     quality_word
 
@@ -54,15 +46,6 @@ SVID_MAX_LEN = 64
 # APPID + Length + Reserved1 + Reserved2
 _FIXED_HEADER_LEN = 8
 
-_ASDU_FIELD_NAMES = {
-    TAG_SVID: "svID",
-    TAG_SMPCNT: "smpCnt",
-    TAG_CONFREV: "confRev",
-    TAG_REFRTM: "refrTm",
-    TAG_SMPSYNCH: "smpSynch",
-    TAG_SEQDATA: "seqData",
-}
-
 
 def mac_from_str(text: str) -> bytes:
     parts = text.split(":")
@@ -76,7 +59,7 @@ def mac_from_str(text: str) -> bytes:
 
 
 def mac_to_str(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
+    return bytes(mac).hex(":")
 
 
 class SmpSynch(IntEnum):
@@ -108,10 +91,6 @@ class VlanTag:
     def tci(self) -> int:
         return (self.priority << 13) | (int(self.dei) << 12) | self.vid
 
-    @classmethod
-    def from_tci(cls, tci: int) -> "VlanTag":
-        return cls(priority=tci >> 13, dei=bool((tci >> 12) & 1), vid=tci & 0x0FFF)
-
 
 @dataclass(frozen=True)
 class UtcTimestamp:
@@ -140,11 +119,9 @@ class UtcTimestamp:
     def from_octets(cls, octets: bytes) -> "UtcTimestamp":
         if len(octets) != 8:
             raise WidthMismatch(f"refrTm needs 8 octets, got {len(octets)}")
-        return cls(
-            seconds=int.from_bytes(octets[0:4], "big"),
-            fraction=int.from_bytes(octets[4:7], "big"),
-            time_quality=octets[7],
-        )
+        seconds, low = _REFR_TM.unpack(octets)  # each field bounded by its width
+        return _unchecked(cls, {"seconds": seconds, "fraction": low >> 8,
+                                "time_quality": low & 0xFF})
 
     @classmethod
     def from_unix(cls, t: float, time_quality: int = 0) -> "UtcTimestamp":
@@ -253,61 +230,69 @@ _CONTAINER_NAMES = ("savPdu", "seqASDU", "ASDU")
 
 
 def _walk(data: bytes, cursor: int):
-    """Yield ``(depth, tag, tlv_start, value_start, value_end)`` depth
-    first for the savPdu at ``cursor`` (depth 0) and the TLVs inside it,
-    entering only seqASDU (depth 1) and ASDU (depth 2). The walk is lazy,
-    so a consumer has seen a TLV before the next header is read.
+    """Return ``(tlvs, stop)``: the ``(depth, tag, tlv_start, value_start,
+    value_end)`` of the savPdu at ``cursor`` (depth 0) and the TLVs inside
+    it, depth first, entering only seqASDU (depth 1) and ASDU (depth 2).
 
-    A bad header, or a value past its container, raises ``Truncated`` or
+    ``stop`` is None, or the fault that ended the walk: a ``Truncated`` or
     ``UnsupportedLength`` with ``offset``, where dissection stops, and
-    ``overrun``, the TLV as read past its container, or None.
+    ``overrun``, the TLV as read past its container, or None. A consumer
+    raises it only once it has handled every TLV in ``tlvs``.
     """
     n = len(data)
-    if cursor >= n:
-        raise _stopped(Truncated, f"no tag at offset {cursor}", n)
+    tlvs: list[tuple[int, int, int, int, int]] = []
+    append = tlvs.append
     ends = [n]  # value end of each open container, the buffer outermost
-    while True:
-        depth = len(ends) - 1
-        end = ends[-1]
-        tag = data[cursor]
-        pos = cursor + 1
-        if pos < end and data[pos] < 0x80:
-            start = pos + 1
-            value_end = start + data[pos]
-        else:
-            # Length octets past the container's end are read from the buffer
-            # so dissect can show the overrun; decoding still finds it Truncated.
-            if pos >= n:
-                raise _stopped(Truncated, f"missing length octet at offset {pos}", n)
-            first = data[pos]
-            count = first & 0x7F if first & 0x80 else 0
-            if first == 0x80 or count > 2:
+    depth, end = 0, n
+    try:
+        if cursor >= n:
+            raise _stopped(Truncated, f"no tag at offset {cursor}", n)
+        while True:
+            tag = data[cursor]
+            pos = cursor + 1
+            if pos < end and data[pos] < 0x80:
+                start = pos + 1
+                value_end = start + data[pos]
+            else:
+                # Length octets past the container's end are read from the buffer
+                # so dissect can show the overrun; decoding still finds it Truncated.
+                if pos >= n:
+                    raise _stopped(
+                        Truncated, f"missing length octet at offset {pos}", n)
+                first = data[pos]
+                count = first & 0x7F if first & 0x80 else 0
+                if first == 0x80 or count > 2:
+                    raise _stopped(
+                        UnsupportedLength if pos < end else Truncated,
+                        f"length octet 0x{first:02x} at offset {pos} is indefinite "
+                        "or exceeds the 2-octet cap", pos)
+                start = pos + 1 + count
+                if start > n:
+                    raise _stopped(
+                        Truncated, f"length octets cut at offset {pos + 1}", n)
+                value_end = start + (int.from_bytes(data[pos + 1:start], "big")
+                                     if count else first)
+            if value_end > end:
                 raise _stopped(
-                    UnsupportedLength if pos < end else Truncated,
-                    f"length octet 0x{first:02x} at offset {pos} is indefinite "
-                    "or exceeds the 2-octet cap", pos)
-            start = pos + 1 + count
-            if start > n:
-                raise _stopped(Truncated, f"length octets cut at offset {pos + 1}", n)
-            value_end = start + (int.from_bytes(data[pos + 1:start], "big")
-                                 if count else first)
-        if value_end > end:
-            raise _stopped(
-                Truncated, f"tag 0x{tag:02x} at offset {cursor} overruns "
-                           f"its container ending at {end}",
-                min(n, value_end), (depth, tag, cursor, start, value_end))
-        yield depth, tag, cursor, start, value_end
-        if depth < 3 and tag == _CONTAINER_TAGS[depth]:
-            ends.append(value_end)
-            cursor = start
-        elif depth == 0:
-            return
-        else:
-            cursor = value_end
-        while cursor == ends[-1]:
-            ends.pop()
-            if len(ends) == 1:
-                return
+                    Truncated, f"tag 0x{tag:02x} at offset {cursor} overruns "
+                               f"its container ending at {end}",
+                    min(n, value_end), (depth, tag, cursor, start, value_end))
+            append((depth, tag, cursor, start, value_end))
+            if depth < 3 and tag == _CONTAINER_TAGS[depth]:
+                ends.append(value_end)
+                depth, end, cursor = depth + 1, value_end, start
+            elif depth == 0:
+                return tlvs, None
+            else:
+                cursor = value_end
+            while cursor == end:
+                ends.pop()
+                depth -= 1
+                if not depth:
+                    return tlvs, None
+                end = ends[-1]
+    except (Truncated, UnsupportedLength) as stop:
+        return tlvs, stop
 
 
 def _stopped(error: type, message: str, offset: int, overrun=None):
@@ -315,6 +300,13 @@ def _stopped(error: type, message: str, offset: int, overrun=None):
     exc.offset = offset
     exc.overrun = overrun
     return exc
+
+
+def _unchecked(cls: type, values: dict):
+    """``cls`` of values their octet widths bound, skipping ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
 
 
 def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
@@ -334,22 +326,21 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
             raise error(message)
         warnings.append(message if lenient is None else lenient)
 
+    data = bytes(data)
     n = len(data)
     if n < 14:
         raise Truncated(f"frame of {n} octets ends inside the link header")
-    dst, src = bytes(data[0:6]), bytes(data[6:12])
     tpid = (data[12] << 8) | data[13]
     if tpid == TPID_VLAN:
         if n < 18:
             raise Truncated("frame ends inside the 802.1Q tag")
-        vlan = VlanTag.from_tci((data[14] << 8) | data[15])
-        ethertype = (data[16] << 8) | data[17]
-        cursor = 18
+        tci = (data[14] << 8) | data[15]
+        vlan = _unchecked(VlanTag, {"priority": tci >> 13,
+                                    "dei": bool(tci & 0x1000), "vid": tci & 0x0FFF})
+        ethertype, cursor = (data[16] << 8) | data[17], 18
     elif tpid == ETHERTYPE_SV and not strict:
         warnings.append("missing 802.1Q tag")
-        vlan = VlanTag(priority=0)
-        ethertype = tpid
-        cursor = 14
+        vlan, ethertype, cursor = VlanTag(priority=0), tpid, 14
     else:
         raise BadEtherType(f"expected 802.1Q TPID 0x8100, got 0x{tpid:04x}")
     if ethertype != ETHERTYPE_SV:
@@ -361,8 +352,10 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
     if res1 or res2:
         tolerate(BadHeader, f"reserved octets nonzero (0x{res1:04x} 0x{res2:04x})")
     cursor += _FIXED_HEADER_LEN
-    walk = _walk(data, cursor)
-    _, tag, _, _, end = next(walk)
+    tlvs, stop = _walk(data, cursor)
+    if not tlvs:
+        raise stop
+    _, tag, _, _, end = tlvs[0]
     if tag != TAG_SAVPDU:
         raise UnknownTag(f"expected savPdu tag 0x60, got 0x{tag:02x}")
     actual = _FIXED_HEADER_LEN + (end - cursor)
@@ -372,16 +365,15 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
     if end != n:
         tolerate(LengthMismatch, f"{n - end} trailing octets after savPdu")
 
-    no_asdu = None
     asdus: list[Asdu] = []
     fields: dict[int, bytes] = {}
-    asdu_end = -1
-    for depth, tag, _, start, end in walk:
-        if depth == 3 and tag in _ASDU_FIELD_NAMES:
+    no_asdu, asdu_end = None, -1
+    for depth, tag, _, start, end in tlvs[1:]:
+        if depth == 3 and tag in _ASDU_FIELDS:
             if tag in fields:
-                message = f"duplicate {_ASDU_FIELD_NAMES[tag]} in ASDU"
+                message = f"duplicate {_ASDU_FIELDS[tag][0]} in ASDU"
                 tolerate(SchemaMismatch, message, message + ", keeping the last")
-            fields[tag] = bytes(data[start:end])
+            fields[tag] = data[start:end]
         elif depth == 2 and tag == TAG_ASDU:
             fields = {}
             asdu_end = end
@@ -392,57 +384,50 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
             tolerate(UnknownTag, f"unexpected tag 0x{tag:02x} inside {where}",
                      f"skipped tag 0x{tag:02x} inside {where}")
         # An ASDU is checked once its last field is in, or at once when it
-        # is empty, before the walk reads the header of whatever follows.
+        # is empty, before any fault in a later header surfaces.
         if end == asdu_end and (depth == 3 or start == end):
             asdus.append(_asdu_from_fields(fields, tolerate))
+    if stop is not None:
+        raise stop
     if no_asdu is None:
         tolerate(SchemaMismatch, "savPdu carries no noASDU field")
     elif no_asdu != len(asdus):
         tolerate(CountMismatch,
                  f"noASDU says {no_asdu}, found {len(asdus)} ASDU elements")
-    return SvFrame(dst, src, vlan, appid, SavApdu(asdus),
+    return SvFrame(data[0:6], data[6:12], vlan, appid, SavApdu(asdus),
                    decode_warnings=tuple(warnings))
 
 
-def _asdu_from_fields(raw: dict[int, bytes], tolerate) -> Asdu:
-    missing = [name for tag, name in _ASDU_FIELD_NAMES.items() if tag not in raw]
-    if missing:
-        tolerate(SchemaMismatch, "ASDU missing " + ", ".join(missing))
+_SMP_SYNCH = tuple(SmpSynch)
+_REFR_TM = struct.Struct(">II")  # seconds; fraction << 8 | time quality
+# Stand-ins for missing fields: each decodes to the ``Asdu`` default.
+_MISSING_FIELDS = {TAG_SVID: b"", TAG_SMPCNT: bytes(2), TAG_CONFREV: b"\0\0\0\1",
+                   TAG_REFRTM: bytes(8), TAG_SMPSYNCH: b"\0", TAG_SEQDATA: b""}
 
-    asdu = Asdu()
-    if TAG_SVID in raw:
-        octets = raw[TAG_SVID]
-        if not octets.isascii():
-            tolerate(SchemaMismatch, "svID is not ASCII",
-                     "svID is not ASCII, decoded with replacements")
-        asdu.sv_id = octets.decode("ascii", "replace")
-    asdu.smp_cnt = _decode_uint(raw, TAG_SMPCNT, 2, tolerate)
-    asdu.conf_rev = _decode_uint(raw, TAG_CONFREV, 4, tolerate, asdu.conf_rev)
-    if TAG_REFRTM in raw:
-        octets = raw[TAG_REFRTM]
-        if len(octets) != 8:
-            tolerate(LengthMismatch, f"refrTm is {len(octets)} octets, expected 8")
-            octets = octets[:8].ljust(8, b"\x00")
-        asdu.refr_tm = UtcTimestamp.from_octets(octets)
-    synch = _decode_uint(raw, TAG_SMPSYNCH, 1, tolerate)
-    if synch not in (0, 1, 2):
+
+def _asdu_from_fields(raw: dict[int, bytes], tolerate) -> Asdu:
+    if len(raw) != len(_ASDU_FIELDS):
+        missing = [field[0] for tag, field in _ASDU_FIELDS.items() if tag not in raw]
+        tolerate(SchemaMismatch, "ASDU missing " + ", ".join(missing))
+        raw = {**_MISSING_FIELDS, **raw}
+    sv_id, smp_cnt, conf_rev, refr_tm, synch, seq_data = _FIELD_VALUES(raw)
+    if not sv_id.isascii():
+        tolerate(SchemaMismatch, "svID is not ASCII",
+                 "svID is not ASCII, decoded with replacements")
+    if (len(smp_cnt), len(conf_rev), len(refr_tm), len(synch)) != (2, 4, 8, 1):
+        for tag, (name, width, _) in _ASDU_FIELDS.items():
+            if width and len(raw[tag]) != width:
+                tolerate(LengthMismatch,
+                         f"{name} is {len(raw[tag])} octets, expected {width}")
+        refr_tm = refr_tm[:8].ljust(8, b"\x00")
+    synch = int.from_bytes(synch, "big")
+    if synch > 2:
         message = f"smpSynch value {synch} is not 0/1/2"
         tolerate(SchemaMismatch, message, message + ", using none")
-        synch = SmpSynch.NONE
-    asdu.smp_synch = SmpSynch(synch)
-    asdu.seq_data = raw.get(TAG_SEQDATA, b"")
-    return asdu
-
-
-def _decode_uint(raw: dict[int, bytes], tag: int, width: int, tolerate,
-                 missing: int = 0) -> int:
-    if tag not in raw:
-        return missing
-    octets = raw[tag]
-    if len(octets) != width:
-        tolerate(LengthMismatch,
-                 f"{_ASDU_FIELD_NAMES[tag]} is {len(octets)} octets, expected {width}")
-    return int.from_bytes(octets, "big")
+        synch = 0
+    return Asdu(sv_id.decode("ascii", "replace"), int.from_bytes(smp_cnt, "big"),
+                int.from_bytes(conf_rev, "big"), UtcTimestamp.from_octets(refr_tm),
+                _SMP_SYNCH[synch], seq_data)
 
 
 class FramePlan:
@@ -460,7 +445,7 @@ class FramePlan:
 
     def __init__(self, wire: bytes):
         fields: list[dict[int, tuple[int, int]]] = []
-        for depth, tag, _, start, end in _walk(wire, 18 + _FIXED_HEADER_LEN):
+        for depth, tag, _, start, end in _walk(wire, 18 + _FIXED_HEADER_LEN)[0]:
             if depth == 2 and tag == TAG_ASDU:
                 fields.append({})
             elif depth == 3:
@@ -540,8 +525,6 @@ def unpack_seq_data(octets: bytes, schema: DatasetSchema) -> list:
 
 # --- dissection ----------------------------------------------------------
 
-_SMP_SYNCH_NAMES = {0: "none", 1: "local", 2: "global"}
-
 DissectLine = tuple[int, str, str, str]
 
 
@@ -562,22 +545,21 @@ def dissect(data: bytes) -> list[DissectLine]:
     """
     if not data:
         return [(0, "empty capture", "", "")]
+    data = bytes(data)
     lines: list[DissectLine] = []
     try:
         _dissect_frame(data, lines)
     except (Truncated, UnsupportedLength) as stop:
         if stop.overrun is not None:
-            lines.append(_overrun_row(data, *stop.overrun))
+            _overrun_row(data, stop.overrun, lines)
         lines.append(_warning(0, f"TRUNCATED at offset {stop.offset}"))
     return lines
 
 
 def render_dissection(lines: list[DissectLine]) -> str:
-    rendered = []
-    for depth, name, _, decoded in lines:
-        text = f"{name}: {decoded}" if decoded else name
-        rendered.append("  " * depth + text)
-    return "\n".join(rendered)
+    return "\n".join([f"{'  ' * depth}{name}: {decoded}" if decoded
+                      else "  " * depth + name
+                      for depth, name, _, decoded in lines])
 
 
 def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
@@ -596,10 +578,10 @@ def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
     octets = take(2)
     if octets == b"\x81\x00":
         lines.append((0, "Type", octets.hex(), "0x8100 (802.1Q Virtual LAN)"))
-        tci = take(2)
-        tag = VlanTag.from_tci(int.from_bytes(tci, "big"))
-        lines.append((0, "PRI/DEI/ID", tci.hex(),
-                      f"priority {tag.priority}, DEI {int(tag.dei)}, VID {tag.vid}"))
+        octets = take(2)
+        tci = int.from_bytes(octets, "big")
+        lines.append((0, "PRI/DEI/ID", octets.hex(),
+                      f"priority {tci >> 13}, DEI {tci >> 12 & 1}, VID {tci & 0x0FFF}"))
         octets = take(2)
     else:
         lines.append(_warning(0, "no 802.1Q tag"))
@@ -616,13 +598,11 @@ def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
     for name in ("Reserved1", "Reserved2"):
         octets = take(2)
         lines.append((0, name, octets.hex(), f"0x{int.from_bytes(octets, 'big'):04x}"))
-    asdu_index = 0
-    for depth, tag, tlv_start, start, end in _walk(data, c):
-        if depth == 0:
-            apdu_end = end
-        elif depth == 2 and tag == TAG_ASDU:
-            asdu_index += 1
-        lines.append(_tlv_row(data, depth, tag, tlv_start, start, end, asdu_index))
+    tlvs, stop = _walk(data, c)
+    _tlv_rows(data, tlvs, lines)
+    if stop is not None:
+        raise stop
+    apdu_end = tlvs[0][4]
     actual = apdu_end - apdu_start
     if length_field != actual:
         lines.append(_warning(0, f"Length field {length_field} != actual {actual}"))
@@ -631,53 +611,73 @@ def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
         lines.append(_warning(0, f"{len(tail)} trailing octets", tail.hex(), tail.hex()))
 
 
-def _tlv_row(data: bytes, depth: int, tag: int, tlv_start: int, start: int,
-             end: int, asdu_index: int = 0) -> DissectLine:
-    """Row of one TLV the walker yielded."""
-    header, length = data[tlv_start:start].hex(), end - start
-    if depth == 3 and tag in _ASDU_FIELD_NAMES:
-        value = data[start:end]
-        if tag == TAG_SVID:
-            text = bytes(value).decode("ascii", "replace")
-        elif tag == TAG_REFRTM:
-            text = _render_refr_tm(value)
-        elif tag == TAG_SMPSYNCH:
-            synch = int.from_bytes(value, "big")
-            text = f"{synch} ({_SMP_SYNCH_NAMES.get(synch, '?')})"
-        elif tag == TAG_SEQDATA:
-            text = f"{length} octets {value.hex()}"
-        else:
-            text = str(int.from_bytes(value, "big"))
-        return (3, _ASDU_FIELD_NAMES[tag], data[tlv_start:end].hex(), text)
-    if depth < 3 and tag == _CONTAINER_TAGS[depth]:
-        name = _CONTAINER_NAMES[depth] if depth < 2 else f"ASDU{asdu_index}"
-        return (depth, name, header, f"{length} octets")
-    if depth == 0:
-        return _warning(0, f"tag 0x{tag:02x}", header,
-                        f"{length} octets (expected savPdu 0x60)")
-    if depth == 1 and tag == TAG_NOASDU:
-        return (1, "noASDU", data[tlv_start:end].hex(),
-                str(int.from_bytes(data[start:end], "big")))
-    return _warning(depth, f"tag 0x{tag:02x}", data[tlv_start:end].hex(),
-                    f"{length} octets (skipped)")
+def _render_uint(value: bytes) -> str:
+    return str(int.from_bytes(value, "big"))
 
 
-def _overrun_row(data: bytes, depth: int, tag: int, tlv_start: int, start: int,
-                 end: int) -> DissectLine:
-    if depth == 0:
-        return _tlv_row(data, depth, tag, tlv_start, start, end)
-    if depth == 3:
-        name = _ASDU_FIELD_NAMES.get(tag, f"tag 0x{tag:02x}")
-        return _warning(3, f"{name} overruns ASDU")
-    return _warning(depth, f"tag 0x{tag:02x} overruns {_CONTAINER_NAMES[depth - 1]}",
-                    data[tlv_start:start].hex())
+def _render_smp_synch(value: bytes) -> str:
+    synch = int.from_bytes(value, "big")
+    return f"{synch} ({_SMP_SYNCH[synch].name.lower() if synch < 3 else '?'})"
 
 
 def _render_refr_tm(value: bytes) -> str:
     if len(value) != 8:
         return f"{len(value)} octets (expected 8)"
-    ts = UtcTimestamp.from_octets(value)
-    moment = datetime.fromtimestamp(ts.seconds, tz=timezone.utc)
-    return (f"{moment.strftime('%Y-%m-%d %H:%M:%S')}Z "
-            f"+{ts.fraction}/16777216 s (q=0x{ts.time_quality:02x})")
+    seconds, low = _REFR_TM.unpack(value)
+    return (f"{time.strftime('%Y-%m-%d %H:%M:%S', time.gmtime(seconds))}Z "
+            f"+{low >> 8}/16777216 s (q=0x{low & 0xFF:02x})")
 
+
+# The ASDU fields by tag: name, the width decode requires (None: any) and
+# the text dissect shows for the value.
+_ASDU_FIELDS = {
+    TAG_SVID: ("svID", None, lambda v: v.decode("ascii", "replace")),
+    TAG_SMPCNT: ("smpCnt", 2, _render_uint),
+    TAG_CONFREV: ("confRev", 4, _render_uint),
+    TAG_REFRTM: ("refrTm", 8, _render_refr_tm),
+    TAG_SMPSYNCH: ("smpSynch", 1, _render_smp_synch),
+    TAG_SEQDATA: ("seqData", None, lambda v: f"{len(v)} octets {v.hex()}"),
+}
+_FIELD_VALUES = itemgetter(*_ASDU_FIELDS)
+
+# Dissect rows by (depth, tag): the row name, and the renderer of a leaf
+# value, or None for a container, whose row shows its header hex only.
+_ROWS = {(depth, tag): (name, None) for depth, (tag, name)
+         in enumerate(zip(_CONTAINER_TAGS, _CONTAINER_NAMES))}
+_ROWS[1, TAG_NOASDU] = ("noASDU", _render_uint)
+_ROWS.update(((3, tag), (name, render))
+             for tag, (name, _, render) in _ASDU_FIELDS.items())
+
+
+def _tlv_rows(data: bytes, tlvs, lines: list[DissectLine]) -> None:
+    """Append the row of each TLV the walker returned."""
+    asdu_index = 0
+    for depth, tag, tlv_start, start, end in tlvs:
+        name, render = _ROWS.get((depth, tag), ("", None))
+        if render is not None:
+            lines.append((depth, name, data[tlv_start:end].hex(),
+                          render(data[start:end])))
+        elif name:
+            if depth == 2:
+                asdu_index += 1
+                name += str(asdu_index)
+            lines.append((depth, name, data[tlv_start:start].hex(),
+                          f"{end - start} octets"))
+        else:  # an unknown tag; in the savPdu's place, its header only
+            note = "skipped" if depth else "expected savPdu 0x60"
+            lines.append(_warning(depth, f"tag 0x{tag:02x}",
+                                  data[tlv_start:end if depth else start].hex(),
+                                  f"{end - start} octets ({note})"))
+
+
+def _overrun_row(data: bytes, tlv, lines: list[DissectLine]) -> None:
+    depth, tag, tlv_start, start, _ = tlv
+    if depth == 0:
+        _tlv_rows(data, [tlv], lines)
+    elif depth == 3:
+        name = _ASDU_FIELDS[tag][0] if tag in _ASDU_FIELDS else f"tag 0x{tag:02x}"
+        lines.append(_warning(3, f"{name} overruns ASDU"))
+    else:
+        lines.append(_warning(
+            depth, f"tag 0x{tag:02x} overruns {_CONTAINER_NAMES[depth - 1]}",
+            data[tlv_start:start].hex()))

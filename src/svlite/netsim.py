@@ -31,6 +31,11 @@ class LinkSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        # uniform(-jitter, jitter) spans 2 * jitter, which must not overflow.
+        if not math.isfinite(self.base_latency + 2 * self.jitter):
+            raise ValueError(
+                f"base_latency + 2 * jitter must be finite, got "
+                f"{self.base_latency} + 2 * {self.jitter}")
 
 
 class Channel:

@@ -500,6 +500,17 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and "must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--jitter", "1e308"),
+        ("--latency", "1e308", "--jitter", "1e308"),
+    ])
+    def test_overflowing_jitter_span_exits_2(self, flags, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--frames", "50", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: base_latency + 2 * jitter must be finite")
+        assert "Traceback" not in err
+
     def test_negative_frame_count_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--frames", "-5")
         assert code == 2

@@ -146,6 +146,9 @@ class TestChannelSpecValidation:
         dict(jitter=float("inf")),
         dict(base_latency=float("nan")),
         dict(base_latency=float("inf")),
+        dict(jitter=1e308),
+        dict(jitter=1e308, base_latency=1e308),
+        dict(jitter=4e307, base_latency=1e308),
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
