@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from operator import itemgetter
@@ -234,68 +235,64 @@ def _walk(data: bytes, cursor: int):
     value_end)`` of the savPdu at ``cursor`` (depth 0) and the TLVs inside
     it, depth first, entering only seqASDU (depth 1) and ASDU (depth 2).
 
-    ``stop`` is None, or the fault that ended the walk: a ``Truncated`` or
-    ``UnsupportedLength`` with ``offset``, where dissection stops, and
-    ``overrun``, the TLV as read past its container, or None. A consumer
-    raises it only once it has handled every TLV in ``tlvs``.
+    ``stop`` is None, or the fault that ended the walk, as the arguments of
+    :func:`_stopped`: ``Truncated`` or ``UnsupportedLength``, the message,
+    ``offset``, where dissection stops, and ``overrun``, the TLV as read
+    past its container, or None. A consumer raises it only once it has
+    handled every TLV in ``tlvs``.
     """
     n = len(data)
     tlvs: list[tuple[int, int, int, int, int]] = []
-    append = tlvs.append
+    if cursor >= n:
+        return tlvs, (Truncated, f"no tag at offset {cursor}", n, None)
+    append, containers = tlvs.append, _CONTAINER_TAGS
     ends = [n]  # value end of each open container, the buffer outermost
     depth, end = 0, n
-    try:
-        if cursor >= n:
-            raise _stopped(Truncated, f"no tag at offset {cursor}", n)
-        while True:
-            tag = data[cursor]
-            pos = cursor + 1
-            if pos < end and data[pos] < 0x80:
-                start = pos + 1
-                value_end = start + data[pos]
-            else:
-                # Length octets past the container's end are read from the buffer
-                # so dissect can show the overrun; decoding still finds it Truncated.
-                if pos >= n:
-                    raise _stopped(
-                        Truncated, f"missing length octet at offset {pos}", n)
-                first = data[pos]
-                count = first & 0x7F if first & 0x80 else 0
-                if first == 0x80 or count > 2:
-                    raise _stopped(
-                        UnsupportedLength if pos < end else Truncated,
-                        f"length octet 0x{first:02x} at offset {pos} is indefinite "
-                        "or exceeds the 2-octet cap", pos)
-                start = pos + 1 + count
-                if start > n:
-                    raise _stopped(
-                        Truncated, f"length octets cut at offset {pos + 1}", n)
-                value_end = start + (int.from_bytes(data[pos + 1:start], "big")
-                                     if count else first)
-            if value_end > end:
-                raise _stopped(
-                    Truncated, f"tag 0x{tag:02x} at offset {cursor} overruns "
-                               f"its container ending at {end}",
-                    min(n, value_end), (depth, tag, cursor, start, value_end))
-            append((depth, tag, cursor, start, value_end))
-            if depth < 3 and tag == _CONTAINER_TAGS[depth]:
-                ends.append(value_end)
-                depth, end, cursor = depth + 1, value_end, start
-            elif depth == 0:
+    while True:
+        tag = data[cursor]
+        pos = cursor + 1
+        if pos < end and data[pos] < 0x80:
+            start = pos + 1
+            value_end = start + data[pos]
+        else:
+            # Length octets past the container's end are read from the buffer
+            # so dissect can show the overrun; decoding still finds it Truncated.
+            if pos >= n:
+                return tlvs, (Truncated, f"missing length octet at offset {pos}",
+                              n, None)
+            first = data[pos]
+            count = first & 0x7F if first & 0x80 else 0
+            if first == 0x80 or count > 2:
+                return tlvs, (UnsupportedLength if pos < end else Truncated,
+                              f"length octet 0x{first:02x} at offset {pos} is "
+                              "indefinite or exceeds the 2-octet cap", pos, None)
+            start = pos + 1 + count
+            if start > n:
+                return tlvs, (Truncated, f"length octets cut at offset {pos + 1}",
+                              n, None)
+            value_end = start + (int.from_bytes(data[pos + 1:start], "big")
+                                 if count else first)
+        if value_end > end:
+            return tlvs, (Truncated, f"tag 0x{tag:02x} at offset {cursor} overruns "
+                                     f"its container ending at {end}",
+                          min(n, value_end), (depth, tag, cursor, start, value_end))
+        append((depth, tag, cursor, start, value_end))
+        if depth < 3 and tag == containers[depth]:
+            ends.append(value_end)
+            depth, end, cursor = depth + 1, value_end, start
+        elif depth == 0:
+            return tlvs, None
+        else:
+            cursor = value_end
+        while cursor == end:
+            ends.pop()
+            depth -= 1
+            if not depth:
                 return tlvs, None
-            else:
-                cursor = value_end
-            while cursor == end:
-                ends.pop()
-                depth -= 1
-                if not depth:
-                    return tlvs, None
-                end = ends[-1]
-    except (Truncated, UnsupportedLength) as stop:
-        return tlvs, stop
+            end = ends[-1]
 
 
-def _stopped(error: type, message: str, offset: int, overrun=None):
+def _stopped(error: type, message: str, offset: int, overrun=None) -> Exception:
     exc = error(message)
     exc.offset = offset
     exc.overrun = overrun
@@ -354,7 +351,7 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
     cursor += _FIXED_HEADER_LEN
     tlvs, stop = _walk(data, cursor)
     if not tlvs:
-        raise stop
+        raise _stopped(*stop)
     _, tag, _, _, end = tlvs[0]
     if tag != TAG_SAVPDU:
         raise UnknownTag(f"expected savPdu tag 0x60, got 0x{tag:02x}")
@@ -388,7 +385,7 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
         if end == asdu_end and (depth == 3 or start == end):
             asdus.append(_asdu_from_fields(fields, tolerate))
     if stop is not None:
-        raise stop
+        raise _stopped(*stop)
     if no_asdu is None:
         tolerate(SchemaMismatch, "savPdu carries no noASDU field")
     elif no_asdu != len(asdus):
@@ -562,46 +559,44 @@ def render_dissection(lines: list[DissectLine]) -> str:
                       for depth, name, _, decoded in lines])
 
 
+# Offsets where each link-header row ends, untagged and tagged. Untagged,
+# the two octets after the MACs give both the 802.1Q and EtherType rows.
+_HEADER_ROW_ENDS = ((6, 12, 14, 14, 16, 18, 20, 22),
+                    (6, 12, 14, 16, 18, 20, 22, 24, 26))
+
+
 def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
-    c = 0
-
-    def take(count: int) -> bytes:
-        nonlocal c
-        if c + count > len(data):
-            raise _stopped(Truncated, "capture ends in the link header", len(data))
-        c += count
-        return data[c - count:c]
-
-    for name in ("Destination", "Source"):
-        mac = take(6)
-        lines.append((0, name, mac.hex(), mac_to_str(mac)))
-    octets = take(2)
-    if octets == b"\x81\x00":
-        lines.append((0, "Type", octets.hex(), "0x8100 (802.1Q Virtual LAN)"))
-        octets = take(2)
-        tci = int.from_bytes(octets, "big")
-        lines.append((0, "PRI/DEI/ID", octets.hex(),
-                      f"priority {tci >> 13}, DEI {tci >> 12 & 1}, VID {tci & 0x0FFF}"))
-        octets = take(2)
+    tagged = data[12:14] == b"\x81\x00"
+    apdu_start = 18 if tagged else 14
+    # A short capture reads as zeros past its end; rows over them are cut below.
+    head = data[:apdu_start + 8].ljust(apdu_start + 8, b"\0")
+    dst, src = head[0:6], head[6:12]
+    ethertype, appid, length_field, res1, res2 = struct.unpack_from(
+        ">5H", head, apdu_start - 2)
+    rows = [(0, "Destination", dst.hex(), mac_to_str(dst)),
+            (0, "Source", src.hex(), mac_to_str(src))]
+    if tagged:
+        tci = (head[14] << 8) | head[15]
+        rows += [(0, "Type", "8100", "0x8100 (802.1Q Virtual LAN)"),
+                 (0, "PRI/DEI/ID", f"{tci:04x}",
+                  f"priority {tci >> 13}, DEI {tci >> 12 & 1}, VID {tci & 0x0FFF}")]
     else:
-        lines.append(_warning(0, "no 802.1Q tag"))
-    ethertype = int.from_bytes(octets, "big")
+        rows.append(_warning(0, "no 802.1Q tag"))
     note = "IEC 61850/SV" if ethertype == ETHERTYPE_SV else "not IEC 61850/SV"
-    row = (0, "EtherType", octets.hex(), f"0x{ethertype:04x} ({note})")
-    lines.append(row if ethertype == ETHERTYPE_SV else _warning(*row))
-    apdu_start = c
-    octets = take(2)
-    lines.append((0, "APPID", octets.hex(), f"0x{int.from_bytes(octets, 'big'):04x}"))
-    octets = take(2)
-    length_field = int.from_bytes(octets, "big")
-    lines.append((0, "Length", octets.hex(), str(length_field)))
-    for name in ("Reserved1", "Reserved2"):
-        octets = take(2)
-        lines.append((0, name, octets.hex(), f"0x{int.from_bytes(octets, 'big'):04x}"))
-    tlvs, stop = _walk(data, c)
+    row = (0, "EtherType", f"{ethertype:04x}", f"0x{ethertype:04x} ({note})")
+    rows += [row if ethertype == ETHERTYPE_SV else _warning(*row),
+             (0, "APPID", f"{appid:04x}", f"0x{appid:04x}"),
+             (0, "Length", f"{length_field:04x}", str(length_field)),
+             (0, "Reserved1", f"{res1:04x}", f"0x{res1:04x}"),
+             (0, "Reserved2", f"{res2:04x}", f"0x{res2:04x}")]
+    fit = bisect_right(_HEADER_ROW_ENDS[tagged], len(data))
+    lines += rows[:fit]
+    if fit < len(rows):
+        raise _stopped(Truncated, "capture ends in the link header", len(data))
+    tlvs, stop = _walk(data, apdu_start + _FIXED_HEADER_LEN)
     _tlv_rows(data, tlvs, lines)
     if stop is not None:
-        raise stop
+        raise _stopped(*stop)
     apdu_end = tlvs[0][4]
     actual = apdu_end - apdu_start
     if length_field != actual:
@@ -652,22 +647,21 @@ _ROWS.update(((3, tag), (name, render))
 def _tlv_rows(data: bytes, tlvs, lines: list[DissectLine]) -> None:
     """Append the row of each TLV the walker returned."""
     asdu_index = 0
+    rows, append = _ROWS, lines.append
     for depth, tag, tlv_start, start, end in tlvs:
-        name, render = _ROWS.get((depth, tag), ("", None))
+        name, render = rows.get((depth, tag), ("", None))
         if render is not None:
-            lines.append((depth, name, data[tlv_start:end].hex(),
-                          render(data[start:end])))
+            append((depth, name, data[tlv_start:end].hex(), render(data[start:end])))
         elif name:
             if depth == 2:
                 asdu_index += 1
                 name += str(asdu_index)
-            lines.append((depth, name, data[tlv_start:start].hex(),
-                          f"{end - start} octets"))
+            append((depth, name, data[tlv_start:start].hex(), f"{end - start} octets"))
         else:  # an unknown tag; in the savPdu's place, its header only
             note = "skipped" if depth else "expected savPdu 0x60"
-            lines.append(_warning(depth, f"tag 0x{tag:02x}",
-                                  data[tlv_start:end if depth else start].hex(),
-                                  f"{end - start} octets ({note})"))
+            append(_warning(depth, f"tag 0x{tag:02x}",
+                            data[tlv_start:end if depth else start].hex(),
+                            f"{end - start} octets ({note})"))
 
 
 def _overrun_row(data: bytes, tlv, lines: list[DissectLine]) -> None:
