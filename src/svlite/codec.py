@@ -544,12 +544,12 @@ def dissect(data: bytes) -> list[DissectLine]:
         return [(0, "empty capture", "", "")]
     data = bytes(data)
     lines: list[DissectLine] = []
-    try:
-        _dissect_frame(data, lines)
-    except (Truncated, UnsupportedLength) as stop:
-        if stop.overrun is not None:
-            _overrun_row(data, stop.overrun, lines)
-        lines.append(_warning(0, f"TRUNCATED at offset {stop.offset}"))
+    stop = _dissect_frame(data, lines)
+    if stop is not None:
+        _, _, offset, overrun = stop
+        if overrun is not None:
+            _overrun_row(data, overrun, lines)
+        lines.append(_warning(0, f"TRUNCATED at offset {offset}"))
     return lines
 
 
@@ -565,7 +565,8 @@ _HEADER_ROW_ENDS = ((6, 12, 14, 14, 16, 18, 20, 22),
                     (6, 12, 14, 16, 18, 20, 22, 24, 26))
 
 
-def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
+def _dissect_frame(data: bytes, lines: list[DissectLine]):
+    """Append the rows of ``data``; return where they stopped, as ``_walk`` does."""
     tagged = data[12:14] == b"\x81\x00"
     apdu_start = 18 if tagged else 14
     # A short capture reads as zeros past its end; rows over them are cut below.
@@ -592,11 +593,11 @@ def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
     fit = bisect_right(_HEADER_ROW_ENDS[tagged], len(data))
     lines += rows[:fit]
     if fit < len(rows):
-        raise _stopped(Truncated, "capture ends in the link header", len(data))
+        return Truncated, "capture ends in the link header", len(data), None
     tlvs, stop = _walk(data, apdu_start + _FIXED_HEADER_LEN)
     _tlv_rows(data, tlvs, lines)
     if stop is not None:
-        raise _stopped(*stop)
+        return stop
     apdu_end = tlvs[0][4]
     actual = apdu_end - apdu_start
     if length_field != actual:
@@ -604,6 +605,7 @@ def _dissect_frame(data: bytes, lines: list[DissectLine]) -> None:
     if apdu_end < len(data):
         tail = data[apdu_end:]
         lines.append(_warning(0, f"{len(tail)} trailing octets", tail.hex(), tail.hex()))
+    return None
 
 
 def _render_uint(value: bytes) -> str:

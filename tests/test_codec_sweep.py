@@ -27,7 +27,7 @@ from svlite.config import RunConfig, dump_config
 from svlite.errors import SvError
 
 SWEEP_LAYOUTS = 300
-SWEEP_DIGEST = "840a0d05c68972ab004e287c1ce91eb0ea5f79775f275675033b864536528e7b"
+SWEEP_DIGEST = "90e228bb40d04166b30e6e23010e00e79d79eb886ba791e957f3bc9e19c1ff44"
 
 
 def _outcome(mode: DecodeMode, wire: bytes) -> str:
@@ -61,8 +61,9 @@ def _flip_bits(wire: bytes, rng: random.Random) -> bytes:
 
 def sweep():
     """Yield every datagram of the sweep: each layout's wire, three bit-flipped
-    copies and truncations through the link header, the APPID header, the
-    savPdu header and at random points in the body."""
+    copies, truncations through the link header, the APPID header, the
+    savPdu header and at random points in the body, a copy with trailing
+    octets, and a copy without the 802.1Q tag, whole and cut in its header."""
     layouts, mutations = random.Random(2022), random.Random(9)
     for _ in range(SWEEP_LAYOUTS):
         frame, schema = random_valid_frame(layouts)
@@ -74,6 +75,11 @@ def sweep():
         cuts.update(mutations.randrange(28, len(wire)) for _ in range(4))
         for cut in sorted(cuts):
             yield wire[:cut]
+        yield wire + bytes(mutations.randrange(256)
+                           for _ in range(mutations.randint(1, 3)))
+        untagged = wire[:12] + wire[16:]
+        for cut in (13, 14, 16, 21, 23, len(untagged)):
+            yield untagged[:cut]
 
 
 def test_sweep_outcomes_are_pinned():
