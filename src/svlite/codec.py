@@ -292,7 +292,7 @@ def _walk(data: bytes, cursor: int):
             end = ends[-1]
 
 
-def _stopped(error: type, message: str, offset: int, overrun=None) -> Exception:
+def _stopped(error: type, message: str, offset: int, overrun=None):
     exc = error(message)
     exc.offset = offset
     exc.overrun = overrun
@@ -553,9 +553,13 @@ def dissect(data: bytes) -> list[DissectLine]:
     return lines
 
 
+# Indents of the row depths, 0 (link header and savPdu) to 3 (ASDU fields).
+_INDENTS = ("", "  ", "    ", "      ")
+
+
 def render_dissection(lines: list[DissectLine]) -> str:
-    return "\n".join([f"{'  ' * depth}{name}: {decoded}" if decoded
-                      else "  " * depth + name
+    return "\n".join([f"{_INDENTS[depth]}{name}: {decoded}" if decoded
+                      else _INDENTS[depth] + name
                       for depth, name, _, decoded in lines])
 
 
