@@ -121,8 +121,11 @@ class UtcTimestamp:
         if len(octets) != 8:
             raise WidthMismatch(f"refrTm needs 8 octets, got {len(octets)}")
         seconds, low = _REFR_TM.unpack(octets)  # each field bounded by its width
-        return _unchecked(cls, {"seconds": seconds, "fraction": low >> 8,
-                                "time_quality": low & 0xFF})
+        stamp = object.__new__(cls)
+        _set_field(stamp, "seconds", seconds)
+        _set_field(stamp, "fraction", low >> 8)
+        _set_field(stamp, "time_quality", low & 0xFF)
+        return stamp
 
     @classmethod
     def from_unix(cls, t: float, time_quality: int = 0) -> "UtcTimestamp":
@@ -299,13 +302,6 @@ def _stopped(error: type, message: str, offset: int, overrun=None):
     return exc
 
 
-def _unchecked(cls: type, values: dict):
-    """``cls`` of values their octet widths bound, skipping ``__post_init__``."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(values)
-    return obj
-
-
 def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
     """Parse a frame back into its model.
 
@@ -332,8 +328,10 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
         if n < 18:
             raise Truncated("frame ends inside the 802.1Q tag")
         tci = (data[14] << 8) | data[15]
-        vlan = _unchecked(VlanTag, {"priority": tci >> 13,
-                                    "dei": bool(tci & 0x1000), "vid": tci & 0x0FFF})
+        vlan = object.__new__(VlanTag)
+        _set_field(vlan, "priority", tci >> 13)
+        _set_field(vlan, "dei", bool(tci & 0x1000))
+        _set_field(vlan, "vid", tci & 0x0FFF)
         ethertype, cursor = (data[16] << 8) | data[17], 18
     elif tpid == ETHERTYPE_SV and not strict:
         warnings.append("missing 802.1Q tag")
@@ -396,6 +394,7 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
 
 
 _SMP_SYNCH = tuple(SmpSynch)
+_set_field = object.__setattr__  # frozen fields that octet widths bound: no checks
 _REFR_TM = struct.Struct(">II")  # seconds; fraction << 8 | time quality
 # Stand-ins for missing fields: each decodes to the ``Asdu`` default.
 _MISSING_FIELDS = {TAG_SVID: b"", TAG_SMPCNT: bytes(2), TAG_CONFREV: b"\0\0\0\1",
