@@ -110,11 +110,7 @@ class UtcTimestamp:
             raise ValueError(f"time quality {self.time_quality} outside one octet")
 
     def to_octets(self) -> bytes:
-        return (
-            self.seconds.to_bytes(4, "big")
-            + self.fraction.to_bytes(3, "big")
-            + bytes([self.time_quality])
-        )
+        return _REFR_TM.pack(self.seconds, self.fraction << 8 | self.time_quality)
 
     @classmethod
     def from_octets(cls, octets: bytes) -> "UtcTimestamp":
@@ -238,11 +234,10 @@ def _walk(data: bytes, cursor: int):
     value_end)`` of the savPdu at ``cursor`` (depth 0) and the TLVs inside
     it, depth first, entering only seqASDU (depth 1) and ASDU (depth 2).
 
-    ``stop`` is None, or the fault that ended the walk, as the arguments of
-    :func:`_stopped`: ``Truncated`` or ``UnsupportedLength``, the message,
-    ``offset``, where dissection stops, and ``overrun``, the TLV as read
-    past its container, or None. A consumer raises it only once it has
-    handled every TLV in ``tlvs``.
+    ``stop`` is None, or the fault that ended the walk, as
+    :func:`_inspect` raises it: ``Truncated`` or ``UnsupportedLength``, the
+    message, ``offset``, where dissection stops, and ``overrun``, the TLV as
+    read past its container, or None.
     """
     n = len(data)
     tlvs: list[tuple[int, int, int, int, int]] = []
@@ -295,11 +290,132 @@ def _walk(data: bytes, cursor: int):
             end = ends[-1]
 
 
-def _stopped(error: type, message: str, offset: int, overrun=None):
-    exc = error(message)
-    exc.offset = offset
-    exc.overrun = overrun
-    return exc
+def _inspect(data: bytes):
+    """Make each check of decoding on ``data`` once, in decoding's order.
+
+    Returns ``(header, tlvs, faults, asdus)``: the TCI (None untagged),
+    EtherType (the TPID untagged), APPID, Length, Reserved1 and Reserved2,
+    zeros past a short frame; the walk's TLVs; the faults; and per ASDU its
+    field rows and the values lenient decoding reads. A fault is the
+    exception strict decoding raises, the warning lenient decoding records
+    instead (None: it raises too) and the dissect rows that show it: an int
+    flags the row that many past the savPdu's, a row is added after the TLV
+    rows. Checks go on past a fault lenient decoding raises.
+    """
+    n = len(data)
+    tagged = data[12:14] == b"\x81\x00"
+    apdu_start = 18 if tagged else 14
+    cursor = apdu_start + _FIXED_HEADER_LEN  # where the savPdu starts
+    head = data[:cursor].ljust(cursor, b"\0")
+    header = ((head[14] << 8) | head[15] if tagged else None,
+              *struct.unpack_from(">5H", head, apdu_start - 2))
+    _, ethertype, _, length_field, res1, res2 = header
+    faults = []
+    add = faults.append
+    if n >= apdu_start:
+        if not tagged:
+            add((BadEtherType(f"expected 802.1Q TPID 0x8100, got 0x{ethertype:04x}"),
+                 "missing 802.1Q tag" if ethertype == ETHERTYPE_SV else None, (-6,)))
+        if ethertype != ETHERTYPE_SV:
+            add((BadEtherType(f"EtherType 0x{ethertype:04x} is not IEC 61850/SV "
+                              "(0x88ba)"), None, (-5,)))
+    if n < cursor:
+        message = (f"frame of {n} octets ends inside the link header" if n < 14
+                   else "frame ends inside the 802.1Q tag" if n < apdu_start
+                   else "frame ends inside the APPID header")
+        add((Truncated(message), None,
+             (_warning(0, f"TRUNCATED at offset {n}" if n else "empty capture"),)))
+        return header, [], faults, []
+    if res1 or res2:
+        message = f"reserved octets nonzero (0x{res1:04x} 0x{res2:04x})"
+        add((BadHeader(message), message, (-2,) * bool(res1) + (-1,) * bool(res2)))
+    tlvs, stop = _walk(data, cursor)
+    if tlvs:  # else the walk stopped in the savPdu's header or value
+        _, tag, _, _, end = tlvs[0]
+        if tag != TAG_SAVPDU:
+            add((UnknownTag(f"expected savPdu tag 0x60, got 0x{tag:02x}"), None,
+                 (0,)))
+        actual = end - apdu_start
+        if length_field != actual:
+            message = f"Length field {length_field} != actual APDU length {actual}"
+            add((LengthMismatch(message), message,
+                 (_warning(0, f"Length field {length_field} != actual {actual}"),)))
+        if end != n:
+            message = f"{n - end} trailing octets after savPdu"
+            tail = data[end:].hex()
+            add((LengthMismatch(message), message,
+                 (_warning(0, f"{n - end} trailing octets", tail, tail),)))
+
+    asdus: list[tuple[dict[int, int], dict[int, bytes]]] = []
+    rows: dict[int, int] = {}  # by tag, the row of each field of the open ASDU
+    values: dict[int, bytes] = {}  # and its value
+    no_asdu = None
+    asdu_end = -1
+    for row, (depth, tag, _, start, end) in enumerate(tlvs[1:], 1):
+        if depth == 3 and tag in _ASDU_FIELDS:
+            if tag in values:
+                message = f"duplicate {_ASDU_FIELDS[tag][0]} in ASDU"
+                add((SchemaMismatch(message), message + ", keeping the last", (row,)))
+            rows[tag] = row
+            values[tag] = data[start:end]
+        elif depth == 2 and tag == TAG_ASDU:
+            rows = {}
+            values = {}
+            asdu_row = row
+            asdu_end = end
+        elif depth == 1 and tag == TAG_NOASDU:
+            no_asdu = int.from_bytes(data[start:end], "big")
+            no_asdu_row = row
+        elif depth != 1 or tag != TAG_SEQASDU:
+            where = _CONTAINER_NAMES[depth - 1]
+            add((UnknownTag(f"unexpected tag 0x{tag:02x} inside {where}"),
+                 f"skipped tag 0x{tag:02x} inside {where}", (row,)))
+        # An ASDU is checked once its last field is in, or at once when it
+        # is empty, before any fault in a later header surfaces.
+        if end == asdu_end and (depth == 3 or start == end):
+            asdus.append((rows, _asdu_values(values, rows, asdu_row, faults)))
+    if stop is not None:
+        error, message, offset, overrun = stop
+        exc = error(message)
+        exc.offset = offset
+        exc.overrun = overrun
+        shown = () if overrun is None else (_overrun_row(data, overrun),)
+        add((exc, None, (*shown, _warning(0, f"TRUNCATED at offset {offset}"))))
+    elif no_asdu is None:
+        message = "savPdu carries no noASDU field"
+        add((SchemaMismatch(message), message, (0,)))
+    elif no_asdu != len(asdus):
+        message = f"noASDU says {no_asdu}, found {len(asdus)} ASDU elements"
+        add((CountMismatch(message), message, (no_asdu_row,)))
+    return header, tlvs, faults, asdus
+
+
+def _asdu_values(raw: dict[int, bytes], rows: dict[int, int], asdu_row: int,
+                 faults: list) -> dict[int, bytes]:
+    """Append the faults of the ASDU whose field values ``raw`` and rows
+    ``rows`` hold by tag; return the values lenient decoding reads, repaired
+    in ``raw`` unless a field is missing."""
+    if len(raw) != len(_ASDU_FIELDS):
+        missing = [field[0] for tag, field in _ASDU_FIELDS.items() if tag not in raw]
+        message = "ASDU missing " + ", ".join(missing)
+        faults.append((SchemaMismatch(message), message, (asdu_row,)))
+        raw = {tag: field[2] for tag, field in _ASDU_FIELDS.items()} | raw
+    if not raw[TAG_SVID].isascii():
+        faults.append((SchemaMismatch("svID is not ASCII"),
+                       "svID is not ASCII, decoded with replacements",
+                       (rows[TAG_SVID],)))
+    for tag, (name, width, _, _) in _ASDU_FIELDS.items():
+        if width and len(raw[tag]) != width:
+            message = f"{name} is {len(raw[tag])} octets, expected {width}"
+            faults.append((LengthMismatch(message), message, (rows[tag],)))
+    raw[TAG_REFRTM] = raw[TAG_REFRTM][:8].ljust(8, b"\x00")
+    synch = int.from_bytes(raw[TAG_SMPSYNCH], "big")
+    if synch > 2:
+        message = f"smpSynch value {synch} is not 0/1/2"
+        faults.append((SchemaMismatch(message), message + ", using none",
+                       (rows[TAG_SMPSYNCH],)))
+        raw[TAG_SMPSYNCH] = b"\0"
+    return raw
 
 
 def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
@@ -310,120 +426,30 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
     records every tolerated inconsistency on ``SvFrame.decode_warnings``,
     which keeps third-party frames with sloppy length octets readable.
     """
-    strict = mode is DecodeMode.STRICT
-    warnings: list[str] = []
-
-    def tolerate(error: type, message: str, lenient: str | None = None):
-        """Raise ``error`` in strict mode, else record the warning."""
-        if strict:
-            raise error(message)
-        warnings.append(message if lenient is None else lenient)
-
     data = bytes(data)
-    n = len(data)
-    if n < 14:
-        raise Truncated(f"frame of {n} octets ends inside the link header")
-    tpid = (data[12] << 8) | data[13]
-    if tpid == TPID_VLAN:
-        if n < 18:
-            raise Truncated("frame ends inside the 802.1Q tag")
-        tci = (data[14] << 8) | data[15]
-        vlan = object.__new__(VlanTag)
-        _set_field(vlan, "priority", tci >> 13)
-        _set_field(vlan, "dei", bool(tci & 0x1000))
-        _set_field(vlan, "vid", tci & 0x0FFF)
-        ethertype, cursor = (data[16] << 8) | data[17], 18
-    elif tpid == ETHERTYPE_SV and not strict:
-        warnings.append("missing 802.1Q tag")
-        vlan, ethertype, cursor = VlanTag(priority=0), tpid, 14
-    else:
-        raise BadEtherType(f"expected 802.1Q TPID 0x8100, got 0x{tpid:04x}")
-    if ethertype != ETHERTYPE_SV:
-        raise BadEtherType(
-            f"EtherType 0x{ethertype:04x} is not IEC 61850/SV (0x88ba)")
-    if cursor + _FIXED_HEADER_LEN > n:
-        raise Truncated("frame ends inside the APPID header")
-    appid, length_field, res1, res2 = struct.unpack_from(">HHHH", data, cursor)
-    if res1 or res2:
-        tolerate(BadHeader, f"reserved octets nonzero (0x{res1:04x} 0x{res2:04x})")
-    cursor += _FIXED_HEADER_LEN
-    tlvs, stop = _walk(data, cursor)
-    if not tlvs:
-        raise _stopped(*stop)
-    _, tag, _, _, end = tlvs[0]
-    if tag != TAG_SAVPDU:
-        raise UnknownTag(f"expected savPdu tag 0x60, got 0x{tag:02x}")
-    actual = _FIXED_HEADER_LEN + (end - cursor)
-    if length_field != actual:
-        tolerate(LengthMismatch,
-                 f"Length field {length_field} != actual APDU length {actual}")
-    if end != n:
-        tolerate(LengthMismatch, f"{n - end} trailing octets after savPdu")
-
-    asdus: list[Asdu] = []
-    fields: dict[int, bytes] = {}
-    no_asdu, asdu_end = None, -1
-    for depth, tag, _, start, end in tlvs[1:]:
-        if depth == 3 and tag in _ASDU_FIELDS:
-            if tag in fields:
-                message = f"duplicate {_ASDU_FIELDS[tag][0]} in ASDU"
-                tolerate(SchemaMismatch, message, message + ", keeping the last")
-            fields[tag] = data[start:end]
-        elif depth == 2 and tag == TAG_ASDU:
-            fields = {}
-            asdu_end = end
-        elif depth == 1 and tag == TAG_NOASDU:
-            no_asdu = int.from_bytes(data[start:end], "big")
-        elif depth != 1 or tag != TAG_SEQASDU:
-            where = _CONTAINER_NAMES[depth - 1]
-            tolerate(UnknownTag, f"unexpected tag 0x{tag:02x} inside {where}",
-                     f"skipped tag 0x{tag:02x} inside {where}")
-        # An ASDU is checked once its last field is in, or at once when it
-        # is empty, before any fault in a later header surfaces.
-        if end == asdu_end and (depth == 3 or start == end):
-            asdus.append(_asdu_from_fields(fields, tolerate))
-    if stop is not None:
-        raise _stopped(*stop)
-    if no_asdu is None:
-        tolerate(SchemaMismatch, "savPdu carries no noASDU field")
-    elif no_asdu != len(asdus):
-        tolerate(CountMismatch,
-                 f"noASDU says {no_asdu}, found {len(asdus)} ASDU elements")
-    return SvFrame(data[0:6], data[6:12], vlan, appid, SavApdu(asdus),
-                   decode_warnings=tuple(warnings))
+    header, _, faults, asdus = _inspect(data)
+    strict = mode is DecodeMode.STRICT
+    for exc, lenient, _ in faults:
+        if strict or lenient is None:
+            raise exc
+    tci, _, appid, *_ = header
+    vlan = (VlanTag(priority=0) if tci is None
+            else VlanTag(tci >> 13, bool(tci & 0x1000), tci & 0x0FFF))
+    return SvFrame(data[0:6], data[6:12], vlan, appid,
+                   SavApdu([_asdu_from_values(values) for _, values in asdus]),
+                   decode_warnings=tuple(lenient for _, lenient, _ in faults))
 
 
 _SMP_SYNCH = tuple(SmpSynch)
 _set_field = object.__setattr__  # frozen fields that octet widths bound: no checks
 _REFR_TM = struct.Struct(">II")  # seconds; fraction << 8 | time quality
-# Stand-ins for missing fields: each decodes to the ``Asdu`` default.
-_MISSING_FIELDS = {TAG_SVID: b"", TAG_SMPCNT: bytes(2), TAG_CONFREV: b"\0\0\0\1",
-                   TAG_REFRTM: bytes(8), TAG_SMPSYNCH: b"\0", TAG_SEQDATA: b""}
 
 
-def _asdu_from_fields(raw: dict[int, bytes], tolerate) -> Asdu:
-    if len(raw) != len(_ASDU_FIELDS):
-        missing = [field[0] for tag, field in _ASDU_FIELDS.items() if tag not in raw]
-        tolerate(SchemaMismatch, "ASDU missing " + ", ".join(missing))
-        raw = {**_MISSING_FIELDS, **raw}
+def _asdu_from_values(raw: dict[int, bytes]) -> Asdu:
     sv_id, smp_cnt, conf_rev, refr_tm, synch, seq_data = _FIELD_VALUES(raw)
-    if not sv_id.isascii():
-        tolerate(SchemaMismatch, "svID is not ASCII",
-                 "svID is not ASCII, decoded with replacements")
-    if (len(smp_cnt), len(conf_rev), len(refr_tm), len(synch)) != (2, 4, 8, 1):
-        for tag, (name, width, _) in _ASDU_FIELDS.items():
-            if width and len(raw[tag]) != width:
-                tolerate(LengthMismatch,
-                         f"{name} is {len(raw[tag])} octets, expected {width}")
-        refr_tm = refr_tm[:8].ljust(8, b"\x00")
-    synch = int.from_bytes(synch, "big")
-    if synch > 2:
-        message = f"smpSynch value {synch} is not 0/1/2"
-        tolerate(SchemaMismatch, message, message + ", using none")
-        synch = 0
     return Asdu(sv_id.decode("ascii", "replace"), int.from_bytes(smp_cnt, "big"),
                 int.from_bytes(conf_rev, "big"), UtcTimestamp.from_octets(refr_tm),
-                _SMP_SYNCH[synch], seq_data)
+                _SMP_SYNCH[int.from_bytes(synch, "big")], seq_data)
 
 
 class FramePlan:
@@ -440,14 +466,9 @@ class FramePlan:
     """
 
     def __init__(self, wire: bytes):
-        fields: list[dict[int, tuple[int, int]]] = []
-        for depth, tag, _, start, end in _walk(wire, 18 + _FIXED_HEADER_LEN)[0]:
-            if depth == 2 and tag == TAG_ASDU:
-                fields.append({})
-            elif depth == 3:
-                fields[-1][tag] = (start, end)
-        self.asdus = tuple(
-            (f[TAG_SMPCNT][0], f[TAG_REFRTM][0], *f[TAG_SEQDATA]) for f in fields)
+        _, tlvs, _, asdus = _inspect(wire)
+        self.asdus = tuple((tlvs[rows[TAG_SMPCNT]][3], tlvs[rows[TAG_REFRTM]][3],
+                            *tlvs[rows[TAG_SEQDATA]][3:]) for rows, _ in asdus)
         holes = []
         for smp_cnt, refr_tm, seq_start, seq_end in self.asdus:
             holes += [(smp_cnt, smp_cnt + 2), (refr_tm, refr_tm + 8),
@@ -535,20 +556,39 @@ def _warning(depth: int, name: str, raw: str = "", decoded: str = "") -> Dissect
 def dissect(data: bytes) -> list[DissectLine]:
     """Best-effort field walk for captures; never raises.
 
-    Returns ``(depth, name, raw_hex, decoded)`` rows in wire order.
-    Faults become :class:`WarningLine` rows, a short buffer ends in a
-    ``TRUNCATED at offset N`` one.
+    Returns ``(depth, name, raw_hex, decoded)`` rows in wire order. Each
+    fault that strict decoding can raise on the frame makes a
+    :class:`WarningLine`, and a short buffer ends in a ``TRUNCATED at
+    offset N`` one.
     """
-    if not data:
-        return [(0, "empty capture", "", "")]
     data = bytes(data)
-    lines: list[DissectLine] = []
-    stop = _dissect_frame(data, lines)
-    if stop is not None:
-        _, _, offset, overrun = stop
-        if overrun is not None:
-            _overrun_row(data, overrun, lines)
-        lines.append(_warning(0, f"TRUNCATED at offset {offset}"))
+    header, tlvs, faults, _ = _inspect(data)
+    tci, ethertype, appid, length_field, res1, res2 = header
+    dst, src = data[0:6], data[6:12]
+    lines = [(0, "Destination", dst.hex(), mac_to_str(dst)),
+             (0, "Source", src.hex(), mac_to_str(src))]
+    if tci is None:
+        lines.append((0, "no 802.1Q tag", "", ""))
+    else:
+        lines += [(0, "Type", "8100", "0x8100 (802.1Q Virtual LAN)"),
+                  (0, "PRI/DEI/ID", f"{tci:04x}",
+                   f"priority {tci >> 13}, DEI {tci >> 12 & 1}, VID {tci & 0x0FFF}")]
+    note = "IEC 61850/SV" if ethertype == ETHERTYPE_SV else "not IEC 61850/SV"
+    lines += [(0, "EtherType", f"{ethertype:04x}", f"0x{ethertype:04x} ({note})"),
+              (0, "APPID", f"{appid:04x}", f"0x{appid:04x}"),
+              (0, "Length", f"{length_field:04x}", str(length_field)),
+              (0, "Reserved1", f"{res1:04x}", f"0x{res1:04x}"),
+              (0, "Reserved2", f"{res2:04x}", f"0x{res2:04x}")]
+    savpdu_row = len(lines)
+    # A short capture keeps the rows of the octets it holds.
+    del lines[bisect_right(_HEADER_ROW_ENDS[tci is not None], len(data)):]
+    _tlv_rows(data, tlvs, lines)
+    for _, _, rows in faults:
+        for row in rows:
+            if type(row) is int:
+                lines[savpdu_row + row] = WarningLine(lines[savpdu_row + row])
+            else:
+                lines.append(row)
     return lines
 
 
@@ -568,49 +608,6 @@ _HEADER_ROW_ENDS = ((6, 12, 14, 14, 16, 18, 20, 22),
                     (6, 12, 14, 16, 18, 20, 22, 24, 26))
 
 
-def _dissect_frame(data: bytes, lines: list[DissectLine]):
-    """Append the rows of ``data``; return where they stopped, as ``_walk`` does."""
-    tagged = data[12:14] == b"\x81\x00"
-    apdu_start = 18 if tagged else 14
-    # A short capture reads as zeros past its end; rows over them are cut below.
-    head = data[:apdu_start + 8].ljust(apdu_start + 8, b"\0")
-    dst, src = head[0:6], head[6:12]
-    ethertype, appid, length_field, res1, res2 = struct.unpack_from(
-        ">5H", head, apdu_start - 2)
-    rows = [(0, "Destination", dst.hex(), mac_to_str(dst)),
-            (0, "Source", src.hex(), mac_to_str(src))]
-    if tagged:
-        tci = (head[14] << 8) | head[15]
-        rows += [(0, "Type", "8100", "0x8100 (802.1Q Virtual LAN)"),
-                 (0, "PRI/DEI/ID", f"{tci:04x}",
-                  f"priority {tci >> 13}, DEI {tci >> 12 & 1}, VID {tci & 0x0FFF}")]
-    else:
-        rows.append(_warning(0, "no 802.1Q tag"))
-    note = "IEC 61850/SV" if ethertype == ETHERTYPE_SV else "not IEC 61850/SV"
-    row = (0, "EtherType", f"{ethertype:04x}", f"0x{ethertype:04x} ({note})")
-    rows += [row if ethertype == ETHERTYPE_SV else _warning(*row),
-             (0, "APPID", f"{appid:04x}", f"0x{appid:04x}"),
-             (0, "Length", f"{length_field:04x}", str(length_field)),
-             (0, "Reserved1", f"{res1:04x}", f"0x{res1:04x}"),
-             (0, "Reserved2", f"{res2:04x}", f"0x{res2:04x}")]
-    fit = bisect_right(_HEADER_ROW_ENDS[tagged], len(data))
-    lines += rows[:fit]
-    if fit < len(rows):
-        return Truncated, "capture ends in the link header", len(data), None
-    tlvs, stop = _walk(data, apdu_start + _FIXED_HEADER_LEN)
-    _tlv_rows(data, tlvs, lines)
-    if stop is not None:
-        return stop
-    apdu_end = tlvs[0][4]
-    actual = apdu_end - apdu_start
-    if length_field != actual:
-        lines.append(_warning(0, f"Length field {length_field} != actual {actual}"))
-    if apdu_end < len(data):
-        tail = data[apdu_end:]
-        lines.append(_warning(0, f"{len(tail)} trailing octets", tail.hex(), tail.hex()))
-    return None
-
-
 def _render_uint(value: bytes) -> str:
     return str(int.from_bytes(value, "big"))
 
@@ -628,15 +625,16 @@ def _render_refr_tm(value: bytes) -> str:
             f"+{low >> 8}/16777216 s (q=0x{low & 0xFF:02x})")
 
 
-# The ASDU fields by tag: name, the width decode requires (None: any) and
-# the text dissect shows for the value.
+# The ASDU fields by tag: name, the width decode requires (None: any), the
+# value lenient decoding reads for a missing field (the ``Asdu`` default)
+# and the text dissect shows for the value.
 _ASDU_FIELDS = {
-    TAG_SVID: ("svID", None, lambda v: v.decode("ascii", "replace")),
-    TAG_SMPCNT: ("smpCnt", 2, _render_uint),
-    TAG_CONFREV: ("confRev", 4, _render_uint),
-    TAG_REFRTM: ("refrTm", 8, _render_refr_tm),
-    TAG_SMPSYNCH: ("smpSynch", 1, _render_smp_synch),
-    TAG_SEQDATA: ("seqData", None, lambda v: f"{len(v)} octets {v.hex()}"),
+    TAG_SVID: ("svID", None, b"", lambda v: v.decode("ascii", "replace")),
+    TAG_SMPCNT: ("smpCnt", 2, bytes(2), _render_uint),
+    TAG_CONFREV: ("confRev", 4, b"\0\0\0\1", _render_uint),
+    TAG_REFRTM: ("refrTm", 8, bytes(8), _render_refr_tm),
+    TAG_SMPSYNCH: ("smpSynch", 1, b"\0", _render_smp_synch),
+    TAG_SEQDATA: ("seqData", None, b"", lambda v: f"{len(v)} octets {v.hex()}"),
 }
 _FIELD_VALUES = itemgetter(*_ASDU_FIELDS)
 
@@ -646,7 +644,7 @@ _ROWS = {(depth, tag): (name, None) for depth, (tag, name)
          in enumerate(zip(_CONTAINER_TAGS, _CONTAINER_NAMES))}
 _ROWS[1, TAG_NOASDU] = ("noASDU", _render_uint)
 _ROWS.update(((3, tag), (name, render))
-             for tag, (name, _, render) in _ASDU_FIELDS.items())
+             for tag, (name, _, _, render) in _ASDU_FIELDS.items())
 
 
 def _tlv_rows(data: bytes, tlvs, lines: list[DissectLine]) -> None:
@@ -664,19 +662,19 @@ def _tlv_rows(data: bytes, tlvs, lines: list[DissectLine]) -> None:
             append((depth, name, data[tlv_start:start].hex(), f"{end - start} octets"))
         else:  # an unknown tag; in the savPdu's place, its header only
             note = "skipped" if depth else "expected savPdu 0x60"
-            append(_warning(depth, f"tag 0x{tag:02x}",
-                            data[tlv_start:end if depth else start].hex(),
-                            f"{end - start} octets ({note})"))
+            raw = data[tlv_start:end if depth else start].hex()
+            append((depth, f"tag 0x{tag:02x}", raw, f"{end - start} octets ({note})"))
 
 
-def _overrun_row(data: bytes, tlv, lines: list[DissectLine]) -> None:
+def _overrun_row(data: bytes, tlv) -> DissectLine:
     depth, tag, tlv_start, start, _ = tlv
     if depth == 0:
+        lines: list[DissectLine] = []
         _tlv_rows(data, [tlv], lines)
-    elif depth == 3:
+        # Decoding stops before its savPdu tag check, so flag a wrong tag here.
+        return lines[0] if tag == TAG_SAVPDU else WarningLine(lines[0])
+    if depth == 3:
         name = _ASDU_FIELDS[tag][0] if tag in _ASDU_FIELDS else f"tag 0x{tag:02x}"
-        lines.append(_warning(3, f"{name} overruns ASDU"))
-    else:
-        lines.append(_warning(
-            depth, f"tag 0x{tag:02x} overruns {_CONTAINER_NAMES[depth - 1]}",
-            data[tlv_start:start].hex()))
+        return _warning(3, f"{name} overruns ASDU")
+    return _warning(depth, f"tag 0x{tag:02x} overruns {_CONTAINER_NAMES[depth - 1]}",
+                    data[tlv_start:start].hex())

@@ -1,5 +1,6 @@
 """Pinned dissect, render and decode outcomes over a seeded mutation sweep,
-the exact refrTm and MAC texts, and a mutation property of the codec.
+the exact refrTm and MAC texts, and mutation properties of the codec: among
+them, that dissect shows a warning exactly when strict decoding raises.
 
 ``SWEEP_DIGEST`` is one sha256 over every row, rendered text and strict and
 lenient decode outcome of the sweep; a change to any of them changes it.
@@ -26,7 +27,7 @@ from svlite.config import RunConfig, dump_config
 from svlite.errors import SvError
 
 SWEEP_LAYOUTS = 300
-SWEEP_DIGEST = "90e228bb40d04166b30e6e23010e00e79d79eb886ba791e957f3bc9e19c1ff44"
+SWEEP_DIGEST = "5a43e4238d395fe52872689fb6621f6797e603e17b7f270b5e4fabf88a69f322"
 
 
 def _outcome(mode: DecodeMode, wire: bytes) -> str:
@@ -86,6 +87,23 @@ def test_sweep_outcomes_are_pinned():
     for wire in sweep():
         digest.update(_datagram_record(wire).encode())
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+def _warns_and_rejects(wire: bytes) -> tuple[bool, bool]:
+    """Whether dissect shows a ``WarningLine`` and whether strict decoding
+    raises, on ``wire``."""
+    warned = any(isinstance(row, WarningLine) for row in dissect(wire))
+    try:
+        decode_frame(wire, DecodeMode.STRICT)
+    except SvError:
+        return warned, True
+    return warned, False
+
+
+def test_sweep_warns_exactly_where_strict_decoding_rejects():
+    outcomes = [_warns_and_rejects(wire) for wire in sweep()]
+    assert outcomes.count((False, True)) == 0  # a rejected datagram shown clean
+    assert outcomes.count((True, False)) == 0  # a warning on a decodable one
 
 
 # The golden wire's refrTm value starts at offset 59.
@@ -158,3 +176,27 @@ def test_mutation_property(seed, flips, cut):
         assert not any(isinstance(row, WarningLine) for row in rows)
         asdu_rows = [row[1] for row in rows if row[0] == 2]
         assert asdu_rows == [f"ASDU{i + 1}" for i in range(len(frame.apdu.asdus))]
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       edits=st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 16),
+                                st.integers(0, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 2 ** 16),
+       trailing=st.binary(max_size=3))
+def test_dissect_warns_iff_strict_decoding_raises(seed, edits, cut, trailing):
+    """Bit flips, byte replacements, a truncation and trailing octets of a
+    valid wire: dissect shows a ``WarningLine`` exactly when strict decoding
+    raises."""
+    frame, schema = random_valid_frame(random.Random(seed))
+    mutated = bytearray(encode_frame(frame, schema))
+    for flip, at, value in edits:
+        if flip:
+            bit = at % (8 * len(mutated))
+            mutated[bit >> 3] ^= 0x80 >> (bit & 7)
+        else:
+            mutated[at % len(mutated)] = value
+    if cut is not None:
+        mutated = mutated[:cut % (len(mutated) + 1)]
+    warned, rejected = _warns_and_rejects(bytes(mutated) + trailing)
+    assert warned == rejected
