@@ -56,6 +56,10 @@ def project_bitrate(
     check_points(points_per_period)
     if nominal_hz <= 0:
         raise ValueError(f"nominal frequency must be positive, got {nominal_hz}")
+    if payload_octets < 1:
+        raise ValueError(f"payload must be at least 1 octet, got {payload_octets}")
+    if overhead_octets < 0:
+        raise ValueError(f"overhead must be >= 0 octets, got {overhead_octets}")
     wire = payload_octets + overhead_octets
     sps = nominal_hz * points_per_period
     bps = wire * 8 * sps

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import signal
 import sys
 import time
@@ -132,8 +133,8 @@ def _parse_duration(text: str) -> float:
         seconds = float(value)
     except ValueError:
         raise ValueError(f"bad duration {text!r}, expected like 5s") from None
-    if seconds < 0:
-        raise ValueError(f"duration must be >= 0, got {text!r}")
+    if not math.isfinite(seconds) or seconds < 0:
+        raise ValueError(f"duration must be finite and >= 0, got {text!r}")
     return seconds
 
 
@@ -144,9 +145,14 @@ def _parse_capacity(text: str) -> int:
         scale = {"k": 10**3, "m": 10**6, "g": 10**9}[value[-1].lower()]
         value = value[:-1]
     try:
-        return int(float(value) * scale)
+        capacity = int(float(value) * scale)
     except ValueError:
         raise ValueError(f"bad capacity {text!r}, expected like 30M") from None
+    except OverflowError:
+        raise ValueError(f"capacity must be finite, got {text!r}") from None
+    if capacity <= 0:
+        raise ValueError(f"capacity must be above 0 bps, got {text!r}")
+    return capacity
 
 
 def cmd_publish(args) -> int:
@@ -155,12 +161,16 @@ def cmd_publish(args) -> int:
         return EXIT_OK
     rate = cfg.samples_per_second
     pace = args.rate_limit if args.rate_limit else float(rate)
-    if pace <= 0:
-        raise ValueError(f"rate limit must be positive, got {pace}")
+    if not (math.isfinite(pace) and pace > 0):
+        raise ValueError(f"rate limit must be finite and positive, got {pace}")
     if args.frames is not None:
         frames = args.frames
     else:
-        frames = int(round(_parse_duration(args.duration) * pace))
+        try:
+            frames = int(round(_parse_duration(args.duration) * pace))
+        except OverflowError:
+            raise ValueError(f"duration {args.duration!r} at {pace:g} frames/s "
+                             "is too many frames") from None
     provider = sample_provider(cfg.channels, cfg.points_per_period, args.seed)
     state = transport.publish_stream(
         cfg.endpoint, build_template(cfg), cfg.schema, provider,

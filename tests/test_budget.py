@@ -77,6 +77,19 @@ class TestProjectBitrate:
         with pytest.raises(ValueError):
             project_bitrate(84, 0, 80, 30_000_000)
 
+    @pytest.mark.parametrize("payload", [0, -5])
+    def test_rejects_payload_below_one_octet(self, payload):
+        with pytest.raises(ValueError, match="payload"):
+            project_bitrate(payload, 50, 80, 30_000_000)
+
+    def test_rejects_negative_overhead(self):
+        with pytest.raises(ValueError, match="overhead"):
+            project_bitrate(84, 50, 80, 30_000_000, overhead_octets=-1000)
+
+    def test_zero_overhead_and_one_octet_payload_are_valid(self):
+        report = project_bitrate(1, 50, 80, 30_000_000, overhead_octets=0)
+        assert report.wire_octets == 1 and report.bits_per_second == 32_000
+
 
 class TestSampleInterval:
     def test_250_microseconds(self):

@@ -11,7 +11,7 @@ import pytest
 
 from helpers import GOLDEN_HEX, GOLDEN_WIRE
 from svlite.analyzer import format_link_stats
-from svlite.cli import main, simulate, virtual_refr_tm
+from svlite.cli import _parse_duration, main, simulate, virtual_refr_tm
 from svlite.codec import UtcTimestamp
 from svlite.config import (
     RunConfig,
@@ -73,6 +73,22 @@ class TestBudgetCommand:
         code, _, err = run_cli(capsys, "budget", "--payload", "84",
                                "--capacity", "lots")
         assert code == 2
+
+    @pytest.mark.parametrize("capacity", ["inf", "1e400", "nan", "1e308G", "0", "-30M"])
+    def test_capacity_must_be_finite_and_above_0(self, capacity, capsys):
+        code, out, err = run_cli(capsys, "budget", "--payload", "84",
+                                 f"--capacity={capacity}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [("--payload", "-5"), ("--payload", "0"),
+                                       ("--payload", "84", "--overhead", "-1000")])
+    def test_impossible_sizes_exit_2(self, flags, capsys):
+        code, out, err = run_cli(capsys, "budget", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestModuleEntryPoint:
@@ -160,6 +176,24 @@ class TestDecodeCommand:
         assert code == 0
         assert out.count("svID: xxxxMUnn01") == 2
         assert "2 datagrams, 0 warnings" in out
+
+    def test_nonzero_reserved_octets_are_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "reserved.hex"
+        path.write_text((GOLDEN_WIRE[:22] + b"\x01\x00" + GOLDEN_WIRE[24:]).hex())
+        code, out, _ = run_cli(capsys, "decode", "--hex", str(path))
+        assert code == 0
+        assert "Reserved1: 0x0100" in out
+        assert "1 datagrams, 1 warnings" in out
+
+    def test_empty_record_and_bad_smp_synch_are_warnings(self, tmp_path, capsys):
+        at = GOLDEN_WIRE.index(bytes.fromhex("850100")) + 2
+        synch_3 = GOLDEN_WIRE[:at] + b"\x03" + GOLDEN_WIRE[at + 1:]
+        path = tmp_path / "capture.raw"
+        path.write_bytes(bytes(2) + len(synch_3).to_bytes(2, "big") + synch_3)
+        code, out, _ = run_cli(capsys, "decode", "--raw", str(path))
+        assert code == 0
+        assert "empty capture" in out and "smpSynch: 3 (?)" in out
+        assert "2 datagrams, 2 warnings" in out
 
     def test_raw_capture_truncated_record(self, tmp_path, capsys):
         path = tmp_path / "cut.raw"
@@ -366,6 +400,16 @@ class TestPublishCommand:
         assert code == 2
         assert "missing.cfg" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--duration", "inf"), ("--duration", "nan"), ("--duration", "1e400"),
+        ("--duration", "1e308"), ("--rate-limit", "inf"), ("--rate-limit", "nan"),
+        ("--rate-limit", "-5")])
+    def test_non_finite_number_exits_2(self, flags, capsys):
+        code, out, err = run_cli(capsys, "publish", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_small_run_summary(self, tmp_path, capsys):
         port = _free_port()
         cfg_text = dump_config(RunConfig()).replace(
@@ -399,6 +443,12 @@ class TestPublishCommand:
 
 
 class TestSubscribeCommand:
+    @pytest.mark.parametrize("text", ["nan", "nans", "inf", "-inf", "1e400s", "-1s"])
+    def test_duration_must_be_finite(self, text):
+        # A nan deadline never passes, so subscribe would never stop.
+        with pytest.raises(ValueError, match="finite"):
+            _parse_duration(text)
+
     def test_receives_published_frames(self, tmp_path, capsys):
         port = _free_port()
         cfg_text = dump_config(RunConfig()).replace(
