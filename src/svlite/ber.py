@@ -78,10 +78,3 @@ def encode_int_fixed(value: int, width: int, signed: bool = False) -> bytes:
     except OverflowError:
         kind = "signed" if signed else "unsigned"
         raise Overflow(f"{value} does not fit {width} {kind} octets") from None
-
-
-def decode_int_fixed(octets: bytes, signed: bool = False) -> int:
-    if len(octets) not in _INT_WIDTHS:
-        raise BadWidth(
-            f"unsupported width {len(octets)}, expected one of {_INT_WIDTHS}")
-    return int.from_bytes(octets, "big", signed=signed)

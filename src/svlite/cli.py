@@ -10,7 +10,7 @@ import time
 
 from . import budget, transport
 from .analyzer import StreamAnalyzer, format_link_stats
-from .codec import WarningLine, dissect, render_dissection
+from .codec import WarningLine, dissect, refr_tm_octets, render_dissection
 from .codec import encode_frame, pack_seq_data  # noqa: F401, perfbench traces
 from .config import RunConfig, build_template, dump_config, \
     load_config
@@ -294,18 +294,6 @@ def cmd_budget(args) -> int:
     return EXIT_OK if report.fits else EXIT_OVER_BUDGET
 
 
-def virtual_refr_tm(tick: int, wrap: int) -> bytes:
-    """refrTm octets of the virtual instant ``tick / wrap`` seconds, the
-    same as ``UtcTimestamp.from_exact_seconds(Fraction(tick, wrap))``:
-    the 24-bit fraction rounds half to even and carries into seconds."""
-    seconds, rest = divmod(tick, wrap)
-    fraction, remainder = divmod(rest << 24, wrap)
-    if 2 * remainder > wrap or (2 * remainder == wrap and fraction & 1):
-        fraction += 1
-    # A fraction rounded up to 1 << 24 adds one to the seconds field.
-    return ((seconds << 32) + (fraction << 8)).to_bytes(8, "big")
-
-
 def simulate(cfg: RunConfig, link: LinkSpec, frames: int,
              seed: int) -> tuple[StreamAnalyzer, Channel]:
     """Send ``frames`` ticks of ``cfg``'s stream through a netsim channel
@@ -318,7 +306,7 @@ def simulate(cfg: RunConfig, link: LinkSpec, frames: int,
     provider = sample_provider(cfg.channels, cfg.points_per_period, seed)
     ticks = transport.frame_ticks(
         build_template(cfg), cfg.schema, provider, wrap, 0,
-        lambda tick: virtual_refr_tm(tick, wrap))
+        lambda tick: refr_tm_octets(tick, wrap))
     for tick, wire in zip(range(frames), ticks):
         channel.transmit(wire, tick * interval)
     analyzer = StreamAnalyzer(wrap, cfg.schema)

@@ -123,21 +123,20 @@ class UtcTimestamp:
         _set_field(stamp, "time_quality", low & 0xFF)
         return stamp
 
-    @classmethod
-    def from_unix(cls, t: float, time_quality: int = 0) -> "UtcTimestamp":
-        seconds = int(t)
-        fraction = int((t - seconds) * (1 << 24))
-        return cls(seconds=seconds, fraction=min(fraction, 0xFF_FFFF),
-                   time_quality=time_quality)
 
-    @classmethod
-    def from_exact_seconds(cls, t, time_quality: int = 0) -> "UtcTimestamp":
-        """Exact conversion for rational virtual-clock instants."""
-        seconds = int(t)
-        fraction = round((t - seconds) * (1 << 24))
-        if fraction == 1 << 24:
-            seconds, fraction = seconds + 1, 0
-        return cls(seconds=seconds, fraction=fraction, time_quality=time_quality)
+def refr_tm_octets(units: int, per_second: int) -> bytes:
+    """refrTm octets of the instant ``units / per_second`` seconds: the
+    seconds, the 24-bit fraction rounded half to even, which carries into
+    the seconds, and a zero time quality. An instant outside the 32-bit
+    seconds field raises ``ValueError``."""
+    stamp, remainder = divmod(units << 24, per_second)  # in 2**-24 s
+    if 2 * remainder > per_second or (2 * remainder == per_second and stamp & 1):
+        stamp += 1
+    try:
+        return (stamp << 8).to_bytes(8, "big")
+    except OverflowError:
+        raise ValueError(f"{units}/{per_second} s is outside the 32-bit "
+                         "seconds of refrTm") from None
 
 
 @dataclass
@@ -155,10 +154,6 @@ class Asdu:
 @dataclass
 class SavApdu:
     asdus: list[Asdu] = field(default_factory=list)
-
-    @property
-    def no_asdu(self) -> int:
-        return len(self.asdus)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from .codec import SVID_MAX_LEN, SmpSynch, SvFrame, SavApdu, Asdu, \
 from .errors import ConfigError
 from .model import DatasetSchema, SchemaMember, SUPPORTED_POINTS
 from .sources import ChannelSpec, WaveKind
-from .transport import EndpointConfig, Mode
+from .transport import PORT_RANGE, TTL_RANGE, EndpointConfig, Mode
 
 DEFAULT_CHANNELS = (
     ChannelSpec(SchemaMember("TMGF1.MagFld.instMag.i", width=4, signed=True),
@@ -47,9 +47,13 @@ class RunConfig:
     channels: tuple[ChannelSpec, ...] = DEFAULT_CHANNELS
 
     def __post_init__(self):
-        # The profile rules, so that every RunConfig dumps to a file that
-        # reloads; parse_config checks them first, with line numbers.
-        error = _sv_id_error(self.sv_id) or _attribute_error(self.schema)
+        # The checks of parse_config, which makes them first with line
+        # numbers, so that every RunConfig dumps to a file that reloads.
+        for key, value, _ in _scalars(self):
+            error = _value_error(key, value)
+            if error:
+                raise ValueError(error)
+        error = _schema_error(self.schema)
         if error:
             raise ValueError(error)
 
@@ -62,13 +66,47 @@ class RunConfig:
         return self.nominal_hz * self.points_per_period
 
 
-def _sv_id_error(sv_id: str) -> str | None:
-    if not sv_id or not sv_id.isascii() or len(sv_id) > SVID_MAX_LEN:
+# Inclusive bounds of the integer scalars, by config key.
+_BOUNDS = {"appid": (0, 0xFFFF), "vlan_priority": (0, 7), "vlan_id": (0, 0x0FFF),
+           "conf_rev": (0, 0xFFFF_FFFF), "nominal_hz": (1, 1000),
+           "endpoint_port": PORT_RANGE, "endpoint_ttl": TTL_RANGE}
+
+
+def _value_error(key: str, value) -> str | None:
+    """Why a config file cannot hold ``value`` for scalar ``key``, or None."""
+    if key in _BOUNDS:
+        lo, hi = _BOUNDS[key]
+        if not lo <= value <= hi:
+            return f"{key}={value} outside [{lo}, {hi}]"
+    elif key == "points_per_period" and value not in SUPPORTED_POINTS:
+        return (f"{key} must be {' or '.join(map(str, SUPPORTED_POINTS))}, "
+                f"got {value}")
+    elif key == "sv_id" and (not value or not value.isascii()
+                             or len(value) > SVID_MAX_LEN):
         return f"sv_id must be 1..{SVID_MAX_LEN} ASCII characters"
+    elif key.endswith("_mac") and len(value) != 6:
+        return f"{key} needs 6 octets, got {len(value)}"
+    elif isinstance(value, str):
+        return _line_error(key, value)
     return None
 
 
-def _attribute_error(schema: DatasetSchema) -> str | None:
+def _line_error(key: str, text: str, forbidden: str = "#") -> str | None:
+    # A config line ends at a line break, drops a comment after '#' and the
+    # spaces at either end, and a member line splits at ':'.
+    if (text != text.strip() or len(text.splitlines()) > 1
+            or any(c in text for c in forbidden)):
+        return f"{key} {text!r} does not fit on one config line"
+    return None
+
+
+def _schema_error(schema: DatasetSchema) -> str | None:
+    if not len(schema):
+        return "dataset needs at least one member"
+    for member in schema:
+        error = _line_error("member name", member.name, "#:")
+        if error:
+            return error
     count = schema.data_attribute_count
     if count > MAX_DATA_ATTRIBUTES:
         return (f"dataset spans {count} data attributes, "
@@ -191,6 +229,9 @@ def parse_config(text: str) -> RunConfig:
     for key, (lineno, value) in scalars.items():
         field, parse, _ = _KEYS[key]
         parsed = parse(lineno, key, value)
+        error = _value_error(key, parsed)
+        if error:
+            _fail(lineno, error)
         if field is None:
             fields[key] = parsed
         else:
@@ -199,7 +240,7 @@ def parse_config(text: str) -> RunConfig:
     if not members:
         members = [(0, c.member) for c in DEFAULT_CHANNELS]
     schema = DatasetSchema(m for _, m in members)
-    error = _attribute_error(schema)
+    error = _schema_error(schema)
     if error:
         _fail(members[-1][0], error)
     members = schema.members
@@ -227,30 +268,6 @@ def _conv_str(lineno, key, value):
     return value
 
 
-def _conv_sv_id(lineno, key, value):
-    error = _sv_id_error(value)
-    if error:
-        _fail(lineno, error)
-    return value
-
-
-def _conv_int_range(lo, hi):
-    def convert(lineno, key, value):
-        parsed = _parse_int(lineno, key, value)
-        if not lo <= parsed <= hi:
-            _fail(lineno, f"{key}={parsed} outside [{lo}, {hi}]")
-        return parsed
-    return convert
-
-
-def _conv_points(lineno, key, value):
-    parsed = _parse_int(lineno, key, value)
-    if parsed not in SUPPORTED_POINTS:
-        _fail(lineno, f"{key} must be {' or '.join(map(str, SUPPORTED_POINTS))}, "
-                      f"got {parsed}")
-    return parsed
-
-
 def _conv_mac(lineno, key, value):
     try:
         return mac_from_str(value)
@@ -273,24 +290,31 @@ def _conv_mode(lineno, key, value):
 
 
 # Every scalar key in file order: the EndpointConfig field it sets (None
-# for a RunConfig field of the same name), its parser and its renderer.
+# for a RunConfig field of the same name), its parser and its renderer;
+# _value_error checks what the parser reads.
 _KEYS = {
-    "sv_id": (None, _conv_sv_id, str),
-    "appid": (None, _conv_int_range(0, 0xFFFF), "0x{:04x}".format),
+    "sv_id": (None, _conv_str, str),
+    "appid": (None, _parse_int, "0x{:04x}".format),
     "dst_mac": (None, _conv_mac, mac_to_str),
     "src_mac": (None, _conv_mac, mac_to_str),
-    "vlan_priority": (None, _conv_int_range(0, 7), str),
-    "vlan_id": (None, _conv_int_range(0, 0x0FFF), str),
-    "conf_rev": (None, _conv_int_range(0, 0xFFFF_FFFF), str),
+    "vlan_priority": (None, _parse_int, str),
+    "vlan_id": (None, _parse_int, str),
+    "conf_rev": (None, _parse_int, str),
     "smp_synch": (None, _conv_smp_synch, lambda s: s.name.lower()),
-    "nominal_hz": (None, _conv_int_range(1, 1000), str),
-    "points_per_period": (None, _conv_points, str),
+    "nominal_hz": (None, _parse_int, str),
+    "points_per_period": (None, _parse_int, str),
     "endpoint_mode": ("mode", _conv_mode, lambda m: m.value),
     "endpoint_address": ("address", _conv_str, str),
-    "endpoint_port": ("port", _conv_int_range(1, 0xFFFF), str),
-    "endpoint_ttl": ("multicast_ttl", _conv_int_range(0, 255), str),
+    "endpoint_port": ("port", _parse_int, str),
+    "endpoint_ttl": ("multicast_ttl", _parse_int, str),
     "bind_interface": ("bind_interface", _conv_str, str),
 }
+
+
+def _scalars(cfg: RunConfig):
+    """``(key, value, renderer)`` of every scalar key, in file order."""
+    for key, (field, _, render) in _KEYS.items():
+        yield key, getattr(cfg.endpoint, field) if field else getattr(cfg, key), render
 
 
 def load_config(path) -> RunConfig:
@@ -305,8 +329,7 @@ def load_config(path) -> RunConfig:
 def dump_config(cfg: RunConfig) -> str:
     """Canonical text form; reloads to an equal RunConfig."""
     lines = ["# svlite stream configuration"]
-    for key, (field, _, render) in _KEYS.items():
-        value = getattr(cfg.endpoint, field) if field else getattr(cfg, key)
+    for key, value, render in _scalars(cfg):
         if value is not None:  # an unset bind_interface writes no line
             lines.append(f"{key} = {render(value)}")
     for member in cfg.schema:

@@ -44,7 +44,8 @@ def _int_range(width: int, signed: bool) -> tuple[int, int]:
     return 0, (1 << bits) - 1
 
 
-def _check_range(name: str, value: int, lo: int, hi: int) -> None:
+def check_range(name: str, value: int, lo: int, hi: int) -> None:
+    """Raise ``ValueError`` unless ``lo <= value <= hi``."""
     if not lo <= value <= hi:
         raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
 
@@ -125,12 +126,6 @@ def quality_from_word(word: int) -> Quality:
     return Quality(validity=Validity(word & 0x03), test=bool(word & 0x04))
 
 
-def decode_quality(octets: bytes) -> Quality:
-    if len(octets) != 2:
-        raise ValueError(f"quality needs 2 octets, got {len(octets)}")
-    return quality_from_word(octets[1])
-
-
 @dataclass(frozen=True)
 class SchemaMember:
     """One packed attribute: dotted name, wire width and scaling."""
@@ -145,8 +140,8 @@ class SchemaMember:
     def __post_init__(self):
         if self.width not in (2, 4):
             raise ValueError(f"member width must be 2 or 4, got {self.width}")
-        _check_range("scale_factor", self.scale_factor, *_INT8)
-        _check_range("offset", self.offset, *_INT32)
+        check_range("scale_factor", self.scale_factor, *_INT8)
+        check_range("offset", self.offset, *_INT32)
 
     @property
     def packed_width(self) -> int:
@@ -189,8 +184,8 @@ class DatasetSchema:
     def seq_struct(self) -> struct.Struct:
         """Big-endian seqData layout, built on first use: ``h``/``H`` or
         ``i``/``I`` per member, and a quality word as a pad octet and ``B``
-        (its low octet, as :func:`encode_quality` and :func:`decode_quality`
-        use it)."""
+        (its low octet, as :func:`encode_quality` writes it and
+        :func:`quality_from_word` reads it)."""
         codes = [">"]
         for m in self.members:
             codes.append(m.struct_code)

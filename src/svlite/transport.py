@@ -9,20 +9,24 @@ at t0 + N * interval) so scheduling error never accumulates as drift.
 from __future__ import annotations
 
 import itertools
+import math
 import socket
 import time
 from dataclasses import dataclass
 from enum import Enum
 from ipaddress import IPv4Address
 
-from .codec import FramePlan, SvFrame, UtcTimestamp, encode_frame
+from .codec import FramePlan, SvFrame, encode_frame, refr_tm_octets
 from .codec import pack_seq_data  # noqa: F401, perfbench traces
 from .errors import TransportError, WidthMismatch
-from .model import DatasetSchema
+from .model import DatasetSchema, check_range
 
 DEFAULT_GROUP = "239.255.61.85"
 DEFAULT_PORT = 61850
 DEFAULT_TTL = 1
+# Inclusive bounds of the integer endpoint fields, which config checks too.
+PORT_RANGE = (1, 0xFFFF)
+TTL_RANGE = (0, 0xFF)
 
 
 class Mode(Enum):
@@ -43,8 +47,8 @@ class EndpointConfig:
         if self.mode is Mode.MULTICAST and not addr.is_multicast:
             raise ValueError(
                 f"{self.address} is not in 224.0.0.0/4, required for multicast")
-        if not 0 < self.port <= 0xFFFF:
-            raise ValueError(f"UDP port {self.port} outside 1..65535")
+        check_range("port", self.port, *PORT_RANGE)
+        check_range("multicast_ttl", self.multicast_ttl, *TTL_RANGE)
 
 
 @dataclass
@@ -161,7 +165,8 @@ def publish_stream(
     state = PublisherState(smp_cnt=start_smp_cnt % wrap, wrap_modulus=wrap)
     ticks = frame_ticks(
         template, schema, source, wrap, start_smp_cnt,
-        lambda _: UtcTimestamp.from_unix(timestamper()).to_octets())
+        # The product is exact, so the floor truncates the clock to 2**-24 s.
+        lambda _: refr_tm_octets(math.floor(timestamper() * 2**24), 2**24))
     own_sock = sock is None
     if own_sock:
         sock = _open_publish_socket(cfg)
@@ -179,8 +184,8 @@ def publish_stream(
             if time.monotonic() > t0 + (tick + 1) * interval:
                 state.deadline_misses += 1
             state.frames_sent += 1
-            state.smp_cnt = (state.smp_cnt + 1) % wrap
     finally:
+        state.smp_cnt = (start_smp_cnt + state.frames_sent) % wrap
         if own_sock:
             sock.close()
     return state

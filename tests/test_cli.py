@@ -6,13 +6,15 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import GOLDEN_HEX, GOLDEN_WIRE
 from svlite.analyzer import format_link_stats
-from svlite.cli import _parse_duration, main, simulate, virtual_refr_tm
-from svlite.codec import UtcTimestamp
+from svlite.cli import _parse_duration, main, simulate
+from svlite.codec import SmpSynch, refr_tm_octets
 from svlite.config import (
     RunConfig,
     dump_config,
@@ -23,7 +25,7 @@ from svlite.errors import ConfigError
 from svlite.model import SchemaMember
 from svlite.netsim import Channel, LinkSpec
 from svlite.sources import ChannelSpec, WaveKind
-from svlite.transport import subscribe
+from svlite.transport import EndpointConfig, Mode, subscribe
 
 
 def run_cli(capsys, *argv):
@@ -231,7 +233,83 @@ CUSTOM_CONFIG = "\n".join([
 ])
 
 
+def line_text(forbidden: str = "#", max_size: int = 64):
+    """Printable ASCII that one config line can hold as a value."""
+    alphabet = [chr(c) for c in range(0x20, 0x7F) if chr(c) not in forbidden]
+    return st.text(alphabet, min_size=1, max_size=max_size).map(str.strip) \
+        .filter(bool)
+
+
+def endpoints(mode: Mode, addresses):
+    return st.builds(
+        EndpointConfig, mode=st.just(mode),
+        address=addresses.map(lambda n: str(IPv4Address(n))),
+        port=st.integers(1, 0xFFFF), multicast_ttl=st.integers(0, 255),
+        bind_interface=st.none() | st.just("") | line_text())
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MAGNITUDE = st.floats(min_value=0, allow_infinity=False)
+# Two data attributes at most, as the profile allows.
+MEMBERS = st.builds(
+    SchemaMember,
+    name=st.builds("{}.{}".format, st.sampled_from(["TCTR1.AmpSv", "VCVR1.VolSv"]),
+                   line_text("#:", 16)),
+    width=st.sampled_from([2, 4]), signed=st.booleans(),
+    scale_factor=st.integers(-128, 127), offset=st.integers(-2**31, 2**31 - 1),
+    include_quality=st.booleans())
+CHANNELS = st.builds(
+    ChannelSpec, member=MEMBERS, kind=st.sampled_from(WaveKind),
+    amplitude=MAGNITUDE, phase_rad=FINITE, dc_offset=FINITE,
+    noise_sigma=MAGNITUDE, invalid_every_nth=st.integers(0, 10**6))
+# A RunConfig of the profile with every field drawn from its whole range.
+VALID_CONFIGS = st.builds(
+    RunConfig, sv_id=line_text(), appid=st.integers(0, 0xFFFF),
+    dst_mac=st.binary(min_size=6, max_size=6),
+    src_mac=st.binary(min_size=6, max_size=6),
+    vlan_priority=st.integers(0, 7), vlan_id=st.integers(0, 0x0FFF),
+    conf_rev=st.integers(0, 2**32 - 1), smp_synch=st.sampled_from(SmpSynch),
+    nominal_hz=st.integers(1, 1000), points_per_period=st.sampled_from([80, 256]),
+    endpoint=(endpoints(Mode.UNICAST, st.integers(0, 2**32 - 1))
+              | endpoints(Mode.MULTICAST, st.integers(0xE000_0000, 0xEFFF_FFFF))),
+    channels=st.lists(CHANNELS, min_size=1, max_size=4).map(tuple))
+
+
 class TestConfigRoundTrip:
+    @given(VALID_CONFIGS)
+    def test_any_valid_config_dump_reloads(self, cfg):
+        assert parse_config(dump_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("fields", [
+        {"appid": 0x1_0000}, {"appid": -1}, {"vlan_priority": 8},
+        {"vlan_priority": 9}, {"vlan_id": 0x1000}, {"conf_rev": -1},
+        {"conf_rev": 1 << 32}, {"nominal_hz": 0}, {"nominal_hz": 5000},
+        {"points_per_period": 100},
+    ])
+    def test_out_of_range_scalar_raises_value_error(self, fields):
+        # Raised when the config is built, not later as struct.error.
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            RunConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"port": 0}, {"port": 0x1_0000}, {"multicast_ttl": -1},
+        {"multicast_ttl": 256},
+    ])
+    def test_out_of_range_endpoint_scalar_raises_value_error(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            EndpointConfig(mode=Mode.UNICAST, address="127.0.0.1", **fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"sv_id": "a#b"}, {"sv_id": " ab"}, {"sv_id": "a\nb"},
+        {"endpoint": EndpointConfig(bind_interface="10.0.0.1 # eth0")},
+        {"channels": (ChannelSpec(SchemaMember("TCTR1.AmpSv.i:x", 4)),)},
+        {"channels": ()},
+        {"dst_mac": bytes(5)},
+    ])
+    def test_what_a_config_file_cannot_hold_raises_value_error(self, fields):
+        with pytest.raises(ValueError):
+            RunConfig(**fields)
+
     def test_default_dump_reloads_identically(self):
         cfg = RunConfig()
         assert parse_config(dump_config(cfg)) == cfg
@@ -650,29 +728,30 @@ class TestSimulateCommand:
 
 
 class TestVirtualStamp:
-    """simulate's integer refrTm against the exact rational conversion."""
+    """simulate's refrTm of tick / wrap seconds against the exact rational
+    conversion, which rounds half to even to 2**-24 s."""
 
     @staticmethod
     def exact(tick, wrap):
-        return UtcTimestamp.from_exact_seconds(Fraction(tick, wrap)).to_octets()
+        return (round(Fraction(tick, wrap) * 2**24) << 8).to_bytes(8, "big")
 
     @pytest.mark.parametrize("wrap", [4000, 12800])
     def test_three_wraps(self, wrap):
         for tick in range(3 * wrap):
-            assert virtual_refr_tm(tick, wrap) == self.exact(tick, wrap), tick
+            assert refr_tm_octets(tick, wrap) == self.exact(tick, wrap), tick
 
     def test_exact_halves_round_to_even(self):
         wrap = 2 ** 25  # odd ticks fall on half a fraction step
         for tick in range(10_000):
-            assert virtual_refr_tm(tick, wrap) == self.exact(tick, wrap), tick
-        assert virtual_refr_tm(1, wrap)[4:7] == bytes(3)
-        assert virtual_refr_tm(3, wrap)[4:7] == (2).to_bytes(3, "big")
+            assert refr_tm_octets(tick, wrap) == self.exact(tick, wrap), tick
+        assert refr_tm_octets(1, wrap)[4:7] == bytes(3)
+        assert refr_tm_octets(3, wrap)[4:7] == (2).to_bytes(3, "big")
 
     def test_fraction_carries_into_seconds(self):
         wrap = 2 ** 25 + 1  # the last tick of a second rounds up to 1 s
         for tick in (wrap - 1, 2 * wrap - 1):
-            assert virtual_refr_tm(tick, wrap) == self.exact(tick, wrap)
-        assert virtual_refr_tm(2 * wrap - 1, wrap) == bytes([0, 0, 0, 2]) + bytes(4)
+            assert refr_tm_octets(tick, wrap) == self.exact(tick, wrap)
+        assert refr_tm_octets(2 * wrap - 1, wrap) == bytes([0, 0, 0, 2]) + bytes(4)
 
 
 def _free_port() -> int:

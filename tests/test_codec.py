@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from svlite.codec import (
     mac_from_str,
     mac_to_str,
     pack_seq_data,
+    refr_tm_octets,
     render_dissection,
     unpack_seq_data,
 )
@@ -48,8 +50,8 @@ from svlite.model import (
     Quality,
     SchemaMember,
     Validity,
-    decode_quality,
     encode_quality,
+    quality_from_word,
 )
 
 
@@ -326,7 +328,7 @@ class TestCompiledSeqData:
     def test_quality_high_octet_is_ignored(self):
         word = bytes.fromhex("ff06")
         assert unpack_seq_data(bytes.fromhex("00000007") + word, self.QUALITY) \
-            == [(7, decode_quality(word))] \
+            == [(7, quality_from_word(word[1]))] \
             == [(7, Quality(Validity.QUESTIONABLE, test=True))]
 
     def test_quality_word_over_one_octet(self):
@@ -450,16 +452,19 @@ class TestTimestamp:
         stamp = UtcTimestamp(0x5F5E0FF0, 0x123456, 0x0A)
         assert UtcTimestamp.from_octets(stamp.to_octets()) == stamp
 
+    @staticmethod
+    def stamp(t: Fraction) -> tuple[bytes, bytes]:
+        """refr_tm_octets of ``t``, and the oracle: ``t`` rounded half to
+        even to 2**-24 s."""
+        oracle = UtcTimestamp(*divmod(round(t * 2**24), 2**24)).to_octets()
+        return refr_tm_octets(t.numerator, t.denominator), oracle
+
     def test_from_exact_seconds_carry(self):
-        from fractions import Fraction
         almost = Fraction(2 ** 24 * 3 - 1, 2 ** 24) + Fraction(1, 2 ** 25)
-        stamp = UtcTimestamp.from_exact_seconds(almost)
-        assert (stamp.seconds, stamp.fraction) == (3, 0)
+        assert self.stamp(almost) == (UtcTimestamp(3, 0).to_octets(),) * 2
 
     def test_from_exact_seconds_quarter(self):
-        from fractions import Fraction
-        stamp = UtcTimestamp.from_exact_seconds(Fraction(5, 4))
-        assert (stamp.seconds, stamp.fraction) == (1, 1 << 22)
+        assert self.stamp(Fraction(5, 4)) == (UtcTimestamp(1, 1 << 22).to_octets(),) * 2
 
     def test_field_ranges(self):
         with pytest.raises(ValueError):

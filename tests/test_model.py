@@ -11,8 +11,8 @@ from svlite.model import (
     Quality,
     SchemaMember,
     Validity,
-    decode_quality,
     encode_quality,
+    quality_from_word,
     from_engineering,
     to_engineering,
 )
@@ -166,11 +166,7 @@ class TestQuality:
         for validity in Validity:
             for test in (False, True):
                 q = Quality(validity, test)
-                assert decode_quality(encode_quality(q)) == q
-
-    def test_decode_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            decode_quality(b"\x00")
+                assert quality_from_word(encode_quality(q)[1]) == q
 
 
 class TestDatasetSchema:

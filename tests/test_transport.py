@@ -3,6 +3,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import GOLDEN_SCHEMA, golden_frame
 from svlite.analyzer import StreamAnalyzer
@@ -66,6 +67,39 @@ class Collector:
     def __exit__(self, *exc_info):
         self._thread.join(timeout=15.0)
         assert not self._thread.is_alive(), "subscriber stuck"
+
+
+class RecordingSocket:
+    """Stands in for the publisher's socket: keeps each datagram sent, and
+    raises ``OSError`` once ``fail_after`` have been sent."""
+
+    def __init__(self, fail_after: int | None = None):
+        self.sent: list[bytes] = []
+        self.fail_after = fail_after
+
+    def sendto(self, data, address):
+        if len(self.sent) == self.fail_after:
+            raise OSError("send failed")
+        self.sent.append(bytes(data))
+
+
+def published_stamp(clock: float) -> tuple[int, int]:
+    """(seconds, fraction) of refrTm in the frame published when the
+    clock reads ``clock``."""
+    sock = RecordingSocket()
+    publish_stream(unicast(1), golden_frame(), GOLDEN_SCHEMA,
+                   lambda tick: bytes(GOLDEN_SCHEMA.packed_width),
+                   rate=4000, frames=1, sock=sock, timestamper=lambda: clock)
+    stamp = decode_frame(sock.sent[0]).apdu.asdus[0].refr_tm
+    return stamp.seconds, stamp.fraction
+
+
+def truncated_stamp(t: float) -> tuple[int, int]:
+    """Reference: the clock truncated to whole seconds, and the rest to
+    whole 2**-24 s, as the publisher has always stamped it."""
+    seconds = int(t)
+    fraction = int((t - seconds) * (1 << 24))
+    return seconds, min(fraction, 0xFF_FFFF)
 
 
 class TestEndpointConfig:
@@ -147,6 +181,33 @@ class TestPublishCounters:
                            pace_hz=100_000.0, sock=dead)
         assert isinstance(excinfo.value.state, PublisherState)
         assert excinfo.value.state.frames_sent == 0
+
+    def test_transport_error_carries_the_counter_reached(self):
+        sock = RecordingSocket(fail_after=3)
+        with pytest.raises(TransportError) as excinfo:
+            publish_stream(unicast(1), golden_frame(), GOLDEN_SCHEMA,
+                           lambda tick: bytes(GOLDEN_SCHEMA.packed_width),
+                           rate=4000, frames=5, pace_hz=100_000.0,
+                           start_smp_cnt=3998, sock=sock)
+        state = excinfo.value.state
+        assert (state.frames_sent, state.smp_cnt) == (3, 1)
+
+
+class TestPublisherStamp:
+    def test_fraction_truncates_where_rounding_would_not(self):
+        assert published_stamp(3 * 2**-25) == (0, 1)  # 1.5 steps, not 2
+
+    def test_fraction_just_below_a_second_does_not_carry(self):
+        assert published_stamp(1 - 2**-30) == (0, 0xFF_FFFF)
+
+    @pytest.mark.parametrize("clock", [-1.0, 2.0**32])
+    def test_clock_outside_the_seconds_field_raises(self, clock):
+        with pytest.raises(ValueError):
+            published_stamp(clock)
+
+    @given(st.floats(0, 2.0**32, exclude_max=True))
+    def test_stamp_parity_with_truncation(self, clock):
+        assert published_stamp(clock) == truncated_stamp(clock)
 
 
 class TestLoopbackUnicast:
