@@ -285,18 +285,26 @@ def _walk(data: bytes, cursor: int):
             end = ends[-1]
 
 
-def _inspect(data: bytes):
+def _inspect(data: bytes, mode: DecodeMode | None = None):
     """Make each check of decoding on ``data`` once, in decoding's order.
 
     Returns ``(header, tlvs, faults, asdus)``: the TCI (None untagged),
     EtherType (the TPID untagged), APPID, Length, Reserved1 and Reserved2,
     zeros past a short frame; the walk's TLVs; the faults; and per ASDU its
-    field rows and the values lenient decoding reads. A fault is the
-    exception strict decoding raises, the warning lenient decoding records
-    instead (None: it raises too) and the dissect rows that show it: an int
-    flags the row that many past the savPdu's, a row is added after the TLV
-    rows. Checks go on past a fault lenient decoding raises.
+    field rows and the values lenient decoding reads. A fault is the error
+    class and message strict decoding raises, the warning lenient decoding
+    records instead (None: it raises too) and the dissect rows that show
+    it: an int flags the row that many past the savPdu's, a row is added
+    after the TLV rows. Under a decode ``mode`` the check that finds a
+    fault that mode rejects raises it; with none, every fault is listed.
     """
+    faults = []
+
+    def add(error, message, lenient, rows):
+        if mode is DecodeMode.STRICT or (mode is not None and lenient is None):
+            raise error(message)
+        faults.append((error, message, lenient, rows))
+
     n = len(data)
     tagged = data[12:14] == b"\x81\x00"
     apdu_start = 18 if tagged else 14
@@ -305,41 +313,38 @@ def _inspect(data: bytes):
     header = ((head[14] << 8) | head[15] if tagged else None,
               *struct.unpack_from(">5H", head, apdu_start - 2))
     _, ethertype, _, length_field, res1, res2 = header
-    faults = []
-    add = faults.append
     if n >= apdu_start:
         if not tagged:
-            add((BadEtherType(f"expected 802.1Q TPID 0x8100, got 0x{ethertype:04x}"),
-                 "missing 802.1Q tag" if ethertype == ETHERTYPE_SV else None, (-6,)))
+            add(BadEtherType, f"expected 802.1Q TPID 0x8100, got 0x{ethertype:04x}",
+                "missing 802.1Q tag" if ethertype == ETHERTYPE_SV else None, (-6,))
         if ethertype != ETHERTYPE_SV:
-            add((BadEtherType(f"EtherType 0x{ethertype:04x} is not IEC 61850/SV "
-                              "(0x88ba)"), None, (-5,)))
+            add(BadEtherType, f"EtherType 0x{ethertype:04x} is not IEC 61850/SV "
+                              "(0x88ba)", None, (-5,))
     if n < cursor:
         message = (f"frame of {n} octets ends inside the link header" if n < 14
                    else "frame ends inside the 802.1Q tag" if n < apdu_start
                    else "frame ends inside the APPID header")
-        add((Truncated(message), None,
-             (_warning(0, f"TRUNCATED at offset {n}" if n else "empty capture"),)))
+        add(Truncated, message, None,
+            (_warning(0, f"TRUNCATED at offset {n}" if n else "empty capture"),))
         return header, [], faults, []
     if res1 or res2:
         message = f"reserved octets nonzero (0x{res1:04x} 0x{res2:04x})"
-        add((BadHeader(message), message, (-2,) * bool(res1) + (-1,) * bool(res2)))
+        add(BadHeader, message, message, (-2,) * bool(res1) + (-1,) * bool(res2))
     tlvs, stop = _walk(data, cursor)
     if tlvs:  # else the walk stopped in the savPdu's header or value
         _, tag, _, _, end = tlvs[0]
         if tag != TAG_SAVPDU:
-            add((UnknownTag(f"expected savPdu tag 0x60, got 0x{tag:02x}"), None,
-                 (0,)))
+            add(UnknownTag, f"expected savPdu tag 0x60, got 0x{tag:02x}", None, (0,))
         actual = end - apdu_start
         if length_field != actual:
             message = f"Length field {length_field} != actual APDU length {actual}"
-            add((LengthMismatch(message), message,
-                 (_warning(0, f"Length field {length_field} != actual {actual}"),)))
+            add(LengthMismatch, message, message,
+                (_warning(0, f"Length field {length_field} != actual {actual}"),))
         if end != n:
             message = f"{n - end} trailing octets after savPdu"
             tail = data[end:].hex()
-            add((LengthMismatch(message), message,
-                 (_warning(0, f"{n - end} trailing octets", tail, tail),)))
+            add(LengthMismatch, message, message,
+                (_warning(0, f"{n - end} trailing octets", tail, tail),))
 
     asdus: list[tuple[dict[int, int], dict[int, bytes]]] = []
     rows: dict[int, int] = {}  # by tag, the row of each field of the open ASDU
@@ -350,7 +355,7 @@ def _inspect(data: bytes):
         if depth == 3 and tag in _ASDU_FIELDS:
             if tag in values:
                 message = f"duplicate {_ASDU_FIELDS[tag][0]} in ASDU"
-                add((SchemaMismatch(message), message + ", keeping the last", (row,)))
+                add(SchemaMismatch, message, message + ", keeping the last", (row,))
             rows[tag] = row
             values[tag] = data[start:end]
         elif depth == 2 and tag == TAG_ASDU:
@@ -363,52 +368,48 @@ def _inspect(data: bytes):
             no_asdu_row = row
         elif depth != 1 or tag != TAG_SEQASDU:
             where = _CONTAINER_NAMES[depth - 1]
-            add((UnknownTag(f"unexpected tag 0x{tag:02x} inside {where}"),
-                 f"skipped tag 0x{tag:02x} inside {where}", (row,)))
+            add(UnknownTag, f"unexpected tag 0x{tag:02x} inside {where}",
+                f"skipped tag 0x{tag:02x} inside {where}", (row,))
         # An ASDU is checked once its last field is in, or at once when it
         # is empty, before any fault in a later header surfaces.
         if end == asdu_end and (depth == 3 or start == end):
-            asdus.append((rows, _asdu_values(values, rows, asdu_row, faults)))
+            asdus.append((rows, _asdu_values(values, rows, asdu_row, add)))
     if stop is not None:
         error, message, offset, overrun = stop
-        exc = error(message)
-        exc.offset = offset
-        exc.overrun = overrun
         shown = () if overrun is None else (_overrun_row(data, overrun),)
-        add((exc, None, (*shown, _warning(0, f"TRUNCATED at offset {offset}"))))
+        add(error, message, None,
+            (*shown, _warning(0, f"TRUNCATED at offset {offset}")))
     elif no_asdu is None:
         message = "savPdu carries no noASDU field"
-        add((SchemaMismatch(message), message, (0,)))
+        add(SchemaMismatch, message, message, (0,))
     elif no_asdu != len(asdus):
         message = f"noASDU says {no_asdu}, found {len(asdus)} ASDU elements"
-        add((CountMismatch(message), message, (no_asdu_row,)))
+        add(CountMismatch, message, message, (no_asdu_row,))
     return header, tlvs, faults, asdus
 
 
 def _asdu_values(raw: dict[int, bytes], rows: dict[int, int], asdu_row: int,
-                 faults: list) -> dict[int, bytes]:
-    """Append the faults of the ASDU whose field values ``raw`` and rows
+                 add) -> dict[int, bytes]:
+    """``add`` the faults of the ASDU whose field values ``raw`` and rows
     ``rows`` hold by tag; return the values lenient decoding reads, repaired
     in ``raw`` unless a field is missing."""
     if len(raw) != len(_ASDU_FIELDS):
         missing = [field[0] for tag, field in _ASDU_FIELDS.items() if tag not in raw]
         message = "ASDU missing " + ", ".join(missing)
-        faults.append((SchemaMismatch(message), message, (asdu_row,)))
+        add(SchemaMismatch, message, message, (asdu_row,))
         raw = {tag: field[2] for tag, field in _ASDU_FIELDS.items()} | raw
     if not raw[TAG_SVID].isascii():
-        faults.append((SchemaMismatch("svID is not ASCII"),
-                       "svID is not ASCII, decoded with replacements",
-                       (rows[TAG_SVID],)))
+        add(SchemaMismatch, "svID is not ASCII",
+            "svID is not ASCII, decoded with replacements", (rows[TAG_SVID],))
     for tag, (name, width, _, _) in _ASDU_FIELDS.items():
         if width and len(raw[tag]) != width:
             message = f"{name} is {len(raw[tag])} octets, expected {width}"
-            faults.append((LengthMismatch(message), message, (rows[tag],)))
+            add(LengthMismatch, message, message, (rows[tag],))
     raw[TAG_REFRTM] = raw[TAG_REFRTM][:8].ljust(8, b"\x00")
     synch = int.from_bytes(raw[TAG_SMPSYNCH], "big")
     if synch > 2:
         message = f"smpSynch value {synch} is not 0/1/2"
-        faults.append((SchemaMismatch(message), message + ", using none",
-                       (rows[TAG_SMPSYNCH],)))
+        add(SchemaMismatch, message, message + ", using none", (rows[TAG_SMPSYNCH],))
         raw[TAG_SMPSYNCH] = b"\0"
     return raw
 
@@ -422,17 +423,13 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
     which keeps third-party frames with sloppy length octets readable.
     """
     data = bytes(data)
-    header, _, faults, asdus = _inspect(data)
-    strict = mode is DecodeMode.STRICT
-    for exc, lenient, _ in faults:
-        if strict or lenient is None:
-            raise exc
+    header, _, faults, asdus = _inspect(data, mode)
     tci, _, appid, *_ = header
     vlan = (VlanTag(priority=0) if tci is None
             else VlanTag(tci >> 13, bool(tci & 0x1000), tci & 0x0FFF))
     return SvFrame(data[0:6], data[6:12], vlan, appid,
                    SavApdu([_asdu_from_values(values) for _, values in asdus]),
-                   decode_warnings=tuple(lenient for _, lenient, _ in faults))
+                   decode_warnings=tuple(lenient for _, _, lenient, _ in faults))
 
 
 _SMP_SYNCH = tuple(SmpSynch)
@@ -578,7 +575,7 @@ def dissect(data: bytes) -> list[DissectLine]:
     # A short capture keeps the rows of the octets it holds.
     del lines[bisect_right(_HEADER_ROW_ENDS[tci is not None], len(data)):]
     _tlv_rows(data, tlvs, lines)
-    for _, _, rows in faults:
+    for *_, rows in faults:
         for row in rows:
             if type(row) is int:
                 lines[savpdu_row + row] = WarningLine(lines[savpdu_row + row])

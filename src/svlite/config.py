@@ -74,6 +74,11 @@ _BOUNDS = {"appid": (0, 0xFFFF), "vlan_priority": (0, 7), "vlan_id": (0, 0x0FFF)
 
 def _value_error(key: str, value) -> str | None:
     """Why a config file cannot hold ``value`` for scalar ``key``, or None."""
+    kind = _PARSED_TYPES[_KEYS[key][1]]
+    if type(value) is not kind:  # so a bool is no int
+        if value is None and key == "bind_interface":  # unset
+            return None
+        return f"{key} must be of type {kind.__name__}, got {value!r}"
     if key in _BOUNDS:
         lo, hi = _BOUNDS[key]
         if not lo <= value <= hi:
@@ -86,7 +91,7 @@ def _value_error(key: str, value) -> str | None:
         return f"sv_id must be 1..{SVID_MAX_LEN} ASCII characters"
     elif key.endswith("_mac") and len(value) != 6:
         return f"{key} needs 6 octets, got {len(value)}"
-    elif isinstance(value, str):
+    elif kind is str:
         return _line_error(key, value)
     return None
 
@@ -94,6 +99,8 @@ def _value_error(key: str, value) -> str | None:
 def _line_error(key: str, text: str, forbidden: str = "#") -> str | None:
     # A config line ends at a line break, drops a comment after '#' and the
     # spaces at either end, and a member line splits at ':'.
+    if type(text) is not str:
+        return f"{key} must be of type str, got {text!r}"
     if (text != text.strip() or len(text.splitlines()) > 1
             or any(c in text for c in forbidden)):
         return f"{key} {text!r} does not fit on one config line"
@@ -288,6 +295,10 @@ def _conv_mode(lineno, key, value):
     except ValueError:
         _fail(lineno, f"{key} must be unicast|multicast, got {value!r}")
 
+
+# The type of what each parser returns, which the value of its key must have.
+_PARSED_TYPES = {_parse_int: int, _conv_str: str, _conv_mac: bytes,
+                 _conv_smp_synch: SmpSynch, _conv_mode: Mode}
 
 # Every scalar key in file order: the EndpointConfig field it sets (None
 # for a RunConfig field of the same name), its parser and its renderer;

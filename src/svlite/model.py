@@ -45,7 +45,10 @@ def _int_range(width: int, signed: bool) -> tuple[int, int]:
 
 
 def check_range(name: str, value: int, lo: int, hi: int) -> None:
-    """Raise ``ValueError`` unless ``lo <= value <= hi``."""
+    """Raise ``ValueError`` unless ``value`` is an int (not a bool) and
+    ``lo <= value <= hi``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be of type int, got {value!r}")
     if not lo <= value <= hi:
         raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
 
@@ -138,8 +141,12 @@ class SchemaMember:
     include_quality: bool = False
 
     def __post_init__(self):
-        if self.width not in (2, 4):
-            raise ValueError(f"member width must be 2 or 4, got {self.width}")
+        if type(self.width) is not int or self.width not in (2, 4):
+            raise ValueError(f"member width must be 2 or 4, got {self.width!r}")
+        for name in ("signed", "include_quality"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ValueError(f"{name} must be of type bool, got {value!r}")
         check_range("scale_factor", self.scale_factor, *_INT8)
         check_range("offset", self.offset, *_INT32)
 

@@ -38,13 +38,21 @@ class ChannelSpec:
     invalid_every_nth: int = 0  # 0: quality always good
 
     def __post_init__(self):
+        if type(self.kind) is not WaveKind:
+            raise ValueError(f"kind must be of type WaveKind, got {self.kind!r}")
         for name in ("amplitude", "phase_rad", "dc_offset", "noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not float:
+                raise ValueError(f"{name} must be of type float, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        if type(self.invalid_every_nth) is not int:
+            raise ValueError("invalid_every_nth must be of type int, "
+                             f"got {self.invalid_every_nth!r}")
         if self.invalid_every_nth < 0:
             raise ValueError(
                 f"invalid_every_nth must be >= 0, got {self.invalid_every_nth}")

@@ -27,6 +27,8 @@ DEFAULT_TTL = 1
 # Inclusive bounds of the integer endpoint fields, which config checks too.
 PORT_RANGE = (1, 0xFFFF)
 TTL_RANGE = (0, 0xFF)
+# Octets the subscriber reads of each datagram; the rest of a longer one is lost.
+RECV_BUFFER = 2048
 
 
 class Mode(Enum):
@@ -43,6 +45,10 @@ class EndpointConfig:
     bind_interface: str | None = None
 
     def __post_init__(self):
+        if type(self.mode) is not Mode:
+            raise ValueError(f"mode must be of type Mode, got {self.mode!r}")
+        if type(self.address) is not str:  # IPv4Address also takes ints and bytes
+            raise ValueError(f"address must be of type str, got {self.address!r}")
         addr = IPv4Address(self.address)
         if self.mode is Mode.MULTICAST and not addr.is_multicast:
             raise ValueError(
@@ -197,7 +203,6 @@ def subscribe(
     stop,
     *,
     poll_interval: float = 0.05,
-    buffer_size: int = 2048,
 ) -> ReceiveSummary:
     """Receive datagrams and hand each payload to ``sink`` in arrival order.
 
@@ -230,7 +235,7 @@ def subscribe(
         sock.settimeout(poll_interval)
         while not stop():
             try:
-                data = sock.recv(buffer_size)
+                data = sock.recv(RECV_BUFFER)
             except socket.timeout:
                 continue
             summary.datagrams += 1

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import fields, replace
 from fractions import Fraction
 from ipaddress import IPv4Address
 
@@ -275,6 +276,31 @@ VALID_CONFIGS = st.builds(
     channels=st.lists(CHANNELS, min_size=1, max_size=4).map(tuple))
 
 
+# Every scalar field a RunConfig holds, by the object that holds it.
+SCALAR_FIELDS = (
+    [("config", f.name) for f in fields(RunConfig)
+     if f.name not in ("endpoint", "channels")]
+    + [("endpoint", f.name) for f in fields(EndpointConfig)]
+    + [("member", f.name) for f in fields(SchemaMember)]
+    + [("channel", f.name) for f in fields(ChannelSpec) if f.name != "member"])
+
+
+def _config_with(owner: str, name: str, value) -> RunConfig:
+    """The built-in config, over a unicast endpoint and its first channel
+    only, with field ``name`` of ``owner`` set to ``value``."""
+    endpoint = EndpointConfig(mode=Mode.UNICAST, address="127.0.0.1")
+    channel = RunConfig().channels[0]
+    if owner == "config":
+        return RunConfig(endpoint=endpoint, channels=(channel,), **{name: value})
+    if owner == "endpoint":
+        endpoint = replace(endpoint, **{name: value})
+    elif owner == "member":
+        channel = replace(channel, member=replace(channel.member, **{name: value}))
+    else:
+        channel = replace(channel, **{name: value})
+    return RunConfig(endpoint=endpoint, channels=(channel,))
+
+
 class TestConfigRoundTrip:
     @given(VALID_CONFIGS)
     def test_any_valid_config_dump_reloads(self, cfg):
@@ -309,6 +335,37 @@ class TestConfigRoundTrip:
     def test_what_a_config_file_cannot_hold_raises_value_error(self, fields):
         with pytest.raises(ValueError):
             RunConfig(**fields)
+
+    @pytest.mark.parametrize("build", [
+        lambda: RunConfig(smp_synch=1),
+        lambda: RunConfig(endpoint=EndpointConfig(mode="unicast",
+                                                  address="127.0.0.1")),
+        lambda: RunConfig(nominal_hz=50.0),
+        lambda: RunConfig(vlan_priority=True),
+        lambda: RunConfig(points_per_period=80.0),
+        lambda: EndpointConfig(port=61850.0),
+        lambda: SchemaMember("TCTR1.AmpSv.instMag.i", width=4.0),
+        lambda: SchemaMember("TCTR1.AmpSv.instMag.i", 4, scale_factor=1.5),
+        lambda: ChannelSpec(SchemaMember("TCTR1.AmpSv.instMag.i", 4),
+                            invalid_every_nth=2.5),
+        lambda: RunConfig(sv_id=b"abc"),
+    ], ids=["smp_synch", "mode", "nominal_hz", "vlan_priority",
+            "points_per_period", "port", "width", "scale_factor",
+            "invalid_every_nth", "sv_id"])
+    def test_scalar_of_another_type_raises_value_error(self, build):
+        # Each of these was accepted, then failed to dump or to reload equal.
+        with pytest.raises(ValueError, match="must be"):
+            build()
+
+    @given(field=st.sampled_from(SCALAR_FIELDS),
+           value=st.integers() | st.floats() | st.booleans() | st.text()
+           | st.binary() | st.none())
+    def test_any_scalar_dump_reloads_or_raises_value_error(self, field, value):
+        try:
+            cfg = _config_with(*field, value)
+        except ValueError:
+            return
+        assert parse_config(dump_config(cfg)) == cfg
 
     def test_default_dump_reloads_identically(self):
         cfg = RunConfig()

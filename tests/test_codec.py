@@ -12,7 +12,7 @@ from helpers import (
     random_valid_frame,
     verify_frame_lengths,
 )
-from svlite import ber
+from svlite import ber, codec
 from svlite.codec import (
     Asdu,
     DecodeMode,
@@ -176,6 +176,30 @@ class TestDecodeModes:
             decode_frame(bytes(wire))
         frame = decode_frame(bytes(wire), DecodeMode.LENIENT)
         assert len(frame.decode_warnings) == 1
+
+    @pytest.mark.parametrize("wire,error", [
+        (GOLDEN_WIRE[:23] + b"\x01" + GOLDEN_WIRE[24:], BadHeader),
+        (GOLDEN_WIRE[:16] + b"\x08\x00" + GOLDEN_WIRE[18:], BadEtherType),
+        (GOLDEN_WIRE[:12] + GOLDEN_WIRE[16:], BadEtherType),
+    ], ids=["reserved1", "ethertype", "untagged"])
+    def test_strict_decode_raises_a_header_fault_before_the_walk(
+            self, monkeypatch, wire, error):
+        def walk(*_):
+            raise AssertionError("strict decode walked past a header fault")
+        monkeypatch.setattr(codec, "_walk", walk)
+        with pytest.raises(error):
+            decode_frame(wire)
+
+    def test_lenient_decode_walks_past_nonzero_reserved_octets(self, monkeypatch):
+        walks = []
+        walk = codec._walk
+        monkeypatch.setattr(codec, "_walk", lambda *args: walks.append(args)
+                            or walk(*args))
+        wire = GOLDEN_WIRE[:23] + b"\x01" + GOLDEN_WIRE[24:]
+        frame = decode_frame(wire, DecodeMode.LENIENT)
+        assert len(walks) == 1
+        assert frame == golden_frame()
+        assert frame.decode_warnings == ("reserved octets nonzero (0x0001 0x0000)",)
 
     def test_unknown_asdu_tag_skipped_leniently(self):
         # Rebuild the frame with a smpRate-style 0x86 TLV spliced in.

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import GOLDEN_WIRE, random_valid_frame
 from svlite.codec import (
     DecodeMode,
+    _inspect,
     WarningLine,
     decode_frame,
     dissect,
@@ -187,7 +188,9 @@ def test_mutation_property(seed, flips, cut):
 def test_dissect_warns_iff_strict_decoding_raises(seed, edits, cut, trailing):
     """Bit flips, byte replacements, a truncation and trailing octets of a
     valid wire: dissect shows a ``WarningLine`` exactly when strict decoding
-    raises."""
+    raises. Against the faults the pass lists with no decode mode, strict
+    decoding raises the first, and lenient decoding the first it has no
+    warning for, or else returns the warning of each."""
     frame, schema = random_valid_frame(random.Random(seed))
     mutated = bytearray(encode_frame(frame, schema))
     for flip, at, value in edits:
@@ -198,5 +201,20 @@ def test_dissect_warns_iff_strict_decoding_raises(seed, edits, cut, trailing):
             mutated[at % len(mutated)] = value
     if cut is not None:
         mutated = mutated[:cut % (len(mutated) + 1)]
-    warned, rejected = _warns_and_rejects(bytes(mutated) + trailing)
+    wire = bytes(mutated) + trailing
+    warned, rejected = _warns_and_rejects(wire)
     assert warned == rejected
+    faults = _inspect(wire)[2]
+    assert _raised_or_warnings(wire, DecodeMode.STRICT) == (
+        faults[0][:2] if faults else ())
+    fatal = [fault[:2] for fault in faults if fault[2] is None]
+    assert _raised_or_warnings(wire, DecodeMode.LENIENT) == (
+        fatal[0] if fatal else tuple(lenient for _, _, lenient, _ in faults))
+
+
+def _raised_or_warnings(wire: bytes, mode: DecodeMode):
+    """The class and message of what decoding raises, or its warnings."""
+    try:
+        return decode_frame(wire, mode).decode_warnings
+    except SvError as exc:
+        return type(exc), str(exc)
