@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .codec import DecodeMode, FramePlan, decode_frame, unpack_seq_data
+from .codec import DecodeMode, FramePlan, decode_frame, seq_data_values, \
+    unpack_seq_data
 from .errors import SvError
 from .model import DatasetSchema
+
+# Quality words (the low octet) whose validity bits are not GOOD.
+_NOT_GOOD = frozenset(word for word in range(0x100) if word & 0x03)
 
 
 @dataclass(frozen=True)
@@ -56,12 +61,14 @@ class StreamAnalyzer:
     advance the expected counter.
 
     The first datagram that decodes with no warning compiles a
-    :class:`FramePlan`; each later datagram that matches it is read at the
-    plan's offsets without a decode, every other one is decoded as before.
-    Both give the same counters. Each ASDU's seqData is then unpacked: a
-    wrong width or an undefined validity is a decode failure, and a record
-    with a quality that is not good is discarded, a scan that a schema
-    without quality members skips.
+    :class:`FramePlan`, and from it and the schema one struct read of ASDU
+    0's smpCnt and every ASDU's seqData fields. Each later datagram that
+    matches the plan is read by that one unpack, and its quality judged
+    from the raw quality words; every other one is decoded and its seqData
+    unpacked as before. Both give the same counters: a wrong seqData width
+    or an undefined validity is a decode failure, a record with a quality
+    that is not good is discarded, and only an accepted record has its
+    values built.
     """
 
     def __init__(self, wrap_modulus: int, schema: DatasetSchema):
@@ -75,7 +82,13 @@ class StreamAnalyzer:
         self.out_of_order = 0
         self.quality_discarded = 0
         self.accepted: list = []
-        self._has_quality = any(m.include_quality for m in schema)
+        # Index of each quality word among one seqData's fields, the first
+        # twice, so that the getter returns a tuple for a single word too.
+        codes = schema.seq_struct.format[1:].replace("x", "")
+        quality_at = [index for index, code in enumerate(codes) if code == "B"]
+        self._has_quality = bool(quality_at)
+        if quality_at:
+            self._quality_words = itemgetter(*quality_at, quality_at[0])
         self._expected: int | None = None
         # Layout of the first datagram that decoded with no warning.
         self._plan: FramePlan | None = None
@@ -90,10 +103,10 @@ class StreamAnalyzer:
         if plan is not None and plan.matches(datagram):
             # Same fixed octets as the frame the plan was learned from, so
             # a lenient decode would give that frame, no warning, and the
-            # smpCnt and seqData octets read here.
-            first = plan.asdus[0][0]
-            smp_cnt = int.from_bytes(datagram[first:first + 2], "big")
-            seq_data = [datagram[start:end] for _, _, start, end in plan.asdus]
+            # smpCnt and seqData read here.
+            fields = self._read(datagram)
+            smp_cnt = fields[self._smp_cnt_at]
+            seq_data = None
         else:
             try:
                 frame = decode_frame(datagram, DecodeMode.LENIENT)
@@ -104,7 +117,9 @@ class StreamAnalyzer:
                 self.decode_failures += 1
                 return
             if plan is None and not frame.decode_warnings:
-                self._plan = FramePlan(datagram)
+                self._plan = plan = FramePlan(datagram)
+                self._read, self._smp_cnt_at, self._records, self._misfits = \
+                    plan.reader(self.schema)
             smp_cnt = frame.apdu.asdus[0].smp_cnt
             seq_data = [asdu.seq_data for asdu in frame.apdu.asdus]
         self.received += 1
@@ -128,6 +143,24 @@ class StreamAnalyzer:
                 self._expected = (smp_cnt + 1) % self.wrap_modulus
             else:
                 self.out_of_order += 1
+        if seq_data is None:
+            self.decode_failures += self._misfits
+            if not self._has_quality:
+                for record in self._records:
+                    self.accepted.append(list(fields[record]))
+                return
+            for record in self._records:
+                values = fields[record]
+                if _NOT_GOOD.isdisjoint(self._quality_words(values)):
+                    self.accepted.append(seq_data_values(values, self.schema))
+                    continue
+                try:  # raises BadQuality on validity 0b11
+                    seq_data_values(values, self.schema)
+                except SvError:
+                    self.decode_failures += 1
+                    continue
+                self.quality_discarded += 1
+            return
         for octets in seq_data:
             try:
                 values = unpack_seq_data(octets, self.schema)

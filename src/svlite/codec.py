@@ -481,6 +481,38 @@ class FramePlan:
         return (len(datagram) == self._fixed.size
                 and self._fixed.unpack(datagram) == self._chunks)
 
+    def reader(self, schema: DatasetSchema) -> tuple:
+        """Compile one read of a datagram that :meth:`matches`.
+
+        Returns ``(unpack, smp_cnt_at, records, misfits)``. ``unpack`` is
+        a struct's: it pads over every fixed octet and every refrTm, reads
+        ASDU 0's smpCnt as ``H``, and reads by ``schema.seq_struct``'s codes
+        each seqData of ``schema.packed_width`` octets. ``smp_cnt_at`` is
+        the index of smpCnt in its fields, ``records`` a slice of them per
+        seqData read, in wire order, and ``misfits`` the count of seqData
+        spans of another width, which are not read.
+        """
+        layout = schema.seq_struct
+        smp_cnt = self.asdus[0][0]
+        seq_data = [start for _, _, start, end in self.asdus
+                    if end - start == layout.size]
+        per_record = len(layout.unpack(bytes(layout.size)))
+        codes, cursor, count = [">"], 0, 0
+        smp_cnt_at, records = None, []
+        for start in sorted([smp_cnt, *seq_data]):
+            if start == smp_cnt:
+                codes.append(f"{start - cursor}xH")
+                cursor, smp_cnt_at = start + 2, count
+                count += 1
+            else:
+                codes.append(f"{start - cursor}x{layout.format[1:]}")
+                cursor = start + layout.size
+                records.append(slice(count, count + per_record))
+                count += per_record
+        codes.append(f"{self._fixed.size - cursor}x")
+        return (struct.Struct("".join(codes)).unpack, smp_cnt_at,
+                tuple(records), len(self.asdus) - len(seq_data))
+
 
 def pack_seq_data(values, schema: DatasetSchema) -> bytes:
     """Concatenate raw samples in schema order, big-endian.
@@ -521,7 +553,12 @@ def unpack_seq_data(octets: bytes, schema: DatasetSchema) -> list:
     if len(octets) != layout.size:
         raise WidthMismatch(
             f"{len(octets)} octets against a schema of {layout.size}")
-    fields = layout.unpack(octets)
+    return seq_data_values(layout.unpack(octets), schema)
+
+
+def seq_data_values(fields, schema: DatasetSchema) -> list:
+    """The values of one seqData from its ``schema.seq_struct`` fields: a
+    raw integer per member, paired with its quality where it has one."""
     if len(fields) == len(schema.members):
         return list(fields)
     out = []

@@ -53,6 +53,9 @@ class RunConfig:
             error = _value_error(key, value)
             if error:
                 raise ValueError(error)
+        if type(self.channels) is not tuple:  # a reload holds a tuple
+            raise ValueError(f"channels must be of type tuple, got "
+                             f"{type(self.channels).__name__}")
         error = _schema_error(self.schema)
         if error:
             raise ValueError(error)

@@ -13,6 +13,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
+# Longest delay a link may add, in seconds: no subscriber waits an hour for
+# a sample.
+MAX_DELAY_S = 3600.0
+
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -31,11 +35,13 @@ class LinkSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        # uniform(-jitter, jitter) spans 2 * jitter, which must not overflow.
-        if not math.isfinite(self.base_latency + 2 * self.jitter):
+        # uniform(-jitter, jitter) spans 2 * jitter. The bound keeps that
+        # span, arrival times and the analyzer's squared inter-arrival
+        # deviations far inside the float range.
+        if not self.base_latency + 2 * self.jitter <= MAX_DELAY_S:
             raise ValueError(
-                f"base_latency + 2 * jitter must be finite, got "
-                f"{self.base_latency} + 2 * {self.jitter}")
+                f"base_latency + 2 * jitter must be finite and at most "
+                f"{MAX_DELAY_S:g} s, got {self.base_latency} + 2 * {self.jitter}")
 
 
 class Channel:

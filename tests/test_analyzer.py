@@ -1,12 +1,17 @@
 import copy
 import random
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import GOLDEN_SCHEMA, golden_frame, random_valid_frame
 from svlite import analyzer as analyzer_module
 from svlite.analyzer import StreamAnalyzer, format_link_stats
+from svlite.cli import simulate
 from svlite.codec import FramePlan, UtcTimestamp, encode_frame, pack_seq_data
+from svlite.config import parse_config
 from svlite.model import DatasetSchema, Quality, SchemaMember, Validity
 from svlite.netsim import Channel, LinkSpec
 
@@ -281,18 +286,70 @@ def _state(schema, datagrams):
     return analyzer.report(), analyzer.decode_failures, analyzer.accepted
 
 
-@pytest.fixture
-def decode_calls(monkeypatch):
-    """Arguments of every ``decode_frame`` call the analyzer makes."""
+def _count_calls(monkeypatch, name):
+    """Arguments of every call the analyzer makes to its ``name``."""
     calls = []
-    decode_frame = analyzer_module.decode_frame
+    function = getattr(analyzer_module, name)
 
     def counting(*args):
         calls.append(args)
-        return decode_frame(*args)
+        return function(*args)
 
-    monkeypatch.setattr(analyzer_module, "decode_frame", counting)
+    monkeypatch.setattr(analyzer_module, name, counting)
     return calls
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    return _count_calls(monkeypatch, "decode_frame")
+
+
+@pytest.fixture
+def unpack_calls(monkeypatch):
+    return _count_calls(monkeypatch, "unpack_seq_data")
+
+
+# Two members with a quality word around one without, so that the words
+# sit at uneven field indices.
+MIXED_SCHEMA = DatasetSchema([
+    SchemaMember("TCTR1.AmpSv.instMag.i", 4, include_quality=True),
+    SchemaMember("TCTR1.AmpSv.instMag.n", 2, signed=False),
+    SchemaMember("VCVR1.VolSv.instMag.i", 2, include_quality=True),
+])
+
+# Low quality octets: good, good with test set or high bits, invalid,
+# questionable, and the undefined validity 0b11.
+QUALITY_OCTETS = (0x00, 0x04, 0xf0, 0x01, 0x02, 0x03, 0x07)
+
+
+def multi_asdu_wire(schema, seq_data, smp_cnt=0):
+    """The golden frame's header and ASDU fields, one ASDU per seqData."""
+    frame = golden_frame()
+    first = frame.apdu.asdus[0]
+    frame.apdu.asdus = [replace(first, smp_cnt=(smp_cnt + i) % 0x10000,
+                                seq_data=octets)
+                        for i, octets in enumerate(seq_data)]
+    return encode_frame(frame, schema)
+
+
+def mixed_seq_data(rng, words):
+    """One MIXED_SCHEMA seqData of random values with the two quality
+    words' low octets set to ``words``."""
+    octets = bytearray(rng.randbytes(MIXED_SCHEMA.packed_width))
+    octets[5], octets[11] = words
+    return bytes(octets)
+
+
+def planned_stream(seed, frames=60):
+    """Three-ASDU MIXED_SCHEMA datagrams with every pairing of quality
+    octets, each datagram on the plan of the first."""
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in QUALITY_OCTETS for b in QUALITY_OCTETS]
+    datagrams = [multi_asdu_wire(MIXED_SCHEMA, [mixed_seq_data(rng, (0, 0))] * 3)]
+    for index in range(1, frames):
+        seq_data = [mixed_seq_data(rng, rng.choice(pairs)) for _ in range(3)]
+        datagrams.append(multi_asdu_wire(MIXED_SCHEMA, seq_data, 3 * index))
+    return datagrams
 
 
 FAST_PATH_SEEDS = range(40)
@@ -326,6 +383,66 @@ class TestFramePlanFastPath:
         monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
         assert fast == _state(QUALITY_SCHEMA, datagrams)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_multi_asdu_quality_words(self, seed, decode_calls, monkeypatch):
+        datagrams = planned_stream(seed)
+        fast = _state(MIXED_SCHEMA, datagrams)
+        assert len(decode_calls) == 1
+        stats, decode_failures, accepted = fast
+        assert stats.received == len(datagrams)
+        assert decode_failures and stats.quality_discarded and accepted
+        assert decode_failures + stats.quality_discarded + len(accepted) \
+            == 3 * len(datagrams)
+        assert all(quality.validity == Validity.GOOD
+                   for record in accepted for _, quality in record[::2])
+        monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
+        assert fast == _state(MIXED_SCHEMA, datagrams)
+
+    def test_undefined_validity_fails_only_its_asdu(self, decode_calls):
+        rng = random.Random(5)
+        good = mixed_seq_data(rng, (0x04, 0x00))
+        analyzer = StreamAnalyzer(4000, MIXED_SCHEMA)
+        analyzer.ingest(multi_asdu_wire(MIXED_SCHEMA, [good] * 3), 0.0)
+        undefined = mixed_seq_data(rng, (0x01, 0x03))
+        analyzer.ingest(multi_asdu_wire(MIXED_SCHEMA, [good, undefined, good], 3),
+                        250e-6)
+        assert len(decode_calls) == 1  # the second datagram took the plan
+        stats = analyzer.report()
+        assert (stats.received, stats.decode_failures,
+                stats.quality_discarded, len(analyzer.accepted)) == (2, 1, 0, 5)
+        assert analyzer.accepted[-1][0][1] == Quality(test=True)
+
+    def test_invalid_every_channels_on_the_plan(self, decode_calls, monkeypatch):
+        cfg = parse_config("\n".join((
+            "points_per_period = 256",
+            "member = TCTR1.AmpSv.instMag.i:4:signed:-3:0:q",
+            "member = TCTR1.AmpSv.instMag.n:2:signed:-1:0:noq",
+            "member = VCVR1.VolSv.instMag.i:4:signed:-2:0:q",
+            "channel = sine amp=120.5 phase=0.3 invalid_every=7",
+            "channel = noise dc=1.5 sigma=2.0",
+            "channel = const dc=12.3 invalid_every=5",
+        )))
+        link = LinkSpec(loss_probability=0.05, jitter=5e-5,
+                        reorder_probability=0.02, seed=3)
+        fast, channel = simulate(cfg, link, 3000, 3)
+        assert len(decode_calls) == 1
+        assert fast.quality_discarded > 0 and fast.received == channel.delivered
+        monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
+        slow, _ = simulate(cfg, link, 3000, 3)
+        assert (fast.report(), fast.decode_failures, fast.accepted) \
+            == (slow.report(), slow.decode_failures, slow.accepted)
+
+    def test_planned_datagrams_call_neither_decoder(self, decode_calls,
+                                                    unpack_calls):
+        datagrams = planned_stream(7)
+        analyzer = StreamAnalyzer(4000, MIXED_SCHEMA)
+        analyzer.ingest(datagrams[0], 0.0)
+        assert (len(decode_calls), len(unpack_calls)) == (1, 3)
+        for index, datagram in enumerate(datagrams[1:], 1):
+            analyzer.ingest(datagram, index * 250e-6)
+        assert (len(decode_calls), len(unpack_calls)) == (1, 3)
+        assert analyzer.report().received == len(datagrams)
+
     def test_clean_stream_decodes_once(self, decode_calls):
         analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
         feed(analyzer, range(100))
@@ -341,3 +458,54 @@ class TestFramePlanFastPath:
         feed(analyzer, range(1, 4))
         assert len(decode_calls) == 2  # the sloppy frame, then the plan's source
         assert analyzer.report().received == 4
+
+
+@st.composite
+def planned_datagrams(draw):
+    """A random schema and ASDU count, and datagrams of that layout with
+    drawn quality octets, some with a bit flipped in seqData, smpCnt or a
+    fixed octet. Other seqData octets and smpCnt come from a drawn seed."""
+    members = draw(st.lists(st.tuples(st.sampled_from((2, 4)), st.booleans(),
+                                      st.booleans()), min_size=1, max_size=3))
+    schema = DatasetSchema(
+        SchemaMember(f"TCTR{index + 1}.AmpSv.instMag.i", width, signed=signed,
+                     include_quality=quality)
+        for index, (width, signed, quality) in enumerate(members))
+    quality_octets, cursor = [], 0
+    for member in schema:
+        cursor += member.packed_width
+        if member.include_quality:
+            quality_octets.append(cursor - 1)
+    asdu_count = draw(st.integers(1, 3))
+    template = multi_asdu_wire(schema, [bytes(schema.packed_width)] * asdu_count)
+    plan = FramePlan(template)
+    changing = {at for smp_cnt, refr_tm, start, end in plan.asdus
+                for at in (smp_cnt, smp_cnt + 1, *range(refr_tm, refr_tm + 8),
+                           *range(start, end))}
+    fixed = [at for at in range(len(template)) if at not in changing]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    datagrams = []
+    for _ in range(draw(st.integers(1, 6))):
+        seq_data = []
+        for _ in range(asdu_count):
+            octets = bytearray(rng.randbytes(schema.packed_width))
+            for at in quality_octets:
+                octets[at] = draw(st.sampled_from(QUALITY_OCTETS))
+            seq_data.append(bytes(octets))
+        wire = bytearray(multi_asdu_wire(schema, seq_data, rng.randrange(0x10000)))
+        smp_cnt, _, start, end = plan.asdus[draw(st.integers(0, asdu_count - 1))]
+        region = draw(st.sampled_from((None, range(start, end),
+                                       range(smp_cnt, smp_cnt + 2), fixed)))
+        if region is not None:
+            wire[draw(st.sampled_from(region))] ^= 1 << draw(st.integers(0, 7))
+        datagrams.append(bytes(wire))
+    return schema, datagrams
+
+
+@settings(deadline=None)
+@given(planned_datagrams())
+def test_fast_path_state_equals_decoding_every_datagram(stream):
+    schema, datagrams = stream
+    fast = _state(schema, datagrams)
+    with mock.patch.object(FramePlan, "matches", lambda self, datagram: False):
+        assert fast == _state(schema, datagrams)

@@ -349,9 +349,10 @@ class TestConfigRoundTrip:
         lambda: ChannelSpec(SchemaMember("TCTR1.AmpSv.instMag.i", 4),
                             invalid_every_nth=2.5),
         lambda: RunConfig(sv_id=b"abc"),
+        lambda: RunConfig(channels=list(RunConfig().channels)),
     ], ids=["smp_synch", "mode", "nominal_hz", "vlan_priority",
             "points_per_period", "port", "width", "scale_factor",
-            "invalid_every_nth", "sv_id"])
+            "invalid_every_nth", "sv_id", "channels"])
     def test_scalar_of_another_type_raises_value_error(self, build):
         # Each of these was accepted, then failed to dump or to reload equal.
         with pytest.raises(ValueError, match="must be"):
@@ -695,6 +696,23 @@ class TestSimulateCommand:
         assert out == ""
         assert err.startswith("error: base_latency + 2 * jitter must be finite")
         assert "Traceback" not in err
+
+    def test_delay_past_an_hour_exits_2(self, capsys):
+        # Squared inter-arrival deviations of a 1e200 s jitter overflowed:
+        # the run printed an infinite stddev and exited 0.
+        code, out, err = run_cli(capsys, "simulate", "--frames", "50",
+                                 "--jitter", "1e200")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: base_latency + 2 * jitter must be "
+                              "finite and at most 3600 s")
+
+    def test_longest_delay_keeps_inter_arrival_statistics_finite(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--frames", "50",
+                               "--jitter", "1200", "--latency", "1200")
+        assert code == 0
+        stats = dict(line.split(None, 1) for line in out.splitlines())
+        for key in ("inter_arrival_mean", "inter_arrival_stddev"):
+            assert 0 < float(stats[key].split()[0]) < 3600
 
     def test_negative_frame_count_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--frames", "-5")

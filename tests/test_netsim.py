@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import GOLDEN_SCHEMA, golden_frame
 from svlite.analyzer import StreamAnalyzer
 from svlite.codec import encode_frame
-from svlite.netsim import Channel, LinkSpec
+from svlite.netsim import MAX_DELAY_S, Channel, LinkSpec
 
 
 def _send_all(channel, count, interval=250e-6, payload=b"datagram"):
@@ -153,6 +153,21 @@ class TestChannelSpecValidation:
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LinkSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, accepted", [
+        (dict(jitter=MAX_DELAY_S / 2), True),
+        (dict(base_latency=MAX_DELAY_S), True),
+        (dict(jitter=1000.0, base_latency=MAX_DELAY_S - 2000.0), True),
+        (dict(jitter=MAX_DELAY_S / 2 + 1e-9), False),
+        (dict(base_latency=MAX_DELAY_S + 1e-9), False),
+        (dict(jitter=1e200), False),
+    ])
+    def test_delay_bound(self, kwargs, accepted):
+        if accepted:
+            LinkSpec(**kwargs)
+        else:
+            with pytest.raises(ValueError, match="at most 3600 s"):
+                LinkSpec(**kwargs)
 
 
 class HeapChannel:
