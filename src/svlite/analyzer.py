@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .codec import DecodeMode, FramePlan, decode_frame, seq_data_values, \
-    unpack_seq_data
+from .codec import DecodeMode, FramePlan, decode_frame, seq_data_values
+from .codec import unpack_seq_data  # noqa: F401, perfbench traces
 from .errors import SvError
 from .model import DatasetSchema
 
@@ -61,19 +61,18 @@ class StreamAnalyzer:
     advance the expected counter.
 
     The first datagram that decodes with no warning compiles a
-    :class:`FramePlan`, and from it and the schema one struct read of ASDU
-    0's smpCnt and every ASDU's seqData fields. Each later datagram that
-    matches the plan is read by that one unpack, and its quality judged
-    from the raw quality words; every other one is decoded and its seqData
-    unpacked as before. Both give the same counters: a wrong seqData width
-    or an undefined validity is a decode failure, a record with a quality
-    that is not good is discarded, and only an accepted record has its
-    values built.
+    :class:`FramePlan`, and a later datagram that matches it is read by one
+    struct unpack; any other is decoded leniently and each seqData of the
+    schema's width unpacked. Either way one rule judges the records: a
+    seqData of another width or an undefined validity is a decode failure,
+    a record whose quality is not good is discarded, and only an accepted
+    record has its values built.
     """
 
     def __init__(self, wrap_modulus: int, schema: DatasetSchema):
-        if wrap_modulus <= 1:
-            raise ValueError(f"wrap modulus must exceed 1, got {wrap_modulus}")
+        if not 1 < wrap_modulus <= 0x10000:  # smpCnt has 16 bits
+            raise ValueError(
+                f"wrap modulus must be in 2..65536, got {wrap_modulus}")
         self.wrap_modulus = wrap_modulus
         self.schema = schema
         self.received = 0
@@ -106,22 +105,26 @@ class StreamAnalyzer:
             # smpCnt and seqData read here.
             fields = self._read(datagram)
             smp_cnt = fields[self._smp_cnt_at]
-            seq_data = None
+            records, misfits = self._records, self._misfits
         else:
             try:
                 frame = decode_frame(datagram, DecodeMode.LENIENT)
             except SvError:
                 self.decode_failures += 1
                 return
-            if not frame.apdu.asdus:
+            asdus = frame.apdu.asdus
+            if not asdus:
                 self.decode_failures += 1
                 return
             if plan is None and not frame.decode_warnings:
                 self._plan = plan = FramePlan(datagram)
                 self._read, self._smp_cnt_at, self._records, self._misfits = \
                     plan.reader(self.schema)
-            smp_cnt = frame.apdu.asdus[0].smp_cnt
-            seq_data = [asdu.seq_data for asdu in frame.apdu.asdus]
+            smp_cnt = asdus[0].smp_cnt
+            layout = self.schema.seq_struct
+            fields = [layout.unpack(asdu.seq_data) for asdu in asdus
+                      if len(asdu.seq_data) == layout.size]
+            records, misfits = range(len(fields)), len(asdus) - len(fields)
         self.received += 1
         arrival_time = float(arrival_time)
         if self._last_arrival is not None:
@@ -143,35 +146,23 @@ class StreamAnalyzer:
                 self._expected = (smp_cnt + 1) % self.wrap_modulus
             else:
                 self.out_of_order += 1
-        if seq_data is None:
-            self.decode_failures += self._misfits
-            if not self._has_quality:
-                for record in self._records:
-                    self.accepted.append(list(fields[record]))
-                return
-            for record in self._records:
-                values = fields[record]
-                if _NOT_GOOD.isdisjoint(self._quality_words(values)):
-                    self.accepted.append(seq_data_values(values, self.schema))
-                    continue
-                try:  # raises BadQuality on validity 0b11
-                    seq_data_values(values, self.schema)
-                except SvError:
-                    self.decode_failures += 1
-                    continue
-                self.quality_discarded += 1
+        self.decode_failures += misfits
+        # On either path, fields[record] is the fields of one seqData.
+        if not self._has_quality:
+            for record in records:
+                self.accepted.append(list(fields[record]))
             return
-        for octets in seq_data:
-            try:
-                values = unpack_seq_data(octets, self.schema)
+        for record in records:
+            values = fields[record]
+            if _NOT_GOOD.isdisjoint(self._quality_words(values)):
+                self.accepted.append(seq_data_values(values, self.schema))
+                continue
+            try:  # raises BadQuality on validity 0b11
+                seq_data_values(values, self.schema)
             except SvError:
                 self.decode_failures += 1
                 continue
-            if self._has_quality and any(
-                    isinstance(v, tuple) and v[1].validity != 0 for v in values):
-                self.quality_discarded += 1
-            else:
-                self.accepted.append(values)
+            self.quality_discarded += 1
 
     def report(self) -> LinkStats:
         """Snapshot of the counters; safe to call at any time."""

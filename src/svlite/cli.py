@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import signal
 import sys
 import time
@@ -28,7 +29,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed reader shows here
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone. Point stdout at devnull so that
+        # the flush at exit stays silent, and fail with nothing on stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_RUNTIME
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -160,7 +168,7 @@ def cmd_publish(args) -> int:
     if _dump_requested(cfg, args):
         return EXIT_OK
     rate = cfg.samples_per_second
-    pace = args.rate_limit if args.rate_limit else float(rate)
+    pace = float(rate) if args.rate_limit is None else args.rate_limit
     if not (math.isfinite(pace) and pace > 0):
         raise ValueError(f"rate limit must be finite and positive, got {pace}")
     if args.frames is not None:
@@ -186,6 +194,9 @@ def cmd_subscribe(args) -> int:
     cfg = _load(args)
     if _dump_requested(cfg, args):
         return EXIT_OK
+    if not (math.isfinite(args.stats_interval) and args.stats_interval > 0):
+        raise ValueError(f"stats interval must be finite and positive, "
+                         f"got {args.stats_interval}")
     analyzer = StreamAnalyzer(cfg.samples_per_second, cfg.schema)
     duration = _parse_duration(args.duration) if args.duration else None
     t0 = time.monotonic()

@@ -56,7 +56,8 @@ class RunConfig:
         if type(self.channels) is not tuple:  # a reload holds a tuple
             raise ValueError(f"channels must be of type tuple, got "
                              f"{type(self.channels).__name__}")
-        error = _schema_error(self.schema)
+        error = (_rate_error(self.nominal_hz, self.points_per_period)
+                 or _schema_error(self.schema))
         if error:
             raise ValueError(error)
 
@@ -96,6 +97,14 @@ def _value_error(key: str, value) -> str | None:
         return f"{key} needs 6 octets, got {len(value)}"
     elif kind is str:
         return _line_error(key, value)
+    return None
+
+
+def _rate_error(hz: int, points: int) -> str | None:
+    # smpCnt wraps once a second, and its 2 octets hold 65536 values.
+    if hz * points > 0x10000:
+        return (f"nominal_hz * points_per_period = {hz * points} samples/s, "
+                f"past the 65536 values smpCnt counts in a second")
     return None
 
 
@@ -246,6 +255,11 @@ def parse_config(text: str) -> RunConfig:
             fields[key] = parsed
         else:
             endpoint[field] = parsed
+    error = _rate_error(fields.get("nominal_hz", RunConfig.nominal_hz),
+                        fields.get("points_per_period", RunConfig.points_per_period))
+    if error:
+        _fail(max(scalars[key][0] for key in ("nominal_hz", "points_per_period")
+                  if key in scalars), error)
 
     if not members:
         members = [(0, c.member) for c in DEFAULT_CHANNELS]

@@ -112,7 +112,10 @@ def frame_ticks(template: SvFrame, schema: DatasetSchema, source, wrap: int,
     every BER length constant, so the patch is byte-exact and no tick pays
     for a re-encode. seqData octets of another length than the schema's
     packed width raise :class:`WidthMismatch` rather than resize the
-    frame. Each tick yields the same buffer."""
+    frame. Each tick yields the same buffer. A ``wrap`` past the 65536
+    values of smpCnt raises :class:`ValueError` before the first tick."""
+    if wrap > 0x10000:
+        raise ValueError(f"smpCnt wrap must be at most 65536, got {wrap}")
     wire = bytearray(encode_frame(template, schema))
     plan = FramePlan(wire)
     width = schema.packed_width

@@ -1,4 +1,5 @@
-"""Shared test fixtures: the reference frame and an independent TLV walker.
+"""Shared test fixtures: the reference frame, an independent TLV walker
+and a reference judge of the analyzer's records.
 
 The walker parses lengths with bare index arithmetic so it can confirm
 the codec's BER lengths without reusing any codec code.
@@ -9,14 +10,18 @@ import string
 
 from svlite.codec import (
     Asdu,
+    DecodeMode,
     SavApdu,
     SmpSynch,
     SvFrame,
     UtcTimestamp,
     VlanTag,
+    decode_frame,
     mac_from_str,
     pack_seq_data,
+    unpack_seq_data,
 )
+from svlite.errors import SvError
 from svlite.model import DatasetSchema, Quality, SchemaMember, Validity
 
 # Reference frame assembled by hand, field by field. Lengths were summed
@@ -166,3 +171,30 @@ def random_valid_frame(rng: random.Random) -> tuple[SvFrame, DatasetSchema]:
         apdu=SavApdu(asdus),
     )
     return frame, schema
+
+
+def reference_judge(schema: DatasetSchema, datagrams) -> tuple:
+    """``(decode_failures, quality_discarded, accepted)`` that the analyzer
+    should reach on ``datagrams``, by the record rule worked out apart from
+    its code: decode each datagram leniently, unpack each ASDU's seqData,
+    and discard a record that carries any Quality that is not good."""
+    failures, discarded, accepted = 0, 0, []
+    for datagram in datagrams:
+        try:
+            asdus = decode_frame(datagram, DecodeMode.LENIENT).apdu.asdus
+        except SvError:
+            asdus = []
+        if not asdus:
+            failures += 1
+        for asdu in asdus:
+            try:
+                values = unpack_seq_data(asdu.seq_data, schema)
+            except SvError:  # wrong width, or validity 0b11
+                failures += 1
+                continue
+            if any(isinstance(v, tuple) and v[1].validity != Validity.GOOD
+                   for v in values):
+                discarded += 1
+            else:
+                accepted.append(values)
+    return failures, discarded, accepted

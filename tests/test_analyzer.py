@@ -6,7 +6,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import GOLDEN_SCHEMA, golden_frame, random_valid_frame
+from helpers import GOLDEN_SCHEMA, golden_frame, random_valid_frame, \
+    reference_judge
 from svlite import analyzer as analyzer_module
 from svlite.analyzer import StreamAnalyzer, format_link_stats
 from svlite.cli import simulate
@@ -235,6 +236,11 @@ class TestReport:
         with pytest.raises(ValueError):
             StreamAnalyzer(1, GOLDEN_SCHEMA)
 
+    def test_modulus_fits_16_bit_smp_cnt(self):
+        assert StreamAnalyzer(0x10000, GOLDEN_SCHEMA).wrap_modulus == 0x10000
+        with pytest.raises(ValueError, match="65536"):
+            StreamAnalyzer(0x10001, GOLDEN_SCHEMA)
+
 
 def _varied_stream(seed: int) -> tuple:
     """Datagrams of one ``random_valid_frame`` layout with smpCnt, refrTm
@@ -357,7 +363,8 @@ FAST_PATH_SEEDS = range(40)
 
 class TestFramePlanFastPath:
     """Datagrams read at the learned plan's offsets leave the analyzer in
-    the same state as a lenient decode of every datagram."""
+    the same state as a lenient decode of every datagram, and both judge
+    the records as the reference judge does."""
 
     def test_seeds_cover_schemas_with_and_without_quality(self):
         """Both sides of the analyzer's quality scan run below."""
@@ -366,12 +373,16 @@ class TestFramePlanFastPath:
 
     @pytest.mark.parametrize("seed", FAST_PATH_SEEDS)
     def test_same_state_as_decoding_every_datagram(self, seed, decode_calls,
-                                                   monkeypatch):
+                                                   unpack_calls, monkeypatch):
         schema, datagrams = _varied_stream(seed)
         fast = _state(schema, datagrams)
         assert len(decode_calls) < len(datagrams) / 2  # the fast path ran
+        stats, decode_failures, accepted = fast
+        assert (decode_failures, stats.quality_discarded, accepted) \
+            == reference_judge(schema, datagrams)
         monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
         assert fast == _state(schema, datagrams)
+        assert unpack_calls == []
 
     def test_wrong_width_stream_fails_every_asdu_on_both_paths(
             self, decode_calls, monkeypatch):
@@ -395,6 +406,8 @@ class TestFramePlanFastPath:
             == 3 * len(datagrams)
         assert all(quality.validity == Validity.GOOD
                    for record in accepted for _, quality in record[::2])
+        assert (decode_failures, stats.quality_discarded, accepted) \
+            == reference_judge(MIXED_SCHEMA, datagrams)
         monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
         assert fast == _state(MIXED_SCHEMA, datagrams)
 
@@ -437,10 +450,10 @@ class TestFramePlanFastPath:
         datagrams = planned_stream(7)
         analyzer = StreamAnalyzer(4000, MIXED_SCHEMA)
         analyzer.ingest(datagrams[0], 0.0)
-        assert (len(decode_calls), len(unpack_calls)) == (1, 3)
+        assert (len(decode_calls), len(unpack_calls)) == (1, 0)
         for index, datagram in enumerate(datagrams[1:], 1):
             analyzer.ingest(datagram, index * 250e-6)
-        assert (len(decode_calls), len(unpack_calls)) == (1, 3)
+        assert (len(decode_calls), len(unpack_calls)) == (1, 0)
         assert analyzer.report().received == len(datagrams)
 
     def test_clean_stream_decodes_once(self, decode_calls):
@@ -507,5 +520,8 @@ def planned_datagrams(draw):
 def test_fast_path_state_equals_decoding_every_datagram(stream):
     schema, datagrams = stream
     fast = _state(schema, datagrams)
+    stats, decode_failures, accepted = fast
+    assert (decode_failures, stats.quality_discarded, accepted) \
+        == reference_judge(schema, datagrams)
     with mock.patch.object(FramePlan, "matches", lambda self, datagram: False):
         assert fast == _state(schema, datagrams)

@@ -107,6 +107,22 @@ class TestModuleEntryPoint:
         assert "4.032 Mbps" in result.stdout
 
 
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "svlite", "simulate", "--frames", "200"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, b"")
+
+
 class TestArgparseContract:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -263,14 +279,18 @@ CHANNELS = st.builds(
     ChannelSpec, member=MEMBERS, kind=st.sampled_from(WaveKind),
     amplitude=MAGNITUDE, phase_rad=FINITE, dc_offset=FINITE,
     noise_sigma=MAGNITUDE, invalid_every_nth=st.integers(0, 10**6))
+# nominal_hz and points_per_period whose product fits smpCnt's 65536 values.
+RATES = st.sampled_from([80, 256]).flatmap(lambda points: st.fixed_dictionaries(
+    {"nominal_hz": st.integers(1, 0x10000 // points),
+     "points_per_period": st.just(points)}))
 # A RunConfig of the profile with every field drawn from its whole range.
 VALID_CONFIGS = st.builds(
-    RunConfig, sv_id=line_text(), appid=st.integers(0, 0xFFFF),
+    lambda rate, **fields: RunConfig(**rate, **fields), RATES,
+    sv_id=line_text(), appid=st.integers(0, 0xFFFF),
     dst_mac=st.binary(min_size=6, max_size=6),
     src_mac=st.binary(min_size=6, max_size=6),
     vlan_priority=st.integers(0, 7), vlan_id=st.integers(0, 0x0FFF),
     conf_rev=st.integers(0, 2**32 - 1), smp_synch=st.sampled_from(SmpSynch),
-    nominal_hz=st.integers(1, 1000), points_per_period=st.sampled_from([80, 256]),
     endpoint=(endpoints(Mode.UNICAST, st.integers(0, 2**32 - 1))
               | endpoints(Mode.MULTICAST, st.integers(0xE000_0000, 0xEFFF_FFFF))),
     channels=st.lists(CHANNELS, min_size=1, max_size=4).map(tuple))
@@ -310,7 +330,8 @@ class TestConfigRoundTrip:
         {"appid": 0x1_0000}, {"appid": -1}, {"vlan_priority": 8},
         {"vlan_priority": 9}, {"vlan_id": 0x1000}, {"conf_rev": -1},
         {"conf_rev": 1 << 32}, {"nominal_hz": 0}, {"nominal_hz": 5000},
-        {"points_per_period": 100},
+        {"points_per_period": 100}, {"nominal_hz": 820},
+        {"nominal_hz": 257, "points_per_period": 256},
     ])
     def test_out_of_range_scalar_raises_value_error(self, fields):
         # Raised when the config is built, not later as struct.error.
@@ -366,6 +387,11 @@ class TestConfigRoundTrip:
             cfg = _config_with(*field, value)
         except ValueError:
             return
+        assert parse_config(dump_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("hz, points", [(256, 256), (819, 80)])
+    def test_fastest_rates_dump_reload(self, hz, points):
+        cfg = RunConfig(nominal_hz=hz, points_per_period=points)
         assert parse_config(dump_config(cfg)) == cfg
 
     def test_default_dump_reloads_identically(self):
@@ -453,6 +479,7 @@ class TestConfigRoundTrip:
         ("appid = 0x1FFFF", "outside"),
         ("vlan_priority = 9", "outside"),
         ("points_per_period = 100", "80 or 256"),
+        ("nominal_hz = 1000", "65536"),
         ("member = short:line", "member expects"),
         ("member = a.b:3:signed:0:0:noq", "width"),
         ("channel = square dc=1", "channel expects"),
@@ -466,6 +493,14 @@ class TestConfigRoundTrip:
             parse_config(text)
         assert "line 2" in str(excinfo.value)
         assert fragment in str(excinfo.value)
+
+    @pytest.mark.parametrize("text, line", [
+        ("nominal_hz = 300\npoints_per_period = 256\n", 2),
+        ("points_per_period = 256\nsv_id = ok\nnominal_hz = 300\n", 3),
+    ])
+    def test_rate_past_16_bit_smp_cnt_reports_the_later_line(self, text, line):
+        with pytest.raises(ConfigError, match=f"line {line}: .*65536"):
+            parse_config(text)
 
     def test_freq_is_not_a_channel_key(self):
         text = "\n".join([
@@ -539,7 +574,7 @@ class TestPublishCommand:
     @pytest.mark.parametrize("flags", [
         ("--duration", "inf"), ("--duration", "nan"), ("--duration", "1e400"),
         ("--duration", "1e308"), ("--rate-limit", "inf"), ("--rate-limit", "nan"),
-        ("--rate-limit", "-5")])
+        ("--rate-limit", "-5"), ("--rate-limit", "0")])
     def test_non_finite_number_exits_2(self, flags, capsys):
         code, out, err = run_cli(capsys, "publish", *flags)
         assert code == 2
@@ -584,6 +619,19 @@ class TestSubscribeCommand:
         # A nan deadline never passes, so subscribe would never stop.
         with pytest.raises(ValueError, match="finite"):
             _parse_duration(text)
+
+    @pytest.mark.parametrize("interval", ["0", "-1", "nan", "inf"])
+    def test_stats_interval_must_be_finite_and_positive(self, interval, capsys,
+                                                         monkeypatch):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("subscribe bound a socket")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        code, out, err = run_cli(capsys, "subscribe", "--stats-interval", interval,
+                                 "--duration", "0s")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: stats interval")
 
     def test_receives_published_frames(self, tmp_path, capsys):
         port = _free_port()

@@ -128,6 +128,17 @@ class TestFrameTicks:
         with pytest.raises(WidthMismatch):
             next(ticks)
 
+    def test_wrap_past_16_bit_smp_cnt_raises_before_the_first_tick(self):
+        sources = []
+        with pytest.raises(ValueError, match="65536"):
+            frame_ticks(golden_frame(), GOLDEN_SCHEMA, sources.append, 0x10001,
+                        0, lambda tick: bytes(8))
+        sock = RecordingSocket()
+        with pytest.raises(ValueError, match="65536"):
+            publish_stream(unicast(1), golden_frame(), GOLDEN_SCHEMA,
+                           sources.append, rate=0x10001, frames=3, sock=sock)
+        assert (sources, sock.sent) == ([], [])
+
     def test_seq_data_is_patched_as_it_is(self):
         seq_data = bytes(range(1, 15))
         ticks = frame_ticks(golden_frame(), GOLDEN_SCHEMA,
