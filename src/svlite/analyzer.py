@@ -16,7 +16,7 @@ from operator import itemgetter
 from .codec import DecodeMode, FramePlan, decode_frame, seq_data_values
 from .codec import unpack_seq_data  # noqa: F401, perfbench traces
 from .errors import SvError
-from .model import DatasetSchema
+from .model import DatasetSchema, check_wrap
 
 # Quality words (the low octet) whose validity bits are not GOOD.
 _NOT_GOOD = frozenset(word for word in range(0x100) if word & 0x03)
@@ -70,9 +70,7 @@ class StreamAnalyzer:
     """
 
     def __init__(self, wrap_modulus: int, schema: DatasetSchema):
-        if not 1 < wrap_modulus <= 0x10000:  # smpCnt has 16 bits
-            raise ValueError(
-                f"wrap modulus must be in 2..65536, got {wrap_modulus}")
+        check_wrap(wrap_modulus)
         self.wrap_modulus = wrap_modulus
         self.schema = schema
         self.received = 0

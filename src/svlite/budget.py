@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codec import SavApdu
-from .model import DatasetSchema, check_points
+from .model import MAX_DATA_ATTRIBUTES, DatasetSchema, samples_per_second
 
 # Outer Ethernet(14) + IPv4(20) + UDP(8) around the SV payload.
 OVERHEAD_UDP_IPV4 = 42
@@ -20,7 +20,6 @@ OVERHEAD_UDP_IPV4 = 42
 OVERHEAD_UDP_IPV6 = 62
 
 MAX_ASDU_COUNT = 1
-MAX_DATA_ATTRIBUTES = 2
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,12 @@ def project_bitrate(
     overhead_octets: int = OVERHEAD_UDP_IPV4,
 ) -> BudgetReport:
     """Project the on-air bit rate of a stream and check it against capacity."""
-    check_points(points_per_period)
-    if nominal_hz <= 0:
-        raise ValueError(f"nominal frequency must be positive, got {nominal_hz}")
+    sps = samples_per_second(nominal_hz, points_per_period)
     if payload_octets < 1:
         raise ValueError(f"payload must be at least 1 octet, got {payload_octets}")
     if overhead_octets < 0:
         raise ValueError(f"overhead must be >= 0 octets, got {overhead_octets}")
     wire = payload_octets + overhead_octets
-    sps = nominal_hz * points_per_period
     bps = wire * 8 * sps
     return BudgetReport(
         payload_octets=payload_octets,
@@ -76,10 +72,7 @@ def project_bitrate(
 
 def sample_interval(nominal_hz: int, points_per_period: int) -> Fraction:
     """Exact seconds between consecutive samples."""
-    check_points(points_per_period)
-    if nominal_hz <= 0:
-        raise ValueError(f"nominal frequency must be positive, got {nominal_hz}")
-    return Fraction(1, nominal_hz * points_per_period)
+    return Fraction(1, samples_per_second(nominal_hz, points_per_period))
 
 
 def validate_constraints(apdu: SavApdu, schema: DatasetSchema) -> list[Violation]:

@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_options(rcv)
     rcv.add_argument("--duration", help="stop after this long, e.g. 10s")
     rcv.add_argument("--max-frames", type=int, dest="max_frames",
-                     help="stop after this many decoded frames")
+                     help="stop after this many decoded frames (at least 1)")
     rcv.add_argument("--stats-interval", type=float, default=1.0,
                      dest="stats_interval",
                      help="seconds between interim stats lines (default 1)")
@@ -197,6 +197,8 @@ def cmd_subscribe(args) -> int:
     if not (math.isfinite(args.stats_interval) and args.stats_interval > 0):
         raise ValueError(f"stats interval must be finite and positive, "
                          f"got {args.stats_interval}")
+    if args.max_frames is not None and args.max_frames < 1:
+        raise ValueError(f"max frames must be at least 1, got {args.max_frames}")
     analyzer = StreamAnalyzer(cfg.samples_per_second, cfg.schema)
     duration = _parse_duration(args.duration) if args.duration else None
     t0 = time.monotonic()

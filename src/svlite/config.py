@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .budget import MAX_DATA_ATTRIBUTES
 from .codec import SVID_MAX_LEN, SmpSynch, SvFrame, SavApdu, Asdu, \
     UtcTimestamp, VlanTag, mac_from_str, mac_to_str
 from .errors import ConfigError
-from .model import DatasetSchema, SchemaMember, SUPPORTED_POINTS
+from .model import MAX_DATA_ATTRIBUTES, DatasetSchema, SchemaMember, \
+    check_points, check_range, samples_per_second
 from .sources import ChannelSpec, WaveKind
 from .transport import PORT_RANGE, TTL_RANGE, EndpointConfig, Mode
 
@@ -50,16 +50,12 @@ class RunConfig:
         # The checks of parse_config, which makes them first with line
         # numbers, so that every RunConfig dumps to a file that reloads.
         for key, value, _ in _scalars(self):
-            error = _value_error(key, value)
-            if error:
-                raise ValueError(error)
+            _check_value(key, value)
         if type(self.channels) is not tuple:  # a reload holds a tuple
             raise ValueError(f"channels must be of type tuple, got "
                              f"{type(self.channels).__name__}")
-        error = (_rate_error(self.nominal_hz, self.points_per_period)
-                 or _schema_error(self.schema))
-        if error:
-            raise ValueError(error)
+        samples_per_second(self.nominal_hz, self.points_per_period)
+        _check_schema(self.schema)
 
     @property
     def schema(self) -> DatasetSchema:
@@ -72,65 +68,50 @@ class RunConfig:
 
 # Inclusive bounds of the integer scalars, by config key.
 _BOUNDS = {"appid": (0, 0xFFFF), "vlan_priority": (0, 7), "vlan_id": (0, 0x0FFF),
-           "conf_rev": (0, 0xFFFF_FFFF), "nominal_hz": (1, 1000),
+           "conf_rev": (0, 0xFFFF_FFFF),
            "endpoint_port": PORT_RANGE, "endpoint_ttl": TTL_RANGE}
 
 
-def _value_error(key: str, value) -> str | None:
-    """Why a config file cannot hold ``value`` for scalar ``key``, or None."""
+def _check_value(key: str, value) -> None:
+    """Raise ``ValueError`` unless a config file can hold ``value`` for
+    scalar ``key``."""
     kind = _PARSED_TYPES[_KEYS[key][1]]
     if type(value) is not kind:  # so a bool is no int
         if value is None and key == "bind_interface":  # unset
-            return None
-        return f"{key} must be of type {kind.__name__}, got {value!r}"
+            return
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
     if key in _BOUNDS:
-        lo, hi = _BOUNDS[key]
-        if not lo <= value <= hi:
-            return f"{key}={value} outside [{lo}, {hi}]"
-    elif key == "points_per_period" and value not in SUPPORTED_POINTS:
-        return (f"{key} must be {' or '.join(map(str, SUPPORTED_POINTS))}, "
-                f"got {value}")
+        check_range(key, value, *_BOUNDS[key])
+    elif key == "points_per_period":
+        check_points(value)
     elif key == "sv_id" and (not value or not value.isascii()
                              or len(value) > SVID_MAX_LEN):
-        return f"sv_id must be 1..{SVID_MAX_LEN} ASCII characters"
+        raise ValueError(f"sv_id must be 1..{SVID_MAX_LEN} ASCII characters")
     elif key.endswith("_mac") and len(value) != 6:
-        return f"{key} needs 6 octets, got {len(value)}"
+        raise ValueError(f"{key} needs 6 octets, got {len(value)}")
     elif kind is str:
-        return _line_error(key, value)
-    return None
+        _check_line(key, value)
 
 
-def _rate_error(hz: int, points: int) -> str | None:
-    # smpCnt wraps once a second, and its 2 octets hold 65536 values.
-    if hz * points > 0x10000:
-        return (f"nominal_hz * points_per_period = {hz * points} samples/s, "
-                f"past the 65536 values smpCnt counts in a second")
-    return None
-
-
-def _line_error(key: str, text: str, forbidden: str = "#") -> str | None:
+def _check_line(key: str, text: str, forbidden: str = "#") -> None:
     # A config line ends at a line break, drops a comment after '#' and the
     # spaces at either end, and a member line splits at ':'.
     if type(text) is not str:
-        return f"{key} must be of type str, got {text!r}"
+        raise ValueError(f"{key} must be of type str, got {text!r}")
     if (text != text.strip() or len(text.splitlines()) > 1
             or any(c in text for c in forbidden)):
-        return f"{key} {text!r} does not fit on one config line"
-    return None
+        raise ValueError(f"{key} {text!r} does not fit on one config line")
 
 
-def _schema_error(schema: DatasetSchema) -> str | None:
+def _check_schema(schema: DatasetSchema) -> None:
     if not len(schema):
-        return "dataset needs at least one member"
+        raise ValueError("dataset needs at least one member")
     for member in schema:
-        error = _line_error("member name", member.name, "#:")
-        if error:
-            return error
+        _check_line("member name", member.name, "#:")
     count = schema.data_attribute_count
     if count > MAX_DATA_ATTRIBUTES:
-        return (f"dataset spans {count} data attributes, "
-                f"at most {MAX_DATA_ATTRIBUTES} are allowed")
-    return None
+        raise ValueError(f"dataset spans {count} data attributes, "
+                         f"at most {MAX_DATA_ATTRIBUTES} are allowed")
 
 
 def build_template(cfg: RunConfig) -> SvFrame:
@@ -248,25 +229,28 @@ def parse_config(text: str) -> RunConfig:
     for key, (lineno, value) in scalars.items():
         field, parse, _ = _KEYS[key]
         parsed = parse(lineno, key, value)
-        error = _value_error(key, parsed)
-        if error:
-            _fail(lineno, error)
+        try:
+            _check_value(key, parsed)
+        except ValueError as exc:
+            _fail(lineno, str(exc))
         if field is None:
             fields[key] = parsed
         else:
             endpoint[field] = parsed
-    error = _rate_error(fields.get("nominal_hz", RunConfig.nominal_hz),
-                        fields.get("points_per_period", RunConfig.points_per_period))
-    if error:
+    try:  # a bad points_per_period has failed at its own line
+        samples_per_second(fields.get("nominal_hz", RunConfig.nominal_hz),
+                           fields.get("points_per_period", RunConfig.points_per_period))
+    except ValueError as exc:
         _fail(max(scalars[key][0] for key in ("nominal_hz", "points_per_period")
-                  if key in scalars), error)
+                  if key in scalars), str(exc))
 
     if not members:
         members = [(0, c.member) for c in DEFAULT_CHANNELS]
     schema = DatasetSchema(m for _, m in members)
-    error = _schema_error(schema)
-    if error:
-        _fail(members[-1][0], error)
+    try:
+        _check_schema(schema)
+    except ValueError as exc:
+        _fail(members[-1][0], str(exc))
     members = schema.members
     if channel_lines:
         if len(channel_lines) != len(members):
@@ -319,7 +303,7 @@ _PARSED_TYPES = {_parse_int: int, _conv_str: str, _conv_mac: bytes,
 
 # Every scalar key in file order: the EndpointConfig field it sets (None
 # for a RunConfig field of the same name), its parser and its renderer;
-# _value_error checks what the parser reads.
+# _check_value checks what the parser reads.
 _KEYS = {
     "sv_id": (None, _conv_str, str),
     "appid": (None, _parse_int, "0x{:04x}".format),

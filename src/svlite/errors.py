@@ -58,8 +58,8 @@ class BadQuality(SvError):
     """A quality word carries validity bits 0b11, which no code uses."""
 
 
-class UnsupportedRate(SvError):
-    """Sampling configuration outside the supported 80/256 points per period."""
+class UnsupportedRate(SvError, ValueError):
+    """Points per period or a smpCnt wrap outside the profile's rate rule."""
 
 
 class TransportError(SvError):

@@ -1,7 +1,7 @@
 """Domain model of the reduced sampled-value service.
 
 Integer scaling to and from engineering units, the two-attribute
-quality, the supported sampling rates and the dataset layout that
+quality, the sampling-rate rule and the dataset layout that
 governs how seqData octets are packed.
 
 The wire never carries floating point: a transmitted sample is an integer
@@ -29,8 +29,25 @@ def check_points(points_per_period: int) -> None:
     """Raise :class:`UnsupportedRate` unless the profile samples at this rate."""
     if points_per_period not in SUPPORTED_POINTS:
         raise UnsupportedRate(
-            f"{points_per_period} points per period, supported: "
-            f"{SUPPORTED_POINTS}")
+            f"points_per_period must be "
+            f"{' or '.join(map(str, SUPPORTED_POINTS))}, got {points_per_period}")
+
+
+def check_wrap(wrap: int, name: str = "smpCnt wrap") -> None:
+    """Raise :class:`UnsupportedRate` unless smpCnt, 2 octets that wrap once
+    a second, counts ``wrap`` values: 2..65536."""
+    if not 2 <= wrap <= 0x10000:
+        raise UnsupportedRate(
+            f"{name} = {wrap}, outside the 2..65536 values smpCnt counts in a second")
+
+
+def samples_per_second(nominal_hz: int, points_per_period: int) -> int:
+    """The smpCnt wrap ``nominal_hz * points_per_period`` of a stream the
+    profile carries; at 80 or 256 points a ``nominal_hz`` below 1 fails too."""
+    check_points(points_per_period)
+    rate = nominal_hz * points_per_period
+    check_wrap(rate, "nominal_hz * points_per_period")
+    return rate
 
 
 _INT8 = (-0x80, 0x7F)
@@ -159,6 +176,10 @@ class SchemaMember:
         """``struct`` code of the value: ``h``/``H`` or ``i``/``I``."""
         code = "h" if self.width == 2 else "i"
         return code if self.signed else code.upper()
+
+
+# Top-level data attributes a dataset may reference.
+MAX_DATA_ATTRIBUTES = 2
 
 
 def _attribute_key(name: str) -> str:

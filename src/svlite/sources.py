@@ -143,10 +143,10 @@ def sample_provider(channels, points_per_period: int, seed: int = 0):
             noise.append((spec, at,
                           struct.Struct(">" + member.struct_code).pack_into))
         elif spec.kind is WaveKind.CONSTANT:
-            columns.append((sample_at(spec, 0, points_per_period, seed),))
+            columns.append((_sample(spec, 0, points_per_period, seed),))
         else:
             columns.append(tuple(
-                sample_at(spec, tick, points_per_period, seed)
+                _sample(spec, tick, points_per_period, seed)
                 for tick in range(points_per_period)))
         if spec.invalid_every_nth and member.include_quality:
             # The quality word follows the value; validity is its low octet.

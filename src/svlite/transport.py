@@ -19,7 +19,7 @@ from ipaddress import IPv4Address
 from .codec import FramePlan, SvFrame, encode_frame, refr_tm_octets
 from .codec import pack_seq_data  # noqa: F401, perfbench traces
 from .errors import TransportError, WidthMismatch
-from .model import DatasetSchema, check_range
+from .model import DatasetSchema, check_range, check_wrap
 
 DEFAULT_GROUP = "239.255.61.85"
 DEFAULT_PORT = 61850
@@ -112,10 +112,9 @@ def frame_ticks(template: SvFrame, schema: DatasetSchema, source, wrap: int,
     every BER length constant, so the patch is byte-exact and no tick pays
     for a re-encode. seqData octets of another length than the schema's
     packed width raise :class:`WidthMismatch` rather than resize the
-    frame. Each tick yields the same buffer. A ``wrap`` past the 65536
-    values of smpCnt raises :class:`ValueError` before the first tick."""
-    if wrap > 0x10000:
-        raise ValueError(f"smpCnt wrap must be at most 65536, got {wrap}")
+    frame. Each tick yields the same buffer. A ``wrap`` that
+    :func:`~svlite.model.check_wrap` rejects raises before the first tick."""
+    check_wrap(wrap)
     wire = bytearray(encode_frame(template, schema))
     plan = FramePlan(wire)
     width = schema.packed_width
@@ -158,8 +157,9 @@ def publish_stream(
     ``schema`` (see :func:`~svlite.sources.sample_provider`); they are sent
     as they are, and a wrong length raises :class:`WidthMismatch`.
     smpCnt starts at ``start_smp_cnt`` and wraps at ``wrap_modulus``
-    (default: ``rate``, one wrap per nominal second). A tick whose send
-    completes after the next tick's deadline counts as a deadline miss.
+    (default: ``rate``, one wrap per nominal second), which
+    :func:`frame_ticks` checks first. A tick whose send completes after
+    the next tick's deadline counts as a deadline miss.
     ``timestamper`` feeds refrTm and exists so tests can pin it. Socket
     failures raise :class:`TransportError` carrying the state accumulated
     so far.
@@ -169,13 +169,13 @@ def publish_stream(
     if frames < 0:
         raise ValueError(f"frame count must be >= 0, got {frames}")
     wrap = wrap_modulus if wrap_modulus is not None else rate
-    pace = pace_hz if pace_hz is not None else float(rate)
-    interval = 1.0 / pace
-    state = PublisherState(smp_cnt=start_smp_cnt % wrap, wrap_modulus=wrap)
     ticks = frame_ticks(
         template, schema, source, wrap, start_smp_cnt,
         # The product is exact, so the floor truncates the clock to 2**-24 s.
         lambda _: refr_tm_octets(math.floor(timestamper() * 2**24), 2**24))
+    pace = pace_hz if pace_hz is not None else float(rate)
+    interval = 1.0 / pace
+    state = PublisherState(smp_cnt=start_smp_cnt % wrap, wrap_modulus=wrap)
     own_sock = sock is None
     if own_sock:
         sock = _open_publish_socket(cfg)

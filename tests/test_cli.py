@@ -12,8 +12,9 @@ from ipaddress import IPv4Address
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import GOLDEN_HEX, GOLDEN_WIRE
-from svlite.analyzer import format_link_stats
+from helpers import GOLDEN_HEX, GOLDEN_SCHEMA, GOLDEN_WIRE, golden_frame
+from svlite import budget
+from svlite.analyzer import StreamAnalyzer, format_link_stats
 from svlite.cli import _parse_duration, main, simulate
 from svlite.codec import SmpSynch, refr_tm_octets
 from svlite.config import (
@@ -26,7 +27,7 @@ from svlite.errors import ConfigError
 from svlite.model import SchemaMember
 from svlite.netsim import Channel, LinkSpec
 from svlite.sources import ChannelSpec, WaveKind
-from svlite.transport import EndpointConfig, Mode, subscribe
+from svlite.transport import EndpointConfig, Mode, frame_ticks, subscribe
 
 
 def run_cli(capsys, *argv):
@@ -480,6 +481,7 @@ class TestConfigRoundTrip:
         ("vlan_priority = 9", "outside"),
         ("points_per_period = 100", "80 or 256"),
         ("nominal_hz = 1000", "65536"),
+        ("nominal_hz = 0", "nominal_hz * points_per_period = 0, outside"),
         ("member = short:line", "member expects"),
         ("member = a.b:3:signed:0:0:noq", "width"),
         ("channel = square dc=1", "channel expects"),
@@ -501,6 +503,11 @@ class TestConfigRoundTrip:
     def test_rate_past_16_bit_smp_cnt_reports_the_later_line(self, text, line):
         with pytest.raises(ConfigError, match=f"line {line}: .*65536"):
             parse_config(text)
+
+    def test_bad_points_reports_its_own_line(self):
+        with pytest.raises(ConfigError,
+                           match="line 1: points_per_period must be 80 or 256"):
+            parse_config("points_per_period = 100\nnominal_hz = 5000\n")
 
     def test_freq_is_not_a_channel_key(self):
         text = "\n".join([
@@ -632,6 +639,19 @@ class TestSubscribeCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: stats interval")
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_max_frames_must_be_at_least_one(self, count, capsys, monkeypatch):
+        # 0 read as "no limit" and -1 stopped at once with an empty report.
+        def no_socket(*args, **kwargs):
+            raise AssertionError("subscribe bound a socket")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        code, out, err = run_cli(capsys, "subscribe", "--max-frames", count,
+                                 "--duration", "0s")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: max frames must be at least 1, got {count}\n"
 
     def test_receives_published_frames(self, tmp_path, capsys):
         port = _free_port()
@@ -875,6 +895,63 @@ class TestVirtualStamp:
         for tick in (wrap - 1, 2 * wrap - 1):
             assert refr_tm_octets(tick, wrap) == self.exact(tick, wrap)
         assert refr_tm_octets(2 * wrap - 1, wrap) == bytes([0, 0, 0, 2]) + bytes(4)
+
+
+def _accepts(call, *args) -> bool:
+    try:
+        call(*args)
+    except (ValueError, ConfigError):
+        return False
+    return True
+
+
+def _budget_command_accepts(hz: int, points: int) -> bool:
+    code = main(["budget", "--payload", "84", f"--hz={hz}", f"--points={points}"])
+    assert code in (0, 2, 3)
+    return code != 2
+
+
+def _rate_verdicts(hz: int, points: int) -> dict:
+    """Whether each layer that takes a sampling rate accepts ``hz`` x
+    ``points``; frame_ticks and the analyzer take the product as a wrap."""
+    verdicts = {
+        "RunConfig": _accepts(lambda: RunConfig(nominal_hz=hz,
+                                                points_per_period=points)),
+        "parse_config": _accepts(parse_config, f"nominal_hz = {hz}\n"
+                                               f"points_per_period = {points}\n"),
+        "project_bitrate": _accepts(budget.project_bitrate, 84, hz, points,
+                                    30_000_000),
+        "sample_interval": _accepts(budget.sample_interval, hz, points),
+        "svlite budget": _budget_command_accepts(hz, points),
+    }
+    if points in (80, 256):  # a wrap carries no points, so 50 x 100 is 5000
+        verdicts["frame_ticks"] = _accepts(
+            frame_ticks, golden_frame(), GOLDEN_SCHEMA, lambda tick: bytes(14),
+            hz * points, 0, lambda tick: bytes(8))
+        verdicts["StreamAnalyzer"] = _accepts(StreamAnalyzer, hz * points,
+                                              GOLDEN_SCHEMA)
+    return verdicts
+
+
+class TestRateRuleParity:
+    """One rate rule: 80 or 256 points per period, and a product that
+    smpCnt's 2 octets count in a second, judged alike by every layer."""
+
+    @pytest.mark.parametrize("hz, points, legal", [
+        (1, 80, True), (50, 80, True), (819, 80, True), (820, 80, False),
+        (256, 256, True), (257, 256, False), (0, 80, False), (-1, 80, False),
+        (50, 100, False),
+    ])
+    def test_pinned_rates_parity(self, hz, points, legal):
+        verdicts = _rate_verdicts(hz, points)
+        assert verdicts == dict.fromkeys(verdicts, legal)
+
+    @given(hz=st.integers(-10, 1000) | st.integers(),
+           points=st.sampled_from([80, 256]))
+    def test_any_rate_parity(self, hz, points):
+        legal = 1 <= hz and hz * points <= 0x10000
+        verdicts = _rate_verdicts(hz, points)
+        assert verdicts == dict.fromkeys(verdicts, legal)
 
 
 def _free_port() -> int:

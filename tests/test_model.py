@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from svlite import model
-from svlite.errors import Overflow
+from svlite.errors import Overflow, SvError, UnsupportedRate
 from svlite.model import (
     DatasetSchema,
     Quality,
@@ -210,3 +210,34 @@ class TestDatasetSchema:
     def test_iteration_preserves_order(self):
         members = [SchemaMember("a.b", 2), SchemaMember("c.d", 4)]
         assert list(DatasetSchema(members)) == members
+
+
+class TestRateRule:
+    @pytest.mark.parametrize("wrap", [2, 80, 4000, 0x10000])
+    def test_wrap_smp_cnt_counts(self, wrap):
+        model.check_wrap(wrap)
+
+    @pytest.mark.parametrize("wrap", [-5, 0, 1, 0x10001])
+    def test_wrap_smp_cnt_cannot_count(self, wrap):
+        with pytest.raises(UnsupportedRate, match="2..65536"):
+            model.check_wrap(wrap)
+
+    @pytest.mark.parametrize("hz, points", [(1, 80), (50, 80), (819, 80),
+                                            (60, 256), (256, 256)])
+    def test_samples_per_second_is_the_product(self, hz, points):
+        assert model.samples_per_second(hz, points) == hz * points
+
+    @pytest.mark.parametrize("hz, points, fragment", [
+        (50, 100, "points_per_period must be 80 or 256, got 100"),
+        (0, 80, "nominal_hz * points_per_period = 0,"),
+        (-1, 256, "nominal_hz * points_per_period = -256,"),
+        (820, 80, "nominal_hz * points_per_period = 65600,"),
+    ])
+    def test_samples_per_second_rejects(self, hz, points, fragment):
+        with pytest.raises(UnsupportedRate) as excinfo:
+            model.samples_per_second(hz, points)
+        assert str(excinfo.value).startswith(fragment)
+
+    def test_unsupported_rate_is_a_value_error(self):
+        assert issubclass(UnsupportedRate, ValueError)
+        assert issubclass(UnsupportedRate, SvError)

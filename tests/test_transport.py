@@ -139,6 +139,21 @@ class TestFrameTicks:
                            sources.append, rate=0x10001, frames=3, sock=sock)
         assert (sources, sock.sent) == ([], [])
 
+    @pytest.mark.parametrize("wrap", [0, -5, 1, 0x10001])
+    def test_publish_rejects_a_wrap_smp_cnt_cannot_count(self, wrap, monkeypatch):
+        # Before any socket opens, and as a ValueError rather than the
+        # ZeroDivisionError or OverflowError of reducing smpCnt by it.
+        def no_socket(*args, **kwargs):
+            raise AssertionError("publish_stream opened a socket")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        sources = []
+        with pytest.raises(ValueError, match="2..65536"):
+            publish_stream(unicast(1), golden_frame(), GOLDEN_SCHEMA,
+                           sources.append, rate=4000, frames=3,
+                           wrap_modulus=wrap)
+        assert sources == []
+
     def test_seq_data_is_patched_as_it_is(self):
         seq_data = bytes(range(1, 15))
         ticks = frame_ticks(golden_frame(), GOLDEN_SCHEMA,
