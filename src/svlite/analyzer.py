@@ -18,8 +18,10 @@ from .codec import unpack_seq_data  # noqa: F401, perfbench traces
 from .errors import SvError
 from .model import DatasetSchema, check_wrap
 
-# Quality words (the low octet) whose validity bits are not GOOD.
+# Quality words (the low octet) whose validity bits are not GOOD, and
+# those whose validity is the undefined 0b11, which fails decoding.
 _NOT_GOOD = frozenset(word for word in range(0x100) if word & 0x03)
+_UNDEFINED = frozenset(word for word in range(0x100) if word & 0x03 == 0x03)
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,9 @@ class LinkStats:
     inter_arrival_stddev: float
 
 
-def format_link_stats(stats: LinkStats) -> str:
-    """Aligned key-value text, one counter per line."""
+def format_link_stats(stats: LinkStats, *extra: tuple[str, str]) -> str:
+    """Aligned key-value text, one counter per line, then the ``(key,
+    value)`` rows of ``extra`` in the same columns."""
     rows = [
         ("received", str(stats.received)),
         ("decode_failures", str(stats.decode_failures)),
@@ -45,6 +48,7 @@ def format_link_stats(stats: LinkStats) -> str:
         ("loss_rate", f"{stats.loss_rate:.6f}"),
         ("inter_arrival_mean", f"{stats.inter_arrival_mean:.9f} s"),
         ("inter_arrival_stddev", f"{stats.inter_arrival_stddev:.9f} s"),
+        *extra,
     ]
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
@@ -60,13 +64,15 @@ class StreamAnalyzer:
     that fail to decode increment ``decode_failures`` only and do not
     advance the expected counter.
 
-    The first datagram that decodes with no warning compiles a
-    :class:`FramePlan`, and a later datagram that matches it is read by one
-    struct unpack; any other is decoded leniently and each seqData of the
-    schema's width unpacked. Either way one rule judges the records: a
-    seqData of another width or an undefined validity is a decode failure,
-    a record whose quality is not good is discarded, and only an accepted
-    record has its values built.
+    The first datagram that decodes with no warning is learned as a
+    :class:`FramePlan`. When it is the profile's frame, one ASDU with a
+    seqData of the schema's width, a later datagram that matches it is
+    read by one struct unpack; any other datagram, and every datagram of a
+    stream whose plan has another shape, is decoded leniently and each
+    seqData of the schema's width unpacked. Either way one rule judges the
+    records: a seqData of another width or an undefined validity is a
+    decode failure, a record whose quality is not good is discarded, and
+    only an accepted record has its values built.
     """
 
     def __init__(self, wrap_modulus: int, schema: DatasetSchema):
@@ -87,8 +93,10 @@ class StreamAnalyzer:
         if quality_at:
             self._quality_words = itemgetter(*quality_at, quality_at[0])
         self._expected: int | None = None
-        # Layout of the first datagram that decoded with no warning.
+        # Layout of the first datagram that decoded with no warning, and
+        # its one-unpack read, or None when that frame is not the profile's.
         self._plan: FramePlan | None = None
+        self._read = None
         self._last_arrival: float | None = None
         # Welford accumulator over inter-arrival deltas.
         self._deltas = 0
@@ -96,14 +104,13 @@ class StreamAnalyzer:
         self._delta_m2 = 0.0
 
     def ingest(self, datagram: bytes, arrival_time: float) -> None:
-        plan = self._plan
-        if plan is not None and plan.matches(datagram):
+        read = self._read
+        if read is not None and self._plan.matches(datagram):
             # Same fixed octets as the frame the plan was learned from, so
             # a lenient decode would give that frame, no warning, and the
             # smpCnt and seqData read here.
-            fields = self._read(datagram)
-            smp_cnt = fields[self._smp_cnt_at]
-            records, misfits = self._records, self._misfits
+            fields = read(datagram)
+            smp_cnt, records, misfits = fields[0], (fields[1:],), 0
         else:
             try:
                 frame = decode_frame(datagram, DecodeMode.LENIENT)
@@ -114,15 +121,14 @@ class StreamAnalyzer:
             if not asdus:
                 self.decode_failures += 1
                 return
-            if plan is None and not frame.decode_warnings:
-                self._plan = plan = FramePlan(datagram)
-                self._read, self._smp_cnt_at, self._records, self._misfits = \
-                    plan.reader(self.schema)
+            if self._plan is None and not frame.decode_warnings:
+                self._plan = FramePlan(datagram)
+                self._read = self._plan.reader(self.schema)
             smp_cnt = asdus[0].smp_cnt
             layout = self.schema.seq_struct
-            fields = [layout.unpack(asdu.seq_data) for asdu in asdus
-                      if len(asdu.seq_data) == layout.size]
-            records, misfits = range(len(fields)), len(asdus) - len(fields)
+            records = [layout.unpack(asdu.seq_data) for asdu in asdus
+                       if len(asdu.seq_data) == layout.size]
+            misfits = len(asdus) - len(records)
         self.received += 1
         arrival_time = float(arrival_time)
         if self._last_arrival is not None:
@@ -145,22 +151,19 @@ class StreamAnalyzer:
             else:
                 self.out_of_order += 1
         self.decode_failures += misfits
-        # On either path, fields[record] is the fields of one seqData.
+        # On either path, each record is the fields of one seqData.
         if not self._has_quality:
-            for record in records:
-                self.accepted.append(list(fields[record]))
+            for values in records:
+                self.accepted.append(list(values))
             return
-        for record in records:
-            values = fields[record]
-            if _NOT_GOOD.isdisjoint(self._quality_words(values)):
+        for values in records:
+            words = self._quality_words(values)
+            if _NOT_GOOD.isdisjoint(words):
                 self.accepted.append(seq_data_values(values, self.schema))
-                continue
-            try:  # raises BadQuality on validity 0b11
-                seq_data_values(values, self.schema)
-            except SvError:
+            elif _UNDEFINED.isdisjoint(words):
+                self.quality_discarded += 1
+            else:
                 self.decode_failures += 1
-                continue
-            self.quality_discarded += 1
 
     def report(self) -> LinkStats:
         """Snapshot of the counters; safe to call at any time."""

@@ -230,8 +230,8 @@ def cmd_subscribe(args) -> int:
         summary = transport.subscribe(cfg.endpoint, sink, stop)
     finally:
         signal.signal(signal.SIGINT, previous_handler)
-    print(format_link_stats(analyzer.report()))
-    print(f"datagrams            {summary.datagrams}")
+    print(format_link_stats(analyzer.report(),
+                            ("datagrams", str(summary.datagrams))))
     return EXIT_OK
 
 

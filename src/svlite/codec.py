@@ -25,8 +25,8 @@ from . import ber
 from .errors import BadEtherType, BadHeader, CountMismatch, LengthMismatch, \
     OversizeValue, SchemaMismatch, Truncated, UnknownTag, UnsupportedLength, \
     WidthMismatch
-from .model import DatasetSchema, Quality, encode_quality, quality_from_word, \
-    quality_word
+from .model import DatasetSchema, Quality, check_range, encode_quality, \
+    quality_from_word, quality_word
 
 TPID_VLAN = 0x8100
 ETHERTYPE_SV = 0x88BA
@@ -192,6 +192,7 @@ def encode_frame(frame: SvFrame, schema: DatasetSchema) -> bytes:
         raise ValueError("savPdu needs at least one ASDU")
     if len(frame.dst_mac) != 6 or len(frame.src_mac) != 6:
         raise ValueError("MAC addresses must be 6 octets")
+    check_range("APPID", frame.appid, 0, 0xFFFF)
     for asdu in frame.apdu.asdus:
         if len(asdu.seq_data) != schema.packed_width:
             raise SchemaMismatch(
@@ -481,37 +482,23 @@ class FramePlan:
         return (len(datagram) == self._fixed.size
                 and self._fixed.unpack(datagram) == self._chunks)
 
-    def reader(self, schema: DatasetSchema) -> tuple:
-        """Compile one read of a datagram that :meth:`matches`.
+    def reader(self, schema: DatasetSchema):
+        """Compile one read of a datagram that :meth:`matches`, or None.
 
-        Returns ``(unpack, smp_cnt_at, records, misfits)``. ``unpack`` is
-        a struct's: it pads over every fixed octet and every refrTm, reads
-        ASDU 0's smpCnt as ``H``, and reads by ``schema.seq_struct``'s codes
-        each seqData of ``schema.packed_width`` octets. ``smp_cnt_at`` is
-        the index of smpCnt in its fields, ``records`` a slice of them per
-        seqData read, in wire order, and ``misfits`` the count of seqData
-        spans of another width, which are not read.
+        Only the reduced profile's frame is read: one ASDU whose seqData
+        follows its smpCnt and is ``schema.packed_width`` octets. Its read
+        is one struct unpack giving ``(smpCnt, *seqData fields)``, the
+        fields in ``schema.seq_struct``'s codes, with every other octet
+        padded over. Any other frame gets None, and is decoded instead.
         """
+        if len(self.asdus) != 1:
+            return None
+        smp_cnt, _, start, end = self.asdus[0]
         layout = schema.seq_struct
-        smp_cnt = self.asdus[0][0]
-        seq_data = [start for _, _, start, end in self.asdus
-                    if end - start == layout.size]
-        per_record = len(layout.unpack(bytes(layout.size)))
-        codes, cursor, count = [">"], 0, 0
-        smp_cnt_at, records = None, []
-        for start in sorted([smp_cnt, *seq_data]):
-            if start == smp_cnt:
-                codes.append(f"{start - cursor}xH")
-                cursor, smp_cnt_at = start + 2, count
-                count += 1
-            else:
-                codes.append(f"{start - cursor}x{layout.format[1:]}")
-                cursor = start + layout.size
-                records.append(slice(count, count + per_record))
-                count += per_record
-        codes.append(f"{self._fixed.size - cursor}x")
-        return (struct.Struct("".join(codes)).unpack, smp_cnt_at,
-                tuple(records), len(self.asdus) - len(seq_data))
+        if start < smp_cnt or end - start != layout.size:
+            return None
+        return struct.Struct(f">{smp_cnt}xH{start - smp_cnt - 2}x"
+                             f"{layout.format[1:]}{self._fixed.size - end}x").unpack
 
 
 def pack_seq_data(values, schema: DatasetSchema) -> bytes:

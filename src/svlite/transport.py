@@ -146,7 +146,6 @@ def publish_stream(
     frames: int,
     *,
     pace_hz: float | None = None,
-    wrap_modulus: int | None = None,
     start_smp_cnt: int = 0,
     sock: socket.socket | None = None,
     timestamper=time.time,
@@ -156,26 +155,26 @@ def publish_stream(
     ``source(tick)`` returns that tick's seqData octets, packed in
     ``schema`` (see :func:`~svlite.sources.sample_provider`); they are sent
     as they are, and a wrong length raises :class:`WidthMismatch`.
-    smpCnt starts at ``start_smp_cnt`` and wraps at ``wrap_modulus``
-    (default: ``rate``, one wrap per nominal second), which
-    :func:`frame_ticks` checks first. A tick whose send completes after
-    the next tick's deadline counts as a deadline miss.
+    smpCnt starts at ``start_smp_cnt`` and wraps at ``rate``, one wrap per
+    nominal second, which :func:`frame_ticks` checks first. A pace that
+    is not finite and positive raises ``ValueError``, as a bad rate does,
+    before any socket opens. A tick whose send completes after the next
+    tick's deadline counts as a deadline miss.
     ``timestamper`` feeds refrTm and exists so tests can pin it. Socket
     failures raise :class:`TransportError` carrying the state accumulated
     so far.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
     if frames < 0:
         raise ValueError(f"frame count must be >= 0, got {frames}")
-    wrap = wrap_modulus if wrap_modulus is not None else rate
     ticks = frame_ticks(
-        template, schema, source, wrap, start_smp_cnt,
+        template, schema, source, rate, start_smp_cnt,
         # The product is exact, so the floor truncates the clock to 2**-24 s.
         lambda _: refr_tm_octets(math.floor(timestamper() * 2**24), 2**24))
     pace = pace_hz if pace_hz is not None else float(rate)
+    if not (math.isfinite(pace) and pace > 0):
+        raise ValueError(f"pace must be finite and positive, got {pace}")
     interval = 1.0 / pace
-    state = PublisherState(smp_cnt=start_smp_cnt % wrap, wrap_modulus=wrap)
+    state = PublisherState(smp_cnt=start_smp_cnt % rate, wrap_modulus=rate)
     own_sock = sock is None
     if own_sock:
         sock = _open_publish_socket(cfg)
@@ -194,7 +193,7 @@ def publish_stream(
                 state.deadline_misses += 1
             state.frames_sent += 1
     finally:
-        state.smp_cnt = (start_smp_cnt + state.frames_sent) % wrap
+        state.smp_cnt = (start_smp_cnt + state.frames_sent) % rate
         if own_sock:
             sock.close()
     return state

@@ -346,29 +346,42 @@ def mixed_seq_data(rng, words):
     return bytes(octets)
 
 
-def planned_stream(seed, frames=60):
-    """Three-ASDU MIXED_SCHEMA datagrams with every pairing of quality
-    octets, each datagram on the plan of the first."""
+def planned_stream(seed, frames=60, asdus=3):
+    """MIXED_SCHEMA datagrams of ``asdus`` ASDUs with every pairing of
+    quality octets, each datagram of the first one's layout."""
     rng = random.Random(seed)
     pairs = [(a, b) for a in QUALITY_OCTETS for b in QUALITY_OCTETS]
-    datagrams = [multi_asdu_wire(MIXED_SCHEMA, [mixed_seq_data(rng, (0, 0))] * 3)]
+    datagrams = [multi_asdu_wire(MIXED_SCHEMA,
+                                 [mixed_seq_data(rng, (0, 0))] * asdus)]
     for index in range(1, frames):
-        seq_data = [mixed_seq_data(rng, rng.choice(pairs)) for _ in range(3)]
-        datagrams.append(multi_asdu_wire(MIXED_SCHEMA, seq_data, 3 * index))
+        seq_data = [mixed_seq_data(rng, rng.choice(pairs)) for _ in range(asdus)]
+        datagrams.append(multi_asdu_wire(MIXED_SCHEMA, seq_data, asdus * index))
     return datagrams
 
 
 FAST_PATH_SEEDS = range(40)
 
 
+def _single_asdu(datagrams):
+    """Whether the stream's first datagram, where its plan is learned,
+    carries one ASDU."""
+    return len(FramePlan(datagrams[0]).asdus) == 1
+
+
 class TestFramePlanFastPath:
     """Datagrams read at the learned plan's offsets leave the analyzer in
     the same state as a lenient decode of every datagram, and both judge
-    the records as the reference judge does."""
+    the records as the reference judge does. Only a one-ASDU plan is read;
+    a stream of any other layout is decoded datagram by datagram."""
 
     def test_seeds_cover_schemas_with_and_without_quality(self):
         """Both sides of the analyzer's quality scan run below."""
         assert {any(member.include_quality for member in _varied_stream(seed)[0])
+                for seed in FAST_PATH_SEEDS} == {False, True}
+
+    def test_seeds_cover_single_and_multi_asdu_streams(self):
+        """Both the planned and the decoded path run below."""
+        assert {_single_asdu(_varied_stream(seed)[1])
                 for seed in FAST_PATH_SEEDS} == {False, True}
 
     @pytest.mark.parametrize("seed", FAST_PATH_SEEDS)
@@ -376,7 +389,10 @@ class TestFramePlanFastPath:
                                                    unpack_calls, monkeypatch):
         schema, datagrams = _varied_stream(seed)
         fast = _state(schema, datagrams)
-        assert len(decode_calls) < len(datagrams) / 2  # the fast path ran
+        if _single_asdu(datagrams):
+            assert len(decode_calls) < len(datagrams) / 2  # the fast path ran
+        else:
+            assert len(decode_calls) == len(datagrams)  # never planned
         stats, decode_failures, accepted = fast
         assert (decode_failures, stats.quality_discarded, accepted) \
             == reference_judge(schema, datagrams)
@@ -388,7 +404,7 @@ class TestFramePlanFastPath:
             self, decode_calls, monkeypatch):
         datagrams = [make_wire(smp_cnt) for smp_cnt in range(50)]
         fast = _state(QUALITY_SCHEMA, datagrams)  # 14 octets against 6
-        assert len(decode_calls) == 1  # the plan was learned
+        assert len(decode_calls) == 50  # a plan of another width is not read
         stats, decode_failures, accepted = fast
         assert (stats.received, decode_failures, accepted) == (50, 50, [])
         monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
@@ -398,7 +414,7 @@ class TestFramePlanFastPath:
     def test_multi_asdu_quality_words(self, seed, decode_calls, monkeypatch):
         datagrams = planned_stream(seed)
         fast = _state(MIXED_SCHEMA, datagrams)
-        assert len(decode_calls) == 1
+        assert len(decode_calls) == len(datagrams)  # a 3-ASDU plan is not read
         stats, decode_failures, accepted = fast
         assert stats.received == len(datagrams)
         assert decode_failures and stats.quality_discarded and accepted
@@ -419,7 +435,7 @@ class TestFramePlanFastPath:
         undefined = mixed_seq_data(rng, (0x01, 0x03))
         analyzer.ingest(multi_asdu_wire(MIXED_SCHEMA, [good, undefined, good], 3),
                         250e-6)
-        assert len(decode_calls) == 1  # the second datagram took the plan
+        assert len(decode_calls) == 2  # a 3-ASDU plan is not read
         stats = analyzer.report()
         assert (stats.received, stats.decode_failures,
                 stats.quality_discarded, len(analyzer.accepted)) == (2, 1, 0, 5)
@@ -447,14 +463,17 @@ class TestFramePlanFastPath:
 
     def test_planned_datagrams_call_neither_decoder(self, decode_calls,
                                                     unpack_calls):
-        datagrams = planned_stream(7)
+        datagrams = planned_stream(7, asdus=1)
         analyzer = StreamAnalyzer(4000, MIXED_SCHEMA)
         analyzer.ingest(datagrams[0], 0.0)
         assert (len(decode_calls), len(unpack_calls)) == (1, 0)
         for index, datagram in enumerate(datagrams[1:], 1):
             analyzer.ingest(datagram, index * 250e-6)
         assert (len(decode_calls), len(unpack_calls)) == (1, 0)
-        assert analyzer.report().received == len(datagrams)
+        stats = analyzer.report()
+        assert stats.received == len(datagrams)
+        assert (stats.decode_failures, stats.quality_discarded, analyzer.accepted) \
+            == reference_judge(MIXED_SCHEMA, datagrams)
 
     def test_clean_stream_decodes_once(self, decode_calls):
         analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)

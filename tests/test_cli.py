@@ -572,6 +572,19 @@ class TestConfigRoundTrip:
         assert parse_config(text).sv_id == "abc"
 
 
+def _unicast_config(tmp_path):
+    """The default config, sent over unicast 127.0.0.1 to a free port."""
+    port = _free_port()
+    cfg_text = dump_config(RunConfig()).replace(
+        "endpoint_mode = multicast", "endpoint_mode = unicast").replace(
+        "endpoint_address = 239.255.61.85",
+        "endpoint_address = 127.0.0.1").replace(
+        "endpoint_port = 61850", f"endpoint_port = {port}")
+    path = tmp_path / "stream.cfg"
+    path.write_text(cfg_text)
+    return path
+
+
 class TestPublishCommand:
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "publish", "--config", "missing.cfg")
@@ -589,28 +602,14 @@ class TestPublishCommand:
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_small_run_summary(self, tmp_path, capsys):
-        port = _free_port()
-        cfg_text = dump_config(RunConfig()).replace(
-            "endpoint_mode = multicast", "endpoint_mode = unicast").replace(
-            "endpoint_address = 239.255.61.85",
-            "endpoint_address = 127.0.0.1").replace(
-            "endpoint_port = 61850", f"endpoint_port = {port}")
-        path = tmp_path / "stream.cfg"
-        path.write_text(cfg_text)
+        path = _unicast_config(tmp_path)
         code, out, _ = run_cli(capsys, "publish", "--config", str(path),
                                "--frames", "40")
         assert code == 0
         assert "frames_sent      40" in out
 
     def test_rate_limit_paces_slowly(self, tmp_path, capsys):
-        port = _free_port()
-        cfg_text = dump_config(RunConfig()).replace(
-            "endpoint_mode = multicast", "endpoint_mode = unicast").replace(
-            "endpoint_address = 239.255.61.85",
-            "endpoint_address = 127.0.0.1").replace(
-            "endpoint_port = 61850", f"endpoint_port = {port}")
-        path = tmp_path / "stream.cfg"
-        path.write_text(cfg_text)
+        path = _unicast_config(tmp_path)
         t0 = time.monotonic()
         code, out, _ = run_cli(capsys, "publish", "--config", str(path),
                                "--rate-limit", "10", "--duration", "0.5s")
@@ -654,14 +653,7 @@ class TestSubscribeCommand:
         assert err == f"error: max frames must be at least 1, got {count}\n"
 
     def test_receives_published_frames(self, tmp_path, capsys):
-        port = _free_port()
-        cfg_text = dump_config(RunConfig()).replace(
-            "endpoint_mode = multicast", "endpoint_mode = unicast").replace(
-            "endpoint_address = 239.255.61.85",
-            "endpoint_address = 127.0.0.1").replace(
-            "endpoint_port = 61850", f"endpoint_port = {port}")
-        path = tmp_path / "stream.cfg"
-        path.write_text(cfg_text)
+        path = _unicast_config(tmp_path)
 
         publisher = threading.Thread(
             target=lambda: (time.sleep(0.3),
@@ -677,18 +669,25 @@ class TestSubscribeCommand:
         assert "datagrams" in out
 
     def test_immediate_stop(self, tmp_path, capsys):
-        port = _free_port()
-        cfg_text = dump_config(RunConfig()).replace(
-            "endpoint_mode = multicast", "endpoint_mode = unicast").replace(
-            "endpoint_address = 239.255.61.85",
-            "endpoint_address = 127.0.0.1").replace(
-            "endpoint_port = 61850", f"endpoint_port = {port}")
-        path = tmp_path / "stream.cfg"
-        path.write_text(cfg_text)
+        path = _unicast_config(tmp_path)
         code, out, _ = run_cli(capsys, "subscribe", "--config", str(path),
                                "--duration", "0s")
         assert code == 0
         assert "received" in out
+
+    def test_report_values_share_one_column(self, tmp_path, capsys):
+        # The datagrams row, printed after the stats, pads to their column.
+        path = _unicast_config(tmp_path)
+        code, out, _ = run_cli(capsys, "subscribe", "--config", str(path),
+                               "--duration", "0s")
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[-1].split() == ["datagrams", "0"]
+        assert {len(row) - len(row.split(maxsplit=1)[1]) for row in rows} == {22}
+        # datagrams, the last row, sits in the stats rows' value column.
+        rows = out.splitlines()
+        assert rows[-1].split() == ["datagrams", "0"]
+        assert {len(row) - len(row.split(maxsplit=1)[1]) for row in rows} == {22}
 
     def test_bad_bind_exits_1(self, tmp_path, capsys):
         cfg_text = dump_config(RunConfig()).replace(

@@ -125,6 +125,20 @@ class TestEncodeErrors:
         with pytest.raises(ValueError):
             encode_frame(frame, GOLDEN_SCHEMA)
 
+    @pytest.mark.parametrize("appid", [-1, 0x10000, 1.5])
+    def test_appid_outside_16_bits(self, appid):
+        # A ValueError, as for a bad MAC, rather than a bare struct.error.
+        frame = golden_frame()
+        frame.appid = appid
+        with pytest.raises(ValueError, match="APPID"):
+            encode_frame(frame, GOLDEN_SCHEMA)
+
+    @pytest.mark.parametrize("appid", [0, 0xFFFF])
+    def test_appid_bounds_encode(self, appid):
+        frame = golden_frame()
+        frame.appid = appid
+        assert decode_frame(encode_frame(frame, GOLDEN_SCHEMA)).appid == appid
+
 
 class TestMultiAsdu:
     def test_two_asdus_show_in_no_asdu_and_seq(self):
@@ -413,6 +427,41 @@ class TestFramePlan:
         assert wire[second[0]:second[0] + 2] == b"\x00\x02"
         assert wire[first[2]:first[3]] == GOLDEN_WIRE[72:]
         assert second[3] == len(wire)
+
+    def test_reader_of_the_profile_frame_is_one_unpack(self):
+        # Pad to smpCnt, read it, pad to seqData, read its members.
+        read = FramePlan(GOLDEN_WIRE).reader(GOLDEN_SCHEMA)
+        assert read.__self__.format == ">49xH21xiiih0x"
+        assert read(GOLDEN_WIRE) == (1, *GOLDEN_VALUES)
+
+    def test_reader_reads_quality_words_in_place(self):
+        schema = DatasetSchema([
+            SchemaMember("TCTR1.AmpSv.instMag.i", 4, include_quality=True),
+            SchemaMember("TCTR1.AmpSv.instMag.n", 2),
+        ])
+        frame = golden_frame()
+        frame.apdu.asdus[0].seq_data = pack_seq_data(
+            [(7, Quality(Validity.QUESTIONABLE)), -2], schema)
+        wire = encode_frame(frame, schema)
+        read = FramePlan(wire).reader(schema)
+        assert read.__self__.format == ">49xH21xixBh0x"
+        assert read(wire) == (1, 7, 0x02, -2)
+
+    def test_no_reader_for_two_asdus(self):
+        frame = golden_frame()
+        frame.apdu.asdus.append(Asdu(
+            sv_id="x", smp_cnt=2, seq_data=frame.apdu.asdus[0].seq_data))
+        assert FramePlan(encode_frame(frame, GOLDEN_SCHEMA)).reader(
+            GOLDEN_SCHEMA) is None
+
+    def test_no_reader_for_another_width(self):
+        narrow = DatasetSchema([SchemaMember("TCTR1.AmpSv.instMag.i", 4)])
+        assert FramePlan(GOLDEN_WIRE).reader(narrow) is None
+
+    def test_no_reader_for_seq_data_before_smp_cnt(self):
+        # The golden ASDU with seqData moved in front of svID.
+        wire = GOLDEN_WIRE[:35] + GOLDEN_WIRE[70:] + GOLDEN_WIRE[35:70]
+        assert FramePlan(wire).reader(GOLDEN_SCHEMA) is None
 
 
 class TestDissect:

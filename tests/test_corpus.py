@@ -215,8 +215,8 @@ def _published(template, schema) -> str:
         return pack_seq_data(values, schema)
 
     sock = _SentDatagrams()
-    publish_stream(EndpointConfig(), template, schema, source, 4000, 2,
-                   pace_hz=1e6, wrap_modulus=0x10000, start_smp_cnt=0xBEEF,
+    publish_stream(EndpointConfig(), template, schema, source, 0x10000, 2,
+                   pace_hz=1e6, start_smp_cnt=0xBEEF,
                    sock=sock, timestamper=lambda: 1_234_567_890.625)
     return _digest(sock.sent)
 

@@ -1,3 +1,4 @@
+import math
 import socket
 import threading
 import time
@@ -150,8 +151,22 @@ class TestFrameTicks:
         sources = []
         with pytest.raises(ValueError, match="2..65536"):
             publish_stream(unicast(1), golden_frame(), GOLDEN_SCHEMA,
-                           sources.append, rate=4000, frames=3,
-                           wrap_modulus=wrap)
+                           sources.append, rate=wrap, frames=3)
+        assert sources == []
+
+    @pytest.mark.parametrize("pace", [0.0, -5.0, math.nan, math.inf])
+    def test_publish_rejects_a_pace_that_is_not_finite_and_positive(
+            self, pace, monkeypatch):
+        # 0 divided by zero, -5 sent every frame at once, each a miss, and
+        # nan never reached its first deadline.
+        def no_socket(*args, **kwargs):
+            raise AssertionError("publish_stream opened a socket")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        sources = []
+        with pytest.raises(ValueError, match="pace must be finite and positive"):
+            publish_stream(unicast(1), golden_frame(), GOLDEN_SCHEMA,
+                           sources.append, rate=4000, frames=3, pace_hz=pace)
         assert sources == []
 
     def test_seq_data_is_patched_as_it_is(self):
