@@ -92,6 +92,14 @@ class VlanTag:
     def tci(self) -> int:
         return (self.priority << 13) | (int(self.dei) << 12) | self.vid
 
+    @classmethod
+    def from_tci(cls, tci: int) -> "VlanTag":
+        tag = object.__new__(cls)  # each field bounded by its bits of the TCI
+        _set_field(tag, "priority", (tci >> 13) & 0x7)
+        _set_field(tag, "dei", bool(tci & 0x1000))
+        _set_field(tag, "vid", tci & 0x0FFF)
+        return tag
+
 
 @dataclass(frozen=True)
 class UtcTimestamp:
@@ -426,9 +434,7 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
     data = bytes(data)
     header, _, faults, asdus = _inspect(data, mode)
     tci, _, appid, *_ = header
-    vlan = (VlanTag(priority=0) if tci is None
-            else VlanTag(tci >> 13, bool(tci & 0x1000), tci & 0x0FFF))
-    return SvFrame(data[0:6], data[6:12], vlan, appid,
+    return SvFrame(data[0:6], data[6:12], VlanTag.from_tci(tci or 0), appid,
                    SavApdu([_asdu_from_values(values) for _, values in asdus]),
                    decode_warnings=tuple(lenient for _, _, lenient, _ in faults))
 
@@ -450,30 +456,39 @@ class FramePlan:
 
     ``asdus`` holds, per ASDU in wire order, the value offsets of smpCnt
     and refrTm and the value span of seqData: the octets that change from
-    tick to tick. With a fixed schema and svID every BER length is
-    constant, so the publisher patches them in place. Every other octet
-    is fixed. A datagram that :meth:`matches` the frame it was built from
-    carries those same fixed octets, so every tag and length in it is the
-    frame's, and it decodes to the frame with only smpCnt, refrTm and
-    seqData read anew.
+    tick to tick. ``parts`` is the frame cut at the edges of those spans,
+    so its fixed octets sit at even indices (empty where nothing lies
+    between two cuts) and the changing octets at odd ones, and ``slots``
+    holds, per ASDU, the indices in ``parts`` of its smpCnt, refrTm and
+    seqData. With a fixed schema and svID every BER length is constant, so
+    the publisher builds each tick by joining ``parts`` with that tick's
+    octets in the slots. A datagram that :meth:`matches` the frame it was
+    built from carries those same fixed octets, so every tag and length in
+    it is the frame's, and it decodes to the frame with only smpCnt, refrTm
+    and seqData read anew.
     """
 
     def __init__(self, wire: bytes):
+        wire = bytes(wire)
         _, tlvs, _, asdus = _inspect(wire)
         self.asdus = tuple((tlvs[rows[TAG_SMPCNT]][3], tlvs[rows[TAG_REFRTM]][3],
                             *tlvs[rows[TAG_SEQDATA]][3:]) for rows, _ in asdus)
-        holes = []
-        for smp_cnt, refr_tm, seq_start, seq_end in self.asdus:
-            holes += [(smp_cnt, smp_cnt + 2), (refr_tm, refr_tm + 8),
-                      (seq_start, seq_end)]
-        codes, cursor = [">"], 0
-        for start, end in sorted(holes):
+        spans = sorted((at, at + width) for smp_cnt, refr_tm, start, end in self.asdus
+                       for at, width in ((smp_cnt, 2), (refr_tm, 8), (start, end - start)))
+        parts, codes, cursor = [], [">"], 0
+        for start, end in spans:
+            parts += [wire[cursor:start], wire[start:end]]
             if start > cursor:
                 codes.append(f"{start - cursor}s")
             codes.append(f"{end - start}x")
             cursor = end
+        parts.append(wire[cursor:])
         if len(wire) > cursor:
             codes.append(f"{len(wire) - cursor}s")
+        slot = {start: 2 * rank + 1 for rank, (start, _) in enumerate(spans)}
+        self.slots = tuple((slot[smp_cnt], slot[refr_tm], slot[start])
+                           for smp_cnt, refr_tm, start, _ in self.asdus)
+        self.parts = tuple(parts)
         self._fixed = struct.Struct("".join(codes))
         self._chunks = self._fixed.unpack(wire)
 

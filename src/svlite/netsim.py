@@ -79,6 +79,8 @@ class Channel:
             self._finalize_held(past=at)
         seq = self._seq
         self._seq += 1
+        # Free for a bytes datagram, which bytes() returns as it is; any
+        # other buffer is copied, so its sender may reuse it.
         entry = (at, seq, bytes(datagram))
         if self._rng.random() < spec.reorder_probability:
             self._held = entry

@@ -107,17 +107,19 @@ def frame_ticks(template: SvFrame, schema: DatasetSchema, source, wrap: int,
                 start_smp_cnt: int, stamp):
     """Encode ``template`` now, then on tick N yield it with smpCnt
     ``(start_smp_cnt + N) % wrap``, the 8 refrTm octets ``stamp(N)`` and
-    the seqData octets ``source(N)`` patched into every ASDU at its
-    :class:`FramePlan` offsets, as they are. A fixed schema and svID keep
-    every BER length constant, so the patch is byte-exact and no tick pays
-    for a re-encode. seqData octets of another length than the schema's
-    packed width raise :class:`WidthMismatch` rather than resize the
-    frame. Each tick yields the same buffer. A ``wrap`` that
+    the seqData octets ``source(N)`` in every ASDU, as they are. A fixed
+    schema and svID keep every BER length constant, so each tick is one
+    join of the frame's :class:`FramePlan` parts with those octets in its
+    slots, byte-exact and without a re-encode. Each tick is a new
+    ``bytes`` object. seqData octets of another length than the schema's
+    packed width, or refrTm octets of another length than 8, raise
+    :class:`WidthMismatch` rather than resize the frame. A ``wrap`` that
     :func:`~svlite.model.check_wrap` rejects raises before the first tick."""
     check_wrap(wrap)
-    wire = bytearray(encode_frame(template, schema))
-    plan = FramePlan(wire)
+    plan = FramePlan(encode_frame(template, schema))
+    parts, slots = list(plan.parts), plan.slots
     width = schema.packed_width
+    join = b"".join
 
     def ticks():
         for tick in itertools.count():
@@ -127,12 +129,16 @@ def frame_ticks(template: SvFrame, schema: DatasetSchema, source, wrap: int,
                     f"source gave {len(seq_data)} seqData octets at tick "
                     f"{tick}, the schema packs {width}")
             refr_tm = stamp(tick)
+            if len(refr_tm) != 8:
+                raise WidthMismatch(
+                    f"stamp gave {len(refr_tm)} refrTm octets at tick {tick}, "
+                    f"expected 8")
             counter = ((start_smp_cnt + tick) % wrap).to_bytes(2, "big")
-            for smp_cnt, refr_tm_at, seq_start, seq_end in plan.asdus:
-                wire[smp_cnt:smp_cnt + 2] = counter
-                wire[refr_tm_at:refr_tm_at + 8] = refr_tm
-                wire[seq_start:seq_end] = seq_data
-            yield wire
+            for smp_cnt, refr_tm_at, seq_data_at in slots:
+                parts[smp_cnt] = counter
+                parts[refr_tm_at] = refr_tm
+                parts[seq_data_at] = seq_data
+            yield join(parts)
 
     return ticks()
 

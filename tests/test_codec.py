@@ -171,6 +171,16 @@ class TestDecodeModes:
         frame = decode_frame(untagged, DecodeMode.LENIENT)
         assert frame.apdu.asdus[0].sv_id == "xxxxMUnn01"
         assert any("802.1Q" in w for w in frame.decode_warnings)
+        assert frame.vlan == VlanTag(priority=0)
+
+    @given(st.integers(0, 0xFFFF))
+    def test_vlan_tag_from_tci_equals_the_checked_one(self, tci):
+        tag = VlanTag.from_tci(tci)
+        assert tag == VlanTag(tci >> 13, bool(tci & 0x1000), tci & 0x0FFF)
+        assert (type(tag.dei), tag.tci) == (bool, tci)
+        wire = bytearray(GOLDEN_WIRE)
+        wire[14:16] = tci.to_bytes(2, "big")
+        assert decode_frame(bytes(wire)).vlan == tag
 
     def test_length_field_mismatch(self):
         # The header claims 92 like a sloppy third-party encoder would.
@@ -393,7 +403,10 @@ class TestFramePlan:
     def test_golden_value_offsets(self):
         # smpCnt value after savPdu(2) noASDU(3) seqASDU(2) ASDU(2) svID(12)
         # and its own header(2); seqData runs to the end of the frame
-        assert FramePlan(GOLDEN_WIRE).asdus == ((49, 59, 72, 86),)
+        plan = FramePlan(GOLDEN_WIRE)
+        assert plan.asdus == ((49, 59, 72, 86),)
+        assert plan.slots == ((1, 3, 5),)
+        assert [len(part) for part in plan.parts] == [49, 2, 8, 8, 5, 14, 0]
 
     def test_patched_fields_still_match(self):
         plan = FramePlan(GOLDEN_WIRE)
@@ -427,6 +440,24 @@ class TestFramePlan:
         assert wire[second[0]:second[0] + 2] == b"\x00\x02"
         assert wire[first[2]:first[3]] == GOLDEN_WIRE[72:]
         assert second[3] == len(wire)
+
+    @pytest.mark.parametrize("layout", ["golden", "two ASDUs", "seqData first"])
+    def test_parts_cut_the_frame_at_its_changing_octets(self, layout):
+        frame = golden_frame()
+        frame.apdu.asdus.append(Asdu(
+            sv_id="x", smp_cnt=2, seq_data=frame.apdu.asdus[0].seq_data))
+        wire = {"golden": GOLDEN_WIRE,
+                "two ASDUs": encode_frame(frame, GOLDEN_SCHEMA),
+                # Fixed octets after the last seqData.
+                "seqData first": GOLDEN_WIRE[:35] + GOLDEN_WIRE[70:] + GOLDEN_WIRE[35:70],
+                }[layout]
+        plan = FramePlan(wire)
+        assert b"".join(plan.parts) == wire
+        for (smp_cnt, refr_tm, start, end), slots in zip(plan.asdus, plan.slots):
+            assert [plan.parts[i] for i in slots] == [
+                wire[smp_cnt:smp_cnt + 2], wire[refr_tm:refr_tm + 8], wire[start:end]]
+        assert sorted(i for slots in plan.slots for i in slots) == list(
+            range(1, len(plan.parts), 2))
 
     def test_reader_of_the_profile_frame_is_one_unpack(self):
         # Pad to smpCnt, read it, pad to seqData, read its members.

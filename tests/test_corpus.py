@@ -6,7 +6,7 @@ a valid header, unknown tags at each depth and long-form lengths. For
 each one, ``corpus_outcomes.json`` holds what the codec did with it: the
 dissect rows, strict and lenient ``decode_frame`` (the exception class,
 or the decoded frame with its warnings), the datagrams the publisher
-patches from a valid frame, and the stdout of ``svlite decode --raw`` on
+joins from a valid frame, and the stdout of ``svlite decode --raw`` on
 a capture of the whole corpus. Frames and rows are kept as digests.
 
 Regenerate the fixture, only for a deliberate behaviour change, with
@@ -200,7 +200,7 @@ class _SentDatagrams:
 
 def _published(template, schema) -> str:
     """Digest of two ticks published from ``template``: where the
-    publisher patches smpCnt, refrTm and seqData in each ASDU."""
+    publisher joins smpCnt, refrTm and seqData into each ASDU."""
     rng = random.Random(61850)
 
     def source(tick):

@@ -1,14 +1,23 @@
 import math
+import random
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import GOLDEN_SCHEMA, golden_frame
+from helpers import GOLDEN_SCHEMA, golden_frame, random_valid_frame
 from svlite.analyzer import StreamAnalyzer
-from svlite.codec import DecodeMode, decode_frame, encode_frame, pack_seq_data
+from svlite.codec import (
+    DecodeMode,
+    SavApdu,
+    UtcTimestamp,
+    decode_frame,
+    encode_frame,
+    pack_seq_data,
+)
 from svlite.config import RunConfig
 from svlite.errors import TransportError, WidthMismatch
 from svlite.sources import sample_at, sample_provider
@@ -22,6 +31,14 @@ from svlite.transport import (
 )
 
 CHANNELS = RunConfig().channels
+
+# A frame within every wire-format bound, of one to three ASDUs, and its
+# schema, whose seqData is at most 12 octets.
+TEMPLATES = st.integers(0, 2**64).map(lambda seed: random_valid_frame(random.Random(seed)))
+# Per tick, the refrTm octets and octets enough for any template's seqData.
+TICK_OCTETS = st.lists(st.tuples(st.binary(min_size=8, max_size=8),
+                                 st.binary(min_size=12, max_size=12)),
+                       min_size=1, max_size=4)
 
 
 def free_port() -> int:
@@ -169,13 +186,41 @@ class TestFrameTicks:
                            sources.append, rate=4000, frames=3, pace_hz=pace)
         assert sources == []
 
-    def test_seq_data_is_patched_as_it_is(self):
+    @pytest.mark.parametrize("width", [7, 9])
+    def test_refr_tm_of_the_wrong_length_raises(self, width):
+        # Rather than a frame one octet longer per tick, or one that
+        # strict decoding rejects.
+        ticks = frame_ticks(golden_frame(), GOLDEN_SCHEMA,
+                            lambda tick: bytes(GOLDEN_SCHEMA.packed_width),
+                            4000, 0, lambda tick: bytes(width))
+        with pytest.raises(WidthMismatch, match=f"{width} refrTm octets"):
+            next(ticks)
+
+    def test_seq_data_is_joined_as_it_is(self):
         seq_data = bytes(range(1, 15))
         ticks = frame_ticks(golden_frame(), GOLDEN_SCHEMA,
                             lambda tick: seq_data, 4000, 0,
                             lambda tick: bytes(8))
-        frame = decode_frame(bytes(next(ticks)), DecodeMode.STRICT)
+        frame = decode_frame(next(ticks), DecodeMode.STRICT)
         assert frame.apdu.asdus[0].seq_data == seq_data
+
+    @given(TEMPLATES, st.integers(2, 0x10000), st.integers(0, 2**32), TICK_OCTETS)
+    def test_tick_parity_with_encode_frame(self, drawn, wrap, start, octets):
+        template, schema = drawn
+        width = schema.packed_width
+        ticks = frame_ticks(template, schema,
+                            lambda tick: octets[tick][1][:width], wrap, start,
+                            lambda tick: octets[tick][0])
+        sent = [next(ticks) for _ in octets]
+        for tick, (refr_tm, seq_data) in enumerate(octets):
+            reference = replace(template, apdu=SavApdu([
+                replace(asdu, smp_cnt=(start + tick) % wrap,
+                        refr_tm=UtcTimestamp.from_octets(refr_tm),
+                        seq_data=seq_data[:width])
+                for asdu in template.apdu.asdus]))
+            # Checked once every tick is drawn: no later tick changed it.
+            assert type(sent[tick]) is bytes
+            assert sent[tick] == encode_frame(reference, schema)
 
 
 class TestPublishCounters:
