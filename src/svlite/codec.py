@@ -182,16 +182,14 @@ def _encode_asdu(asdu: Asdu) -> bytes:
         raise ValueError(f"svID must be a non-empty ASCII string, got {sv_id!r}")
     if len(sv_id) > SVID_MAX_LEN:
         raise OversizeValue(f"svID of {len(sv_id)} chars exceeds {SVID_MAX_LEN}")
-    return b"".join(
-        (
-            ber.encode_tlv(TAG_SVID, sv_id.encode("ascii")),
-            ber.encode_tlv(TAG_SMPCNT, ber.encode_int_fixed(asdu.smp_cnt, 2)),
-            ber.encode_tlv(TAG_CONFREV, ber.encode_int_fixed(asdu.conf_rev, 4)),
-            ber.encode_tlv(TAG_REFRTM, asdu.refr_tm.to_octets()),
-            ber.encode_tlv(TAG_SMPSYNCH, bytes([int(asdu.smp_synch)])),
-            ber.encode_tlv(TAG_SEQDATA, asdu.seq_data),
-        )
-    )
+    return b"".join(map(ber.encode_tlv, _ASDU_FIELDS, _asdu_octets(asdu)))
+
+
+def _asdu_octets(asdu: Asdu) -> tuple[bytes, ...]:
+    """The value octets of ``asdu``'s fields, in ``_ASDU_FIELDS`` order."""
+    return (asdu.sv_id.encode("ascii"), ber.encode_int_fixed(asdu.smp_cnt, 2),
+            ber.encode_int_fixed(asdu.conf_rev, 4), asdu.refr_tm.to_octets(),
+            bytes([int(asdu.smp_synch)]), asdu.seq_data)
 
 
 def encode_frame(frame: SvFrame, schema: DatasetSchema) -> bytes:
@@ -406,11 +404,11 @@ def _asdu_values(raw: dict[int, bytes], rows: dict[int, int], asdu_row: int,
         missing = [field[0] for tag, field in _ASDU_FIELDS.items() if tag not in raw]
         message = "ASDU missing " + ", ".join(missing)
         add(SchemaMismatch, message, message, (asdu_row,))
-        raw = {tag: field[2] for tag, field in _ASDU_FIELDS.items()} | raw
+        raw = _MISSING | raw
     if not raw[TAG_SVID].isascii():
         add(SchemaMismatch, "svID is not ASCII",
             "svID is not ASCII, decoded with replacements", (rows[TAG_SVID],))
-    for tag, (name, width, _, _) in _ASDU_FIELDS.items():
+    for tag, (name, width, _) in _ASDU_FIELDS.items():
         if width and len(raw[tag]) != width:
             message = f"{name} is {len(raw[tag])} octets, expected {width}"
             add(LengthMismatch, message, message, (rows[tag],))
@@ -454,42 +452,37 @@ def _asdu_from_values(raw: dict[int, bytes]) -> Asdu:
 class FramePlan:
     """The compiled layout of one encoded frame.
 
-    ``asdus`` holds, per ASDU in wire order, the value offsets of smpCnt
-    and refrTm and the value span of seqData: the octets that change from
-    tick to tick. ``parts`` is the frame cut at the edges of those spans,
-    so its fixed octets sit at even indices (empty where nothing lies
-    between two cuts) and the changing octets at odd ones, and ``slots``
-    holds, per ASDU, the indices in ``parts`` of its smpCnt, refrTm and
-    seqData. With a fixed schema and svID every BER length is constant, so
-    the publisher builds each tick by joining ``parts`` with that tick's
-    octets in the slots. A datagram that :meth:`matches` the frame it was
-    built from carries those same fixed octets, so every tag and length in
-    it is the frame's, and it decodes to the frame with only smpCnt, refrTm
-    and seqData read anew.
+    ``parts`` is the frame cut at the edges of every smpCnt, refrTm and
+    seqData value, the octets that change from tick to tick: its fixed
+    octets sit at even indices (empty where nothing lies between two cuts)
+    and the changing octets at odd ones. ``slots`` holds, per ASDU in wire
+    order, the indices in ``parts`` of its smpCnt, refrTm and seqData. With
+    a fixed schema and svID every BER length is constant, so the publisher
+    builds each tick by joining ``parts`` with that tick's octets in the
+    slots. A datagram that :meth:`matches` the frame it was built from
+    carries those same fixed octets, so every tag and length in it is the
+    frame's, and it decodes to the frame with only smpCnt, refrTm and
+    seqData read anew.
     """
 
     def __init__(self, wire: bytes):
         wire = bytes(wire)
         _, tlvs, _, asdus = _inspect(wire)
-        self.asdus = tuple((tlvs[rows[TAG_SMPCNT]][3], tlvs[rows[TAG_REFRTM]][3],
-                            *tlvs[rows[TAG_SEQDATA]][3:]) for rows, _ in asdus)
-        spans = sorted((at, at + width) for smp_cnt, refr_tm, start, end in self.asdus
-                       for at, width in ((smp_cnt, 2), (refr_tm, 8), (start, end - start)))
-        parts, codes, cursor = [], [">"], 0
-        for start, end in spans:
+        spans = sorted((*tlvs[rows[tag]][3:], asdu, field)
+                       for asdu, (rows, _) in enumerate(asdus) for field, tag
+                       in enumerate((TAG_SMPCNT, TAG_REFRTM, TAG_SEQDATA)))
+        parts, slots, cursor = [], [[0] * 3 for _ in asdus], 0
+        for start, end, asdu, field in spans:
+            slots[asdu][field] = len(parts) + 1
             parts += [wire[cursor:start], wire[start:end]]
-            if start > cursor:
-                codes.append(f"{start - cursor}s")
-            codes.append(f"{end - start}x")
             cursor = end
         parts.append(wire[cursor:])
-        if len(wire) > cursor:
-            codes.append(f"{len(wire) - cursor}s")
-        slot = {start: 2 * rank + 1 for rank, (start, _) in enumerate(spans)}
-        self.slots = tuple((slot[smp_cnt], slot[refr_tm], slot[start])
-                           for smp_cnt, refr_tm, start, _ in self.asdus)
         self.parts = tuple(parts)
-        self._fixed = struct.Struct("".join(codes))
+        self.slots = tuple(map(tuple, slots))
+        # Fixed octets are read, changing ones padded over.
+        self._fixed = struct.Struct(">" + "".join(
+            f"{len(part)}{'sx'[index & 1]}" for index, part in enumerate(parts)
+            if part or index & 1))
         self._chunks = self._fixed.unpack(wire)
 
     def matches(self, datagram: bytes) -> bool:
@@ -506,14 +499,16 @@ class FramePlan:
         fields in ``schema.seq_struct``'s codes, with every other octet
         padded over. Any other frame gets None, and is decoded instead.
         """
-        if len(self.asdus) != 1:
+        if len(self.slots) != 1:
             return None
-        smp_cnt, _, start, end = self.asdus[0]
+        smp_cnt, _, seq_data = self.slots[0]
         layout = schema.seq_struct
-        if start < smp_cnt or end - start != layout.size:
+        if seq_data < smp_cnt or len(self.parts[seq_data]) != layout.size:
             return None
-        return struct.Struct(f">{smp_cnt}xH{start - smp_cnt - 2}x"
-                             f"{layout.format[1:]}{self._fixed.size - end}x").unpack
+        sizes = [len(part) for part in self.parts]
+        return struct.Struct(
+            f">{sum(sizes[:smp_cnt])}xH{sum(sizes[smp_cnt + 1:seq_data])}x"
+            f"{layout.format[1:]}{sum(sizes[seq_data + 1:])}x").unpack
 
 
 def pack_seq_data(values, schema: DatasetSchema) -> bytes:
@@ -656,18 +651,19 @@ def _render_refr_tm(value: bytes) -> str:
             f"+{low >> 8}/16777216 s (q=0x{low & 0xFF:02x})")
 
 
-# The ASDU fields by tag: name, the width decode requires (None: any), the
-# value lenient decoding reads for a missing field (the ``Asdu`` default)
-# and the text dissect shows for the value.
+# The ASDU fields by tag, in the order encode writes them: name, the width
+# decode requires (None: any) and the text dissect shows for the value.
 _ASDU_FIELDS = {
-    TAG_SVID: ("svID", None, b"", lambda v: v.decode("ascii", "replace")),
-    TAG_SMPCNT: ("smpCnt", 2, bytes(2), _render_uint),
-    TAG_CONFREV: ("confRev", 4, b"\0\0\0\1", _render_uint),
-    TAG_REFRTM: ("refrTm", 8, bytes(8), _render_refr_tm),
-    TAG_SMPSYNCH: ("smpSynch", 1, b"\0", _render_smp_synch),
-    TAG_SEQDATA: ("seqData", None, b"", lambda v: f"{len(v)} octets {v.hex()}"),
+    TAG_SVID: ("svID", None, lambda v: v.decode("ascii", "replace")),
+    TAG_SMPCNT: ("smpCnt", 2, _render_uint),
+    TAG_CONFREV: ("confRev", 4, _render_uint),
+    TAG_REFRTM: ("refrTm", 8, _render_refr_tm),
+    TAG_SMPSYNCH: ("smpSynch", 1, _render_smp_synch),
+    TAG_SEQDATA: ("seqData", None, lambda v: f"{len(v)} octets {v.hex()}"),
 }
 _FIELD_VALUES = itemgetter(*_ASDU_FIELDS)
+# What lenient decoding reads for a missing field: the ``Asdu`` default.
+_MISSING = dict(zip(_ASDU_FIELDS, _asdu_octets(Asdu())))
 
 # Dissect rows by (depth, tag): the row name, and the renderer of a leaf
 # value, or None for a container, whose row shows its header hex only.
@@ -675,7 +671,7 @@ _ROWS = {(depth, tag): (name, None) for depth, (tag, name)
          in enumerate(zip(_CONTAINER_TAGS, _CONTAINER_NAMES))}
 _ROWS[1, TAG_NOASDU] = ("noASDU", _render_uint)
 _ROWS.update(((3, tag), (name, render))
-             for tag, (name, _, _, render) in _ASDU_FIELDS.items())
+             for tag, (name, _, render) in _ASDU_FIELDS.items())
 
 
 def _tlv_rows(data: bytes, tlvs, lines: list[DissectLine]) -> None:

@@ -49,11 +49,18 @@ class RunConfig:
     def __post_init__(self):
         # The checks of parse_config, which makes them first with line
         # numbers, so that every RunConfig dumps to a file that reloads.
+        if type(self.endpoint) is not EndpointConfig:
+            raise ValueError("endpoint must be of type EndpointConfig, "
+                             f"got {self.endpoint!r}")
         for key, value, _ in _scalars(self):
             _check_value(key, value)
         if type(self.channels) is not tuple:  # a reload holds a tuple
             raise ValueError(f"channels must be of type tuple, got "
                              f"{type(self.channels).__name__}")
+        for channel in self.channels:
+            if type(channel) is not ChannelSpec:
+                raise ValueError(
+                    f"channel must be of type ChannelSpec, got {channel!r}")
         samples_per_second(self.nominal_hz, self.points_per_period)
         _check_schema(self.schema)
 

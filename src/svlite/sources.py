@@ -38,6 +38,9 @@ class ChannelSpec:
     invalid_every_nth: int = 0  # 0: quality always good
 
     def __post_init__(self):
+        if type(self.member) is not SchemaMember:
+            raise ValueError(
+                f"member must be of type SchemaMember, got {self.member!r}")
         if type(self.kind) is not WaveKind:
             raise ValueError(f"kind must be of type WaveKind, got {self.kind!r}")
         for name in ("amplitude", "phase_rad", "dc_offset", "noise_sigma"):
@@ -78,19 +81,9 @@ def _gauss(seed: int, tick: int) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def sample_at(
-    spec: ChannelSpec,
-    tick: int,
-    points_per_period: int,
-    seed: int = 0,
-) -> int:
-    """Raw integer this channel's member carries at a given tick."""
-    check_points(points_per_period)
-    return _sample(spec, tick, points_per_period, seed)
-
-
 def _sample(spec: ChannelSpec, tick: int, points_per_period: int, seed: int) -> int:
-    """:func:`sample_at` at a rate already checked."""
+    """Raw integer this channel's member carries at a given tick, at a
+    ``points_per_period`` the caller has checked."""
     if spec.kind is WaveKind.GAUSSIAN_NOISE:
         engineering = spec.dc_offset + spec.noise_sigma * _gauss(seed, tick)
     elif spec.kind is WaveKind.SINE:
@@ -116,7 +109,7 @@ def sample_provider(channels, points_per_period: int, seed: int = 0):
     The returned callable maps a tick index to that tick's seqData
     octets: :func:`~svlite.codec.pack_seq_data` of one ``(raw, quality)``
     pair per channel, in the schema of the channels' members. Raw values
-    are exactly what :func:`sample_at` gives; quality is invalid on every
+    are exactly what :func:`_sample` gives; quality is invalid on every
     ``invalid_every_nth`` tick (the n-th, 2n-th, ... counting from 1) and
     good otherwise, and reaches the wire only for a member with quality.
 

@@ -7,6 +7,7 @@ the codec's BER lengths without reusing any codec code.
 
 import random
 import string
+from itertools import accumulate
 
 from svlite.codec import (
     Asdu,
@@ -171,6 +172,14 @@ def random_valid_frame(rng: random.Random) -> tuple[SvFrame, DatasetSchema]:
         apdu=SavApdu(asdus),
     )
     return frame, schema
+
+
+def plan_offsets(plan) -> tuple:
+    """Per ASDU of a ``FramePlan``, the value offsets of smpCnt and refrTm
+    and the value span of seqData, summed from its ``parts`` and ``slots``."""
+    starts = list(accumulate(map(len, plan.parts), initial=0))
+    return tuple((starts[smp_cnt], starts[refr_tm], starts[seq_data],
+                  starts[seq_data + 1]) for smp_cnt, refr_tm, seq_data in plan.slots)
 
 
 def reference_judge(schema: DatasetSchema, datagrams) -> tuple:

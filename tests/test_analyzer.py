@@ -6,8 +6,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import GOLDEN_SCHEMA, golden_frame, random_valid_frame, \
-    reference_judge
+from helpers import GOLDEN_SCHEMA, golden_frame, plan_offsets, \
+    random_valid_frame, reference_judge
 from svlite import analyzer as analyzer_module
 from svlite.analyzer import StreamAnalyzer, format_link_stats
 from svlite.cli import simulate
@@ -276,7 +276,7 @@ def _varied_stream(seed: int) -> tuple:
         elif kind < 0.15:
             del wire[rng.randrange(len(wire)):]
         elif kind < 0.2 and quality_ends:
-            seq_start = FramePlan(wire).asdus[0][2]
+            seq_start = plan_offsets(FramePlan(wire))[0][2]
             wire[seq_start + rng.choice(quality_ends) - 1] |= 0x03
         elif kind < 0.25:
             varied.apdu.asdus[0].sv_id += "x"
@@ -365,7 +365,7 @@ FAST_PATH_SEEDS = range(40)
 def _single_asdu(datagrams):
     """Whether the stream's first datagram, where its plan is learned,
     carries one ASDU."""
-    return len(FramePlan(datagrams[0]).asdus) == 1
+    return len(FramePlan(datagrams[0]).slots) == 1
 
 
 class TestFramePlanFastPath:
@@ -510,8 +510,8 @@ def planned_datagrams(draw):
             quality_octets.append(cursor - 1)
     asdu_count = draw(st.integers(1, 3))
     template = multi_asdu_wire(schema, [bytes(schema.packed_width)] * asdu_count)
-    plan = FramePlan(template)
-    changing = {at for smp_cnt, refr_tm, start, end in plan.asdus
+    offsets = plan_offsets(FramePlan(template))
+    changing = {at for smp_cnt, refr_tm, start, end in offsets
                 for at in (smp_cnt, smp_cnt + 1, *range(refr_tm, refr_tm + 8),
                            *range(start, end))}
     fixed = [at for at in range(len(template)) if at not in changing]
@@ -525,7 +525,7 @@ def planned_datagrams(draw):
                 octets[at] = draw(st.sampled_from(QUALITY_OCTETS))
             seq_data.append(bytes(octets))
         wire = bytearray(multi_asdu_wire(schema, seq_data, rng.randrange(0x10000)))
-        smp_cnt, _, start, end = plan.asdus[draw(st.integers(0, asdu_count - 1))]
+        smp_cnt, _, start, end = offsets[draw(st.integers(0, asdu_count - 1))]
         region = draw(st.sampled_from((None, range(start, end),
                                        range(smp_cnt, smp_cnt + 2), fixed)))
         if region is not None:

@@ -372,11 +372,17 @@ class TestConfigRoundTrip:
                             invalid_every_nth=2.5),
         lambda: RunConfig(sv_id=b"abc"),
         lambda: RunConfig(channels=list(RunConfig().channels)),
+        lambda: RunConfig(endpoint=None),
+        lambda: RunConfig(channels=(None,)),
+        lambda: ChannelSpec(member="TCTR1.AmpSv.instMag.i"),
     ], ids=["smp_synch", "mode", "nominal_hz", "vlan_priority",
             "points_per_period", "port", "width", "scale_factor",
-            "invalid_every_nth", "sv_id", "channels"])
+            "invalid_every_nth", "sv_id", "channels", "endpoint", "channel",
+            "member"])
     def test_scalar_of_another_type_raises_value_error(self, build):
-        # Each of these was accepted, then failed to dump or to reload equal.
+        # Each of these was accepted, then failed to dump or to reload equal,
+        # except endpoint and channel, which raised AttributeError, and
+        # member, which failed only when a provider quantised through it.
         with pytest.raises(ValueError, match="must be"):
             build()
 

@@ -9,6 +9,7 @@ from helpers import (
     GOLDEN_VALUES,
     GOLDEN_WIRE,
     golden_frame,
+    plan_offsets,
     random_valid_frame,
     verify_frame_lengths,
 )
@@ -404,14 +405,14 @@ class TestFramePlan:
         # smpCnt value after savPdu(2) noASDU(3) seqASDU(2) ASDU(2) svID(12)
         # and its own header(2); seqData runs to the end of the frame
         plan = FramePlan(GOLDEN_WIRE)
-        assert plan.asdus == ((49, 59, 72, 86),)
+        assert plan_offsets(plan) == ((49, 59, 72, 86),)
         assert plan.slots == ((1, 3, 5),)
         assert [len(part) for part in plan.parts] == [49, 2, 8, 8, 5, 14, 0]
 
     def test_patched_fields_still_match(self):
         plan = FramePlan(GOLDEN_WIRE)
         wire = bytearray(GOLDEN_WIRE)
-        smp_cnt, refr_tm, seq_start, seq_end = plan.asdus[0]
+        smp_cnt, refr_tm, seq_start, seq_end = plan_offsets(plan)[0]
         wire[smp_cnt:smp_cnt + 2] = b"\xff\xff"
         wire[refr_tm:refr_tm + 8] = bytes(range(8))
         wire[seq_start:seq_end] = bytes(range(seq_end - seq_start))
@@ -420,7 +421,7 @@ class TestFramePlan:
 
     def test_any_fixed_octet_or_length_change_misses(self):
         plan = FramePlan(GOLDEN_WIRE)
-        variable = {i for smp_cnt, refr_tm, seq_start, seq_end in plan.asdus
+        variable = {i for smp_cnt, refr_tm, seq_start, seq_end in plan_offsets(plan)
                     for i in [*range(smp_cnt, smp_cnt + 2),
                               *range(refr_tm, refr_tm + 8),
                               *range(seq_start, seq_end)]}
@@ -436,7 +437,7 @@ class TestFramePlan:
         frame.apdu.asdus.append(Asdu(
             sv_id="x", smp_cnt=2, seq_data=frame.apdu.asdus[0].seq_data))
         wire = encode_frame(frame, GOLDEN_SCHEMA)
-        first, second = FramePlan(wire).asdus
+        first, second = plan_offsets(FramePlan(wire))
         assert wire[second[0]:second[0] + 2] == b"\x00\x02"
         assert wire[first[2]:first[3]] == GOLDEN_WIRE[72:]
         assert second[3] == len(wire)
@@ -453,7 +454,8 @@ class TestFramePlan:
                 }[layout]
         plan = FramePlan(wire)
         assert b"".join(plan.parts) == wire
-        for (smp_cnt, refr_tm, start, end), slots in zip(plan.asdus, plan.slots):
+        offsets = plan_offsets(plan)
+        for (smp_cnt, refr_tm, start, end), slots in zip(offsets, plan.slots):
             assert [plan.parts[i] for i in slots] == [
                 wire[smp_cnt:smp_cnt + 2], wire[refr_tm:refr_tm + 8], wire[start:end]]
         assert sorted(i for slots in plan.slots for i in slots) == list(
@@ -493,6 +495,39 @@ class TestFramePlan:
         # The golden ASDU with seqData moved in front of svID.
         wire = GOLDEN_WIRE[:35] + GOLDEN_WIRE[70:] + GOLDEN_WIRE[35:70]
         assert FramePlan(wire).reader(GOLDEN_SCHEMA) is None
+
+
+# Valid frames of one to three ASDUs, each with its schema.
+valid_frames = st.integers(0, 2 ** 64 - 1).map(
+    lambda seed: random_valid_frame(random.Random(seed)))
+
+
+@settings(deadline=None)
+@given(valid_frames)
+def test_plan_parity_with_the_walk(frame_and_schema):
+    """The plan's cut rejoins to the frame, holds in its slots the octets
+    that decoding reads, and a one-ASDU plan reads what decoding reads."""
+    frame, schema = frame_and_schema
+    wire = encode_frame(frame, schema)
+    plan = FramePlan(wire)
+    assert b"".join(plan.parts) == wire
+    asdus = decode_frame(wire).apdu.asdus
+    assert len(plan.slots) == len(asdus)
+    for asdu, slots in zip(asdus, plan.slots):
+        assert [plan.parts[i] for i in slots] == [
+            asdu.smp_cnt.to_bytes(2, "big"), asdu.refr_tm.to_octets(), asdu.seq_data]
+    assert plan.matches(wire)
+    if len(asdus) == 1:
+        asdu, = asdus
+        assert plan.reader(schema)(wire) == (
+            asdu.smp_cnt, *schema.seq_struct.unpack(asdu.seq_data))
+
+
+def test_missing_field_reads_as_the_asdu_default():
+    assert codec._MISSING == {
+        codec.TAG_SVID: b"", codec.TAG_SMPCNT: bytes(2),
+        codec.TAG_CONFREV: b"\0\0\0\1", codec.TAG_REFRTM: bytes(8),
+        codec.TAG_SMPSYNCH: b"\0", codec.TAG_SEQDATA: b""}
 
 
 class TestDissect:

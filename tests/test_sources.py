@@ -13,7 +13,7 @@ from svlite.config import build_template, parse_config
 from svlite.errors import Overflow, UnsupportedRate
 from svlite.model import DatasetSchema, Quality, SchemaMember, Validity, \
     to_engineering
-from svlite.sources import ChannelSpec, WaveKind, _gauss, sample_at, \
+from svlite.sources import ChannelSpec, WaveKind, _gauss, _sample, \
     sample_provider
 from svlite.transport import frame_ticks
 
@@ -49,28 +49,28 @@ def _validity(spec, ticks):
 
 class TestSine:
     def test_tick_zero_is_zero(self):
-        assert sample_at(_sine(), 0, 80) == 0
+        assert _sample(_sine(), 0, 80, 0) == 0
 
     def test_quarter_period_hits_amplitude(self):
-        raw = sample_at(_sine(), 20, 80)
+        raw = _sample(_sine(), 20, 80, 0)
         assert raw == 10_000
         assert to_engineering(raw, -2) == Decimal("100.00")
 
     def test_three_quarter_period(self):
-        assert sample_at(_sine(), 60, 80) == -10_000
+        assert _sample(_sine(), 60, 80, 0) == -10_000
 
     def test_phase_shift(self):
         shifted = _sine(phase_rad=math.pi / 2)
-        assert sample_at(shifted, 0, 80) == 10_000
+        assert _sample(shifted, 0, 80, 0) == 10_000
 
     def test_dc_offset(self):
         spec = _sine(dc_offset=50.0)
-        assert sample_at(spec, 0, 80) == 5000
+        assert _sample(spec, 0, 80, 0) == 5000
 
     def test_mean_over_one_period(self):
         spec = _sine(dc_offset=7.5)
         total = sum(
-            to_engineering(sample_at(spec, tick, 80), -2)
+            to_engineering(_sample(spec, tick, 80, 0), -2)
             for tick in range(80))
         quantisation_bound = Decimal(80) * Decimal(10) ** -2 / 2
         assert abs(total - Decimal("600.0")) <= quantisation_bound
@@ -80,26 +80,26 @@ class TestConstant:
     def test_fixed_raw_at_every_tick(self):
         spec = _const(22.5, scale_factor=-1)
         for tick in (0, 1, 17, 4000):
-            assert sample_at(spec, tick, 80) == 225
+            assert _sample(spec, tick, 80, 0) == 225
 
 
 class TestNoise:
     def test_deterministic_per_tick_and_seed(self):
         spec = _noise(3.0, -3)
-        a = sample_at(spec, 123, 80, seed=42)
-        b = sample_at(spec, 123, 80, seed=42)
+        a = _sample(spec, 123, 80, 42)
+        b = _sample(spec, 123, 80, 42)
         assert a == b
 
     def test_seed_changes_stream(self):
         spec = _noise(3.0, -3)
-        a = [sample_at(spec, t, 80, seed=1) for t in range(50)]
-        b = [sample_at(spec, t, 80, seed=2) for t in range(50)]
+        a = [_sample(spec, t, 80, 1) for t in range(50)]
+        b = [_sample(spec, t, 80, 2) for t in range(50)]
         assert a != b
 
     def test_distribution_sanity(self):
         spec = _noise(1.0, -4)
         values = [
-            float(to_engineering(sample_at(spec, t, 80, seed=9), -4))
+            float(to_engineering(_sample(spec, t, 80, 9), -4))
             for t in range(2000)
         ]
         assert abs(statistics.fmean(values)) < 0.1
@@ -156,13 +156,13 @@ class TestMemberQuantisation:
 class TestValidation:
     def test_points_per_period_checked(self):
         with pytest.raises(UnsupportedRate):
-            sample_at(_const(), 0, 100)
+            sample_provider([_const()], 100)
 
     def test_quantisation_overflow_propagates(self):
         spec = ChannelSpec(_member(width=2), kind=WaveKind.CONSTANT,
                            dc_offset=1e9)
         with pytest.raises(Overflow):
-            sample_at(spec, 0, 80)
+            _sample(spec, 0, 80, 0)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
@@ -246,13 +246,13 @@ class TestProviderProperty:
            start=st.integers(0, 10**6))
     def test_matches_packing_each_sample(self, channels, points, seed, start):
         """Over three periods, every tick's octets are seqData packed from
-        :func:`sample_at` and the invalid_every rule, channel by channel."""
+        :func:`_sample` and the invalid_every rule, channel by channel."""
         schema = DatasetSchema(c.member for c in channels)
         provide = sample_provider(channels, points, seed)
         invalid = Quality(validity=Validity.INVALID)
         for tick in range(start, start + 3 * points):
             expected = pack_seq_data([
-                (sample_at(c, tick, points, seed),
+                (_sample(c, tick, points, seed),
                  invalid if c.invalid_every_nth
                  and (tick + 1) % c.invalid_every_nth == 0 else Quality())
                 for c in channels], schema)
