@@ -50,10 +50,13 @@ def encode_tlv(tag: int, value: bytes) -> bytes:
     """Tag octet, definite-form length, then the value verbatim."""
     if not 0 <= tag <= 0xFF:
         raise OversizeValue(f"tag {tag:#x} is not a single octet")
-    if len(value) > MAX_VALUE_LEN:
+    n = len(value)
+    if n < 0x80:  # short form: the header is the tag and the length
+        return bytes((tag, n)) + value
+    if n > MAX_VALUE_LEN:
         raise OversizeValue(
-            f"value of {len(value)} octets exceeds the {MAX_VALUE_LEN}-octet cap")
-    return bytes([tag]) + encode_length(len(value)) + bytes(value)
+            f"value of {n} octets exceeds the {MAX_VALUE_LEN}-octet cap")
+    return bytes([tag]) + encode_length(n) + bytes(value)
 
 
 def decode_tlv(buf: bytes, cursor: int = 0) -> tuple[int, bytes, int]:

@@ -46,6 +46,8 @@ SVID_MAX_LEN = 64
 
 # APPID + Length + Reserved1 + Reserved2
 _FIXED_HEADER_LEN = 8
+# MACs, TPID, TCI, EtherType, then APPID, Length, Reserved1 and Reserved2
+_LINK_HEADER = struct.Struct(">6s6sHHHHHHH")
 
 
 def mac_from_str(text: str) -> bytes:
@@ -194,36 +196,32 @@ def _asdu_octets(asdu: Asdu) -> tuple[bytes, ...]:
 
 def encode_frame(frame: SvFrame, schema: DatasetSchema) -> bytes:
     """Byte-exact frame encoding; every BER length derives from content."""
-    if not frame.apdu.asdus:
+    asdus = frame.apdu.asdus
+    if not asdus:
         raise ValueError("savPdu needs at least one ASDU")
     if len(frame.dst_mac) != 6 or len(frame.src_mac) != 6:
         raise ValueError("MAC addresses must be 6 octets")
     check_range("APPID", frame.appid, 0, 0xFFFF)
-    for asdu in frame.apdu.asdus:
-        if len(asdu.seq_data) != schema.packed_width:
+    width = schema.packed_width
+    for asdu in asdus:
+        if len(asdu.seq_data) != width:
             raise SchemaMismatch(
-                f"seqData is {len(asdu.seq_data)} octets, schema packs "
-                f"{schema.packed_width}")
-    count = len(frame.apdu.asdus)
+                f"seqData is {len(asdu.seq_data)} octets, schema packs {width}")
+    count = len(asdus)
     if count > 0xFF:
         raise OversizeValue(f"{count} ASDUs exceeds the single-octet noASDU")
-    seq_asdu = b"".join(
-        ber.encode_tlv(TAG_ASDU, _encode_asdu(a)) for a in frame.apdu.asdus)
+    seq_asdu = b"".join([ber.encode_tlv(TAG_ASDU, _encode_asdu(a)) for a in asdus])
     savpdu = ber.encode_tlv(
         TAG_SAVPDU,
         ber.encode_tlv(TAG_NOASDU, bytes([count]))
         + ber.encode_tlv(TAG_SEQASDU, seq_asdu),
     )
-    header = struct.pack(
-        ">HHHH", frame.appid, _FIXED_HEADER_LEN + len(savpdu), 0, 0)
-    return (
-        bytes(frame.dst_mac)
-        + bytes(frame.src_mac)
-        + struct.pack(">HH", TPID_VLAN, frame.vlan.tci)
-        + struct.pack(">H", ETHERTYPE_SV)
-        + header
-        + savpdu
-    )
+    length = _FIXED_HEADER_LEN + len(savpdu)
+    if length > 0xFFFF:
+        raise OversizeValue(f"Length field {length} exceeds 65535")
+    return _LINK_HEADER.pack(
+        bytes(frame.dst_mac), bytes(frame.src_mac), TPID_VLAN, frame.vlan.tci,
+        ETHERTYPE_SV, frame.appid, length, 0, 0) + savpdu
 
 
 # Tag of the one container the walker enters at each depth.

@@ -206,7 +206,7 @@ class DatasetSchema:
 
     @property
     def packed_width(self) -> int:
-        return sum(m.packed_width for m in self.members)
+        return self.seq_struct.size  # big-endian: no padding, each member's width
 
     @cached_property
     def seq_struct(self) -> struct.Struct:

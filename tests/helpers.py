@@ -1,8 +1,9 @@
-"""Shared test fixtures: the reference frame, an independent TLV walker
-and a reference judge of the analyzer's records.
+"""Shared test fixtures: the reference frame, an independent TLV walker,
+a reference encoder and a reference judge of the analyzer's records.
 
-The walker parses lengths with bare index arithmetic so it can confirm
-the codec's BER lengths without reusing any codec code.
+The walker parses lengths with bare index arithmetic, and the encoder
+writes them by its own rule, so they can confirm the codec's BER lengths
+without reusing any codec code.
 """
 
 import random
@@ -121,13 +122,53 @@ def verify_frame_lengths(wire: bytes) -> list[int]:
     return tags
 
 
+def _reference_tlv(tag: int, value: bytes) -> bytes:
+    n = len(value)
+    if n < 128:
+        length = [n]
+    elif n < 256:
+        length = [0x81, n]
+    else:
+        length = [0x82, n // 256, n % 256]
+    return bytes([tag, *length]) + value
+
+
+def reference_encode(frame: SvFrame, schema: DatasetSchema) -> bytes:
+    """The wire octets of ``frame``, laid out from the codec module
+    docstring field by field, with lengths counted here."""
+    seq_asdu = b""
+    for asdu in frame.apdu.asdus:
+        assert len(asdu.seq_data) == schema.packed_width
+        stamp = asdu.refr_tm
+        seq_asdu += _reference_tlv(0x30, b"".join([
+            _reference_tlv(0x80, asdu.sv_id.encode("ascii")),
+            _reference_tlv(0x82, asdu.smp_cnt.to_bytes(2, "big")),
+            _reference_tlv(0x83, asdu.conf_rev.to_bytes(4, "big")),
+            _reference_tlv(0x84, stamp.seconds.to_bytes(4, "big")
+                           + stamp.fraction.to_bytes(3, "big")
+                           + bytes([stamp.time_quality])),
+            _reference_tlv(0x85, bytes([asdu.smp_synch])),
+            _reference_tlv(0x87, asdu.seq_data),
+        ]))
+    savpdu = _reference_tlv(0x60, _reference_tlv(0x80, bytes([len(frame.apdu.asdus)]))
+                            + _reference_tlv(0xA2, seq_asdu))
+    vlan = frame.vlan
+    tci = vlan.priority << 13 | vlan.dei << 12 | vlan.vid
+    return (frame.dst_mac + frame.src_mac + b"\x81\x00" + tci.to_bytes(2, "big")
+            + b"\x88\xba" + frame.appid.to_bytes(2, "big")
+            + (8 + len(savpdu)).to_bytes(2, "big") + bytes(4) + savpdu)
+
+
 _SVID_ALPHABET = string.ascii_letters + string.digits
 
 
-def random_valid_frame(rng: random.Random) -> tuple[SvFrame, DatasetSchema]:
-    """Random frame within every wire-format bound, for round-trip checks."""
+def random_valid_frame(rng: random.Random, member_count: int = 0,
+                       asdu_count: int = 0) -> tuple[SvFrame, DatasetSchema]:
+    """Random frame within every wire-format bound, for round-trip checks:
+    ``member_count`` schema members and ``asdu_count`` ASDUs, or when 0,
+    1-2 members and 1-3 ASDUs."""
     members = []
-    for index in range(rng.randint(1, 2)):
+    for index in range(member_count or rng.randint(1, 2)):
         members.append(SchemaMember(
             name=f"TCTR{index + 1}.AmpSv.instMag.i",
             width=rng.choice((2, 4)),
@@ -138,7 +179,7 @@ def random_valid_frame(rng: random.Random) -> tuple[SvFrame, DatasetSchema]:
         ))
     schema = DatasetSchema(members)
     asdus = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(asdu_count or rng.randint(1, 3)):
         values = []
         for member in schema:
             bits = 8 * member.width

@@ -41,6 +41,19 @@ class TestEncodeTlv:
         with pytest.raises(OversizeValue):
             ber.encode_tlv(0x1FF, b"\x00")
 
+    @pytest.mark.parametrize("tag,value", [(-1, b""), (0x100, b"\x00")])
+    def test_short_value_keeps_the_tag_check(self, tag, value):
+        with pytest.raises(OversizeValue, match="not a single octet"):
+            ber.encode_tlv(tag, value)
+
+    @pytest.mark.parametrize("size", [0, 14, 127, 128, 300])
+    @pytest.mark.parametrize("buffer", [bytearray, memoryview])
+    def test_any_buffer_encodes_to_bytes(self, buffer, size):
+        value = bytes(range(256)) * 2
+        encoded = ber.encode_tlv(0x87, buffer(value[:size]))
+        assert type(encoded) is bytes
+        assert encoded == ber.encode_tlv(0x87, value[:size])
+
 
 class TestDecodeTlv:
     def test_no_asdu_row(self):
@@ -107,6 +120,13 @@ class TestProperties:
     def test_tlv_round_trip(self, tag, value):
         encoded = ber.encode_tlv(tag, value)
         assert ber.decode_tlv(encoded, 0) == (tag, value, len(encoded))
+
+    # Sizes drawn first, so the long forms come up as often as the short one.
+    @given(st.integers(0, 0xFF),
+           st.integers(0, 300).flatmap(lambda n: st.binary(min_size=n, max_size=n)))
+    def test_short_form_parity_with_encode_length(self, tag, value):
+        assert ber.encode_tlv(tag, value) == (
+            bytes([tag]) + ber.encode_length(len(value)) + value)
 
     @given(st.binary(max_size=300))
     def test_length_octets_minimal(self, value):

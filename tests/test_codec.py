@@ -11,6 +11,7 @@ from helpers import (
     golden_frame,
     plan_offsets,
     random_valid_frame,
+    reference_encode,
     verify_frame_lengths,
 )
 from svlite import ber, codec
@@ -133,6 +134,17 @@ class TestEncodeErrors:
         frame.appid = appid
         with pytest.raises(ValueError, match="APPID"):
             encode_frame(frame, GOLDEN_SCHEMA)
+
+    @pytest.mark.parametrize("asdus,members", [(252, 41), (234, 46), (210, 54)])
+    def test_length_field_overflow(self, asdus, members):
+        # Each savPdu is within BER's 0xFFFF cap, but 8 + its size is not.
+        schema = DatasetSchema(
+            SchemaMember(f"TCTR{i}.AmpSv.instMag.i", 4) for i in range(members))
+        frame = golden_frame()
+        frame.apdu.asdus = [Asdu("x" * 64, n, seq_data=bytes(schema.packed_width))
+                            for n in range(asdus)]
+        with pytest.raises(OversizeValue, match="Length field 65539 exceeds 65535"):
+            encode_frame(frame, schema)
 
     @pytest.mark.parametrize("appid", [0, 0xFFFF])
     def test_appid_bounds_encode(self, appid):
@@ -500,6 +512,25 @@ class TestFramePlan:
 # Valid frames of one to three ASDUs, each with its schema.
 valid_frames = st.integers(0, 2 ** 64 - 1).map(
     lambda seed: random_valid_frame(random.Random(seed)))
+
+
+@st.composite
+def wide_frames(draw):
+    """Frames of up to 80 members and 255 ASDUs whose Length field fits:
+    an ASDU takes at most 97 octets beside a seqData of 6 per member, and
+    the savPdu 19 more. They reach the 0x81 and 0x82 length forms at ASDU,
+    seqASDU and savPdu level."""
+    members = draw(st.integers(1, 80))
+    asdus = draw(st.integers(1, min(255, (0xFFFF - 19) // (97 + 6 * members))))
+    return random_valid_frame(random.Random(draw(st.integers(0, 2 ** 64 - 1))),
+                              members, asdus)
+
+
+@settings(deadline=None)
+@given(st.one_of(valid_frames, wide_frames()))
+def test_encode_parity_with_reference(frame_and_schema):
+    frame, schema = frame_and_schema
+    assert encode_frame(frame, schema) == reference_encode(frame, schema)
 
 
 @settings(deadline=None)

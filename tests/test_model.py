@@ -2,7 +2,7 @@ import math
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from svlite import model
 from svlite.errors import Overflow, SvError, UnsupportedRate
@@ -181,6 +181,17 @@ class TestDatasetSchema:
         schema = DatasetSchema([
             SchemaMember("TCTR1.AmpSv.instMag.i", 4, include_quality=True)])
         assert schema.packed_width == 6
+
+    @given(st.lists(st.tuples(st.sampled_from((2, 4)), st.booleans(), st.booleans()),
+                    max_size=40))
+    @example([])  # the empty schema
+    def test_packed_width_is_the_seq_struct_size(self, layout):
+        schema = DatasetSchema(
+            SchemaMember(f"TCTR{i}.AmpSv.instMag.i", width, signed=signed,
+                         include_quality=quality)
+            for i, (width, signed, quality) in enumerate(layout))
+        assert schema.packed_width == sum(m.packed_width for m in schema) \
+            == schema.seq_struct.size
 
     def test_one_data_attribute_with_many_leaves(self):
         schema = DatasetSchema([
