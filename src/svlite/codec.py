@@ -25,8 +25,8 @@ from . import ber
 from .errors import BadEtherType, BadHeader, CountMismatch, LengthMismatch, \
     OversizeValue, SchemaMismatch, Truncated, UnknownTag, UnsupportedLength, \
     WidthMismatch
-from .model import DatasetSchema, Quality, check_range, encode_quality, \
-    quality_from_word, quality_word
+from .model import QUALITY_OF_OCTET, DatasetSchema, Quality, check_range, \
+    encode_quality, quality_from_word, quality_word
 
 TPID_VLAN = 0x8100
 ETHERTYPE_SV = 0x88BA
@@ -557,10 +557,15 @@ def seq_data_values(fields, schema: DatasetSchema) -> list:
     if len(fields) == len(schema.members):
         return list(fields)
     out = []
-    words = iter(fields)
-    for member, value in zip(schema.members, words):
-        out.append((value, quality_from_word(next(words)))
-                   if member.include_quality else value)
+    for index, quality_follows in schema.value_layout:
+        if quality_follows:
+            word = fields[index + 1]
+            quality = QUALITY_OF_OCTET[word]
+            if quality is None:
+                quality_from_word(word)  # raises BadQuality
+            out.append((fields[index], quality))
+        else:
+            out.append(fields[index])
     return out
 
 

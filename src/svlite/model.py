@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from decimal import ROUND_HALF_EVEN, Decimal
 from enum import IntEnum
 
@@ -97,20 +97,51 @@ def from_engineering(
     of the product of ``repr(x)``; ``round(y)`` is returned when ``abs(y)
     < 2**49`` and ``y`` is over 4 ulp(y) from a half-integer, else Decimal.
     """
-    raw = None  # set only on the exact float path
-    if isinstance(x, float) and -22 <= scale_factor <= 22:
-        y = x / _POW10[scale_factor] if scale_factor > 0 else x * _POW10[-scale_factor]
-        if abs(y) < 2.0 ** 49 and abs(abs(y - round(y)) - 0.5) > 4 * math.ulp(y):
-            raw = round(y) - offset
-    if raw is None:
+    return quantiser(scale_factor, offset, width, signed)(x)
+
+
+def quantiser(scale_factor: int, offset: int = 0, width: int = 4,
+              signed: bool = True):
+    """:func:`from_engineering` with its scaling bound once: a callable that
+    quantises an engineering value to the raw integer of one member.
+
+    The scale's divisor or multiplier, the offset and the range are looked
+    up here, so a call makes only the checks, in the same order.
+    """
+    lo, hi = _int_range(width, signed)
+
+    def misfit(raw: int) -> Overflow:
+        return Overflow(
+            f"raw value {raw} does not fit {width} octets (signed={signed})")
+
+    def by_decimal(x) -> int:
         x = Decimal(str(x) if isinstance(x, float) else x)
         if not x.is_finite():
             raise Overflow(f"engineering value {x} is not finite")
         raw = int(x.scaleb(-scale_factor).to_integral_value(ROUND_HALF_EVEN)) - offset
-    lo, hi = _int_range(width, signed)
-    if not lo <= raw <= hi:
-        raise Overflow(f"raw value {raw} does not fit {width} octets (signed={signed})")
-    return raw
+        if not lo <= raw <= hi:
+            raise misfit(raw)
+        return raw
+
+    if not -22 <= scale_factor <= 22:
+        return by_decimal
+    unit = _POW10[abs(scale_factor)]
+    ulp = math.ulp
+
+    def quantise(x) -> int:
+        if not isinstance(x, float):
+            return by_decimal(x)
+        y = x / unit if scale_factor > 0 else x * unit
+        if abs(y) < 2.0 ** 49:
+            r = round(y)
+            if abs(abs(y - r) - 0.5) > 4 * ulp(y):
+                r -= offset
+                if not lo <= r <= hi:
+                    raise misfit(r)
+                return r
+        return by_decimal(x)
+
+    return quantise
 
 
 class Validity(IntEnum):
@@ -137,13 +168,22 @@ def encode_quality(q: Quality) -> bytes:
     return bytes([0x00, quality_word(q)])
 
 
-@lru_cache(maxsize=256)
+# Quality of each low quality octet, shared and immutable so a reader
+# builds none per sample; None where validity is 0b11. Only the low three
+# bits count, so eight entries repeat over the 256.
+QUALITY_OF_OCTET = tuple(
+    None if word & 0x03 == 0x03
+    else Quality(validity=Validity(word & 0x03), test=bool(word & 0x04))
+    for word in range(8)) * 32
+
+
 def quality_from_word(word: int) -> Quality:
-    """Quality of the low quality octet; every octet maps to one shared
-    immutable value, so the analyzer builds none per sample."""
-    if word & 0x03 == 0x03:
+    """Quality of the low quality octet, from :data:`QUALITY_OF_OCTET`;
+    undefined validity bits 0b11 raise :class:`BadQuality`."""
+    quality = QUALITY_OF_OCTET[word & 0xFF]
+    if quality is None:
         raise BadQuality(f"quality validity bits 0b11 in word 0x{word:02x}")
-    return Quality(validity=Validity(word & 0x03), test=bool(word & 0x04))
+    return quality
 
 
 @dataclass(frozen=True)
@@ -220,6 +260,16 @@ class DatasetSchema:
             if m.include_quality:
                 codes.append("xB")
         return struct.Struct("".join(codes))
+
+    @cached_property
+    def value_layout(self) -> tuple[tuple[int, bool], ...]:
+        """Per member, the index of its value among the fields of
+        :attr:`seq_struct` and whether its quality word follows it."""
+        layout, index = [], 0
+        for m in self.members:
+            layout.append((index, m.include_quality))
+            index += 2 if m.include_quality else 1
+        return tuple(layout)
 
     @property
     def data_attribute_count(self) -> int:

@@ -55,23 +55,34 @@ class Channel:
     REORDER_EPSILON = 1e-6
 
     def __init__(self, spec: LinkSpec):
-        self.spec = spec
+        self._spec = spec
         self.transmitted = 0
         self.delivered = 0
         self.lost = 0
-        self._rng = random.Random(spec.seed)
+        # Bound once: the spec is read-only, so these cannot go stale.
+        self._random = random.Random(spec.seed).random
+        self._loss = spec.loss_probability
+        self._jitter = spec.jitter
+        self._latency = spec.base_latency
+        self._reorder = spec.reorder_probability
         self._pending: list[tuple[float, int, bytes]] = []
         self._held: tuple[float, int, bytes] | None = None
         self._seq = 0
 
+    @property
+    def spec(self) -> LinkSpec:
+        return self._spec
+
     def transmit(self, datagram: bytes, send_time: float) -> None:
         """Offer one datagram at ``send_time``."""
-        spec = self.spec
+        draw = self._random
         self.transmitted += 1
-        if self._rng.random() < spec.loss_probability:
+        if draw() < self._loss:
             self.lost += 1
             return
-        delay = spec.base_latency + self._rng.uniform(-spec.jitter, spec.jitter)
+        # random.Random.uniform(-j, j), operation for operation.
+        j = self._jitter
+        delay = self._latency + (-j + (j - -j) * draw())
         at = send_time + delay
         if at < send_time:
             at = send_time
@@ -82,7 +93,7 @@ class Channel:
         # Free for a bytes datagram, which bytes() returns as it is; any
         # other buffer is copied, so its sender may reuse it.
         entry = (at, seq, bytes(datagram))
-        if self._rng.random() < spec.reorder_probability:
+        if draw() < self._reorder:
             self._held = entry
         else:
             self._pending.append(entry)

@@ -16,7 +16,7 @@ from enum import Enum
 
 from .codec import pack_seq_data
 from .model import (DatasetSchema, Quality, SchemaMember, Validity,
-                    check_points, from_engineering, quality_word)
+                    check_points, quantiser, quality_word)
 
 
 class WaveKind(Enum):
@@ -67,37 +67,70 @@ _PCG_MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
 
 
+def _normal_source(seed: int):
+    """A callable giving a tick's standard normal: Box-Muller over the
+    first two draws of PCG stream ``tick``, keyed by ``seed``.
+
+    Stream ``t`` has increment ``inc = 2t+1`` and starts at ``inc + seed``,
+    so its first two states are linear in ``t`` (mod 2**64):
+    ``s1 = (inc + seed) * M + inc = A1*t + B1`` and ``s2 = s1 * M + inc =
+    A2*t + B2``, with the four coefficients computed here once.
+    """
+    a1 = 2 * (_PCG_MULT + 1) & _MASK64
+    b1 = (_PCG_MULT + 1 + seed * _PCG_MULT) & _MASK64
+    a2 = (a1 * _PCG_MULT + 2) & _MASK64
+    b2 = (b1 * _PCG_MULT + 1) & _MASK64
+    log, sqrt, cos = math.log, math.sqrt, math.cos
+    # 2**-32 and 2*pi*2**-32 scale exactly, so ``(a + 1) * u`` is (a + 1) /
+    # 2**32 in (0, 1] and ``b * w`` is 2*pi times b / 2**32 in [0, 1).
+    u, w = 2.0 ** -32, 2.0 * math.pi * 2.0 ** -32
+    mask = _MASK64
+
+    def normal(tick: int) -> float:
+        s1 = (a1 * tick + b1) & mask
+        s2 = (a2 * tick + b2) & mask
+        # XSH-RR: x = ((s ^ s >> 18) >> 27) mod 2**32 rotated right by
+        # s >> 59; x * (2**32 + 1) is x twice over, so shifting that right
+        # and keeping 32 bits is the rotation.
+        x = ((s1 >> 45) ^ (s1 >> 27)) & 0xFFFF_FFFF
+        a = x * 0x1_0000_0001 >> (s1 >> 59) & 0xFFFF_FFFF
+        x = ((s2 >> 45) ^ (s2 >> 27)) & 0xFFFF_FFFF
+        b = x * 0x1_0000_0001 >> (s2 >> 59) & 0xFFFF_FFFF
+        return sqrt(-2.0 * log((a + 1) * u)) * cos(b * w)
+
+    return normal
+
+
 def _gauss(seed: int, tick: int) -> float:
-    """Standard normal by Box-Muller over PCG stream ``tick``'s first two draws."""
-    inc = ((tick << 1) | 1) & _MASK64
-    s1 = ((inc + seed) * _PCG_MULT + inc) & _MASK64
-    s2 = (s1 * _PCG_MULT + inc) & _MASK64
-    x = (((s1 >> 18) ^ s1) >> 27) & 0xFFFF_FFFF  # XSH-RR output of s1
-    a = ((x >> (s1 >> 59)) | (x << (32 - (s1 >> 59)))) & 0xFFFF_FFFF
-    x = (((s2 >> 18) ^ s2) >> 27) & 0xFFFF_FFFF
-    b = ((x >> (s2 >> 59)) | (x << (32 - (s2 >> 59)))) & 0xFFFF_FFFF
-    u1 = (a + 1) / 4294967296.0  # (0, 1]
-    u2 = b / 4294967296.0        # [0, 1)
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    """Standard normal of PCG stream ``tick`` under ``seed``."""
+    return _normal_source(seed)(tick)
+
+
+def _sampler(spec: ChannelSpec, points_per_period: int, seed: int):
+    """Raw integer this channel's member carries at a tick, at a
+    ``points_per_period`` the caller has checked: the waveform, noise
+    source and member quantiser bound once, evaluated per tick."""
+    m = spec.member
+    quantise = quantiser(m.scale_factor, m.offset, m.width, m.signed)
+    dc = spec.dc_offset
+    if spec.kind is WaveKind.GAUSSIAN_NOISE:
+        normal, sigma = _normal_source(seed), spec.noise_sigma
+        return lambda tick: quantise(dc + sigma * normal(tick))
+    if spec.kind is WaveKind.SINE:
+        amplitude, phase = spec.amplitude, spec.phase_rad
+        # The waveform is periodic in points_per_period; reducing the tick
+        # first keeps the sine argument small so late ticks quantise
+        # exactly like the first period.
+        return lambda tick: quantise(dc + amplitude * math.sin(
+            2.0 * math.pi * (tick % points_per_period) / points_per_period
+            + phase))
+    return lambda tick: quantise(dc)
 
 
 def _sample(spec: ChannelSpec, tick: int, points_per_period: int, seed: int) -> int:
     """Raw integer this channel's member carries at a given tick, at a
     ``points_per_period`` the caller has checked."""
-    if spec.kind is WaveKind.GAUSSIAN_NOISE:
-        engineering = spec.dc_offset + spec.noise_sigma * _gauss(seed, tick)
-    elif spec.kind is WaveKind.SINE:
-        # The waveform is periodic in points_per_period; reducing the tick
-        # first keeps the sine argument small so late ticks quantise
-        # exactly like the first period.
-        angle = (2.0 * math.pi * (tick % points_per_period) / points_per_period
-                 + spec.phase_rad)
-        engineering = spec.dc_offset + spec.amplitude * math.sin(angle)
-    else:
-        engineering = spec.dc_offset
-    m = spec.member
-    return from_engineering(
-        engineering, m.scale_factor, m.offset, m.width, m.signed)
+    return _sampler(spec, points_per_period, seed)(tick)
 
 
 _INVALID = quality_word(Quality(validity=Validity.INVALID))
@@ -116,31 +149,32 @@ def sample_provider(channels, points_per_period: int, seed: int = 0):
     Sine and constant channels repeat once per period, so one seqData per
     tick of the period is packed here, and an unsupported rate or a value
     that does not fit its member raises now rather than on a later tick.
-    A tick looks its octets up in that table, sets the validity octet of
-    each quality member whose channel is on an invalid tick, and packs
-    each noise channel's sample into its own span, drawn and quantised on
-    every tick with no second rate check; a noise sample that does not fit
-    its member raises :class:`~svlite.errors.Overflow` at its tick.
+    Each noise channel is compiled here too, once: its keyed PCG reduced
+    to two linear states and its member's quantiser bound. A tick looks
+    its octets up in the table, sets the validity octet of each quality
+    member whose channel is on an invalid tick, and packs each noise
+    channel's sample, drawn and quantised through that compiled sampler,
+    into its own span with no second rate check; a noise sample that does
+    not fit its member raises :class:`~svlite.errors.Overflow` at its tick.
     """
     check_points(points_per_period)
     specs = tuple(channels)
     schema = DatasetSchema(spec.member for spec in specs)
     columns = []  # raw values per channel, repeating; noise packs as 0
     flags = []    # (validity octet, n) per quality member that goes invalid
-    noise = []    # (spec, offset, pack_into) per noise channel
+    noise = []    # (pack_into, offset, sample) per noise channel
     at = 0
     for spec in specs:
         member = spec.member
+        sample = _sampler(spec, points_per_period, seed)
         if spec.kind is WaveKind.GAUSSIAN_NOISE:
             columns.append((0,))
-            noise.append((spec, at,
-                          struct.Struct(">" + member.struct_code).pack_into))
+            noise.append((struct.Struct(">" + member.struct_code).pack_into,
+                          at, sample))
         elif spec.kind is WaveKind.CONSTANT:
-            columns.append((_sample(spec, 0, points_per_period, seed),))
+            columns.append((sample(0),))
         else:
-            columns.append(tuple(
-                _sample(spec, tick, points_per_period, seed)
-                for tick in range(points_per_period)))
+            columns.append(tuple(map(sample, range(points_per_period))))
         if spec.invalid_every_nth and member.include_quality:
             # The quality word follows the value; validity is its low octet.
             flags.append((at + member.width + 1, spec.invalid_every_nth))
@@ -160,9 +194,8 @@ def sample_provider(channels, points_per_period: int, seed: int = 0):
         for offset, n in flags:
             if (tick + 1) % n == 0:
                 octets[offset] = _INVALID
-        for spec, offset, pack_into in noise:
-            pack_into(octets, offset,
-                      _sample(spec, tick, points_per_period, seed))
+        for pack_into, offset, sample in noise:
+            pack_into(octets, offset, sample(tick))
         return bytes(octets)
 
     return provide

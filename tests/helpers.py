@@ -1,11 +1,13 @@
 """Shared test fixtures: the reference frame, an independent TLV walker,
-a reference encoder and a reference judge of the analyzer's records.
+a reference encoder, a reference judge of the analyzer's records and a
+reference noise sample.
 
 The walker parses lengths with bare index arithmetic, and the encoder
 writes them by its own rule, so they can confirm the codec's BER lengths
 without reusing any codec code.
 """
 
+import math
 import random
 import string
 from itertools import accumulate
@@ -24,7 +26,8 @@ from svlite.codec import (
     unpack_seq_data,
 )
 from svlite.errors import SvError
-from svlite.model import DatasetSchema, Quality, SchemaMember, Validity
+from svlite.model import DatasetSchema, Quality, SchemaMember, Validity, \
+    from_engineering
 
 # Reference frame assembled by hand, field by field. Lengths were summed
 # manually: ASDU content 12+4+6+10+3+16 = 51 (0x33), seqASDU 53 (0x35),
@@ -248,3 +251,33 @@ def reference_judge(schema: DatasetSchema, datagrams) -> tuple:
             else:
                 accepted.append(values)
     return failures, discarded, accepted
+
+
+_PCG_MULT = 6364136223846793005
+_MASK64 = (1 << 64) - 1
+
+
+def reference_gauss(seed: int, tick: int) -> float:
+    """Standard normal by Box-Muller over the first two draws of a PCG
+    (64-bit state, XSH-RR 32-bit output) whose stream ``tick`` has
+    increment ``2*tick + 1`` and starts at ``increment + seed``, as the
+    ``sources`` module describes it, one step after another."""
+    inc = ((tick << 1) | 1) & _MASK64
+    s1 = ((inc + seed) * _PCG_MULT + inc) & _MASK64
+    s2 = (s1 * _PCG_MULT + inc) & _MASK64
+    x = (((s1 >> 18) ^ s1) >> 27) & 0xFFFF_FFFF  # XSH-RR output of s1
+    a = ((x >> (s1 >> 59)) | (x << (32 - (s1 >> 59)))) & 0xFFFF_FFFF
+    x = (((s2 >> 18) ^ s2) >> 27) & 0xFFFF_FFFF
+    b = ((x >> (s2 >> 59)) | (x << (32 - (s2 >> 59)))) & 0xFFFF_FFFF
+    u1 = (a + 1) / 4294967296.0  # (0, 1]
+    u2 = b / 4294967296.0        # [0, 1)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def reference_noise_raw(member: SchemaMember, dc: float, sigma: float,
+                        seed: int, tick: int) -> int:
+    """Raw integer a noise channel ``dc + sigma * N(0, 1)`` puts in
+    ``member`` at ``tick``, quantised by ``from_engineering``."""
+    return from_engineering(dc + sigma * reference_gauss(seed, tick),
+                            member.scale_factor, member.offset,
+                            member.width, member.signed)

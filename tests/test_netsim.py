@@ -73,6 +73,15 @@ class TestReproducibility:
             runs.append(channel.drain())
         assert runs[0] == runs[1]
 
+    def test_spec_is_read_only(self):
+        """The channel draws with the spec's numbers bound when it was
+        built, so the spec cannot be swapped under it."""
+        spec = LinkSpec(loss_probability=0.5, seed=7)
+        channel = Channel(spec)
+        with pytest.raises(AttributeError):
+            channel.spec = LinkSpec()
+        assert channel.spec is spec
+
 
 class TestJitterReorder:
     def test_drain_before_transmit(self):

@@ -5,8 +5,9 @@ from dataclasses import replace
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import reference_noise_raw
 from svlite.codec import DecodeMode, UtcTimestamp, decode_frame, \
     pack_seq_data, unpack_seq_data
 from svlite.config import build_template, parse_config
@@ -257,3 +258,85 @@ class TestProviderProperty:
                  and (tick + 1) % c.invalid_every_nth == 0 else Quality())
                 for c in channels], schema)
             assert provide(tick) == expected
+
+
+def _outcome(provide, tick):
+    try:
+        return provide(tick)
+    except Overflow as exc:
+        return f"Overflow: {exc}"
+
+
+def _reference_outcome(spec, schema, seed, tick, lead):
+    try:
+        raw = reference_noise_raw(spec.member, spec.dc_offset,
+                                  spec.noise_sigma, seed, tick)
+    except Overflow as exc:
+        return f"Overflow: {exc}"
+    return pack_seq_data([*lead, raw], schema)
+
+
+@st.composite
+def _noise_specs(draw):
+    """A noise channel over any member: spread over a few hundred raw
+    steps of its scale, sigma 0 with dc on or an ulp beside a decimal tie
+    at a scale of the float path (which falls back to Decimal near one),
+    or sigma near the float limit, where ``dc + sigma * g`` overflows to
+    inf on some ticks."""
+    shape = draw(st.sampled_from(["spread", "tie", "huge"]))
+    scale_factor = draw(st.integers(-22, 22) if shape == "tie"
+                        else st.integers(-22, 22) | st.integers(-128, 127))
+    member = SchemaMember(
+        "TCTR1.AmpSv.instMag.i", draw(st.sampled_from([2, 4])),
+        signed=draw(st.booleans()), scale_factor=scale_factor,
+        offset=draw(st.integers(-1000, 1000)
+                    | st.integers(-(2 ** 31), 2 ** 31 - 1)),
+        include_quality=draw(st.booleans()))
+    unit = 10.0 ** scale_factor
+    if shape == "tie":
+        k = draw(st.integers(-(10 ** 4), 10 ** 4))
+        dc = draw(st.sampled_from([float(f"{k}.5e{scale_factor}"),
+                                   float(f"{k}.5") * unit]))
+        step = draw(st.sampled_from([0, 0, 1, -1]))
+        if step:
+            dc = math.nextafter(dc, step * math.inf)
+        sigma = 0.0
+    elif shape == "huge":
+        dc = draw(st.floats(-1e308, 1e308))
+        sigma = draw(st.floats(1e308, 1.79e308))
+    else:
+        dc = draw(st.floats(-(10 ** 5), 10 ** 5)) * unit
+        sigma = draw(st.floats(0, 300)) * unit
+    return ChannelSpec(member, kind=WaveKind.GAUSSIAN_NOISE, dc_offset=dc,
+                       noise_sigma=sigma)
+
+
+class TestNoiseParity:
+    """The provider's compiled noise sampler against the PCG and Box-Muller
+    written out step by step and ``from_engineering``. Examples per run
+    come from the active hypothesis profile."""
+
+    @settings(deadline=None)
+    @given(spec=_noise_specs(),
+           seed=st.integers(-(2 ** 70), -1) | st.just(0)
+           | st.integers(1, 2 ** 64 - 1) | st.integers(2 ** 64, 2 ** 80),
+           start=st.integers(0, 2 ** 63),
+           points=st.sampled_from([80, 256]),
+           lead=st.booleans())
+    # Ticks 1, 2 and 5 reach inf; the others overflow the member.
+    @example(spec=ChannelSpec(_member(), kind=WaveKind.GAUSSIAN_NOISE,
+                              noise_sigma=1.79e308),
+             seed=0, start=0, points=80, lead=False)
+    @example(spec=ChannelSpec(_member(-2), kind=WaveKind.GAUSSIAN_NOISE,
+                              dc_offset=0.545),  # 54.50000000000001 scaled
+             seed=0, start=0, points=80, lead=True)
+    def test_noise_parity_with_reference(self, spec, seed, start, points, lead):
+        """Octets, or the Overflow and its message, at each of eight ticks;
+        ``lead`` puts a constant channel first, so the noise packs at an
+        offset."""
+        channels = [_const(7.0)] * lead + [spec]
+        schema = DatasetSchema(c.member for c in channels)
+        provide = sample_provider(channels, points, seed)
+        for tick in range(start, start + 8):
+            assert _outcome(provide, tick) == _reference_outcome(
+                spec, schema, seed, tick, [7] * lead)
