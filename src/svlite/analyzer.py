@@ -65,14 +65,19 @@ class StreamAnalyzer:
     advance the expected counter.
 
     The first datagram that decodes with no warning is learned as a
-    :class:`FramePlan`. When it is the profile's frame, one ASDU with a
-    seqData of the schema's width, a later datagram that matches it is
-    read by one struct unpack; any other datagram, and every datagram of a
-    stream whose plan has another shape, is decoded leniently and each
-    seqData of the schema's width unpacked. Either way one rule judges the
-    records: a seqData of another width or an undefined validity is a
-    decode failure, a record whose quality is not good is discarded, and
-    only an accepted record has its values built.
+    :class:`FramePlan`. While no datagram has matched that plan, its source
+    may be a stray from another stream, so the second datagram with no
+    warning that misses it is learned instead, once. When the plan is the
+    profile's frame, one ASDU with a seqData of the schema's width, a
+    datagram with its length and fixed octets takes a straight-line
+    branch: one struct unpack, then the counters and its one record. Any
+    other datagram is decoded leniently and each of its seqData of the
+    schema's width unpacked. One rule judges the records: a seqData of
+    another width or an undefined validity is a decode failure, a record
+    whose quality is not good is discarded, and only an accepted record
+    has its values built. It has two implementations, one per branch, kept
+    apart because sharing code between them costs the planned branch its
+    speed; the tests hold both to ``reference_judge`` and to each other.
     """
 
     def __init__(self, wrap_modulus: int, schema: DatasetSchema):
@@ -93,65 +98,105 @@ class StreamAnalyzer:
         if quality_at:
             self._quality_words = itemgetter(*quality_at, quality_at[0])
         self._expected: int | None = None
-        # Layout of the first datagram that decoded with no warning, and
-        # its one-unpack read, or None when that frame is not the profile's.
-        self._plan: FramePlan | None = None
-        self._read = None
+        # The planned branch's check and read: a datagram of
+        # ``_planned_size`` octets whose ``_fixed`` unpack equals
+        # ``_fixed_octets`` is read by ``_read``. No datagram has size -1,
+        # the size while no plan is read.
+        self._planned_size = -1
+        self._fixed = self._fixed_octets = self._read = None
+        # Received datagrams that were decoded, and those with no warning
+        # decoded while none had been read by a plan.
+        self._decoded = 0
+        self._unmatched_clean = 0
         self._last_arrival: float | None = None
-        # Welford accumulator over inter-arrival deltas.
-        self._deltas = 0
+        # Welford accumulator over the received - 1 inter-arrival deltas.
         self._delta_mean = 0.0
         self._delta_m2 = 0.0
 
     def ingest(self, datagram: bytes, arrival_time: float) -> None:
-        read = self._read
-        if read is not None and self._plan.matches(datagram):
-            # Same fixed octets as the frame the plan was learned from, so
-            # a lenient decode would give that frame, no warning, and the
-            # smpCnt and seqData read here.
-            fields = read(datagram)
-            smp_cnt, records, misfits = fields[0], (fields[1:],), 0
-        else:
-            try:
-                frame = decode_frame(datagram, DecodeMode.LENIENT)
-            except SvError:
-                self.decode_failures += 1
+        # smpCnt enters only through the gap, taken modulo the wrap, so
+        # neither a wire value at or above the wrap nor its successor, the
+        # expected smpCnt, needs reducing first.
+        if (len(datagram) == self._planned_size
+                and self._fixed(datagram) == self._fixed_octets):
+            # The plan's frame, with only smpCnt, refrTm and seqData new.
+            # The plan was learned from a received datagram, so the last
+            # arrival and the expected smpCnt are set.
+            values = list(self._read(datagram))
+            smp_cnt = values.pop(0)
+            self.received = received = self.received + 1
+            arrival_time = float(arrival_time)
+            delta = arrival_time - self._last_arrival
+            self._last_arrival = arrival_time
+            mean = self._delta_mean
+            diff = delta - mean
+            self._delta_mean = mean = mean + diff / (received - 1)
+            self._delta_m2 += diff * (delta - mean)
+            wrap = self.wrap_modulus
+            gap = (smp_cnt - self._expected) % wrap
+            if gap == 0:
+                self._expected = smp_cnt + 1
+            elif gap < wrap / 2:
+                self.lost += gap
+                self._expected = smp_cnt + 1
+            else:
+                self.out_of_order += 1
+            if not self._has_quality:
+                self.accepted.append(values)
                 return
-            asdus = frame.apdu.asdus
-            if not asdus:
+            words = self._quality_words(values)
+            if _NOT_GOOD.isdisjoint(words):
+                self.accepted.append(seq_data_values(values, self.schema))
+            elif _UNDEFINED.isdisjoint(words):
+                self.quality_discarded += 1
+            else:
                 self.decode_failures += 1
-                return
-            if self._plan is None and not frame.decode_warnings:
-                self._plan = FramePlan(datagram)
-                self._read = self._plan.reader(self.schema)
-            smp_cnt = asdus[0].smp_cnt
-            layout = self.schema.seq_struct
-            records = [layout.unpack(asdu.seq_data) for asdu in asdus
-                       if len(asdu.seq_data) == layout.size]
-            misfits = len(asdus) - len(records)
+            return
+        try:
+            frame = decode_frame(datagram, DecodeMode.LENIENT)
+        except SvError:
+            self.decode_failures += 1
+            return
+        asdus = frame.apdu.asdus
+        if not asdus:
+            self.decode_failures += 1
+            return
+        # A plan that no datagram has matched may come from another
+        # stream's datagram, so the second clean datagram that misses it
+        # teaches it once more (not the first, which may be the stray).
+        if not frame.decode_warnings and self._decoded == self.received:
+            self._unmatched_clean += 1
+            if self._unmatched_clean in (1, 3):
+                plan = FramePlan(datagram)
+                self._read = plan.reader(self.schema)
+                self._planned_size = -1 if self._read is None else plan.fixed.size
+                self._fixed = plan.fixed.unpack
+                self._fixed_octets = plan.fixed_octets
+        self._decoded += 1
         self.received += 1
         arrival_time = float(arrival_time)
         if self._last_arrival is not None:
             delta = arrival_time - self._last_arrival
-            self._deltas += 1
             diff = delta - self._delta_mean
-            self._delta_mean += diff / self._deltas
+            self._delta_mean += diff / (self.received - 1)
             self._delta_m2 += diff * (delta - self._delta_mean)
         self._last_arrival = arrival_time
-        smp_cnt %= self.wrap_modulus
+        smp_cnt = asdus[0].smp_cnt
         if self._expected is None:
-            self._expected = (smp_cnt + 1) % self.wrap_modulus
+            self._expected = smp_cnt + 1
         else:
             gap = (smp_cnt - self._expected) % self.wrap_modulus
             if gap == 0:
-                self._expected = (smp_cnt + 1) % self.wrap_modulus
+                self._expected = smp_cnt + 1
             elif gap < self.wrap_modulus / 2:
                 self.lost += gap
-                self._expected = (smp_cnt + 1) % self.wrap_modulus
+                self._expected = smp_cnt + 1
             else:
                 self.out_of_order += 1
-        self.decode_failures += misfits
-        # On either path, each record is the fields of one seqData.
+        layout = self.schema.seq_struct
+        records = [layout.unpack(asdu.seq_data) for asdu in asdus
+                   if len(asdu.seq_data) == layout.size]
+        self.decode_failures += len(asdus) - len(records)
         if not self._has_quality:
             for values in records:
                 self.accepted.append(list(values))
@@ -169,7 +214,8 @@ class StreamAnalyzer:
         """Snapshot of the counters; safe to call at any time."""
         denominator = self.received + self.lost
         loss_rate = self.lost / denominator if denominator else 0.0
-        stddev = math.sqrt(self._delta_m2 / self._deltas) if self._deltas else 0.0
+        deltas = self.received - 1
+        stddev = math.sqrt(self._delta_m2 / deltas) if deltas > 0 else 0.0
         return LinkStats(
             received=self.received,
             decode_failures=self.decode_failures,
@@ -177,6 +223,6 @@ class StreamAnalyzer:
             out_of_order=self.out_of_order,
             quality_discarded=self.quality_discarded,
             loss_rate=loss_rate,
-            inter_arrival_mean=self._delta_mean if self._deltas else 0.0,
+            inter_arrival_mean=self._delta_mean,
             inter_arrival_stddev=stddev,
         )

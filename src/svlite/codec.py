@@ -457,10 +457,11 @@ class FramePlan:
     order, the indices in ``parts`` of its smpCnt, refrTm and seqData. With
     a fixed schema and svID every BER length is constant, so the publisher
     builds each tick by joining ``parts`` with that tick's octets in the
-    slots. A datagram that :meth:`matches` the frame it was built from
-    carries those same fixed octets, so every tag and length in it is the
-    frame's, and it decodes to the frame with only smpCnt, refrTm and
-    seqData read anew.
+    slots. ``fixed`` unpacks a datagram of the frame's length
+    (``fixed.size``) to its fixed octets, padding over the changing ones.
+    A datagram whose unpack equals ``fixed_octets``, the frame's own,
+    carries every tag and length of the frame, and it decodes to the frame
+    with only smpCnt, refrTm and seqData read anew.
     """
 
     def __init__(self, wire: bytes):
@@ -477,19 +478,14 @@ class FramePlan:
         parts.append(wire[cursor:])
         self.parts = tuple(parts)
         self.slots = tuple(map(tuple, slots))
-        # Fixed octets are read, changing ones padded over.
-        self._fixed = struct.Struct(">" + "".join(
+        self.fixed = struct.Struct(">" + "".join(
             f"{len(part)}{'sx'[index & 1]}" for index, part in enumerate(parts)
             if part or index & 1))
-        self._chunks = self._fixed.unpack(wire)
-
-    def matches(self, datagram: bytes) -> bool:
-        """Whether ``datagram`` has the frame's length and fixed octets."""
-        return (len(datagram) == self._fixed.size
-                and self._fixed.unpack(datagram) == self._chunks)
+        self.fixed_octets = self.fixed.unpack(wire)
 
     def reader(self, schema: DatasetSchema):
-        """Compile one read of a datagram that :meth:`matches`, or None.
+        """Compile one read of a datagram that carries the frame's fixed
+        octets, or None.
 
         Only the reduced profile's frame is read: one ASDU whose seqData
         follows its smpCnt and is ``schema.packed_width`` octets. Its read

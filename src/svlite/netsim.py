@@ -111,13 +111,17 @@ class Channel:
         """Remove and return deliveries due by ``until``, in delivery order.
 
         ``None`` means end of experiment: any held datagram is finalised
-        at its original time and everything pending is returned. Ties in
-        time leave in scheduling order, since ``(at, seq)`` is unique.
+        at its original time, and the pending list, sorted, is handed over
+        whole rather than copied. Ties in time leave in scheduling order,
+        since ``(at, seq)`` is unique.
         """
         if until is None and self._held is not None:
             self._finalize_held()
-        self._pending.sort()
-        cut = len(self._pending) if until is None else bisect_right(
-            self._pending, until, key=itemgetter(0))
-        due, self._pending = self._pending[:cut], self._pending[cut:]
+        due = self._pending
+        due.sort()
+        if until is None:
+            self._pending = []
+        else:
+            cut = bisect_right(due, until, key=itemgetter(0))
+            due, self._pending = due[:cut], due[cut:]
         return [(at, payload) for at, _, payload in due]

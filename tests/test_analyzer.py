@@ -1,6 +1,8 @@
+import contextlib
 import copy
 import random
 from dataclasses import replace
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -285,11 +287,48 @@ def _varied_stream(seed: int) -> tuple:
     return schema, datagrams
 
 
-def _state(schema, datagrams):
+def _state(schema, datagrams, times=None):
+    """The analyzer's state after ``datagrams``, arriving at ``times`` or
+    250 us apart."""
+    if times is None:
+        times = [index * 250e-6 for index in range(len(datagrams))]
     analyzer = StreamAnalyzer(4000, schema)
-    for index, datagram in enumerate(datagrams):
-        analyzer.ingest(datagram, index * 250e-6)
+    for datagram, arrival in zip(datagrams, times, strict=True):
+        analyzer.ingest(datagram, arrival)
     return analyzer.report(), analyzer.decode_failures, analyzer.accepted
+
+
+class UnmatchedPlan(FramePlan):
+    """A plan whose fixed octets no datagram unpacks to."""
+
+    def __init__(self, wire):
+        super().__init__(wire)
+        self.fixed_octets = None
+
+
+@contextlib.contextmanager
+def forced_decoding():
+    """The analyzer decodes every datagram: its planned-branch check
+    compares with an :class:`UnmatchedPlan`'s fixed octets. Yields the
+    arguments of each ``decode_frame`` call."""
+    calls = []
+    decode = analyzer_module.decode_frame
+
+    def counting(*args):
+        calls.append(args)
+        return decode(*args)
+
+    with mock.patch.object(analyzer_module, "FramePlan", UnmatchedPlan), \
+            mock.patch.object(analyzer_module, "decode_frame", counting):
+        yield calls
+
+
+def _forced_state(schema, datagrams, times=None):
+    """:func:`_state` with every datagram decoded, once."""
+    with forced_decoding() as calls:
+        state = _state(schema, datagrams, times)
+    assert len(calls) == len(datagrams)
+    return state
 
 
 def _count_calls(monkeypatch, name):
@@ -361,6 +400,34 @@ def planned_stream(seed, frames=60, asdus=3):
 
 FAST_PATH_SEEDS = range(40)
 
+# Each seed's stream, then two edge inputs of the planned branch, each
+# with the plain inputs it must report as.
+FAST_PATH_CASES = [*(pytest.param(seed, None, id=str(seed))
+                     for seed in FAST_PATH_SEEDS),
+                   pytest.param(0, "integer arrival times",
+                                id="fast_path_integer_arrival_times"),
+                   pytest.param(0, "smpCnt at or above the wrap",
+                                id="fast_path_smp_cnt_at_or_above_wrap")]
+
+
+def _fast_path_case(seed, edge):
+    """``(schema, datagrams, times)`` of a case, and for an edge case the
+    ``(datagrams, times)`` that must leave the same state: float times for
+    integer ones, and each wire smpCnt reduced below the 4000 wrap."""
+    rng = random.Random(seed)
+    if edge == "smpCnt at or above the wrap":
+        counts = [4000, 4001, 7999, 8000, 8003, 65535, 65535, 65534, 61999, 62000]
+        counts += [rng.randrange(4000, 0x10000) for _ in range(30)]
+        return (GOLDEN_SCHEMA, [make_wire(count) for count in counts], None,
+                ([make_wire(count % 4000) for count in counts], None))
+    schema, datagrams = _varied_stream(seed)
+    if edge is None:
+        return schema, datagrams, None, None
+    # Past 2**53, where an odd integer has no float of its own.
+    times = list(accumulate((rng.choice((0, 1, 1, 2, 7)) for _ in datagrams),
+                            initial=2 ** 53))[1:]
+    return schema, datagrams, times, (datagrams, list(map(float, times)))
+
 
 def _single_asdu(datagrams):
     """Whether the stream's first datagram, where its plan is learned,
@@ -384,11 +451,11 @@ class TestFramePlanFastPath:
         assert {_single_asdu(_varied_stream(seed)[1])
                 for seed in FAST_PATH_SEEDS} == {False, True}
 
-    @pytest.mark.parametrize("seed", FAST_PATH_SEEDS)
-    def test_same_state_as_decoding_every_datagram(self, seed, decode_calls,
-                                                   unpack_calls, monkeypatch):
-        schema, datagrams = _varied_stream(seed)
-        fast = _state(schema, datagrams)
+    @pytest.mark.parametrize("seed, edge", FAST_PATH_CASES)
+    def test_same_state_as_decoding_every_datagram(self, seed, edge, decode_calls,
+                                                   unpack_calls):
+        schema, datagrams, times, plain = _fast_path_case(seed, edge)
+        fast = _state(schema, datagrams, times)
         if _single_asdu(datagrams):
             assert len(decode_calls) < len(datagrams) / 2  # the fast path ran
         else:
@@ -396,22 +463,22 @@ class TestFramePlanFastPath:
         stats, decode_failures, accepted = fast
         assert (decode_failures, stats.quality_discarded, accepted) \
             == reference_judge(schema, datagrams)
-        monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
-        assert fast == _state(schema, datagrams)
+        assert fast == _forced_state(schema, datagrams, times)
         assert unpack_calls == []
+        if plain is not None:
+            assert fast == _state(schema, *plain)
 
     def test_wrong_width_stream_fails_every_asdu_on_both_paths(
-            self, decode_calls, monkeypatch):
+            self, decode_calls):
         datagrams = [make_wire(smp_cnt) for smp_cnt in range(50)]
         fast = _state(QUALITY_SCHEMA, datagrams)  # 14 octets against 6
         assert len(decode_calls) == 50  # a plan of another width is not read
         stats, decode_failures, accepted = fast
         assert (stats.received, decode_failures, accepted) == (50, 50, [])
-        monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
-        assert fast == _state(QUALITY_SCHEMA, datagrams)
+        assert fast == _forced_state(QUALITY_SCHEMA, datagrams)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_multi_asdu_quality_words(self, seed, decode_calls, monkeypatch):
+    def test_multi_asdu_quality_words(self, seed, decode_calls):
         datagrams = planned_stream(seed)
         fast = _state(MIXED_SCHEMA, datagrams)
         assert len(decode_calls) == len(datagrams)  # a 3-ASDU plan is not read
@@ -424,8 +491,7 @@ class TestFramePlanFastPath:
                    for record in accepted for _, quality in record[::2])
         assert (decode_failures, stats.quality_discarded, accepted) \
             == reference_judge(MIXED_SCHEMA, datagrams)
-        monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
-        assert fast == _state(MIXED_SCHEMA, datagrams)
+        assert fast == _forced_state(MIXED_SCHEMA, datagrams)
 
     def test_undefined_validity_fails_only_its_asdu(self, decode_calls):
         rng = random.Random(5)
@@ -441,7 +507,7 @@ class TestFramePlanFastPath:
                 stats.quality_discarded, len(analyzer.accepted)) == (2, 1, 0, 5)
         assert analyzer.accepted[-1][0][1] == Quality(test=True)
 
-    def test_invalid_every_channels_on_the_plan(self, decode_calls, monkeypatch):
+    def test_invalid_every_channels_on_the_plan(self, decode_calls):
         cfg = parse_config("\n".join((
             "points_per_period = 256",
             "member = TCTR1.AmpSv.instMag.i:4:signed:-3:0:q",
@@ -456,8 +522,9 @@ class TestFramePlanFastPath:
         fast, channel = simulate(cfg, link, 3000, 3)
         assert len(decode_calls) == 1
         assert fast.quality_discarded > 0 and fast.received == channel.delivered
-        monkeypatch.setattr(FramePlan, "matches", lambda self, datagram: False)
-        slow, _ = simulate(cfg, link, 3000, 3)
+        with forced_decoding() as calls:
+            slow, _ = simulate(cfg, link, 3000, 3)
+        assert len(calls) == channel.delivered
         assert (fast.report(), fast.decode_failures, fast.accepted) \
             == (slow.report(), slow.decode_failures, slow.accepted)
 
@@ -490,6 +557,44 @@ class TestFramePlanFastPath:
         feed(analyzer, range(1, 4))
         assert len(decode_calls) == 2  # the sloppy frame, then the plan's source
         assert analyzer.report().received == 4
+
+    def test_fast_path_relearns_after_a_foreign_first_datagram(self, decode_calls):
+        """A plan learned from another stream's datagram, one with a longer
+        svID, is learned again from the real stream."""
+        rng = random.Random(3)
+        foreign = golden_frame()
+        foreign.apdu.asdus[0].sv_id += "x"
+        datagrams = [encode_frame(foreign, GOLDEN_SCHEMA)] + [
+            make_wire(smp_cnt, GOLDEN_SCHEMA,
+                      [rng.randrange(-2 ** 15, 2 ** 15) for _ in range(4)])
+            for smp_cnt in range(1, 80)]
+        fast = _state(GOLDEN_SCHEMA, datagrams)
+        assert len(decode_calls) <= 3
+        assert fast[0].received == 80 and len(fast[2]) == 80
+        assert fast == _forced_state(GOLDEN_SCHEMA, datagrams)
+
+    def test_fast_path_alternating_streams_build_at_most_two_plans(
+            self, decode_calls, monkeypatch):
+        """Two interleaved clean streams: the plan is learned again at most
+        once, so the analyzer does not rebuild it datagram by datagram."""
+        plans = []
+
+        class CountedPlan(FramePlan):
+            def __init__(self, wire):
+                plans.append(wire)
+                super().__init__(wire)
+
+        monkeypatch.setattr(analyzer_module, "FramePlan", CountedPlan)
+        other = golden_frame()
+        other.apdu.asdus[0].sv_id = "other"
+        datagrams = []
+        for smp_cnt in range(40):
+            other.apdu.asdus[0].smp_cnt = smp_cnt
+            datagrams += [make_wire(smp_cnt), encode_frame(other, GOLDEN_SCHEMA)]
+        fast = _state(GOLDEN_SCHEMA, datagrams)
+        assert len(plans) <= 2
+        assert len(decode_calls) < len(datagrams)
+        assert fast == _forced_state(GOLDEN_SCHEMA, datagrams)
 
 
 @st.composite
@@ -542,5 +647,4 @@ def test_fast_path_state_equals_decoding_every_datagram(stream):
     stats, decode_failures, accepted = fast
     assert (decode_failures, stats.quality_discarded, accepted) \
         == reference_judge(schema, datagrams)
-    with mock.patch.object(FramePlan, "matches", lambda self, datagram: False):
-        assert fast == _state(schema, datagrams)
+    assert fast == _forced_state(schema, datagrams)
