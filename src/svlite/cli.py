@@ -224,7 +224,9 @@ def cmd_subscribe(args) -> int:
             print(f"t={now - t0:6.1f}s received={s.received} lost={s.lost} "
                   f"out_of_order={s.out_of_order} "
                   f"discarded={s.quality_discarded}")
-            next_report += args.stats_interval
+            # One line per stall: the slots a silence spanned are skipped.
+            interval = args.stats_interval
+            next_report += ((now - next_report) // interval + 1) * interval
 
     try:
         summary = transport.subscribe(cfg.endpoint, sink, stop)

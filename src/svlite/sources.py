@@ -101,11 +101,6 @@ def _normal_source(seed: int):
     return normal
 
 
-def _gauss(seed: int, tick: int) -> float:
-    """Standard normal of PCG stream ``tick`` under ``seed``."""
-    return _normal_source(seed)(tick)
-
-
 def _sampler(spec: ChannelSpec, points_per_period: int, seed: int):
     """Raw integer this channel's member carries at a tick, at a
     ``points_per_period`` the caller has checked: the waveform, noise
@@ -127,12 +122,6 @@ def _sampler(spec: ChannelSpec, points_per_period: int, seed: int):
     return lambda tick: quantise(dc)
 
 
-def _sample(spec: ChannelSpec, tick: int, points_per_period: int, seed: int) -> int:
-    """Raw integer this channel's member carries at a given tick, at a
-    ``points_per_period`` the caller has checked."""
-    return _sampler(spec, points_per_period, seed)(tick)
-
-
 _INVALID = quality_word(Quality(validity=Validity.INVALID))
 
 
@@ -142,7 +131,7 @@ def sample_provider(channels, points_per_period: int, seed: int = 0):
     The returned callable maps a tick index to that tick's seqData
     octets: :func:`~svlite.codec.pack_seq_data` of one ``(raw, quality)``
     pair per channel, in the schema of the channels' members. Raw values
-    are exactly what :func:`_sample` gives; quality is invalid on every
+    are exactly what :func:`_sampler` gives; quality is invalid on every
     ``invalid_every_nth`` tick (the n-th, 2n-th, ... counting from 1) and
     good otherwise, and reaches the wire only for a member with quality.
 

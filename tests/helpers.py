@@ -1,6 +1,6 @@
 """Shared test fixtures: the reference frame, an independent TLV walker,
-a reference encoder, a reference judge of the analyzer's records and a
-reference noise sample.
+a reference encoder, a reference judge of the analyzer's records, a
+reference of its sequencing and a reference noise sample.
 
 The walker parses lengths with bare index arithmetic, and the encoder
 writes them by its own rule, so they can confirm the codec's BER lengths
@@ -9,6 +9,7 @@ without reusing any codec code.
 
 import math
 import random
+import statistics
 import string
 from itertools import accumulate
 
@@ -251,6 +252,43 @@ def reference_judge(schema: DatasetSchema, datagrams) -> tuple:
             else:
                 accepted.append(values)
     return failures, discarded, accepted
+
+
+def reference_sequence(wrap: int, datagrams, times) -> tuple:
+    """``(received, lost, out_of_order, inter_arrival_mean,
+    inter_arrival_stddev)`` that the analyzer should report on
+    ``datagrams`` arriving at ``times``, by the rule its docstring states:
+    a datagram is received when it decodes leniently to at least one ASDU,
+    and its first ASDU's smpCnt, reduced below ``wrap``, differs from the
+    expected smpCnt by a signed step in [-wrap // 2, wrap - wrap // 2)
+    modulo ``wrap``. A step of n > 0 loses n, one below 0 is out of order,
+    and only a step of 0 or more moves the expectation to smpCnt + 1. The
+    statistics are those of the deltas of the received arrival times."""
+    received, lost, out_of_order = 0, 0, 0
+    expected, arrivals = None, []
+    for datagram, arrival in zip(datagrams, times, strict=True):
+        try:
+            asdus = decode_frame(datagram, DecodeMode.LENIENT).apdu.asdus
+        except SvError:
+            continue
+        if not asdus:
+            continue
+        received += 1
+        arrivals.append(float(arrival))
+        smp_cnt = asdus[0].smp_cnt % wrap
+        if expected is None:
+            expected = smp_cnt
+        step = (smp_cnt - expected + wrap // 2) % wrap - wrap // 2
+        if step < 0:
+            out_of_order += 1
+        else:
+            lost += step
+            expected = (smp_cnt + 1) % wrap
+    deltas = [b - a for a, b in zip(arrivals, arrivals[1:])]
+    if not deltas:
+        return received, lost, out_of_order, 0.0, 0.0
+    return (received, lost, out_of_order, statistics.fmean(deltas),
+            statistics.pstdev(deltas))
 
 
 _PCG_MULT = 6364136223846793005

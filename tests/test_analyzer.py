@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import math
 import random
 from dataclasses import replace
 from itertools import accumulate
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import GOLDEN_SCHEMA, golden_frame, plan_offsets, \
-    random_valid_frame, reference_judge
+    random_valid_frame, reference_judge, reference_sequence
 from svlite import analyzer as analyzer_module
 from svlite.analyzer import StreamAnalyzer, format_link_stats
 from svlite.cli import simulate
@@ -95,9 +96,18 @@ class TestGapAccounting:
         assert stats.received == 4
 
     def test_first_frame_sets_baseline(self):
-        analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
-        feed(analyzer, [1234])
-        assert analyzer.report().lost == 0
+        """A lone first datagram, of one ASDU or of three, is in order and
+        has no inter-arrival delta; the next in-order one loses none."""
+        three = multi_asdu_wire(GOLDEN_SCHEMA, [bytes(14)] * 3, 1234)
+        for first in (make_wire(1234), three):
+            analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
+            analyzer.ingest(first, 7.25)
+            stats = analyzer.report()
+            assert (stats.received, stats.lost, stats.out_of_order,
+                    stats.inter_arrival_mean, stats.inter_arrival_stddev) \
+                == (1, 0, 0, 0.0, 0.0)
+            analyzer.ingest(make_wire(1235), 7.5)
+            assert (analyzer.lost, analyzer.out_of_order) == (0, 0)
 
     def test_counters_monotonic(self):
         analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
@@ -119,14 +129,18 @@ class TestDecodeFailures:
         assert stats.received == 0
 
     def test_corrupt_frame_does_not_advance_expectation(self):
-        analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
-        analyzer.ingest(make_wire(0), 0.0)
-        analyzer.ingest(b"junk", 1e-4)
-        analyzer.ingest(make_wire(1), 2e-4)
-        stats = analyzer.report()
-        assert stats.lost == 0
-        assert stats.decode_failures == 1
-        assert stats.received == 2
+        """Junk between two datagrams, or before the first, changes only
+        the decode failures: its arrival is no inter-arrival sample."""
+        for datagrams in ([make_wire(0), b"junk", make_wire(1)],
+                          [b"junk", make_wire(0), make_wire(1)]):
+            analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
+            for datagram, arrival in zip(datagrams, (0.0, 1e-4, 3e-4)):
+                analyzer.ingest(datagram, arrival)
+            stats = analyzer.report()
+            assert stats.lost == 0
+            assert stats.decode_failures == 1
+            assert stats.received == 2
+            assert stats.inter_arrival_stddev == 0.0
 
     def test_wrong_seq_data_width_counts_decode_failure(self):
         analyzer = StreamAnalyzer(4000, QUALITY_SCHEMA)
@@ -439,7 +453,10 @@ class TestFramePlanFastPath:
     """Datagrams read at the learned plan's offsets leave the analyzer in
     the same state as a lenient decode of every datagram, and both judge
     the records as the reference judge does. Only a one-ASDU plan is read;
-    a stream of any other layout is decoded datagram by datagram."""
+    a stream of any other layout is decoded datagram by datagram. Both
+    branches share one sequencing tail, so this parity checks how a plan
+    is read and its records judged; ``reference_sequence`` checks the
+    sequencing, in ``test_sequencing_parity_with_reference``."""
 
     def test_seeds_cover_schemas_with_and_without_quality(self):
         """Both sides of the analyzer's quality scan run below."""
@@ -648,3 +665,62 @@ def test_fast_path_state_equals_decoding_every_datagram(stream):
     assert (decode_failures, stats.quality_discarded, accepted) \
         == reference_judge(schema, datagrams)
     assert fast == _forced_state(schema, datagrams)
+
+
+@st.composite
+def sequenced_datagrams(draw):
+    """A wrap, and datagrams with arrival times: the golden stream's, one
+    of another svID (which misses its plan) and garbage. smpCnt steps by
+    +1, +k, 0, -k or half the wrap and more, and a wire value may sit a
+    multiple of the wrap above its own. Times are all integers or all
+    floats, in arrival order."""
+    # Small wraps often land a step on exactly half the wrap.
+    wrap = draw(st.one_of(st.integers(2, 8), st.integers(2, 0x10000)))
+    other = golden_frame()
+    other.apdu.asdus[0].sv_id = "other"
+    if draw(st.booleans()):
+        clock, ticks = draw(st.integers(0, 2 ** 60)), st.integers(0, 10 ** 6)
+    else:
+        clock = draw(st.floats(0, 1e9))
+        ticks = st.floats(0, 1e3, allow_nan=False, allow_infinity=False)
+    counter = draw(st.integers(0, wrap - 1))
+    datagrams, times = [], []
+    for _ in range(draw(st.integers(1, 30))):
+        counter = (counter + draw(st.one_of(
+            st.just(1), st.just(0), st.integers(1, wrap),
+            st.integers(-wrap, -1), st.integers(wrap // 2, wrap)))) % wrap
+        smp_cnt = counter + wrap * draw(st.integers(0, (0xFFFF - counter) // wrap))
+        kind = draw(st.sampled_from(("planned", "other", "garbage")))
+        if kind == "planned":
+            datagrams.append(make_wire(smp_cnt))
+        elif kind == "other":
+            other.apdu.asdus[0].smp_cnt = smp_cnt
+            datagrams.append(encode_frame(other, GOLDEN_SCHEMA))
+        else:
+            datagrams.append(draw(st.binary(max_size=40)))
+        clock += draw(ticks)
+        times.append(clock)
+    return wrap, datagrams, times
+
+
+@settings(deadline=None)
+@given(sequenced_datagrams())
+def test_sequencing_parity_with_reference(stream):
+    """The counters and inter-arrival statistics of both branches match
+    the reference sequencing of each received datagram."""
+    wrap, datagrams, times = stream
+    analyzer = StreamAnalyzer(wrap, GOLDEN_SCHEMA)
+    for datagram, arrival in zip(datagrams, times):
+        analyzer.ingest(datagram, arrival)
+    stats = analyzer.report()
+    received, lost, out_of_order, mean, stddev = \
+        reference_sequence(wrap, datagrams, times)
+    assert (stats.received, stats.lost, stats.out_of_order) \
+        == (received, lost, out_of_order)
+    # Rounding is relative to the deltas, at most the span of the times;
+    # a delta under 1e-154 s has a square that underflows to 0.
+    tolerance = 1e-9 * (float(times[-1]) - float(times[0])) + 1e-150
+    assert math.isclose(stats.inter_arrival_mean, mean, rel_tol=1e-9,
+                        abs_tol=tolerance)
+    assert math.isclose(stats.inter_arrival_stddev, stddev, rel_tol=1e-9,
+                        abs_tol=tolerance)

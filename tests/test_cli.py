@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import GOLDEN_HEX, GOLDEN_SCHEMA, GOLDEN_WIRE, golden_frame
-from svlite import budget
+from svlite import budget, transport
 from svlite.analyzer import StreamAnalyzer, format_link_stats
 from svlite.cli import _parse_duration, main, simulate
 from svlite.codec import SmpSynch, refr_tm_octets
@@ -690,10 +690,24 @@ class TestSubscribeCommand:
         rows = out.splitlines()
         assert rows[-1].split() == ["datagrams", "0"]
         assert {len(row) - len(row.split(maxsplit=1)[1]) for row in rows} == {22}
-        # datagrams, the last row, sits in the stats rows' value column.
-        rows = out.splitlines()
-        assert rows[-1].split() == ["datagrams", "0"]
-        assert {len(row) - len(row.split(maxsplit=1)[1]) for row in rows} == {22}
+
+    def test_interim_stats_print_once_per_stall(self, capsys, monkeypatch):
+        """After a silence of many stats intervals, the next datagram
+        prints one interim line and the ones that follow print none until
+        the next interval boundary."""
+        clock = iter([0.0, 0.5, 1.2, 11.0, 11.1, 11.2, 11.3, 11.4, 12.5])
+        monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+
+        def fake_subscribe(endpoint, sink, stop):
+            for _ in range(8):
+                sink(GOLDEN_WIRE)
+            return transport.ReceiveSummary(datagrams=8)
+
+        monkeypatch.setattr(transport, "subscribe", fake_subscribe)
+        code, out, _ = run_cli(capsys, "subscribe", "--stats-interval", "1")
+        assert code == 0
+        assert [line.split("s ")[0] for line in out.splitlines()
+                if line.startswith("t=")] == ["t=   1.2", "t=  11.0", "t=  12.5"]
 
     def test_bad_bind_exits_1(self, tmp_path, capsys):
         cfg_text = dump_config(RunConfig()).replace(

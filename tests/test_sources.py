@@ -14,8 +14,8 @@ from svlite.config import build_template, parse_config
 from svlite.errors import Overflow, UnsupportedRate
 from svlite.model import DatasetSchema, Quality, SchemaMember, Validity, \
     to_engineering
-from svlite.sources import ChannelSpec, WaveKind, _gauss, _sample, \
-    sample_provider
+from svlite.sources import ChannelSpec, WaveKind, _normal_source, \
+    _sampler, sample_provider
 from svlite.transport import frame_ticks
 
 
@@ -50,28 +50,28 @@ def _validity(spec, ticks):
 
 class TestSine:
     def test_tick_zero_is_zero(self):
-        assert _sample(_sine(), 0, 80, 0) == 0
+        assert _sampler(_sine(), 80, 0)(0) == 0
 
     def test_quarter_period_hits_amplitude(self):
-        raw = _sample(_sine(), 20, 80, 0)
+        raw = _sampler(_sine(), 80, 0)(20)
         assert raw == 10_000
         assert to_engineering(raw, -2) == Decimal("100.00")
 
     def test_three_quarter_period(self):
-        assert _sample(_sine(), 60, 80, 0) == -10_000
+        assert _sampler(_sine(), 80, 0)(60) == -10_000
 
     def test_phase_shift(self):
         shifted = _sine(phase_rad=math.pi / 2)
-        assert _sample(shifted, 0, 80, 0) == 10_000
+        assert _sampler(shifted, 80, 0)(0) == 10_000
 
     def test_dc_offset(self):
         spec = _sine(dc_offset=50.0)
-        assert _sample(spec, 0, 80, 0) == 5000
+        assert _sampler(spec, 80, 0)(0) == 5000
 
     def test_mean_over_one_period(self):
         spec = _sine(dc_offset=7.5)
         total = sum(
-            to_engineering(_sample(spec, tick, 80, 0), -2)
+            to_engineering(_sampler(spec, 80, 0)(tick), -2)
             for tick in range(80))
         quantisation_bound = Decimal(80) * Decimal(10) ** -2 / 2
         assert abs(total - Decimal("600.0")) <= quantisation_bound
@@ -81,26 +81,26 @@ class TestConstant:
     def test_fixed_raw_at_every_tick(self):
         spec = _const(22.5, scale_factor=-1)
         for tick in (0, 1, 17, 4000):
-            assert _sample(spec, tick, 80, 0) == 225
+            assert _sampler(spec, 80, 0)(tick) == 225
 
 
 class TestNoise:
     def test_deterministic_per_tick_and_seed(self):
         spec = _noise(3.0, -3)
-        a = _sample(spec, 123, 80, 42)
-        b = _sample(spec, 123, 80, 42)
+        a = _sampler(spec, 80, 42)(123)
+        b = _sampler(spec, 80, 42)(123)
         assert a == b
 
     def test_seed_changes_stream(self):
         spec = _noise(3.0, -3)
-        a = [_sample(spec, t, 80, 1) for t in range(50)]
-        b = [_sample(spec, t, 80, 2) for t in range(50)]
+        a = [_sampler(spec, 80, 1)(t) for t in range(50)]
+        b = [_sampler(spec, 80, 2)(t) for t in range(50)]
         assert a != b
 
     def test_distribution_sanity(self):
         spec = _noise(1.0, -4)
         values = [
-            float(to_engineering(_sample(spec, t, 80, 9), -4))
+            float(to_engineering(_sampler(spec, 80, 9)(t), -4))
             for t in range(2000)
         ]
         assert abs(statistics.fmean(values)) < 0.1
@@ -113,8 +113,9 @@ class TestNoise:
                  *(2 ** 62 + d for d in range(-3, 4))]
         digest = hashlib.sha256()
         for seed in (0, 1, 2 ** 63 - 1):
+            normal = _normal_source(seed)
             for tick in ticks:
-                digest.update(float.hex(_gauss(seed, tick)).encode() + b"\n")
+                digest.update(float.hex(normal(tick)).encode() + b"\n")
         assert digest.hexdigest() == (
             "5b1f0cff05d3d228c708957da90e7743e0ec361177e837ed87cee2e9a6475e6f")
 
@@ -163,7 +164,7 @@ class TestValidation:
         spec = ChannelSpec(_member(width=2), kind=WaveKind.CONSTANT,
                            dc_offset=1e9)
         with pytest.raises(Overflow):
-            _sample(spec, 0, 80, 0)
+            _sampler(spec, 80, 0)(0)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
@@ -247,13 +248,13 @@ class TestProviderProperty:
            start=st.integers(0, 10**6))
     def test_matches_packing_each_sample(self, channels, points, seed, start):
         """Over three periods, every tick's octets are seqData packed from
-        :func:`_sample` and the invalid_every rule, channel by channel."""
+        each channel's :func:`_sampler` and the invalid_every rule."""
         schema = DatasetSchema(c.member for c in channels)
         provide = sample_provider(channels, points, seed)
         invalid = Quality(validity=Validity.INVALID)
         for tick in range(start, start + 3 * points):
             expected = pack_seq_data([
-                (_sample(c, tick, points, seed),
+                (_sampler(c, points, seed)(tick),
                  invalid if c.invalid_every_nth
                  and (tick + 1) % c.invalid_every_nth == 0 else Quality())
                 for c in channels], schema)

@@ -20,7 +20,7 @@ from svlite.codec import (
 )
 from svlite.config import RunConfig
 from svlite.errors import TransportError, WidthMismatch
-from svlite.sources import _sample, sample_provider
+from svlite.sources import _sampler, sample_provider
 from svlite.transport import (
     EndpointConfig,
     Mode,
@@ -315,7 +315,7 @@ class TestLoopbackUnicast:
         for tick, payload in enumerate(received):
             reference.apdu.asdus[0].smp_cnt = tick
             reference.apdu.asdus[0].seq_data = pack_seq_data(
-                [_sample(c, tick, 80, 0) for c in CHANNELS], GOLDEN_SCHEMA)
+                [_sampler(c, 80, 0)(tick) for c in CHANNELS], GOLDEN_SCHEMA)
             assert payload == encode_frame(reference, GOLDEN_SCHEMA)
 
     def test_smp_cnt_continuity_observed(self):
