@@ -46,6 +46,21 @@ def decode_length(buf: bytes, cursor: int) -> tuple[int, int]:
     return length, cursor + count
 
 
+def encode_header(tag: int, length: int) -> bytes:
+    """Tag octet and definite-form length octets of a value of ``length``
+    (at least 0) octets, built as one ``bytes``."""
+    if not 0 <= tag <= 0xFF:
+        raise OversizeValue(f"tag {tag:#x} is not a single octet")
+    if length < 0x80:
+        return bytes((tag, length))
+    if length <= 0xFF:
+        return bytes((tag, 0x81, length))
+    if length <= MAX_VALUE_LEN:
+        return bytes((tag, 0x82, length >> 8, length & 0xFF))
+    raise OversizeValue(
+        f"value of {length} octets exceeds the {MAX_VALUE_LEN}-octet cap")
+
+
 def encode_tlv(tag: int, value: bytes) -> bytes:
     """Tag octet, definite-form length, then the value verbatim."""
     if not 0 <= tag <= 0xFF:
@@ -53,10 +68,7 @@ def encode_tlv(tag: int, value: bytes) -> bytes:
     n = len(value)
     if n < 0x80:  # short form: the header is the tag and the length
         return bytes((tag, n)) + value
-    if n > MAX_VALUE_LEN:
-        raise OversizeValue(
-            f"value of {n} octets exceeds the {MAX_VALUE_LEN}-octet cap")
-    return bytes([tag]) + encode_length(n) + bytes(value)
+    return encode_header(tag, n) + bytes(value)
 
 
 def decode_tlv(buf: bytes, cursor: int = 0) -> tuple[int, bytes, int]:

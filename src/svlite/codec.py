@@ -50,15 +50,18 @@ _FIXED_HEADER_LEN = 8
 _LINK_HEADER = struct.Struct(">6s6sHHHHHHH")
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def mac_from_str(text: str) -> bytes:
+    """Six colon-separated octets of one or two hex digits each."""
     parts = text.split(":")
     if len(parts) != 6:
         raise ValueError(f"MAC address needs 6 octets: {text!r}")
-    try:
-        mac = bytes(int(p, 16) for p in parts)
-    except ValueError:
-        raise ValueError(f"bad MAC address {text!r}") from None
-    return mac
+    # int(p, 16) alone would also take a sign, "_" and whitespace.
+    if not all(0 < len(p) <= 2 and _HEX_DIGITS.issuperset(p) for p in parts):
+        raise ValueError(f"bad MAC address {text!r}")
+    return bytes(int(p, 16) for p in parts)
 
 
 def mac_to_str(mac: bytes) -> str:
@@ -179,12 +182,34 @@ class SvFrame:
 
 
 def _encode_asdu(asdu: Asdu) -> bytes:
+    """The ASDU's TLV, its fixed-width fields one ``_FIXED_FIELDS`` pack."""
     sv_id = asdu.sv_id
     if not isinstance(sv_id, str) or not sv_id or not sv_id.isascii():
         raise ValueError(f"svID must be a non-empty ASCII string, got {sv_id!r}")
     if len(sv_id) > SVID_MAX_LEN:
         raise OversizeValue(f"svID of {len(sv_id)} chars exceeds {SVID_MAX_LEN}")
-    return b"".join(map(ber.encode_tlv, _ASDU_FIELDS, _asdu_octets(asdu)))
+    stamp = asdu.refr_tm
+    cnt_head, rev_head, tm_head, synch_head = _FIXED_HEADS
+    try:
+        # The values in _ASDU_FIELDS order, as _asdu_octets gives them.
+        fixed = _FIXED_FIELDS.pack(
+            cnt_head, asdu.smp_cnt, rev_head, asdu.conf_rev,
+            tm_head, stamp.seconds, stamp.fraction << 8 | stamp.time_quality,
+            synch_head, asdu.smp_synch)
+        seq_data = asdu.seq_data
+        size = len(seq_data)
+        seq_head = (bytes((TAG_SEQDATA, size)) if size < 0x80
+                    else ber.encode_header(TAG_SEQDATA, size))
+        n = len(sv_id)
+        body = 2 + n + _FIXED_FIELDS.size + len(seq_head) + size
+        head = (bytes((TAG_ASDU, body, TAG_SVID, n)) if body < 0x80
+                else ber.encode_header(TAG_ASDU, body) + bytes((TAG_SVID, n)))
+        return b"".join((head, sv_id.encode("ascii"), fixed, seq_head, seq_data))
+    except (struct.error, AttributeError, TypeError):
+        # A value its field cannot hold, or a refrTm or seqData of another
+        # type: the table path raises for it what it always has.
+        body = b"".join(map(ber.encode_tlv, _ASDU_FIELDS, _asdu_octets(asdu)))
+        return ber.encode_header(TAG_ASDU, len(body)) + body
 
 
 def _asdu_octets(asdu: Asdu) -> tuple[bytes, ...]:
@@ -195,7 +220,12 @@ def _asdu_octets(asdu: Asdu) -> tuple[bytes, ...]:
 
 
 def encode_frame(frame: SvFrame, schema: DatasetSchema) -> bytes:
-    """Byte-exact frame encoding; every BER length derives from content."""
+    """Byte-exact frame encoding; every BER length derives from content.
+
+    An ASDU's smpCnt, confRev, refrTm and smpSynch are one struct pack
+    derived from ``_ASDU_FIELDS``, or, when a value does not fit, one TLV
+    per table row, which raises the error. The frame is then one join.
+    """
     asdus = frame.apdu.asdus
     if not asdus:
         raise ValueError("savPdu needs at least one ASDU")
@@ -210,18 +240,18 @@ def encode_frame(frame: SvFrame, schema: DatasetSchema) -> bytes:
     count = len(asdus)
     if count > 0xFF:
         raise OversizeValue(f"{count} ASDUs exceeds the single-octet noASDU")
-    seq_asdu = b"".join([ber.encode_tlv(TAG_ASDU, _encode_asdu(a)) for a in asdus])
-    savpdu = ber.encode_tlv(
-        TAG_SAVPDU,
-        ber.encode_tlv(TAG_NOASDU, bytes([count]))
-        + ber.encode_tlv(TAG_SEQASDU, seq_asdu),
-    )
-    length = _FIXED_HEADER_LEN + len(savpdu)
+    seq_asdu = list(map(_encode_asdu, asdus))
+    size = sum(map(len, seq_asdu))
+    seq_head = ber.encode_header(TAG_SEQASDU, size)
+    size += len(seq_head) + 3  # the seqASDU, and noASDU's three octets
+    savpdu_head = ber.encode_header(TAG_SAVPDU, size)
+    length = _FIXED_HEADER_LEN + len(savpdu_head) + size
     if length > 0xFFFF:
         raise OversizeValue(f"Length field {length} exceeds 65535")
-    return _LINK_HEADER.pack(
-        bytes(frame.dst_mac), bytes(frame.src_mac), TPID_VLAN, frame.vlan.tci,
-        ETHERTYPE_SV, frame.appid, length, 0, 0) + savpdu
+    return b"".join([
+        _LINK_HEADER.pack(bytes(frame.dst_mac), bytes(frame.src_mac), TPID_VLAN,
+                          frame.vlan.tci, ETHERTYPE_SV, frame.appid, length, 0, 0),
+        savpdu_head, bytes((TAG_NOASDU, 1, count)), seq_head, *seq_asdu])
 
 
 # Tag of the one container the walker enters at each depth.
@@ -301,9 +331,11 @@ def _inspect(data: bytes, mode: DecodeMode | None = None):
     records instead (None: it raises too) and the dissect rows that show
     it: an int flags the row that many past the savPdu's, a row is added
     after the TLV rows. Under a decode ``mode`` the check that finds a
-    fault that mode rejects raises it; with none, every fault is listed.
+    fault that mode rejects raises it, and no added row is built; with
+    none, every fault is listed.
     """
     faults = []
+    listing = mode is None  # build the rows only dissect shows
 
     def add(error, message, lenient, rows):
         if mode is DecodeMode.STRICT or (mode is not None and lenient is None):
@@ -330,7 +362,8 @@ def _inspect(data: bytes, mode: DecodeMode | None = None):
                    else "frame ends inside the 802.1Q tag" if n < apdu_start
                    else "frame ends inside the APPID header")
         add(Truncated, message, None,
-            (_warning(0, f"TRUNCATED at offset {n}" if n else "empty capture"),))
+            (_warning(0, f"TRUNCATED at offset {n}" if n else "empty capture"),)
+            if listing else ())
         return header, [], faults, []
     if res1 or res2:
         message = f"reserved octets nonzero (0x{res1:04x} 0x{res2:04x})"
@@ -344,12 +377,15 @@ def _inspect(data: bytes, mode: DecodeMode | None = None):
         if length_field != actual:
             message = f"Length field {length_field} != actual APDU length {actual}"
             add(LengthMismatch, message, message,
-                (_warning(0, f"Length field {length_field} != actual {actual}"),))
+                (_warning(0, f"Length field {length_field} != actual {actual}"),)
+                if listing else ())
         if end != n:
             message = f"{n - end} trailing octets after savPdu"
-            tail = data[end:].hex()
-            add(LengthMismatch, message, message,
-                (_warning(0, f"{n - end} trailing octets", tail, tail),))
+            shown = ()
+            if listing:
+                tail = data[end:].hex()
+                shown = (_warning(0, f"{n - end} trailing octets", tail, tail),)
+            add(LengthMismatch, message, message, shown)
 
     asdus: list[tuple[dict[int, int], dict[int, bytes]]] = []
     rows: dict[int, int] = {}  # by tag, the row of each field of the open ASDU
@@ -381,9 +417,11 @@ def _inspect(data: bytes, mode: DecodeMode | None = None):
             asdus.append((rows, _asdu_values(values, rows, asdu_row, add)))
     if stop is not None:
         error, message, offset, overrun = stop
-        shown = () if overrun is None else (_overrun_row(data, overrun),)
-        add(error, message, None,
-            (*shown, _warning(0, f"TRUNCATED at offset {offset}")))
+        shown = ()
+        if listing:
+            shown = () if overrun is None else (_overrun_row(data, overrun),)
+            shown += (_warning(0, f"TRUNCATED at offset {offset}"),)
+        add(error, message, None, shown)
     elif no_asdu is None:
         message = "savPdu carries no noASDU field"
         add(SchemaMismatch, message, message, (0,))
@@ -652,6 +690,8 @@ def _render_refr_tm(value: bytes) -> str:
 
 # The ASDU fields by tag, in the order encode writes them: name, the width
 # decode requires (None: any) and the text dissect shows for the value.
+# Encode packs the rows with a width, which lie between svID and seqData,
+# as one struct, ``_FIXED_FIELDS``, derived from these rows.
 _ASDU_FIELDS = {
     TAG_SVID: ("svID", None, lambda v: v.decode("ascii", "replace")),
     TAG_SMPCNT: ("smpCnt", 2, _render_uint),
@@ -661,6 +701,13 @@ _ASDU_FIELDS = {
     TAG_SEQDATA: ("seqData", None, lambda v: f"{len(v)} octets {v.hex()}"),
 }
 _FIELD_VALUES = itemgetter(*_ASDU_FIELDS)
+# Per fixed-width field, its tag and short-form length as one word, then
+# its value: refrTm's as the two words ``UtcTimestamp.to_octets`` packs.
+_WIDTH_CODES = {1: "B", 2: "H", 4: "I", 8: "II"}
+_FIXED_HEADS = tuple(tag << 8 | width for tag, (_, width, _) in _ASDU_FIELDS.items()
+                     if width)
+_FIXED_FIELDS = struct.Struct(">" + "".join(
+    "H" + _WIDTH_CODES[head & 0xFF] for head in _FIXED_HEADS))
 # What lenient decoding reads for a missing field: the ``Asdu`` default.
 _MISSING = dict(zip(_ASDU_FIELDS, _asdu_octets(Asdu())))
 

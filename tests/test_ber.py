@@ -55,6 +55,26 @@ class TestEncodeTlv:
         assert encoded == ber.encode_tlv(0x87, value[:size])
 
 
+class TestEncodeHeader:
+    @pytest.mark.parametrize("length", [0, 1, 127, 128, 255, 256, 0xFFFF])
+    def test_is_the_tlv_without_its_value(self, length):
+        header = ber.encode_header(0x87, length)
+        assert header + bytes(length) == ber.encode_tlv(0x87, bytes(length))
+        assert header == bytes([0x87]) + ber.encode_length(length)
+
+    def test_oversize_raises_as_encode_tlv(self):
+        with pytest.raises(OversizeValue) as header_error:
+            ber.encode_header(0x30, 0x10000)
+        with pytest.raises(OversizeValue) as tlv_error:
+            ber.encode_tlv(0x30, bytes(0x10000))
+        assert str(header_error.value) == str(tlv_error.value)
+
+    @pytest.mark.parametrize("tag", [-1, 0x100])
+    def test_multi_octet_tag_rejected(self, tag):
+        with pytest.raises(OversizeValue, match="not a single octet"):
+            ber.encode_header(tag, 0)
+
+
 class TestDecodeTlv:
     def test_no_asdu_row(self):
         assert ber.decode_tlv(b"\x80\x01\x01", 0) == (0x80, b"\x01", 3)

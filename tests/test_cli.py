@@ -493,6 +493,7 @@ class TestConfigRoundTrip:
         ("channel = square dc=1", "channel expects"),
         ("smp_synch = never", "none|local|global"),
         ("dst_mac = 18:cc:18", "MAC"),
+        ("dst_mac = 01:02:03:04:05:+6", "bad MAC address '01:02:03:04:05:+6'"),
         ("just a line without equals", "key = value"),
     ])
     def test_bad_lines_report_line_numbers(self, line, fragment):

@@ -1,5 +1,8 @@
 import random
+import struct
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +149,35 @@ class TestEncodeErrors:
         with pytest.raises(OversizeValue, match="Length field 65539 exceeds 65535"):
             encode_frame(frame, schema)
 
+    @pytest.mark.parametrize("name,value,error,message", [
+        ("smp_cnt", -1, Overflow, "-1 does not fit 2 unsigned octets"),
+        ("smp_cnt", 0x10000, Overflow, "65536 does not fit 2 unsigned octets"),
+        ("smp_cnt", 1.0, AttributeError, "'float' object has no attribute 'to_bytes'"),
+        ("conf_rev", -1, Overflow, "-1 does not fit 4 unsigned octets"),
+        ("conf_rev", 2 ** 32, Overflow, "4294967296 does not fit 4 unsigned octets"),
+        ("smp_synch", 256, ValueError, "bytes must be in range(0, 256)"),
+        ("smp_synch", -1, ValueError, "bytes must be in range(0, 256)"),
+        ("refr_tm", None, AttributeError,
+         "'NoneType' object has no attribute 'to_octets'"),
+        ("sv_id", 5, ValueError, "svID must be a non-empty ASCII string, got 5"),
+        ("seq_data", b"12", SchemaMismatch, "seqData is 2 octets, schema packs 14"),
+    ])
+    def test_field_out_of_range_raises_the_table_error(self, name, value, error,
+                                                        message):
+        frame = golden_frame()
+        setattr(frame.apdu.asdus[0], name, value)
+        with pytest.raises(error) as excinfo:
+            encode_frame(frame, GOLDEN_SCHEMA)
+        assert type(excinfo.value) is error and str(excinfo.value) == message
+
+    @pytest.mark.parametrize("value", ["2", 2.5, True])
+    def test_smp_synch_that_int_converts_still_encodes(self, value):
+        # The table path writes int(smpSynch), so these encode as before.
+        frame = golden_frame()
+        frame.apdu.asdus[0].smp_synch = value
+        assert encode_frame(frame, GOLDEN_SCHEMA)[-19:-16] == bytes(
+            (codec.TAG_SMPSYNCH, 1, int(value)))
+
     @pytest.mark.parametrize("appid", [0, 0xFFFF])
     def test_appid_bounds_encode(self, appid):
         frame = golden_frame()
@@ -277,6 +309,23 @@ class TestDecodeModes:
         for cut in (0, 5, 13, 17, 20, 25, 40, 85):
             with pytest.raises(Truncated):
                 decode_frame(GOLDEN_WIRE[:cut])
+
+    @pytest.mark.parametrize("wire", [GOLDEN_WIRE[:40], GOLDEN_WIRE[:20],
+                                      GOLDEN_WIRE + b"\xde\xad"],
+                             ids=["overrun", "in-header", "trailing"])
+    def test_strict_decode_builds_no_dissect_rows(self, monkeypatch, wire):
+        calls = []
+        for name in ("_overrun_row", "_warning"):
+            def counted(*args, real=getattr(codec, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(codec, name, counted)
+        with pytest.raises((Truncated, LengthMismatch)):
+            decode_frame(wire)
+        assert calls == []
+        dissect(wire)  # the counters see the rows dissect shows
+        assert "_warning" in calls
+        assert ("_overrun_row" in calls) == (wire == GOLDEN_WIRE[:40])
 
     def test_trailing_garbage(self):
         wire = GOLDEN_WIRE + b"\xde\xad"
@@ -539,6 +588,97 @@ def test_encode_parity_with_reference(frame_and_schema):
     assert encode_frame(frame, schema) == reference_encode(frame, schema)
 
 
+class _TablePath:
+    """Stands in for ``codec._FIXED_FIELDS`` with a pack that always fails,
+    so every ASDU is encoded through the field table."""
+
+    size = codec._FIXED_FIELDS.size
+
+    def pack(self, *values):
+        raise struct.error("the table path")
+
+
+def _encode_outcome(frame, schema):
+    """The frame's octets, or the class and message of what encoding raised."""
+    try:
+        return encode_frame(frame, schema)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# One ASDU field at a time, with a value outside what its field holds, or
+# for smpSynch a plain int of 3-255, which the table path also encodes.
+_OUT_OF_RANGE = st.one_of(
+    st.tuples(st.just("smp_cnt"),
+              st.integers(max_value=-1) | st.integers(min_value=0x10000)),
+    st.tuples(st.just("conf_rev"),
+              st.integers(max_value=-1) | st.integers(min_value=2 ** 32)),
+    st.tuples(st.just("smp_synch"), st.integers(min_value=256)
+              | st.integers(max_value=-1) | st.integers(3, 255)),
+    st.tuples(st.just("refr_tm"), st.none() | st.integers() | st.binary(max_size=8)
+              | st.tuples(st.integers(0, 9), st.integers(0, 9))),
+    st.tuples(st.just("sv_id"), st.sampled_from(["", "x" * 65])
+              | st.text(min_size=1, max_size=64).filter(lambda t: not t.isascii())
+              | st.binary(min_size=1, max_size=64) | st.integers()),
+    st.tuples(st.just("seq_data"), st.binary(max_size=40)),
+)
+
+
+@settings(deadline=None)
+@given(valid_frames, st.integers(0, 2), _OUT_OF_RANGE)
+def test_encode_error_parity_with_table_path(frame_and_schema, which, field):
+    frame, schema = frame_and_schema
+    name, value = field
+    if name == "seq_data" and len(value) == schema.packed_width:
+        value += b"\0"
+    asdus = frame.apdu.asdus
+    setattr(asdus[which % len(asdus)], name, value)
+    outcome = _encode_outcome(frame, schema)
+    with mock.patch.object(codec, "_FIXED_FIELDS", _TablePath()):
+        assert outcome == _encode_outcome(frame, schema)
+    if name == "smp_synch" and 3 <= value <= 255:
+        assert outcome == reference_encode(frame, schema)
+    else:
+        assert type(outcome) is tuple
+
+
+def _edge_frame(sv_id: str, width: int, asdus: int = 1):
+    """A frame of ``asdus`` ASDUs with ``sv_id`` and ``width`` seqData
+    octets, and a schema stand-in of that packed width: encoding reads
+    only ``packed_width``, and member widths give only even ones."""
+    frame = golden_frame()
+    frame.apdu.asdus = [Asdu(sv_id, n, 7, UtcTimestamp(n, n, n), SmpSynch.LOCAL,
+                             bytes(i % 256 for i in range(width)))
+                        for n in range(asdus)]
+    return frame, SimpleNamespace(packed_width=width)
+
+
+class TestLengthFormEdges:
+    """Byte parity with the reference encoder where a BER length changes
+    form: an ASDU body is 27 + svID + seqData octets below 128 seqData
+    octets, and 28 + svID + seqData from there."""
+
+    @pytest.mark.parametrize("sv_id,width", [
+        ("x" * 64, 14),  # the longest svID
+        ("x" * 64, 127), ("x" * 64, 128), ("x" * 64, 255), ("x" * 64, 256),
+        ("x" * 64, 36), ("x" * 64, 37),  # ASDU body of 127 and 128 octets
+        ("x" * 64, 163), ("x" * 64, 164),  # ASDU body of 255 and 256 octets
+        ("x", 99), ("x", 100), ("x", 226), ("x", 227),
+    ])
+    def test_one_asdu(self, sv_id, width):
+        frame, schema = _edge_frame(sv_id, width)
+        wire = encode_frame(frame, schema)
+        assert wire == reference_encode(frame, schema)
+        assert verify_frame_lengths(wire)
+
+    @pytest.mark.parametrize("asdus", [1, 2, 127, 128, 255])
+    def test_asdu_count(self, asdus):
+        frame, schema = _edge_frame("x" * 64, 14, asdus)
+        wire = encode_frame(frame, schema)
+        assert wire == reference_encode(frame, schema)
+        assert decode_frame(wire).apdu.asdus == frame.apdu.asdus
+
+
 @settings(deadline=None)
 @given(valid_frames)
 def test_plan_parity_with_the_walk(frame_and_schema):
@@ -660,3 +800,14 @@ class TestMacHelpers:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             mac_from_str("zz:cc:18:8a:bc:db")
+
+    @pytest.mark.parametrize("text", [
+        "01:02:03:04:05:+6", "-0:02:03:04:05:06", "0_1:02:03:04:05:06",
+        " 1:02:03:04:05:06", "01:02:03:04:05:06 ", "001:02:03:04:05:06",
+        "01::03:04:05:06", "01:02:03:04:05:\u0661"])
+    def test_rejects_what_int_alone_would_take(self, text):
+        with pytest.raises(ValueError, match="bad MAC address"):
+            mac_from_str(text)
+
+    def test_one_or_two_hex_digits_per_octet(self):
+        assert mac_from_str("1:a:0B:Cd:ef:00") == bytes((1, 10, 11, 0xCD, 0xEF, 0))
