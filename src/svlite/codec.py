@@ -23,8 +23,8 @@ from operator import itemgetter
 
 from . import ber
 from .errors import BadEtherType, BadHeader, CountMismatch, LengthMismatch, \
-    OversizeValue, SchemaMismatch, Truncated, UnknownTag, UnsupportedLength, \
-    WidthMismatch
+    OversizeValue, SchemaMismatch, SvError, Truncated, UnknownTag, \
+    UnsupportedLength, WidthMismatch
 from .model import QUALITY_OF_OCTET, DatasetSchema, Quality, check_range, \
     encode_quality, quality_from_word, quality_word
 
@@ -88,10 +88,10 @@ class VlanTag:
     vid: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.priority <= 7:
-            raise ValueError(f"VLAN priority {self.priority} outside 0..7")
-        if not 0 <= self.vid <= 0x0FFF:
-            raise ValueError(f"VLAN ID {self.vid} outside 0..4095")
+        check_range("VLAN priority", self.priority, 0, 7)
+        if type(self.dei) is not bool:
+            raise ValueError(f"VLAN DEI must be of type bool, got {self.dei!r}")
+        check_range("VLAN ID", self.vid, 0, 0x0FFF)
 
     @property
     def tci(self) -> int:
@@ -115,12 +115,9 @@ class UtcTimestamp:
     time_quality: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.seconds <= 0xFFFF_FFFF:
-            raise ValueError(f"seconds {self.seconds} outside 32-bit range")
-        if not 0 <= self.fraction <= 0xFF_FFFF:
-            raise ValueError(f"fraction {self.fraction} outside 24-bit range")
-        if not 0 <= self.time_quality <= 0xFF:
-            raise ValueError(f"time quality {self.time_quality} outside one octet")
+        check_range("seconds", self.seconds, 0, 0xFFFF_FFFF)
+        check_range("fraction", self.fraction, 0, 0xFF_FFFF)
+        check_range("time quality", self.time_quality, 0, 0xFF)
 
     def to_octets(self) -> bytes:
         return _REFR_TM.pack(self.seconds, self.fraction << 8 | self.time_quality)
@@ -464,9 +461,14 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
     disagreement and unknown tags. Lenient mode skips unknown tags and
     records every tolerated inconsistency on ``SvFrame.decode_warnings``,
     which keeps third-party frames with sloppy length octets readable.
+    A fault is raised from this function, so the error carries none of
+    the walker's frames and a caller that keeps it pins none of its state.
     """
     data = bytes(data)
-    header, _, faults, asdus = _inspect(data, mode)
+    try:
+        header, _, faults, asdus = _inspect(data, mode)
+    except SvError as fault:
+        raise fault.with_traceback(None)  # drop _inspect's frames and locals
     tci, _, appid, *_ = header
     return SvFrame(data[0:6], data[6:12], VlanTag.from_tci(tci or 0), appid,
                    SavApdu([_asdu_from_values(values) for _, values in asdus]),

@@ -1,5 +1,7 @@
+import gc
 import random
 import struct
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -46,6 +48,7 @@ from svlite.errors import (
     Overflow,
     OversizeValue,
     SchemaMismatch,
+    SvError,
     Truncated,
     UnknownTag,
     WidthMismatch,
@@ -227,6 +230,25 @@ class TestDecodeModes:
         wire[14:16] = tci.to_bytes(2, "big")
         assert decode_frame(bytes(wire)).vlan == tag
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("priority", 8, "VLAN priority=8 outside [0, 7]"),
+        ("priority", -1, "VLAN priority=-1 outside [0, 7]"),
+        ("priority", 1.5, "VLAN priority must be of type int, got 1.5"),
+        ("priority", True, "VLAN priority must be of type int, got True"),
+        ("vid", 0x1000, "VLAN ID=4096 outside [0, 4095]"),
+        ("vid", 2.0, "VLAN ID must be of type int, got 2.0"),
+        ("dei", 2, "VLAN DEI must be of type bool, got 2"),
+        ("dei", -1, "VLAN DEI must be of type bool, got -1"),
+        ("dei", 1, "VLAN DEI must be of type bool, got 1"),
+    ])
+    def test_vlan_tag_rejects_a_field_its_bits_cannot_hold(self, field, value,
+                                                           message):
+        # Unchecked, dei=2 would put priority 5 on the wire and a float
+        # would reach encode_frame and raise a bare TypeError there.
+        with pytest.raises(ValueError) as excinfo:
+            VlanTag(**{field: value})
+        assert str(excinfo.value) == message
+
     def test_length_field_mismatch(self):
         # The header claims 92 like a sloppy third-party encoder would.
         wire = bytearray(GOLDEN_WIRE)
@@ -326,6 +348,41 @@ class TestDecodeModes:
         dissect(wire)  # the counters see the rows dissect shows
         assert "_warning" in calls
         assert ("_overrun_row" in calls) == (wire == GOLDEN_WIRE[:40])
+
+    def test_kept_errors_pin_none_of_the_walker(self):
+        # Each fault is raised from decode_frame itself, so a kept error's
+        # traceback holds decode_frame's frame and not _inspect's data copy,
+        # TLV list, fault list, per-ASDU dicts and closure.
+        rng = random.Random(7)
+        wires = []
+        for _ in range(150):
+            wire = bytearray(encode_frame(*random_valid_frame(rng)))
+            wires.append(bytes(wire[:rng.randrange(len(wire))]))
+            bit = rng.randrange(8 * len(wire))
+            wire[bit // 8] ^= 1 << (bit % 8)
+            wires.append(bytes(wire))
+
+        def kept_errors():
+            kept = []
+            for wire in wires:
+                try:
+                    decode_frame(wire)
+                except SvError as exc:
+                    kept.append(exc)
+            return kept
+
+        kept_errors()  # first-use caches are not what the errors hold
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = kept_errors()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept) > 150
+        assert retained / len(kept) < 1500
 
     def test_trailing_garbage(self):
         wire = GOLDEN_WIRE + b"\xde\xad"
@@ -787,6 +844,19 @@ class TestTimestamp:
             UtcTimestamp(-1, 0, 0)
         with pytest.raises(ValueError):
             UtcTimestamp(0, 1 << 24, 0)
+
+    @pytest.mark.parametrize("fields,message", [
+        ((1.5, 0, 0), "seconds must be of type int, got 1.5"),
+        ((0, 0.5, 0), "fraction must be of type int, got 0.5"),
+        ((0, 0, True), "time quality must be of type int, got True"),
+        ((0, 0, 0x100), "time quality=256 outside [0, 255]"),
+    ])
+    def test_field_types(self, fields, message):
+        # Unchecked, UtcTimestamp(1.5, 0, 0) would build and encode_frame
+        # would raise a bare struct.error for it.
+        with pytest.raises(ValueError) as excinfo:
+            UtcTimestamp(*fields)
+        assert str(excinfo.value) == message
 
 
 class TestMacHelpers:

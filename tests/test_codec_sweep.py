@@ -213,8 +213,17 @@ def test_dissect_warns_iff_strict_decoding_raises(seed, edits, cut, trailing):
 
 
 def _raised_or_warnings(wire: bytes, mode: DecodeMode):
-    """The class and message of what decoding raises, or its warnings."""
+    """The class and message of what decoding raises, or its warnings.
+
+    A fault is raised from ``decode_frame``'s own frame: its traceback ends
+    there, so a kept error pins none of the walker's frames.
+    """
     try:
         return decode_frame(wire, mode).decode_warnings
     except SvError as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        assert tb.tb_frame.f_code is decode_frame.__code__
+        assert exc.__context__ is None and exc.__cause__ is None
         return type(exc), str(exc)
