@@ -4,7 +4,7 @@ Decodes arriving datagrams leniently, or reads them through the stream's
 compiled frame layout once one is known, infers loss from smpCnt gaps,
 separates reordering from loss with a half-window heuristic, and applies
 the discard policy: a record whose quality is not good never enters the
-accepted stream.
+accepted stream, which keeps each record as its unpacked seqData fields.
 """
 
 from __future__ import annotations
@@ -36,6 +36,42 @@ class LinkStats:
     loss_rate: float
     inter_arrival_mean: float
     inter_arrival_stddev: float
+
+
+class AcceptedRecords:
+    """The accepted records, read-only, each stored as its
+    ``schema.seq_struct`` fields. Reading one, by index, slice or
+    iteration, builds its values with :func:`seq_data_values` as a fresh
+    list; ``==`` compares those values with a list or another view."""
+
+    __slots__ = ("_fields", "_schema")
+
+    def __init__(self, fields: list, schema: DatasetSchema):
+        self._fields = fields
+        self._schema = schema
+
+    def __len__(self) -> int:
+        return len(self._fields)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [seq_data_values(fields, self._schema)
+                    for fields in self._fields[index]]
+        return seq_data_values(self._fields[index], self._schema)
+
+    def __iter__(self):
+        schema = self._schema
+        return (seq_data_values(fields, schema) for fields in self._fields)
+
+    def __eq__(self, other):
+        if isinstance(other, AcceptedRecords):
+            other = list(other)
+        elif not isinstance(other, list):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == other
+
+    def __repr__(self) -> str:
+        return f"AcceptedRecords({list(self)!r})"
 
 
 def format_link_stats(stats: LinkStats, *extra: tuple[str, str]) -> str:
@@ -81,10 +117,12 @@ class StreamAnalyzer:
     decoded leniently and each of its seqData of the schema's width
     unpacked. One rule judges the records: a seqData of another width or
     an undefined validity is a decode failure, a record whose quality is
-    not good is discarded, and only an accepted record has its values
-    built. It has two implementations, one per branch, kept apart because
-    sharing code between them costs the planned branch its speed; the
-    tests hold both to ``reference_judge`` and to each other.
+    not good is discarded, and an accepted record is kept as its
+    ``schema.seq_struct`` fields in :attr:`accepted`, whose values are
+    built when read. The rule has two implementations, one per branch,
+    kept apart because sharing code between them costs the planned branch
+    its speed; the tests hold both to ``reference_judge`` and to each
+    other.
     """
 
     def __init__(self, wrap_modulus: int, schema: DatasetSchema):
@@ -96,7 +134,9 @@ class StreamAnalyzer:
         self.lost = 0
         self.out_of_order = 0
         self.quality_discarded = 0
-        self.accepted: list = []
+        records: list = []
+        self._accept = records.append
+        self.accepted = AcceptedRecords(records, schema)
         # Index of each quality word among one seqData's fields, the first
         # twice, so that the getter returns a tuple for a single word too.
         quality_at = [index + 1 for index, quality_follows
@@ -125,14 +165,15 @@ class StreamAnalyzer:
         if (len(datagram) == self._planned_size
                 and self._fixed(datagram) == self._fixed_octets):
             # The plan's frame, with only smpCnt, refrTm and seqData new.
-            values = list(self._read(datagram))
-            smp_cnt = values.pop(0)
+            fields = self._read(datagram)
+            smp_cnt = fields[0]
+            fields = fields[1:]
             if not self._has_quality:
-                self.accepted.append(values)
+                self._accept(fields)
             else:
-                words = self._quality_words(values)
+                words = self._quality_words(fields)
                 if _NOT_GOOD.isdisjoint(words):
-                    self.accepted.append(seq_data_values(values, self.schema))
+                    self._accept(fields)
                 elif _UNDEFINED.isdisjoint(words):
                     self.quality_discarded += 1
                 else:
@@ -168,13 +209,13 @@ class StreamAnalyzer:
                 if len(asdu.seq_data) != layout.size:
                     self.decode_failures += 1
                     continue
-                values = layout.unpack(asdu.seq_data)
+                fields = layout.unpack(asdu.seq_data)
                 if not self._has_quality:
-                    self.accepted.append(list(values))
+                    self._accept(fields)
                     continue
-                words = self._quality_words(values)
+                words = self._quality_words(fields)
                 if _NOT_GOOD.isdisjoint(words):
-                    self.accepted.append(seq_data_values(values, self.schema))
+                    self._accept(fields)
                 elif _UNDEFINED.isdisjoint(words):
                     self.quality_discarded += 1
                 else:

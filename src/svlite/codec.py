@@ -185,6 +185,8 @@ def _encode_asdu(asdu: Asdu) -> bytes:
         raise ValueError(f"svID must be a non-empty ASCII string, got {sv_id!r}")
     if len(sv_id) > SVID_MAX_LEN:
         raise OversizeValue(f"svID of {len(sv_id)} chars exceeds {SVID_MAX_LEN}")
+    if type(asdu.smp_synch) is not SmpSynch:  # strict decode takes 0-2 only
+        check_range("smpSynch", asdu.smp_synch, 0, 2)
     stamp = asdu.refr_tm
     cnt_head, rev_head, tm_head, synch_head = _FIXED_HEADS
     try:
@@ -213,7 +215,7 @@ def _asdu_octets(asdu: Asdu) -> tuple[bytes, ...]:
     """The value octets of ``asdu``'s fields, in ``_ASDU_FIELDS`` order."""
     return (asdu.sv_id.encode("ascii"), ber.encode_int_fixed(asdu.smp_cnt, 2),
             ber.encode_int_fixed(asdu.conf_rev, 4), asdu.refr_tm.to_octets(),
-            bytes([int(asdu.smp_synch)]), asdu.seq_data)
+            bytes((asdu.smp_synch,)), asdu.seq_data)
 
 
 def encode_frame(frame: SvFrame, schema: DatasetSchema) -> bytes:
@@ -222,6 +224,8 @@ def encode_frame(frame: SvFrame, schema: DatasetSchema) -> bytes:
     An ASDU's smpCnt, confRev, refrTm and smpSynch are one struct pack
     derived from ``_ASDU_FIELDS``, or, when a value does not fit, one TLV
     per table row, which raises the error. The frame is then one join.
+    An smpSynch that is neither a ``SmpSynch`` nor an int of 0-2, which
+    strict decode would reject, raises ``ValueError``.
     """
     asdus = frame.apdu.asdus
     if not asdus:

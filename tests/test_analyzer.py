@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import gc
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import accumulate
 from unittest import mock
@@ -614,6 +616,91 @@ class TestFramePlanFastPath:
         assert fast == _forced_state(GOLDEN_SCHEMA, datagrams)
 
 
+def _view_stream(schema, asdus):
+    """60 datagrams of ``asdus`` ASDUs: ``planned_stream``'s with every
+    pairing of quality octets for MIXED_SCHEMA, random seqData otherwise."""
+    if schema is MIXED_SCHEMA:
+        return planned_stream(asdus, asdus=asdus)
+    rng = random.Random(asdus)
+    return [multi_asdu_wire(schema, [rng.randbytes(schema.packed_width)
+                                     for _ in range(asdus)], asdus * index)
+            for index in range(60)]
+
+
+VIEW_CASES = pytest.mark.parametrize("schema, asdus", [
+    pytest.param(schema, asdus, id=f"{name}-{branch}")
+    for schema, name in ((GOLDEN_SCHEMA, "no_quality"), (MIXED_SCHEMA, "quality"))
+    for asdus, branch in ((1, "planned"), (3, "decoded"))])
+
+
+class TestAcceptedView:
+    """The analyzer keeps each accepted record as its seqData fields, and
+    ``accepted`` builds the values only when they are read."""
+
+    @VIEW_CASES
+    def test_values_are_built_when_read(self, schema, asdus, decode_calls,
+                                        monkeypatch):
+        datagrams = _view_stream(schema, asdus)
+        built = _count_calls(monkeypatch, "seq_data_values")
+        analyzer = StreamAnalyzer(4000, schema)
+        for index, datagram in enumerate(datagrams):
+            analyzer.ingest(datagram, index * 250e-6)
+        assert len(decode_calls) == (1 if asdus == 1 else len(datagrams))
+        assert built == []
+        expected = reference_judge(schema, datagrams)[2]
+        accepted = analyzer.accepted
+        assert len(accepted) == len(expected) > 3
+        assert built == []  # nor does len()
+        assert accepted[-1] == expected[-1] and accepted[0] == expected[0]
+        assert accepted[1:-1:2] == expected[1:-1:2]
+        assert list(accepted) == expected
+        assert accepted == expected and expected == accepted
+        assert accepted != expected[:-1] and expected[:-1] != accepted
+        assert built
+
+    @VIEW_CASES
+    def test_a_read_list_is_a_copy(self, schema, asdus):
+        analyzer = StreamAnalyzer(4000, schema)
+        for index, datagram in enumerate(_view_stream(schema, asdus)):
+            analyzer.ingest(datagram, index * 250e-6)
+        accepted = analyzer.accepted
+        first = accepted[0]
+        read = [accepted[0], accepted[:1][0], list(accepted)[0], next(iter(accepted))]
+        for values in read:
+            assert values == first and values is not first
+            values[0] = None
+            values.append(None)
+        assert accepted[0] == first
+
+    def test_accepted_record_retains_under_300_bytes(self):
+        """A record of three members, each with its quality word and a raw
+        value mostly outside the small-int cache, keeps its struct fields
+        (about 190 bytes under tracemalloc on CPython 3.11), not a list of
+        ``(raw, Quality)`` pairs (about 360)."""
+        cfg = parse_config("\n".join((
+            "points_per_period = 256",
+            "member = TCTR1.AmpSv.instMag.i:4:signed:-3:0:q",
+            "member = TCTR1.AmpSv.instMag.n:4:signed:-3:0:q",
+            "member = VCVR1.VolSv.instMag.c:2:signed:-3:0:q",
+            "channel = sine amp=120.5 phase=0.3",
+            "channel = noise dc=1.5 sigma=2.0",
+            "channel = const dc=12.3",
+        )))
+        link = LinkSpec(loss_probability=0.01, seed=5)
+        simulate(cfg, link, 100, 5)  # first-use caches are not records
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            analyzer, _ = simulate(cfg, link, 5000, 5)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(analyzer.accepted) > 4900
+        assert retained / len(analyzer.accepted) <= 300
+
+
 @st.composite
 def planned_datagrams(draw):
     """A random schema and ASDU count, and datagrams of that layout with
@@ -660,7 +747,10 @@ def planned_datagrams(draw):
 @given(planned_datagrams())
 def test_fast_path_state_equals_decoding_every_datagram(stream):
     schema, datagrams = stream
-    fast = _state(schema, datagrams)
+    with mock.patch.object(analyzer_module, "seq_data_values",
+                           wraps=analyzer_module.seq_data_values) as built:
+        fast = _state(schema, datagrams)
+    assert built.call_count == 0  # ingest keeps fields and builds no values
     stats, decode_failures, accepted = fast
     assert (decode_failures, stats.quality_discarded, accepted) \
         == reference_judge(schema, datagrams)

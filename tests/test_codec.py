@@ -158,8 +158,8 @@ class TestEncodeErrors:
         ("smp_cnt", 1.0, AttributeError, "'float' object has no attribute 'to_bytes'"),
         ("conf_rev", -1, Overflow, "-1 does not fit 4 unsigned octets"),
         ("conf_rev", 2 ** 32, Overflow, "4294967296 does not fit 4 unsigned octets"),
-        ("smp_synch", 256, ValueError, "bytes must be in range(0, 256)"),
-        ("smp_synch", -1, ValueError, "bytes must be in range(0, 256)"),
+        ("smp_synch", 256, ValueError, "smpSynch=256 outside [0, 2]"),
+        ("smp_synch", -1, ValueError, "smpSynch=-1 outside [0, 2]"),
         ("refr_tm", None, AttributeError,
          "'NoneType' object has no attribute 'to_octets'"),
         ("sv_id", 5, ValueError, "svID must be a non-empty ASCII string, got 5"),
@@ -173,13 +173,22 @@ class TestEncodeErrors:
             encode_frame(frame, GOLDEN_SCHEMA)
         assert type(excinfo.value) is error and str(excinfo.value) == message
 
-    @pytest.mark.parametrize("value", ["2", 2.5, True])
-    def test_smp_synch_that_int_converts_still_encodes(self, value):
-        # The table path writes int(smpSynch), so these encode as before.
+    @pytest.mark.parametrize("value", ["2", 2.5, True, 3, 255])
+    def test_smp_synch_not_an_int_of_0_to_2_raises(self, value):
+        # Once "2", 2.5 and True encoded as int(value), and 3-255 encoded
+        # into frames that strict decode rejects.
         frame = golden_frame()
         frame.apdu.asdus[0].smp_synch = value
-        assert encode_frame(frame, GOLDEN_SCHEMA)[-19:-16] == bytes(
-            (codec.TAG_SMPSYNCH, 1, int(value)))
+        with pytest.raises(ValueError, match="^smpSynch"):
+            encode_frame(frame, GOLDEN_SCHEMA)
+
+    @pytest.mark.parametrize("value", [0, 1, 2])
+    def test_smp_synch_int_0_to_2_encodes(self, value):
+        frame = golden_frame()
+        frame.apdu.asdus[0].smp_synch = value
+        wire = encode_frame(frame, GOLDEN_SCHEMA)
+        assert wire[-19:-16] == bytes((codec.TAG_SMPSYNCH, 1, value))
+        assert decode_frame(wire).apdu.asdus[0].smp_synch is SmpSynch(value)
 
     @pytest.mark.parametrize("appid", [0, 0xFFFF])
     def test_appid_bounds_encode(self, appid):
@@ -664,7 +673,8 @@ def _encode_outcome(frame, schema):
 
 
 # One ASDU field at a time, with a value outside what its field holds, or
-# for smpSynch a plain int of 3-255, which the table path also encodes.
+# for smpSynch a plain int of 3-255, which fits its octet but not strict
+# decode.
 _OUT_OF_RANGE = st.one_of(
     st.tuples(st.just("smp_cnt"),
               st.integers(max_value=-1) | st.integers(min_value=0x10000)),
@@ -693,10 +703,9 @@ def test_encode_error_parity_with_table_path(frame_and_schema, which, field):
     outcome = _encode_outcome(frame, schema)
     with mock.patch.object(codec, "_FIXED_FIELDS", _TablePath()):
         assert outcome == _encode_outcome(frame, schema)
-    if name == "smp_synch" and 3 <= value <= 255:
-        assert outcome == reference_encode(frame, schema)
-    else:
-        assert type(outcome) is tuple
+    assert type(outcome) is tuple
+    if name == "smp_synch":
+        assert outcome == (ValueError, f"smpSynch={value} outside [0, 2]")
 
 
 def _edge_frame(sv_id: str, width: int, asdus: int = 1):
