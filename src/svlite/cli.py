@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import signal
@@ -215,25 +216,26 @@ def cmd_subscribe(args) -> int:
             return True
         return bool(args.max_frames) and analyzer.received >= args.max_frames
 
-    def sink(datagram: bytes) -> None:
-        nonlocal next_report
-        now = time.monotonic()
-        analyzer.ingest(datagram, now)
-        if now >= next_report:
-            s = analyzer.report()
-            print(f"t={now - t0:6.1f}s received={s.received} lost={s.lost} "
-                  f"out_of_order={s.out_of_order} "
-                  f"discarded={s.quality_discarded}")
-            # One line per stall: the slots a silence spanned are skipped.
-            interval = args.stats_interval
-            next_report += ((now - next_report) // interval + 1) * interval
-
+    summary = transport.ReceiveSummary()
     try:
-        summary = transport.subscribe(cfg.endpoint, sink, stop)
+        with contextlib.closing(
+                transport.receive(cfg.endpoint, stop, summary)) as datagrams:
+            for datagram, arrival in datagrams:
+                analyzer.ingest(datagram, arrival)
+                now = time.monotonic()
+                if now >= next_report:
+                    s = analyzer.report()
+                    print(f"t={now - t0:6.1f}s received={s.received} "
+                          f"lost={s.lost} out_of_order={s.out_of_order} "
+                          f"discarded={s.quality_discarded}")
+                    # One line per stall: the slots a silence spanned are skipped.
+                    interval = args.stats_interval
+                    next_report += ((now - next_report) // interval + 1) * interval
     finally:
         signal.signal(signal.SIGINT, previous_handler)
     print(format_link_stats(analyzer.report(),
-                            ("datagrams", str(summary.datagrams))))
+                            ("datagrams", str(summary.datagrams)),
+                            ("kernel_dropped", str(summary.kernel_dropped))))
     return EXIT_OK
 
 

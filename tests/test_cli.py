@@ -683,13 +683,15 @@ class TestSubscribeCommand:
         assert "received" in out
 
     def test_report_values_share_one_column(self, tmp_path, capsys):
-        # The datagrams row, printed after the stats, pads to their column.
+        # The datagrams and kernel_dropped rows, printed after the stats,
+        # pad to their column.
         path = _unicast_config(tmp_path)
         code, out, _ = run_cli(capsys, "subscribe", "--config", str(path),
                                "--duration", "0s")
         assert code == 0
         rows = out.splitlines()
-        assert rows[-1].split() == ["datagrams", "0"]
+        assert [row.split() for row in rows[-2:]] == [
+            ["datagrams", "0"], ["kernel_dropped", "0"]]
         assert {len(row) - len(row.split(maxsplit=1)[1]) for row in rows} == {22}
 
     def test_interim_stats_print_once_per_stall(self, capsys, monkeypatch):
@@ -699,12 +701,12 @@ class TestSubscribeCommand:
         clock = iter([0.0, 0.5, 1.2, 11.0, 11.1, 11.2, 11.3, 11.4, 12.5])
         monkeypatch.setattr(time, "monotonic", lambda: next(clock))
 
-        def fake_subscribe(endpoint, sink, stop):
-            for _ in range(8):
-                sink(GOLDEN_WIRE)
-            return transport.ReceiveSummary(datagrams=8)
+        def fake_receive(endpoint, stop, summary):
+            for arrival in range(8):
+                summary.datagrams += 1
+                yield GOLDEN_WIRE, float(arrival)
 
-        monkeypatch.setattr(transport, "subscribe", fake_subscribe)
+        monkeypatch.setattr(transport, "receive", fake_receive)
         code, out, _ = run_cli(capsys, "subscribe", "--stats-interval", "1")
         assert code == 0
         assert [line.split("s ")[0] for line in out.splitlines()

@@ -1,6 +1,9 @@
+import errno
 import math
 import random
 import socket
+import struct
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -22,11 +25,16 @@ from svlite.config import RunConfig
 from svlite.errors import TransportError, WidthMismatch
 from svlite.sources import _sampler, sample_provider
 from svlite.transport import (
+    SO_RXQ_OVFL,
+    SO_TIMESTAMPNS,
     EndpointConfig,
     Mode,
     PublisherState,
+    ReceiveSummary,
     frame_ticks,
     publish_stream,
+    read_ancillary,
+    receive,
     subscribe,
 )
 
@@ -399,6 +407,181 @@ class TestLoopbackUnicast:
         cfg = EndpointConfig(mode=Mode.UNICAST, address="192.0.2.1", port=50000)
         with pytest.raises(TransportError):
             subscribe(cfg, lambda d: None, lambda: True)
+
+
+class TestReceive:
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf])
+    def test_poll_interval_must_be_finite_and_positive(self, interval,
+                                                       monkeypatch):
+        # 0 escaped as BlockingIOError, inf as OverflowError and the others
+        # as assorted ValueErrors, each once the socket was bound.
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        stops = []
+        match = "poll interval must be finite and positive"
+        with pytest.raises(ValueError, match=match):
+            receive(unicast(1), stops.append, ReceiveSummary(),
+                    poll_interval=interval)
+        with pytest.raises(ValueError, match=match):
+            subscribe(unicast(1), lambda d: None, stops.append,
+                      poll_interval=interval)
+        assert stops == []
+
+    def test_back_to_back_datagrams_arrive_in_order_and_stamped(self):
+        port = free_port()
+        summary = ReceiveSummary()
+        received = []
+        ready = threading.Event()
+        deadline = time.monotonic() + 10.0
+
+        def stop():
+            ready.set()
+            return len(received) >= 200 or time.monotonic() >= deadline
+
+        thread = threading.Thread(
+            target=lambda: received.extend(
+                receive(unicast(port), stop, summary, poll_interval=0.02)),
+            daemon=True)
+        thread.start()
+        assert ready.wait(5.0), "receiver never started"
+        sent = [index.to_bytes(2, "big") for index in range(200)]
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as tx:
+            for payload in sent:
+                tx.sendto(payload, ("127.0.0.1", port))
+        thread.join(timeout=15.0)
+        assert not thread.is_alive()
+        assert [datagram for datagram, _ in received] == sent
+        arrivals = [arrival for _, arrival in received]
+        assert arrivals == sorted(arrivals)
+        if sys.platform.startswith("linux"):
+            now = time.time()
+            assert all(abs(now - arrival) < 1.0 for arrival in arrivals)
+        assert (summary.datagrams, summary.kernel_dropped) == (200, 0)
+
+    def test_control_messages_give_the_stamp_and_the_drop_count(self):
+        stamp = (socket.SOL_SOCKET, SO_TIMESTAMPNS,
+                 struct.pack("@ll", 1_700_000_000, 250_000_000))
+        drops = (socket.SOL_SOCKET, SO_RXQ_OVFL, struct.pack("@I", 7))
+        foreign = [(socket.IPPROTO_IP, SO_TIMESTAMPNS, bytes(16)),
+                   (socket.SOL_SOCKET, socket.SCM_RIGHTS, bytes(4))]
+        assert read_ancillary([*foreign, stamp, drops]) == (1_700_000_000.25, 7)
+        assert read_ancillary([stamp]) == (1_700_000_000.25, None)
+        assert read_ancillary(foreign) == (None, None)
+        assert read_ancillary([]) == (None, None)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="SO_RXQ_OVFL is Linux's")
+    def test_receive_queue_overflow_is_counted_apart(self):
+        # 2000 datagrams of 1400 octets overflow the socket's buffer, at
+        # most twice the 1 MB asked for, before the first drain, so the
+        # tail is dropped. A marker sent once a drain runs dry carries the
+        # kernel's count of those drops.
+        port = free_port()
+        flood = [index.to_bytes(2, "big") * 700 for index in range(2000)]
+        summary = ReceiveSummary()
+        received, polls, marker = [], [], []
+        tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+
+        def stop():
+            if not polls:
+                for payload in flood:
+                    tx.sendto(payload, ("127.0.0.1", port))
+            elif polls[-1] == len(received) and not marker:
+                marker.append(b"end")
+                tx.sendto(b"end", ("127.0.0.1", port))
+            polls.append(len(received))
+            return received[-1:] == [b"end"] or len(polls) > 10_000
+
+        try:
+            for datagram, _ in receive(unicast(port), stop, summary):
+                received.append(datagram)
+        finally:
+            tx.close()
+        assert received[-1] == b"end"
+        kept = len(received) - 1
+        assert received[:-1] == flood[:kept]
+        assert summary.kernel_dropped == len(flood) - kept > 0
+        assert summary.datagrams == len(received)
+
+    def test_stop_ends_a_batch_at_the_datagram_it_asks_for(self):
+        # 3N datagrams queue before the first wake; stop() after each one
+        # keeps the rest of the batch from the sink.
+        port = free_port()
+        n = 5
+        seen, polls = [], []
+
+        def stop():
+            if not polls:
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as tx:
+                    for index in range(3 * n):
+                        tx.sendto(bytes([index]), ("127.0.0.1", port))
+            polls.append(len(seen))
+            return len(seen) >= n
+
+        summary = subscribe(unicast(port), seen.append, stop)
+        assert seen == [bytes([index]) for index in range(n)]
+        assert summary.datagrams == n
+
+    def test_stop_is_first_polled_once_the_port_is_bound(self):
+        # perfbench's subscriber reports ready on that first poll.
+        port = free_port()
+        errors = []
+
+        def stop():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+                try:
+                    probe.bind(("127.0.0.1", port))
+                except OSError as exc:
+                    errors.append(exc.errno)
+            return True
+
+        subscribe(unicast(port), lambda d: None, stop)
+        assert errors == [errno.EADDRINUSE]
+
+    def test_closing_the_generator_closes_the_socket(self):
+        port = free_port()
+        tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+
+        def stop():
+            tx.sendto(b"x", ("127.0.0.1", port))
+            return False
+
+        datagrams = receive(unicast(port), stop, ReceiveSummary())
+        assert next(datagrams)[0] == b"x"
+        datagrams.close()
+        tx.close()
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            probe.bind(("127.0.0.1", port))  # EADDRINUSE while it is open
+
+    def test_without_kernel_stamps_each_datagram_is_stamped_on_receipt(
+            self, monkeypatch):
+        # Where the options cannot be set, the loop never sleeps between
+        # drains and stamps time.time() as recvmsg returns.
+        monkeypatch.setattr(sys, "platform", "darwin")
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        port = free_port()
+        received, polls, sent_at = [], [], []
+
+        def stop():
+            if not polls:
+                sent_at.append(time.time())
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as tx:
+                    for index in range(3):
+                        tx.sendto(bytes([index]), ("127.0.0.1", port))
+            polls.append(len(received))
+            return polls.count(3) == 2  # once after the third, once after a wait
+
+        summary = ReceiveSummary()
+        received.extend(receive(unicast(port), stop, summary,
+                                poll_interval=0.01))
+        assert [datagram for datagram, _ in received] == [b"\0", b"\1", b"\2"]
+        assert all(sent_at[0] <= arrival <= time.time()
+                   for _, arrival in received)
+        assert sleeps == []
+        assert summary.kernel_dropped == 0
 
 
 class TestMulticastLoopback:
