@@ -23,10 +23,10 @@ from operator import itemgetter
 
 from . import ber
 from .errors import BadEtherType, BadHeader, CountMismatch, LengthMismatch, \
-    OversizeValue, SchemaMismatch, SvError, Truncated, UnknownTag, \
+    Overflow, OversizeValue, SchemaMismatch, SvError, Truncated, UnknownTag, \
     UnsupportedLength, WidthMismatch
-from .model import QUALITY_OF_OCTET, DatasetSchema, Quality, check_range, \
-    encode_quality, quality_from_word, quality_word
+from .model import QUALITY_OF_OCTET, DatasetSchema, check_range, int_range, \
+    quality_from_word, quality_word
 
 TPID_VLAN = 0x8100
 ETHERTYPE_SV = 0x88BA
@@ -119,9 +119,6 @@ class UtcTimestamp:
         check_range("fraction", self.fraction, 0, 0xFF_FFFF)
         check_range("time quality", self.time_quality, 0, 0xFF)
 
-    def to_octets(self) -> bytes:
-        return _REFR_TM.pack(self.seconds, self.fraction << 8 | self.time_quality)
-
     @classmethod
     def from_octets(cls, octets: bytes) -> "UtcTimestamp":
         if len(octets) != 8:
@@ -188,53 +185,52 @@ def _encode_asdu(asdu: Asdu) -> bytes:
     if type(asdu.smp_synch) is not SmpSynch:  # strict decode takes 0-2 only
         check_range("smpSynch", asdu.smp_synch, 0, 2)
     stamp = asdu.refr_tm
+    if not isinstance(stamp, UtcTimestamp):
+        raise ValueError(f"refrTm must be a UtcTimestamp, got {stamp!r}")
     cnt_head, rev_head, tm_head, synch_head = _FIXED_HEADS
     try:
-        # The values in _ASDU_FIELDS order, as _asdu_octets gives them.
         fixed = _FIXED_FIELDS.pack(
             cnt_head, asdu.smp_cnt, rev_head, asdu.conf_rev,
             tm_head, stamp.seconds, stamp.fraction << 8 | stamp.time_quality,
             synch_head, asdu.smp_synch)
-        seq_data = asdu.seq_data
-        size = len(seq_data)
-        seq_head = (bytes((TAG_SEQDATA, size)) if size < 0x80
-                    else ber.encode_header(TAG_SEQDATA, size))
-        n = len(sv_id)
-        body = 2 + n + _FIXED_FIELDS.size + len(seq_head) + size
-        head = (bytes((TAG_ASDU, body, TAG_SVID, n)) if body < 0x80
-                else ber.encode_header(TAG_ASDU, body) + bytes((TAG_SVID, n)))
-        return b"".join((head, sv_id.encode("ascii"), fixed, seq_head, seq_data))
-    except (struct.error, AttributeError, TypeError):
-        # A value its field cannot hold, or a refrTm or seqData of another
-        # type: the table path raises for it what it always has.
-        body = b"".join(map(ber.encode_tlv, _ASDU_FIELDS, _asdu_octets(asdu)))
-        return ber.encode_header(TAG_ASDU, len(body)) + body
-
-
-def _asdu_octets(asdu: Asdu) -> tuple[bytes, ...]:
-    """The value octets of ``asdu``'s fields, in ``_ASDU_FIELDS`` order."""
-    return (asdu.sv_id.encode("ascii"), ber.encode_int_fixed(asdu.smp_cnt, 2),
-            ber.encode_int_fixed(asdu.conf_rev, 4), asdu.refr_tm.to_octets(),
-            bytes((asdu.smp_synch,)), asdu.seq_data)
+    except struct.error:
+        # Only smpCnt and confRev are unchecked: name the one that does not fit.
+        check_range("smpCnt", asdu.smp_cnt, 0, 0xFFFF)
+        check_range("confRev", asdu.conf_rev, 0, 0xFFFF_FFFF)
+        raise
+    seq_data = asdu.seq_data
+    size = len(seq_data)
+    seq_head = (bytes((TAG_SEQDATA, size)) if size < 0x80
+                else ber.encode_header(TAG_SEQDATA, size))
+    n = len(sv_id)
+    body = 2 + n + _FIXED_FIELDS.size + len(seq_head) + size
+    head = (bytes((TAG_ASDU, body, TAG_SVID, n)) if body < 0x80
+            else ber.encode_header(TAG_ASDU, body) + bytes((TAG_SVID, n)))
+    return b"".join((head, sv_id.encode("ascii"), fixed, seq_head, seq_data))
 
 
 def encode_frame(frame: SvFrame, schema: DatasetSchema) -> bytes:
     """Byte-exact frame encoding; every BER length derives from content.
 
     An ASDU's smpCnt, confRev, refrTm and smpSynch are one struct pack
-    derived from ``_ASDU_FIELDS``, or, when a value does not fit, one TLV
-    per table row, which raises the error. The frame is then one join.
-    An smpSynch that is neither a ``SmpSynch`` nor an int of 0-2, which
-    strict decode would reject, raises ``ValueError``.
+    derived from ``_ASDU_FIELDS``, and the frame is then one join. A field
+    of the wrong type, or a value it cannot hold, raises ``ValueError`` (or
+    an ``SvError``) naming the field; so does an smpSynch that is neither a
+    ``SmpSynch`` nor an int of 0-2, which strict decode would reject.
     """
     asdus = frame.apdu.asdus
     if not asdus:
         raise ValueError("savPdu needs at least one ASDU")
-    if len(frame.dst_mac) != 6 or len(frame.src_mac) != 6:
-        raise ValueError("MAC addresses must be 6 octets")
+    dst, src = frame.dst_mac, frame.src_mac
+    if not (type(dst) is type(src) is bytes and len(dst) == len(src) == 6):
+        raise ValueError(f"MACs must be bytes of 6 octets, got {dst!r}, {src!r}")
+    if not isinstance(frame.vlan, VlanTag):
+        raise ValueError(f"VLAN tag must be a VlanTag, got {frame.vlan!r}")
     check_range("APPID", frame.appid, 0, 0xFFFF)
     width = schema.packed_width
     for asdu in asdus:
+        if not isinstance(asdu.seq_data, (bytes, bytearray, memoryview)):
+            raise ValueError(f"seqData must be octets, got {asdu.seq_data!r}")
         if len(asdu.seq_data) != width:
             raise SchemaMismatch(
                 f"seqData is {len(asdu.seq_data)} octets, schema packs {width}")
@@ -250,8 +246,8 @@ def encode_frame(frame: SvFrame, schema: DatasetSchema) -> bytes:
     if length > 0xFFFF:
         raise OversizeValue(f"Length field {length} exceeds 65535")
     return b"".join([
-        _LINK_HEADER.pack(bytes(frame.dst_mac), bytes(frame.src_mac), TPID_VLAN,
-                          frame.vlan.tci, ETHERTYPE_SV, frame.appid, length, 0, 0),
+        _LINK_HEADER.pack(dst, src, TPID_VLAN, frame.vlan.tci, ETHERTYPE_SV,
+                          frame.appid, length, 0, 0),
         savpdu_head, bytes((TAG_NOASDU, 1, count)), seq_head, *seq_asdu])
 
 
@@ -554,7 +550,9 @@ def pack_seq_data(values, schema: DatasetSchema) -> bytes:
 
     Each item is a raw integer or a ``(raw, Quality)`` pair; the quality
     octets are appended only for members with ``include_quality`` set
-    (defaulting to good when the item carries none).
+    (defaulting to good when the item carries none). An int its member
+    cannot hold raises :class:`Overflow`; any other value, or a quality
+    word over one octet, raises ``ValueError`` naming the member.
     """
     if len(values) != len(schema):
         raise CountMismatch(
@@ -568,18 +566,19 @@ def pack_seq_data(values, schema: DatasetSchema) -> bytes:
     try:
         return schema.seq_struct.pack(*fields)
     except struct.error:
-        # A value that does not fit: raise as packing member by member does.
-        return _pack_members(values, schema)
-
-
-def _pack_members(values, schema: DatasetSchema) -> bytes:
-    out = bytearray()
-    for item, member in zip(values, schema):
-        value, quality = item if isinstance(item, tuple) else (item, None)
-        out += ber.encode_int_fixed(value, member.width, signed=member.signed)
-        if member.include_quality:
-            out += encode_quality(quality if quality is not None else Quality())
-    return bytes(out)
+        # Name the first value that does not fit its member.
+        for (index, quality_follows), member in zip(schema.value_layout, schema):
+            value = fields[index]
+            if not isinstance(value, int):
+                raise ValueError(f"{member.name} must be of type int, got {value!r}")
+            lo, hi = int_range(member.width, member.signed)
+            if not lo <= value <= hi:
+                kind = "signed" if member.signed else "unsigned"
+                raise Overflow(f"{value} does not fit {member.width} {kind} octets")
+            if quality_follows and not 0 <= fields[index + 1] <= 0xFF:
+                raise ValueError(f"{member.name} quality word {fields[index + 1]} "
+                                 "does not fit one octet")
+        raise
 
 
 def unpack_seq_data(octets: bytes, schema: DatasetSchema) -> list:
@@ -696,8 +695,8 @@ def _render_refr_tm(value: bytes) -> str:
 
 # The ASDU fields by tag, in the order encode writes them: name, the width
 # decode requires (None: any) and the text dissect shows for the value.
-# Encode packs the rows with a width, which lie between svID and seqData,
-# as one struct, ``_FIXED_FIELDS``, derived from these rows.
+# The rows with a width, between svID and seqData, encode writes with one
+# struct pack, ``_FIXED_FIELDS``, derived from these rows, and no other way.
 _ASDU_FIELDS = {
     TAG_SVID: ("svID", None, lambda v: v.decode("ascii", "replace")),
     TAG_SMPCNT: ("smpCnt", 2, _render_uint),
@@ -708,14 +707,15 @@ _ASDU_FIELDS = {
 }
 _FIELD_VALUES = itemgetter(*_ASDU_FIELDS)
 # Per fixed-width field, its tag and short-form length as one word, then
-# its value: refrTm's as the two words ``UtcTimestamp.to_octets`` packs.
+# its value: refrTm's as the two words of ``_REFR_TM``.
 _WIDTH_CODES = {1: "B", 2: "H", 4: "I", 8: "II"}
 _FIXED_HEADS = tuple(tag << 8 | width for tag, (_, width, _) in _ASDU_FIELDS.items()
                      if width)
 _FIXED_FIELDS = struct.Struct(">" + "".join(
     "H" + _WIDTH_CODES[head & 0xFF] for head in _FIXED_HEADS))
 # What lenient decoding reads for a missing field: the ``Asdu`` default.
-_MISSING = dict(zip(_ASDU_FIELDS, _asdu_octets(Asdu())))
+_MISSING = {TAG_SVID: b"", TAG_SMPCNT: bytes(2), TAG_CONFREV: b"\0\0\0\1",
+            TAG_REFRTM: bytes(8), TAG_SMPSYNCH: b"\0", TAG_SEQDATA: b""}
 
 # Dissect rows by (depth, tag): the row name, and the renderer of a leaf
 # value, or None for a container, whose row shows its header hex only.

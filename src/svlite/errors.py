@@ -22,10 +22,6 @@ class Overflow(SvError):
     """An integer does not fit the requested wire width."""
 
 
-class BadWidth(SvError):
-    """Fixed-width integer field has an unsupported octet count."""
-
-
 class SchemaMismatch(SvError):
     """Frame content disagrees with the dataset schema or ASDU layout."""
 

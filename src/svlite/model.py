@@ -54,7 +54,7 @@ _INT8 = (-0x80, 0x7F)
 _INT32 = (-0x8000_0000, 0x7FFF_FFFF)
 
 
-def _int_range(width: int, signed: bool) -> tuple[int, int]:
+def int_range(width: int, signed: bool) -> tuple[int, int]:
     bits = 8 * width
     if signed:
         return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
@@ -108,7 +108,7 @@ def quantiser(scale_factor: int, offset: int = 0, width: int = 4,
     The scale's divisor or multiplier, the offset and the range are looked
     up here, so a call makes only the checks, in the same order.
     """
-    lo, hi = _int_range(width, signed)
+    lo, hi = int_range(width, signed)
 
     def misfit(raw: int) -> Overflow:
         return Overflow(
@@ -161,11 +161,6 @@ class Quality:
 def quality_word(q: Quality) -> int:
     """Validity in bits 0-1, test in bit 2, rest zero."""
     return int(q.validity) | (int(q.test) << 2)
-
-
-def encode_quality(q: Quality) -> bytes:
-    """Two octets, the high one zero, the low one :func:`quality_word`."""
-    return bytes([0x00, quality_word(q)])
 
 
 # Quality of each low quality octet, shared and immutable so a reader
@@ -252,8 +247,8 @@ class DatasetSchema:
     def seq_struct(self) -> struct.Struct:
         """Big-endian seqData layout, built on first use: ``h``/``H`` or
         ``i``/``I`` per member, and a quality word as a pad octet and ``B``
-        (its low octet, as :func:`encode_quality` writes it and
-        :func:`quality_from_word` reads it)."""
+        (a zero high octet, then the low one :func:`quality_word` gives and
+        :func:`quality_from_word` reads)."""
         codes = [">"]
         for m in self.members:
             codes.append(m.struct_code)

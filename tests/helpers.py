@@ -1,10 +1,11 @@
 """Shared test fixtures: the reference frame, an independent TLV walker,
-a reference encoder, a reference judge of the analyzer's records, a
-reference of its sequencing and a reference noise sample.
+a reference TLV and frame encoder, a reference judge of the analyzer's
+records, a reference of its sequencing and a reference noise sample.
 
-The walker parses lengths with bare index arithmetic, and the encoder
-writes them by its own rule, so they can confirm the codec's BER lengths
-without reusing any codec code.
+The walker parses lengths with bare index arithmetic, and the encoders
+write them by their own rule, so they can confirm the codec's BER lengths
+without reusing any codec code. Every hand-built test frame is made of
+:func:`reference_tlv` TLVs.
 """
 
 import math
@@ -126,7 +127,10 @@ def verify_frame_lengths(wire: bytes) -> list[int]:
     return tags
 
 
-def _reference_tlv(tag: int, value: bytes) -> bytes:
+def reference_tlv(tag: int, value: bytes) -> bytes:
+    """Tag, minimal definite length and ``value``: short form under 128
+    octets, then 0x81 and 0x82. A tag or length that does not fit raises
+    ``ValueError``."""
     n = len(value)
     if n < 128:
         length = [n]
@@ -137,25 +141,28 @@ def _reference_tlv(tag: int, value: bytes) -> bytes:
     return bytes([tag, *length]) + value
 
 
+def stamp_octets(stamp: UtcTimestamp) -> bytes:
+    """refrTm's 8 octets: seconds, 24-bit fraction and time quality."""
+    return (stamp.seconds.to_bytes(4, "big") + stamp.fraction.to_bytes(3, "big")
+            + bytes([stamp.time_quality]))
+
+
 def reference_encode(frame: SvFrame, schema: DatasetSchema) -> bytes:
     """The wire octets of ``frame``, laid out from the codec module
     docstring field by field, with lengths counted here."""
     seq_asdu = b""
     for asdu in frame.apdu.asdus:
         assert len(asdu.seq_data) == schema.packed_width
-        stamp = asdu.refr_tm
-        seq_asdu += _reference_tlv(0x30, b"".join([
-            _reference_tlv(0x80, asdu.sv_id.encode("ascii")),
-            _reference_tlv(0x82, asdu.smp_cnt.to_bytes(2, "big")),
-            _reference_tlv(0x83, asdu.conf_rev.to_bytes(4, "big")),
-            _reference_tlv(0x84, stamp.seconds.to_bytes(4, "big")
-                           + stamp.fraction.to_bytes(3, "big")
-                           + bytes([stamp.time_quality])),
-            _reference_tlv(0x85, bytes([asdu.smp_synch])),
-            _reference_tlv(0x87, asdu.seq_data),
+        seq_asdu += reference_tlv(0x30, b"".join([
+            reference_tlv(0x80, asdu.sv_id.encode("ascii")),
+            reference_tlv(0x82, asdu.smp_cnt.to_bytes(2, "big")),
+            reference_tlv(0x83, asdu.conf_rev.to_bytes(4, "big")),
+            reference_tlv(0x84, stamp_octets(asdu.refr_tm)),
+            reference_tlv(0x85, bytes([asdu.smp_synch])),
+            reference_tlv(0x87, asdu.seq_data),
         ]))
-    savpdu = _reference_tlv(0x60, _reference_tlv(0x80, bytes([len(frame.apdu.asdus)]))
-                            + _reference_tlv(0xA2, seq_asdu))
+    savpdu = reference_tlv(0x60, reference_tlv(0x80, bytes([len(frame.apdu.asdus)]))
+                           + reference_tlv(0xA2, seq_asdu))
     vlan = frame.vlan
     tci = vlan.priority << 13 | vlan.dei << 12 | vlan.vid
     return (frame.dst_mac + frame.src_mac + b"\x81\x00" + tci.to_bytes(2, "big")

@@ -1,10 +1,8 @@
 import gc
 import random
-import struct
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +15,11 @@ from helpers import (
     plan_offsets,
     random_valid_frame,
     reference_encode,
+    reference_tlv,
+    stamp_octets,
     verify_frame_lengths,
 )
-from svlite import ber, codec
+from svlite import codec
 from svlite.codec import (
     Asdu,
     DecodeMode,
@@ -58,8 +58,8 @@ from svlite.model import (
     Quality,
     SchemaMember,
     Validity,
-    encode_quality,
     quality_from_word,
+    quality_word,
 )
 
 
@@ -153,25 +153,41 @@ class TestEncodeErrors:
             encode_frame(frame, schema)
 
     @pytest.mark.parametrize("name,value,error,message", [
-        ("smp_cnt", -1, Overflow, "-1 does not fit 2 unsigned octets"),
-        ("smp_cnt", 0x10000, Overflow, "65536 does not fit 2 unsigned octets"),
-        ("smp_cnt", 1.0, AttributeError, "'float' object has no attribute 'to_bytes'"),
-        ("conf_rev", -1, Overflow, "-1 does not fit 4 unsigned octets"),
-        ("conf_rev", 2 ** 32, Overflow, "4294967296 does not fit 4 unsigned octets"),
+        ("smp_cnt", -1, ValueError, "smpCnt=-1 outside [0, 65535]"),
+        ("smp_cnt", 0x10000, ValueError, "smpCnt=65536 outside [0, 65535]"),
+        ("smp_cnt", 1.0, ValueError, "smpCnt must be of type int, got 1.0"),
+        ("conf_rev", -1, ValueError, "confRev=-1 outside [0, 4294967295]"),
+        ("conf_rev", 2 ** 32, ValueError, "confRev=4294967296 outside [0, 4294967295]"),
         ("smp_synch", 256, ValueError, "smpSynch=256 outside [0, 2]"),
         ("smp_synch", -1, ValueError, "smpSynch=-1 outside [0, 2]"),
-        ("refr_tm", None, AttributeError,
-         "'NoneType' object has no attribute 'to_octets'"),
+        ("refr_tm", None, ValueError, "refrTm must be a UtcTimestamp, got None"),
         ("sv_id", 5, ValueError, "svID must be a non-empty ASCII string, got 5"),
         ("seq_data", b"12", SchemaMismatch, "seqData is 2 octets, schema packs 14"),
     ])
-    def test_field_out_of_range_raises_the_table_error(self, name, value, error,
+    def test_field_out_of_range_raises_naming_the_field(self, name, value, error,
                                                         message):
         frame = golden_frame()
         setattr(frame.apdu.asdus[0], name, value)
         with pytest.raises(error) as excinfo:
             encode_frame(frame, GOLDEN_SCHEMA)
         assert type(excinfo.value) is error and str(excinfo.value) == message
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("dst_mac", "abcdef", "MACs must be bytes of 6 octets, got 'abcdef', {src!r}"),
+        ("src_mac", None, "MACs must be bytes of 6 octets, got {dst!r}, None"),
+        ("src_mac", bytearray(6), "MACs must be bytes of 6 octets, got {dst!r}, "
+                                  "bytearray(b'\\x00\\x00\\x00\\x00\\x00\\x00')"),
+        ("vlan", None, "VLAN tag must be a VlanTag, got None"),
+        ("seq_data", "x" * 14, "seqData must be octets, got 'xxxxxxxxxxxxxx'"),
+    ])
+    def test_wrongly_typed_value_raises_value_error(self, name, value, message):
+        # Once a bare TypeError or AttributeError from deep in the encoder.
+        frame = golden_frame()
+        setattr(frame.apdu.asdus[0] if name == "seq_data" else frame, name, value)
+        with pytest.raises(ValueError) as excinfo:
+            encode_frame(frame, GOLDEN_SCHEMA)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == message.format(dst=frame.dst_mac, src=frame.src_mac)
 
     @pytest.mark.parametrize("value", ["2", 2.5, True, 3, 255])
     def test_smp_synch_not_an_int_of_0_to_2_raises(self, value):
@@ -305,17 +321,16 @@ class TestDecodeModes:
         # Rebuild the frame with a smpRate-style 0x86 TLV spliced in.
         frame = golden_frame()
         asdu_content = (
-            ber.encode_tlv(0x80, b"xxxxMUnn01")
-            + ber.encode_tlv(0x82, b"\x00\x01")
-            + ber.encode_tlv(0x83, b"\x00\x00\x00\x01")
-            + ber.encode_tlv(0x84, bytes(8))
-            + ber.encode_tlv(0x85, b"\x00")
-            + ber.encode_tlv(0x86, b"\x0f\xa0")
-            + ber.encode_tlv(0x87, frame.apdu.asdus[0].seq_data)
+            reference_tlv(0x80, b"xxxxMUnn01")
+            + reference_tlv(0x82, b"\x00\x01")
+            + reference_tlv(0x83, b"\x00\x00\x00\x01")
+            + reference_tlv(0x84, bytes(8))
+            + reference_tlv(0x85, b"\x00")
+            + reference_tlv(0x86, b"\x0f\xa0")
+            + reference_tlv(0x87, frame.apdu.asdus[0].seq_data)
         )
-        savpdu = ber.encode_tlv(0x60, ber.encode_tlv(0x80, b"\x01")
-                                + ber.encode_tlv(0xA2,
-                                                 ber.encode_tlv(0x30, asdu_content)))
+        savpdu = reference_tlv(0x60, reference_tlv(0x80, b"\x01")
+                               + reference_tlv(0xA2, reference_tlv(0x30, asdu_content)))
         wire = (GOLDEN_WIRE[:18]
                 + (0x4000).to_bytes(2, "big")
                 + (8 + len(savpdu)).to_bytes(2, "big")
@@ -459,35 +474,48 @@ class TestSeqData:
 
 
 def _pack_reference(values, schema):
-    """Member by member through ``ber``, as seqData was packed before it
-    went through one ``struct.Struct`` per schema."""
+    """Member by member with ``int.to_bytes``, apart from ``struct``."""
     out = b""
     for item, member in zip(values, schema):
         value, quality = item if isinstance(item, tuple) else (item, None)
-        out += ber.encode_int_fixed(value, member.width, signed=member.signed)
+        out += value.to_bytes(member.width, "big", signed=member.signed)
         if member.include_quality:
-            out += encode_quality(quality or Quality())
+            out += bytes((0, quality_word(quality or Quality())))
     return out
 
 
 class TestCompiledSeqData:
-    """The compiled layout raises the same ``SvError`` as packing member by
-    member did, never ``struct.error``."""
+    """A value the compiled layout cannot pack raises :class:`Overflow`, or
+    ``ValueError`` naming its member, never ``struct.error``."""
 
     QUALITY = DatasetSchema([
         SchemaMember("TCTR1.AmpSv.instMag.i", 4, include_quality=True)])
+    MIXED = DatasetSchema([
+        SchemaMember("TCTR1.AmpSv.GeoCrd.H", 2),
+        SchemaMember("TCTR1.AmpSv.instMag.i", 4, include_quality=True),
+        SchemaMember("TCTR1.AmpSv.instMag.n", 4),
+    ])
 
     def test_unsigned_4_octet_overflow(self):
         schema = DatasetSchema([
             SchemaMember("TCTR1.AmpSv.instMag.i", 4, signed=False)])
-        with pytest.raises(Overflow):
+        with pytest.raises(Overflow, match="^4294967296 does not fit 4 unsigned octets$"):
             pack_seq_data([2 ** 32], schema)
 
     def test_negative_on_unsigned_2_octets(self):
         schema = DatasetSchema([
             SchemaMember("TCTR1.AmpSv.GeoCrd.H", 2, signed=False)])
-        with pytest.raises(Overflow):
+        with pytest.raises(Overflow, match="^-1 does not fit 2 unsigned octets$"):
             pack_seq_data([-1], schema)
+
+    @pytest.mark.parametrize("value", [1.0, None, "1"])
+    def test_value_not_an_int_names_the_member(self, value):
+        # Once a bare AttributeError, as "'float' object has no attribute
+        # 'to_bytes'"; the members before it fit, so the pack reaches it.
+        with pytest.raises(ValueError) as excinfo:
+            pack_seq_data([7, (8, Quality()), value], self.MIXED)
+        assert str(excinfo.value) == \
+            f"TCTR1.AmpSv.instMag.n must be of type int, got {value!r}"
 
     def test_wrong_value_count(self):
         with pytest.raises(CountMismatch):
@@ -508,7 +536,8 @@ class TestCompiledSeqData:
             == [(7, Quality(Validity.QUESTIONABLE, test=True))]
 
     def test_quality_word_over_one_octet(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^TCTR1.AmpSv.instMag.i quality word 300 "
+                                             "does not fit one octet$"):
             pack_seq_data([(7, Quality(validity=300))], self.QUALITY)
 
     def test_layout_is_built_once_per_schema(self):
@@ -654,32 +683,14 @@ def test_encode_parity_with_reference(frame_and_schema):
     assert encode_frame(frame, schema) == reference_encode(frame, schema)
 
 
-class _TablePath:
-    """Stands in for ``codec._FIXED_FIELDS`` with a pack that always fails,
-    so every ASDU is encoded through the field table."""
-
-    size = codec._FIXED_FIELDS.size
-
-    def pack(self, *values):
-        raise struct.error("the table path")
-
-
-def _encode_outcome(frame, schema):
-    """The frame's octets, or the class and message of what encoding raised."""
-    try:
-        return encode_frame(frame, schema)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-# One ASDU field at a time, with a value outside what its field holds, or
-# for smpSynch a plain int of 3-255, which fits its octet but not strict
-# decode.
+# One ASDU field at a time, with a value of another type or outside what
+# its field holds, or for smpSynch a plain int of 3-255, which fits its
+# octet but not strict decode.
 _OUT_OF_RANGE = st.one_of(
-    st.tuples(st.just("smp_cnt"),
-              st.integers(max_value=-1) | st.integers(min_value=0x10000)),
-    st.tuples(st.just("conf_rev"),
-              st.integers(max_value=-1) | st.integers(min_value=2 ** 32)),
+    st.tuples(st.just("smp_cnt"), st.integers(max_value=-1)
+              | st.integers(min_value=0x10000) | st.floats() | st.none()),
+    st.tuples(st.just("conf_rev"), st.integers(max_value=-1)
+              | st.integers(min_value=2 ** 32) | st.floats() | st.none()),
     st.tuples(st.just("smp_synch"), st.integers(min_value=256)
               | st.integers(max_value=-1) | st.integers(3, 255)),
     st.tuples(st.just("refr_tm"), st.none() | st.integers() | st.binary(max_size=8)
@@ -687,25 +698,30 @@ _OUT_OF_RANGE = st.one_of(
     st.tuples(st.just("sv_id"), st.sampled_from(["", "x" * 65])
               | st.text(min_size=1, max_size=64).filter(lambda t: not t.isascii())
               | st.binary(min_size=1, max_size=64) | st.integers()),
-    st.tuples(st.just("seq_data"), st.binary(max_size=40)),
+    st.tuples(st.just("seq_data"), st.binary(max_size=40) | st.text(max_size=40)),
 )
+_FIELD_NAMES = {"smp_cnt": "smpCnt", "conf_rev": "confRev", "smp_synch": "smpSynch",
+                "refr_tm": "refrTm", "sv_id": "svID", "seq_data": "seqData"}
 
 
 @settings(deadline=None)
 @given(valid_frames, st.integers(0, 2), _OUT_OF_RANGE)
-def test_encode_error_parity_with_table_path(frame_and_schema, which, field):
+def test_field_mutation_raises_naming_the_field(frame_and_schema, which, field):
+    """Encode checks each field where it enters, so a bad value raises
+    ``ValueError`` or an ``SvError`` naming its field, never an error of
+    the struct pack or of a missing attribute."""
     frame, schema = frame_and_schema
     name, value = field
-    if name == "seq_data" and len(value) == schema.packed_width:
+    if name == "seq_data" and len(value) == schema.packed_width \
+            and isinstance(value, bytes):
         value += b"\0"
     asdus = frame.apdu.asdus
     setattr(asdus[which % len(asdus)], name, value)
-    outcome = _encode_outcome(frame, schema)
-    with mock.patch.object(codec, "_FIXED_FIELDS", _TablePath()):
-        assert outcome == _encode_outcome(frame, schema)
-    assert type(outcome) is tuple
+    with pytest.raises((ValueError, SvError)) as excinfo:
+        encode_frame(frame, schema)
+    assert _FIELD_NAMES[name] in str(excinfo.value)
     if name == "smp_synch":
-        assert outcome == (ValueError, f"smpSynch={value} outside [0, 2]")
+        assert str(excinfo.value) == f"smpSynch={value} outside [0, 2]"
 
 
 def _edge_frame(sv_id: str, width: int, asdus: int = 1):
@@ -758,7 +774,7 @@ def test_plan_parity_with_the_walk(frame_and_schema):
     assert len(plan.slots) == len(asdus)
     for asdu, slots in zip(asdus, plan.slots):
         assert [plan.parts[i] for i in slots] == [
-            asdu.smp_cnt.to_bytes(2, "big"), asdu.refr_tm.to_octets(), asdu.seq_data]
+            asdu.smp_cnt.to_bytes(2, "big"), stamp_octets(asdu.refr_tm), asdu.seq_data]
     assert carries_fixed_octets(plan, wire)
     if len(asdus) == 1:
         asdu, = asdus
@@ -767,10 +783,17 @@ def test_plan_parity_with_the_walk(frame_and_schema):
 
 
 def test_missing_field_reads_as_the_asdu_default():
+    default = Asdu()
     assert codec._MISSING == {
         codec.TAG_SVID: b"", codec.TAG_SMPCNT: bytes(2),
         codec.TAG_CONFREV: b"\0\0\0\1", codec.TAG_REFRTM: bytes(8),
-        codec.TAG_SMPSYNCH: b"\0", codec.TAG_SEQDATA: b""}
+        codec.TAG_SMPSYNCH: b"\0", codec.TAG_SEQDATA: b""} == {
+        codec.TAG_SVID: default.sv_id.encode("ascii"),
+        codec.TAG_SMPCNT: default.smp_cnt.to_bytes(2, "big"),
+        codec.TAG_CONFREV: default.conf_rev.to_bytes(4, "big"),
+        codec.TAG_REFRTM: stamp_octets(default.refr_tm),
+        codec.TAG_SMPSYNCH: bytes([default.smp_synch]),
+        codec.TAG_SEQDATA: default.seq_data}
 
 
 class TestDissect:
@@ -832,21 +855,21 @@ class TestRoundTripProperty:
 class TestTimestamp:
     def test_octet_round_trip(self):
         stamp = UtcTimestamp(0x5F5E0FF0, 0x123456, 0x0A)
-        assert UtcTimestamp.from_octets(stamp.to_octets()) == stamp
+        assert UtcTimestamp.from_octets(stamp_octets(stamp)) == stamp
 
     @staticmethod
     def stamp(t: Fraction) -> tuple[bytes, bytes]:
         """refr_tm_octets of ``t``, and the oracle: ``t`` rounded half to
         even to 2**-24 s."""
-        oracle = UtcTimestamp(*divmod(round(t * 2**24), 2**24)).to_octets()
+        oracle = stamp_octets(UtcTimestamp(*divmod(round(t * 2**24), 2**24)))
         return refr_tm_octets(t.numerator, t.denominator), oracle
 
     def test_from_exact_seconds_carry(self):
         almost = Fraction(2 ** 24 * 3 - 1, 2 ** 24) + Fraction(1, 2 ** 25)
-        assert self.stamp(almost) == (UtcTimestamp(3, 0).to_octets(),) * 2
+        assert self.stamp(almost) == (stamp_octets(UtcTimestamp(3, 0)),) * 2
 
     def test_from_exact_seconds_quarter(self):
-        assert self.stamp(Fraction(5, 4)) == (UtcTimestamp(1, 1 << 22).to_octets(),) * 2
+        assert self.stamp(Fraction(5, 4)) == (stamp_octets(UtcTimestamp(1, 1 << 22)),) * 2
 
     def test_field_ranges(self):
         with pytest.raises(ValueError):

@@ -24,8 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from helpers import GOLDEN_SCHEMA, GOLDEN_WIRE, golden_frame, random_valid_frame
-from svlite import ber
+from helpers import GOLDEN_SCHEMA, GOLDEN_WIRE, golden_frame, random_valid_frame, \
+    reference_tlv, stamp_octets
 from svlite.cli import main
 from svlite.codec import DecodeMode, decode_frame, dissect, encode_frame, \
     pack_seq_data
@@ -36,12 +36,12 @@ FIXTURE = Path(__file__).with_name("corpus_outcomes.json")
 
 # The golden frame's 26-octet link and APPID header, and its ASDU fields.
 _HEADER = GOLDEN_WIRE[:26]
-_SVID = ber.encode_tlv(0x80, b"xxxxMUnn01")
-_SMPCNT = ber.encode_tlv(0x82, b"\x00\x01")
-_CONFREV = ber.encode_tlv(0x83, b"\x00\x00\x00\x01")
-_REFRTM = ber.encode_tlv(0x84, bytes(8))
-_SMPSYNCH = ber.encode_tlv(0x85, b"\x00")
-_SEQDATA = ber.encode_tlv(0x87, bytes.fromhex("00001111" + "00" * 10))
+_SVID = reference_tlv(0x80, b"xxxxMUnn01")
+_SMPCNT = reference_tlv(0x82, b"\x00\x01")
+_CONFREV = reference_tlv(0x83, b"\x00\x00\x00\x01")
+_REFRTM = reference_tlv(0x84, bytes(8))
+_SMPSYNCH = reference_tlv(0x85, b"\x00")
+_SEQDATA = reference_tlv(0x87, bytes.fromhex("00001111" + "00" * 10))
 _FIELDS = _SVID + _SMPCNT + _CONFREV + _REFRTM + _SMPSYNCH + _SEQDATA
 
 
@@ -52,8 +52,8 @@ def _frame(savpdu: bytes) -> bytes:
 
 
 def _savpdu(seq_content: bytes, no_asdu: int = 1, extra: bytes = b"") -> bytes:
-    return ber.encode_tlv(0x60, ber.encode_tlv(0x80, bytes([no_asdu]))
-                          + ber.encode_tlv(0xA2, seq_content) + extra)
+    return reference_tlv(0x60, reference_tlv(0x80, bytes([no_asdu]))
+                         + reference_tlv(0xA2, seq_content) + extra)
 
 
 def _long(tag: int, value: bytes, form: int) -> bytes:
@@ -68,42 +68,42 @@ def _long(tag: int, value: bytes, form: int) -> bytes:
 
 
 def _structured_inputs() -> list[tuple[str, bytes]]:
-    asdu = ber.encode_tlv(0x30, _FIELDS)
-    unknown = ber.encode_tlv(0x86, b"\x0f\xa0")
+    asdu = reference_tlv(0x30, _FIELDS)
+    unknown = reference_tlv(0x86, b"\x0f\xa0")
     out = [
         ("unknown-depth0-tag", _frame(b"\x61" + _savpdu(asdu)[1:])),
         ("unknown-depth0-after", _frame(_savpdu(asdu)) + unknown),
         ("unknown-depth1-first",
-         _frame(ber.encode_tlv(0x60, unknown + ber.encode_tlv(0x80, b"\x01")
-                               + ber.encode_tlv(0xA2, asdu)))),
+         _frame(reference_tlv(0x60, unknown + reference_tlv(0x80, b"\x01")
+                              + reference_tlv(0xA2, asdu)))),
         ("unknown-depth1-last", _frame(_savpdu(asdu, extra=unknown))),
         ("unknown-depth1-constructed",
-         _frame(_savpdu(asdu, extra=ber.encode_tlv(0xA3, asdu)))),
+         _frame(_savpdu(asdu, extra=reference_tlv(0xA3, asdu)))),
         ("unknown-depth2-first", _frame(_savpdu(unknown + asdu))),
-        ("unknown-depth2-last", _frame(_savpdu(asdu + ber.encode_tlv(0x31, _FIELDS)))),
-        ("unknown-depth3-first", _frame(_savpdu(ber.encode_tlv(0x30, unknown + _FIELDS)))),
+        ("unknown-depth2-last", _frame(_savpdu(asdu + reference_tlv(0x31, _FIELDS)))),
+        ("unknown-depth3-first", _frame(_savpdu(reference_tlv(0x30, unknown + _FIELDS)))),
         ("unknown-depth3-middle",
-         _frame(_savpdu(ber.encode_tlv(0x30, _SVID + _SMPCNT + unknown + _CONFREV
-                                       + _REFRTM + _SMPSYNCH + _SEQDATA)))),
-        ("unknown-depth3-last", _frame(_savpdu(ber.encode_tlv(0x30, _FIELDS + unknown)))),
-        ("duplicate-field", _frame(_savpdu(ber.encode_tlv(0x30, _FIELDS + _SMPCNT)))),
-        ("empty-asdu", _frame(_savpdu(ber.encode_tlv(0x30, b""), no_asdu=1))),
+         _frame(_savpdu(reference_tlv(0x30, _SVID + _SMPCNT + unknown + _CONFREV
+                                      + _REFRTM + _SMPSYNCH + _SEQDATA)))),
+        ("unknown-depth3-last", _frame(_savpdu(reference_tlv(0x30, _FIELDS + unknown)))),
+        ("duplicate-field", _frame(_savpdu(reference_tlv(0x30, _FIELDS + _SMPCNT)))),
+        ("empty-asdu", _frame(_savpdu(reference_tlv(0x30, b""), no_asdu=1))),
         ("empty-seqasdu", _frame(_savpdu(b"", no_asdu=0))),
-        ("empty-savpdu", _frame(ber.encode_tlv(0x60, b""))),
-        ("no-noasdu", _frame(ber.encode_tlv(0x60, ber.encode_tlv(0xA2, asdu)))),
+        ("empty-savpdu", _frame(reference_tlv(0x60, b""))),
+        ("no-noasdu", _frame(reference_tlv(0x60, reference_tlv(0xA2, asdu)))),
         ("two-seqasdu",
-         _frame(_savpdu(asdu, no_asdu=2, extra=ber.encode_tlv(0xA2, asdu)))),
+         _frame(_savpdu(asdu, no_asdu=2, extra=reference_tlv(0xA2, asdu)))),
         ("bad-field-widths",
-         _frame(_savpdu(ber.encode_tlv(0x30, _SVID + ber.encode_tlv(0x82, b"\x01")
-                                       + ber.encode_tlv(0x83, b"\x01")
-                                       + ber.encode_tlv(0x84, bytes(9))
-                                       + ber.encode_tlv(0x85, b"\x00\x03")
-                                       + _SEQDATA)))),
+         _frame(_savpdu(reference_tlv(0x30, _SVID + reference_tlv(0x82, b"\x01")
+                                      + reference_tlv(0x83, b"\x01")
+                                      + reference_tlv(0x84, bytes(9))
+                                      + reference_tlv(0x85, b"\x00\x03")
+                                      + _SEQDATA)))),
         ("non-ascii-svid",
-         _frame(_savpdu(ber.encode_tlv(0x30, ber.encode_tlv(0x80, b"mu\xfc01")
-                                       + _FIELDS[len(_SVID):])))),
+         _frame(_savpdu(reference_tlv(0x30, reference_tlv(0x80, b"mu\xfc01")
+                                      + _FIELDS[len(_SVID):])))),
         ("smpsynch-out-of-range",
-         _frame(_savpdu(ber.encode_tlv(0x30, _FIELDS.replace(_SMPSYNCH, b"\x85\x01\x07"))))),
+         _frame(_savpdu(reference_tlv(0x30, _FIELDS.replace(_SMPSYNCH, b"\x85\x01\x07"))))),
     ]
     # Long-form lengths at each depth: accepted 0x81/0x82, rejected 0x83
     # and indefinite 0x80.
@@ -112,31 +112,31 @@ def _structured_inputs() -> list[tuple[str, bytes]]:
             (f"long-{form:02x}-savpdu",
              _frame(_long(0x60, _savpdu(asdu)[2:], form))),
             (f"long-{form:02x}-seqasdu",
-             _frame(ber.encode_tlv(0x60, ber.encode_tlv(0x80, b"\x01")
-                                   + _long(0xA2, asdu, form)))),
+             _frame(reference_tlv(0x60, reference_tlv(0x80, b"\x01")
+                                  + _long(0xA2, asdu, form)))),
             (f"long-{form:02x}-asdu", _frame(_savpdu(_long(0x30, _FIELDS, form)))),
             (f"long-{form:02x}-field",
-             _frame(_savpdu(ber.encode_tlv(
+             _frame(_savpdu(reference_tlv(
                  0x30, _FIELDS[:-len(_SEQDATA)] + _long(0x87, _SEQDATA[2:], form))))),
         ]
     # A TLV whose length octets lie past its container's end: the next
     # octet in the buffer reads as a length, an unsupported form, or is
     # missing altogether.
-    lone_tag_asdu = ber.encode_tlv(0x30, _FIELDS + b"\x87")
+    lone_tag_asdu = reference_tlv(0x30, _FIELDS + b"\x87")
     out += [
         ("length-past-asdu-then-asdu", _frame(_savpdu(lone_tag_asdu + asdu, 2))),
         ("length-past-asdu-at-end", _frame(_savpdu(lone_tag_asdu))),
         ("length-past-asdu-then-0x83",
          _frame(_savpdu(lone_tag_asdu + b"\x83\x00\x00\x01\x00", 2))),
         ("length-past-seqasdu",
-         _frame(ber.encode_tlv(0x60, ber.encode_tlv(0x80, b"\x01")
-                               + ber.encode_tlv(0xA2, asdu + b"\x30"))
+         _frame(reference_tlv(0x60, reference_tlv(0x80, b"\x01")
+                              + reference_tlv(0xA2, asdu + b"\x30"))
                 + b"\x05" + bytes(5))),
         ("long-length-past-asdu",
-         _frame(_savpdu(ber.encode_tlv(0x30, _FIELDS + b"\x87\x82\x00") + asdu, 2))),
+         _frame(_savpdu(reference_tlv(0x30, _FIELDS + b"\x87\x82\x00") + asdu, 2))),
     ]
     # An ASDU missing a field, then a sibling that overruns seqASDU.
-    missing = ber.encode_tlv(0x30, _FIELDS[:-len(_SEQDATA)])
+    missing = reference_tlv(0x30, _FIELDS[:-len(_SEQDATA)])
     out += [
         ("missing-field-then-overrun", _frame(_savpdu(missing + b"\x30\x40" + _FIELDS, 2))),
         ("missing-field-then-overrun-long",
@@ -185,7 +185,7 @@ def _decode_outcome(wire: bytes, mode: DecodeMode) -> str:
     record = [frame.dst_mac.hex(), frame.src_mac.hex(), frame.vlan.tci,
               frame.appid, list(frame.decode_warnings)]
     for a in frame.apdu.asdus:
-        record.append([a.sv_id, a.smp_cnt, a.conf_rev, a.refr_tm.to_octets().hex(),
+        record.append([a.sv_id, a.smp_cnt, a.conf_rev, stamp_octets(a.refr_tm).hex(),
                        int(a.smp_synch), a.seq_data.hex()])
     return f"SvFrame {len(frame.decode_warnings)} warnings {_digest(record)}"
 

@@ -11,8 +11,8 @@ from svlite.model import (
     Quality,
     SchemaMember,
     Validity,
-    encode_quality,
     quality_from_word,
+    quality_word,
     from_engineering,
     to_engineering,
 )
@@ -143,30 +143,35 @@ class TestFloatPathParity:
                                 == _outcome(Decimal(repr(x)), *args))
 
 
+def _quality_octets(q: Quality) -> bytes:
+    """The two octets of a quality word on the wire: zero, then the word."""
+    return bytes((0, quality_word(q)))
+
+
 class TestQuality:
     def test_all_clear(self):
-        assert encode_quality(Quality()) == b"\x00\x00"
+        assert _quality_octets(Quality()) == b"\x00\x00"
 
     def test_invalid_with_test(self):
         q = Quality(validity=Validity.INVALID, test=True)
-        assert encode_quality(q) == b"\x00\x05"
+        assert _quality_octets(q) == b"\x00\x05"
 
     def test_questionable(self):
         q = Quality(validity=Validity.QUESTIONABLE, test=False)
-        assert encode_quality(q) == b"\x00\x02"
+        assert _quality_octets(q) == b"\x00\x02"
 
     def test_injective_over_all_combinations(self):
         seen = set()
         for validity in Validity:
             for test in (False, True):
-                seen.add(encode_quality(Quality(validity, test)))
+                seen.add(_quality_octets(Quality(validity, test)))
         assert len(seen) == 6
 
     def test_decode_inverse(self):
         for validity in Validity:
             for test in (False, True):
                 q = Quality(validity, test)
-                assert quality_from_word(encode_quality(q)[1]) == q
+                assert quality_from_word(_quality_octets(q)[1]) == q
 
 
 class TestDatasetSchema:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import reference_noise_raw
-from svlite.codec import DecodeMode, UtcTimestamp, decode_frame, \
+from svlite.codec import DecodeMode, decode_frame, \
     pack_seq_data, unpack_seq_data
 from svlite.config import build_template, parse_config
 from svlite.errors import Overflow, UnsupportedRate
@@ -145,7 +145,7 @@ class TestMemberQuantisation:
         provide = sample_provider(cfg.channels, cfg.points_per_period)
         ticks = frame_ticks(build_template(cfg), cfg.schema, provide,
                             cfg.samples_per_second, 0,
-                            lambda _: UtcTimestamp().to_octets())
+                            lambda _: bytes(8))
         frame = decode_frame(bytes(next(ticks)), DecodeMode.STRICT)
         assert frame.apdu.asdus[0].seq_data == bytes.fromhex("9c40")
 
