@@ -1,10 +1,11 @@
 """Subscriber-side stream analysis.
 
-Decodes arriving datagrams leniently, or reads them through the stream's
-compiled frame layout once one is known, infers loss from smpCnt gaps,
-separates reordering from loss with a half-window heuristic, and applies
-the discard policy: a record whose quality is not good never enters the
-accepted stream, which keeps each record as its unpacked seqData fields.
+Reads one record from each arriving datagram, the profile's one-ASDU
+frame, by a lenient decode or through the stream's compiled frame layout
+once one is known, infers loss from smpCnt gaps, separates reordering
+from loss with a half-window heuristic, and applies the discard policy:
+a record whose quality is not good never enters the accepted stream,
+which keeps each record as its unpacked seqData fields.
 """
 
 from __future__ import annotations
@@ -95,12 +96,13 @@ def format_link_stats(stats: LinkStats, *extra: tuple[str, str]) -> str:
 class StreamAnalyzer:
     """Single-stream analysis state; feed datagrams in arrival order.
 
-    A datagram that decodes to no ASDU counts a decode failure and nothing
-    else. Any other is received and then sequenced, in one tail after the
-    branches below: its first ASDU's smpCnt less the expected smpCnt (its
-    own for the stream's first datagram, else the last in-order one's plus
-    one), modulo ``wrap_modulus``, is a step of at least minus half the
-    wrap and under half of it. A forward step of n counts n lost; a
+    The profile's frame carries one ASDU, and so does every datagram read
+    here: one that does not decode to exactly one ASDU counts a decode
+    failure and nothing else. Any other is received and then sequenced, in
+    one tail after the branches below: its smpCnt less the expected smpCnt
+    (its own for the stream's first datagram, else the last in-order one's
+    plus one), modulo ``wrap_modulus``, is a step of at least minus half
+    the wrap and under half of it. A forward step of n counts n lost; a
     backward one is reordering or duplication, counts one out of order
     and keeps the expectation. The wrap must match the publisher's (the
     nominal samples per second). The inter-arrival mean and population
@@ -110,19 +112,15 @@ class StreamAnalyzer:
     The first datagram that decodes with no warning is learned as a
     :class:`FramePlan`. While no datagram has matched that plan, its source
     may be a stray from another stream, so the second datagram with no
-    warning that misses it is learned instead, once. When the plan is the
-    profile's frame, one ASDU with a seqData of the schema's width, a
-    datagram with its length and fixed octets takes a straight-line
-    branch: one struct unpack, then its one record. Any other datagram is
-    decoded leniently and each of its seqData of the schema's width
-    unpacked. One rule judges the records: a seqData of another width or
-    an undefined validity is a decode failure, a record whose quality is
-    not good is discarded, and an accepted record is kept as its
-    ``schema.seq_struct`` fields in :attr:`accepted`, whose values are
-    built when read. The rule has two implementations, one per branch,
-    kept apart because sharing code between them costs the planned branch
-    its speed; the tests hold both to ``reference_judge`` and to each
-    other.
+    warning that misses it is learned instead, once. When the plan's
+    seqData has the schema's width, a datagram with its length and fixed
+    octets is read with one struct unpack; any other is decoded leniently.
+    Either branch yields the record's ``schema.seq_struct`` fields, or
+    none for a seqData of another width, and one rule, written once after
+    them, judges them: no fields or an undefined validity is a decode
+    failure, a record whose quality is not good is discarded, and an
+    accepted record is kept as its fields in :attr:`accepted`, whose
+    values are built when read.
     """
 
     def __init__(self, wrap_modulus: int, schema: DatasetSchema):
@@ -168,27 +166,17 @@ class StreamAnalyzer:
             fields = self._read(datagram)
             smp_cnt = fields[0]
             fields = fields[1:]
-            if not self._has_quality:
-                self._accept(fields)
-            else:
-                words = self._quality_words(fields)
-                if _NOT_GOOD.isdisjoint(words):
-                    self._accept(fields)
-                elif _UNDEFINED.isdisjoint(words):
-                    self.quality_discarded += 1
-                else:
-                    self.decode_failures += 1
         else:
             try:
                 frame = decode_frame(datagram, DecodeMode.LENIENT)
             except SvError:
                 self.decode_failures += 1
                 return
-            asdus = frame.apdu.asdus
-            if not asdus:
+            if len(frame.apdu.asdus) != 1:
                 self.decode_failures += 1
                 return
-            smp_cnt = asdus[0].smp_cnt
+            asdu = frame.apdu.asdus[0]
+            smp_cnt = asdu.smp_cnt
             if not self.received:  # in order, with a zero delta, below
                 self._expected = smp_cnt
                 self._last_arrival = float(arrival_time)
@@ -205,21 +193,20 @@ class StreamAnalyzer:
                     self._fixed_octets = plan.fixed_octets
             self._decoded += 1
             layout = self.schema.seq_struct
-            for asdu in asdus:
-                if len(asdu.seq_data) != layout.size:
-                    self.decode_failures += 1
-                    continue
-                fields = layout.unpack(asdu.seq_data)
-                if not self._has_quality:
-                    self._accept(fields)
-                    continue
-                words = self._quality_words(fields)
-                if _NOT_GOOD.isdisjoint(words):
-                    self._accept(fields)
-                elif _UNDEFINED.isdisjoint(words):
-                    self.quality_discarded += 1
-                else:
-                    self.decode_failures += 1
+            fields = (layout.unpack(asdu.seq_data)
+                      if len(asdu.seq_data) == layout.size else None)
+        if fields is None:
+            self.decode_failures += 1
+        elif not self._has_quality:
+            self._accept(fields)
+        else:
+            words = self._quality_words(fields)
+            if _NOT_GOOD.isdisjoint(words):
+                self._accept(fields)
+            elif _UNDEFINED.isdisjoint(words):
+                self.quality_discarded += 1
+            else:
+                self.decode_failures += 1
         self.received = received = self.received + 1
         arrival_time = float(arrival_time)
         delta = arrival_time - self._last_arrival

@@ -25,8 +25,8 @@ from . import ber
 from .errors import BadEtherType, BadHeader, CountMismatch, LengthMismatch, \
     Overflow, OversizeValue, SchemaMismatch, SvError, Truncated, UnknownTag, \
     UnsupportedLength, WidthMismatch
-from .model import QUALITY_OF_OCTET, DatasetSchema, check_range, int_range, \
-    quality_from_word, quality_word
+from .model import QUALITY_OF_OCTET, DatasetSchema, Quality, check_range, \
+    int_range, quality_from_word, quality_word
 
 TPID_VLAN = 0x8100
 ETHERTYPE_SV = 0x88BA
@@ -551,8 +551,9 @@ def pack_seq_data(values, schema: DatasetSchema) -> bytes:
     Each item is a raw integer or a ``(raw, Quality)`` pair; the quality
     octets are appended only for members with ``include_quality`` set
     (defaulting to good when the item carries none). An int its member
-    cannot hold raises :class:`Overflow`; any other value, or a quality
-    word over one octet, raises ``ValueError`` naming the member.
+    cannot hold raises :class:`Overflow`; any other value, a quality that
+    is neither a :class:`Quality` nor None, or a quality word over one
+    octet, raises ``ValueError`` naming the member.
     """
     if len(values) != len(schema):
         raise CountMismatch(
@@ -562,6 +563,9 @@ def pack_seq_data(values, schema: DatasetSchema) -> bytes:
         value, quality = item if isinstance(item, tuple) else (item, None)
         fields.append(value)
         if member.include_quality:
+            if not isinstance(quality, (Quality, type(None))):
+                raise ValueError(
+                    f"{member.name} quality must be a Quality, got {quality!r}")
             fields.append(0 if quality is None else quality_word(quality))
     try:
         return schema.seq_struct.pack(*fields)

@@ -44,6 +44,9 @@ ANCILLARY_SPACE = socket.CMSG_SPACE(_TIMESPEC.size) + socket.CMSG_SPACE(_DROPS.s
 # batch. 5 ms holds 64 datagrams at 12800 SPS, far inside the 1 MB
 # SO_RCVBUF, and kernel arrival stamps keep each datagram's own time.
 WAKE_S = 0.005
+# Longest block in poll() after a drain that found nothing: how long an
+# idle receive loop may take to see that ``stop()`` turned true.
+POLL_S = 0.05
 
 
 class Mode(Enum):
@@ -243,20 +246,18 @@ def read_ancillary(ancdata) -> tuple[float | None, int | None]:
     return arrival, dropped
 
 
-def receive(cfg: EndpointConfig, stop, summary: ReceiveSummary, *,
-            poll_interval: float = 0.05):
+def receive(cfg: EndpointConfig, stop, summary: ReceiveSummary):
     """Receive datagrams in batches: a generator of ``(datagram,
     arrival)`` pairs in arrival order, counting into ``summary``.
 
-    A ``poll_interval`` that is not finite and positive raises
-    ``ValueError`` here, before any socket opens. Iteration binds, joins
-    the group in multicast mode, and only then polls ``stop()`` for the
-    first time; bind or join failures raise :class:`TransportError`
-    carrying ``summary``. ``stop()`` is polled again after every datagram
-    and every wait, and a true result ends iteration. When a drain of the
-    socket finds nothing, the loop blocks up to ``poll_interval`` for the
-    next datagram; after one that found datagrams it sleeps
-    :data:`WAKE_S`, so that it wakes once per batch, not per datagram.
+    Iteration binds, joins the group in multicast mode, and only then
+    polls ``stop()`` for the first time; bind or join failures raise
+    :class:`TransportError` carrying ``summary``. ``stop()`` is polled
+    again after every datagram and every wait, and a true result ends
+    iteration. When a drain of the socket finds nothing, the loop blocks
+    up to :data:`POLL_S` for the next datagram; after one that found
+    datagrams it sleeps :data:`WAKE_S`, so that it wakes once per batch,
+    not per datagram.
 
     On Linux ``arrival`` is the kernel's stamp on the realtime clock
     (``SO_TIMESTAMPNS``), and ``summary.kernel_dropped`` follows
@@ -265,15 +266,6 @@ def receive(cfg: EndpointConfig, stop, summary: ReceiveSummary, *,
     when ``recvmsg`` returns. The socket closes when iteration ends or the
     generator is closed.
     """
-    if not (math.isfinite(poll_interval) and poll_interval > 0):
-        raise ValueError(
-            f"poll interval must be finite and positive, got {poll_interval}")
-    # A generator runs none of its body until first iterated, so the check
-    # above stands outside it to raise at the call.
-    return _receive(cfg, stop, summary, poll_interval)
-
-
-def _receive(cfg, stop, summary, poll_interval):
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -305,7 +297,6 @@ def _receive(cfg, stop, summary, poll_interval):
         sock.setblocking(False)
         poller = select.poll()
         poller.register(sock, select.POLLIN)
-        timeout_ms = poll_interval * 1000
         batched = False
         while not stop():
             try:
@@ -315,7 +306,7 @@ def _receive(cfg, stop, summary, poll_interval):
                 if batched and wake:
                     time.sleep(wake)
                 else:
-                    poller.poll(timeout_ms)
+                    poller.poll(POLL_S * 1000)
                 batched = False
                 continue
             arrival, dropped = read_ancillary(ancdata)
@@ -330,23 +321,15 @@ def _receive(cfg, stop, summary, poll_interval):
         sock.close()
 
 
-def subscribe(
-    cfg: EndpointConfig,
-    sink,
-    stop,
-    *,
-    poll_interval: float = 0.05,
-) -> ReceiveSummary:
+def subscribe(cfg: EndpointConfig, sink, stop) -> ReceiveSummary:
     """Hand each datagram :func:`receive` yields to ``sink`` and return
     the summary.
 
-    ``stop`` and ``poll_interval`` are :func:`receive`'s, and so are its
-    errors. An exception from the sink counts as a decode failure and
-    reception continues.
+    ``stop`` is :func:`receive`'s, and so are its errors. An exception
+    from the sink counts as a decode failure and reception continues.
     """
     summary = ReceiveSummary()
-    with contextlib.closing(
-            receive(cfg, stop, summary, poll_interval=poll_interval)) as datagrams:
+    with contextlib.closing(receive(cfg, stop, summary)) as datagrams:
         for datagram, _ in datagrams:
             try:
                 sink(datagram)

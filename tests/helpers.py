@@ -237,27 +237,28 @@ def plan_offsets(plan) -> tuple:
 def reference_judge(schema: DatasetSchema, datagrams) -> tuple:
     """``(decode_failures, quality_discarded, accepted)`` that the analyzer
     should reach on ``datagrams``, by the record rule worked out apart from
-    its code: decode each datagram leniently, unpack each ASDU's seqData,
-    and discard a record that carries any Quality that is not good."""
+    its code: decode each datagram leniently, fail one that does not carry
+    exactly one ASDU, unpack that ASDU's seqData, and discard a record that
+    carries any Quality that is not good."""
     failures, discarded, accepted = 0, 0, []
     for datagram in datagrams:
         try:
             asdus = decode_frame(datagram, DecodeMode.LENIENT).apdu.asdus
         except SvError:
             asdus = []
-        if not asdus:
+        if len(asdus) != 1:
             failures += 1
-        for asdu in asdus:
-            try:
-                values = unpack_seq_data(asdu.seq_data, schema)
-            except SvError:  # wrong width, or validity 0b11
-                failures += 1
-                continue
-            if any(isinstance(v, tuple) and v[1].validity != Validity.GOOD
-                   for v in values):
-                discarded += 1
-            else:
-                accepted.append(values)
+            continue
+        try:
+            values = unpack_seq_data(asdus[0].seq_data, schema)
+        except SvError:  # wrong width, or validity 0b11
+            failures += 1
+            continue
+        if any(isinstance(v, tuple) and v[1].validity != Validity.GOOD
+               for v in values):
+            discarded += 1
+        else:
+            accepted.append(values)
     return failures, discarded, accepted
 
 
@@ -265,8 +266,8 @@ def reference_sequence(wrap: int, datagrams, times) -> tuple:
     """``(received, lost, out_of_order, inter_arrival_mean,
     inter_arrival_stddev)`` that the analyzer should report on
     ``datagrams`` arriving at ``times``, by the rule its docstring states:
-    a datagram is received when it decodes leniently to at least one ASDU,
-    and its first ASDU's smpCnt, reduced below ``wrap``, differs from the
+    a datagram is received when it decodes leniently to exactly one ASDU,
+    and that ASDU's smpCnt, reduced below ``wrap``, differs from the
     expected smpCnt by a signed step in [-wrap // 2, wrap - wrap // 2)
     modulo ``wrap``. A step of n > 0 loses n, one below 0 is out of order,
     and only a step of 0 or more moves the expectation to smpCnt + 1. The
@@ -278,7 +279,7 @@ def reference_sequence(wrap: int, datagrams, times) -> tuple:
             asdus = decode_frame(datagram, DecodeMode.LENIENT).apdu.asdus
         except SvError:
             continue
-        if not asdus:
+        if len(asdus) != 1:
             continue
         received += 1
         arrivals.append(float(arrival))

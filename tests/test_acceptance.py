@@ -198,7 +198,7 @@ def _criterion7_subscriber(port, frames, ready, results, cores=None):
         return now >= deadline
 
     ready.put("bound")
-    subscribe(cfg, sink, stop, poll_interval=0.05)
+    subscribe(cfg, sink, stop)
     stats = analyzer.report()
     results.put((stats.received, stats.lost, stats.out_of_order,
                  stats.decode_failures))

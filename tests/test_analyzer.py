@@ -98,18 +98,16 @@ class TestGapAccounting:
         assert stats.received == 4
 
     def test_first_frame_sets_baseline(self):
-        """A lone first datagram, of one ASDU or of three, is in order and
-        has no inter-arrival delta; the next in-order one loses none."""
-        three = multi_asdu_wire(GOLDEN_SCHEMA, [bytes(14)] * 3, 1234)
-        for first in (make_wire(1234), three):
-            analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
-            analyzer.ingest(first, 7.25)
-            stats = analyzer.report()
-            assert (stats.received, stats.lost, stats.out_of_order,
-                    stats.inter_arrival_mean, stats.inter_arrival_stddev) \
-                == (1, 0, 0, 0.0, 0.0)
-            analyzer.ingest(make_wire(1235), 7.5)
-            assert (analyzer.lost, analyzer.out_of_order) == (0, 0)
+        """A lone first datagram is in order and has no inter-arrival
+        delta; the next in-order one loses none."""
+        analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
+        analyzer.ingest(make_wire(1234), 7.25)
+        stats = analyzer.report()
+        assert (stats.received, stats.lost, stats.out_of_order,
+                stats.inter_arrival_mean, stats.inter_arrival_stddev) \
+            == (1, 0, 0, 0.0, 0.0)
+        analyzer.ingest(make_wire(1235), 7.5)
+        assert (analyzer.lost, analyzer.out_of_order) == (0, 0)
 
     def test_counters_monotonic(self):
         analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
@@ -151,6 +149,24 @@ class TestDecodeFailures:
         assert stats.received == 1
         assert stats.decode_failures == 1
         assert len(analyzer.accepted) == 0
+
+    def test_multi_asdu_datagrams_are_decode_failures(self, monkeypatch):
+        """The profile's frame carries one ASDU. A lossless stream of
+        three-ASDU datagrams is neither received nor sequenced, teaches no
+        plan, and leaves the first one-ASDU datagram to set the baseline."""
+        plans = _count_calls(monkeypatch, "FramePlan")
+        datagrams = [multi_asdu_wire(GOLDEN_SCHEMA, [bytes(14)] * 3, 3 * index)
+                     for index in range(300)]
+        analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
+        for index, datagram in enumerate(datagrams):
+            analyzer.ingest(datagram, index * 750e-6)
+        stats = analyzer.report()
+        assert (stats.received, stats.lost, stats.decode_failures,
+                len(analyzer.accepted)) == (0, 0, 300, 0)
+        assert plans == []
+        analyzer.ingest(make_wire(2000), 1.0)
+        stats = analyzer.report()
+        assert (stats.received, stats.lost, stats.inter_arrival_mean) == (1, 0, 0.0)
 
 
 class TestQualityPolicy:
@@ -401,7 +417,7 @@ def mixed_seq_data(rng, words):
     return bytes(octets)
 
 
-def planned_stream(seed, frames=60, asdus=3):
+def planned_stream(seed, frames=60, asdus=1):
     """MIXED_SCHEMA datagrams of ``asdus`` ASDUs with every pairing of
     quality octets, each datagram of the first one's layout."""
     rng = random.Random(seed)
@@ -453,12 +469,12 @@ def _single_asdu(datagrams):
 
 class TestFramePlanFastPath:
     """Datagrams read at the learned plan's offsets leave the analyzer in
-    the same state as a lenient decode of every datagram, and both judge
-    the records as the reference judge does. Only a one-ASDU plan is read;
-    a stream of any other layout is decoded datagram by datagram. Both
-    branches share one sequencing tail, so this parity checks how a plan
-    is read and its records judged; ``reference_sequence`` checks the
-    sequencing, in ``test_sequencing_parity_with_reference``."""
+    the same state as a lenient decode of every datagram, and the records
+    of both are judged as the reference judge does. Only a one-ASDU
+    datagram yields a record; one of any other ASDU count is decoded and
+    fails. Both branches share one record judge and one sequencing tail,
+    so this parity checks how a plan is read; ``reference_sequence``
+    checks the sequencing, in ``test_sequencing_parity_with_reference``."""
 
     def test_seeds_cover_schemas_with_and_without_quality(self):
         """Both sides of the analyzer's quality scan run below."""
@@ -466,7 +482,8 @@ class TestFramePlanFastPath:
                 for seed in FAST_PATH_SEEDS} == {False, True}
 
     def test_seeds_cover_single_and_multi_asdu_streams(self):
-        """Both the planned and the decoded path run below."""
+        """Both one-ASDU streams, which a plan reads, and multi-ASDU ones,
+        whose every datagram is decoded and fails, run below."""
         assert {_single_asdu(_varied_stream(seed)[1])
                 for seed in FAST_PATH_SEEDS} == {False, True}
 
@@ -497,34 +514,42 @@ class TestFramePlanFastPath:
         assert fast == _forced_state(QUALITY_SCHEMA, datagrams)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_multi_asdu_quality_words(self, seed, decode_calls):
+    def test_multi_asdu_quality_words(self, seed):
+        """The quality words of three-ASDU datagrams are never judged: each
+        datagram is one decode failure. The same pairings one ASDU a
+        datagram, each decoded leniently, are judged as by the reference
+        judge and as on the planned branch."""
+        stats, decode_failures, accepted = _state(
+            MIXED_SCHEMA, planned_stream(seed, asdus=3))
+        assert (stats.received, decode_failures, stats.quality_discarded,
+                len(accepted)) == (0, 60, 0, 0)
         datagrams = planned_stream(seed)
-        fast = _state(MIXED_SCHEMA, datagrams)
-        assert len(decode_calls) == len(datagrams)  # a 3-ASDU plan is not read
-        stats, decode_failures, accepted = fast
+        decoded = _forced_state(MIXED_SCHEMA, datagrams)
+        stats, decode_failures, accepted = decoded
         assert stats.received == len(datagrams)
         assert decode_failures and stats.quality_discarded and accepted
         assert decode_failures + stats.quality_discarded + len(accepted) \
-            == 3 * len(datagrams)
+            == len(datagrams)
         assert all(quality.validity == Validity.GOOD
                    for record in accepted for _, quality in record[::2])
         assert (decode_failures, stats.quality_discarded, accepted) \
             == reference_judge(MIXED_SCHEMA, datagrams)
-        assert fast == _forced_state(MIXED_SCHEMA, datagrams)
+        assert decoded == _state(MIXED_SCHEMA, datagrams)
 
-    def test_undefined_validity_fails_only_its_asdu(self, decode_calls):
+    def test_undefined_validity_fails_only_its_asdu(self):
+        """An undefined validity fails its record; the datagram is still
+        received and sequenced, on either branch."""
         rng = random.Random(5)
         good = mixed_seq_data(rng, (0x04, 0x00))
-        analyzer = StreamAnalyzer(4000, MIXED_SCHEMA)
-        analyzer.ingest(multi_asdu_wire(MIXED_SCHEMA, [good] * 3), 0.0)
         undefined = mixed_seq_data(rng, (0x01, 0x03))
-        analyzer.ingest(multi_asdu_wire(MIXED_SCHEMA, [good, undefined, good], 3),
-                        250e-6)
-        assert len(decode_calls) == 2  # a 3-ASDU plan is not read
-        stats = analyzer.report()
-        assert (stats.received, stats.decode_failures,
-                stats.quality_discarded, len(analyzer.accepted)) == (2, 1, 0, 5)
-        assert analyzer.accepted[-1][0][1] == Quality(test=True)
+        datagrams = [multi_asdu_wire(MIXED_SCHEMA, [octets], smp_cnt)
+                     for smp_cnt, octets in enumerate((good, undefined, good))]
+        decoded = _forced_state(MIXED_SCHEMA, datagrams)
+        stats, decode_failures, accepted = decoded
+        assert (stats.received, stats.lost, decode_failures,
+                stats.quality_discarded, len(accepted)) == (3, 0, 1, 0, 2)
+        assert accepted[-1][0][1] == Quality(test=True)
+        assert decoded == _state(MIXED_SCHEMA, datagrams)
 
     def test_invalid_every_channels_on_the_plan(self, decode_calls):
         cfg = parse_config("\n".join((
@@ -549,7 +574,7 @@ class TestFramePlanFastPath:
 
     def test_planned_datagrams_call_neither_decoder(self, decode_calls,
                                                     unpack_calls):
-        datagrams = planned_stream(7, asdus=1)
+        datagrams = planned_stream(7)
         analyzer = StreamAnalyzer(4000, MIXED_SCHEMA)
         analyzer.ingest(datagrams[0], 0.0)
         assert (len(decode_calls), len(unpack_calls)) == (1, 0)
@@ -616,21 +641,30 @@ class TestFramePlanFastPath:
         assert fast == _forced_state(GOLDEN_SCHEMA, datagrams)
 
 
-def _view_stream(schema, asdus):
-    """60 datagrams of ``asdus`` ASDUs: ``planned_stream``'s with every
-    pairing of quality octets for MIXED_SCHEMA, random seqData otherwise."""
+def _view_stream(schema):
+    """60 one-ASDU datagrams: ``planned_stream``'s with every pairing of
+    quality octets for MIXED_SCHEMA, random seqData otherwise."""
     if schema is MIXED_SCHEMA:
-        return planned_stream(asdus, asdus=asdus)
-    rng = random.Random(asdus)
-    return [multi_asdu_wire(schema, [rng.randbytes(schema.packed_width)
-                                     for _ in range(asdus)], asdus * index)
+        return planned_stream(1)
+    rng = random.Random(1)
+    return [multi_asdu_wire(schema, [rng.randbytes(schema.packed_width)], index)
             for index in range(60)]
 
 
-VIEW_CASES = pytest.mark.parametrize("schema, asdus", [
-    pytest.param(schema, asdus, id=f"{name}-{branch}")
+def _ingest_view_stream(schema, forced):
+    """An analyzer fed :func:`_view_stream`, every datagram decoded when
+    ``forced``, else all but the first read by the plan."""
+    analyzer = StreamAnalyzer(4000, schema)
+    with forced_decoding() if forced else contextlib.nullcontext():
+        for index, datagram in enumerate(_view_stream(schema)):
+            analyzer.ingest(datagram, index * 250e-6)
+    return analyzer
+
+
+VIEW_CASES = pytest.mark.parametrize("schema, forced", [
+    pytest.param(schema, forced, id=f"{name}-{branch}")
     for schema, name in ((GOLDEN_SCHEMA, "no_quality"), (MIXED_SCHEMA, "quality"))
-    for asdus, branch in ((1, "planned"), (3, "decoded"))])
+    for forced, branch in ((False, "planned"), (True, "decoded"))])
 
 
 class TestAcceptedView:
@@ -638,14 +672,12 @@ class TestAcceptedView:
     ``accepted`` builds the values only when they are read."""
 
     @VIEW_CASES
-    def test_values_are_built_when_read(self, schema, asdus, decode_calls,
+    def test_values_are_built_when_read(self, schema, forced, decode_calls,
                                         monkeypatch):
-        datagrams = _view_stream(schema, asdus)
+        datagrams = _view_stream(schema)
         built = _count_calls(monkeypatch, "seq_data_values")
-        analyzer = StreamAnalyzer(4000, schema)
-        for index, datagram in enumerate(datagrams):
-            analyzer.ingest(datagram, index * 250e-6)
-        assert len(decode_calls) == (1 if asdus == 1 else len(datagrams))
+        analyzer = _ingest_view_stream(schema, forced)
+        assert len(decode_calls) == (len(datagrams) if forced else 1)
         assert built == []
         expected = reference_judge(schema, datagrams)[2]
         accepted = analyzer.accepted
@@ -659,11 +691,8 @@ class TestAcceptedView:
         assert built
 
     @VIEW_CASES
-    def test_a_read_list_is_a_copy(self, schema, asdus):
-        analyzer = StreamAnalyzer(4000, schema)
-        for index, datagram in enumerate(_view_stream(schema, asdus)):
-            analyzer.ingest(datagram, index * 250e-6)
-        accepted = analyzer.accepted
+    def test_a_read_list_is_a_copy(self, schema, forced):
+        accepted = _ingest_view_stream(schema, forced).accepted
         first = accepted[0]
         read = [accepted[0], accepted[:1][0], list(accepted)[0], next(iter(accepted))]
         for values in read:

@@ -517,6 +517,18 @@ class TestCompiledSeqData:
         assert str(excinfo.value) == \
             f"TCTR1.AmpSv.instMag.n must be of type int, got {value!r}"
 
+    @pytest.mark.parametrize("quality", ["bad", 3, Validity.INVALID],
+                             ids=["str", "int", "validity"])
+    def test_quality_not_a_quality_names_the_member(self, quality):
+        # Once a bare AttributeError from quality_word, as "'str' object
+        # has no attribute 'validity'"; None still packs as good.
+        with pytest.raises(ValueError) as excinfo:
+            pack_seq_data([(1, quality)], self.QUALITY)
+        assert str(excinfo.value) == \
+            f"TCTR1.AmpSv.instMag.i quality must be a Quality, got {quality!r}"
+        assert pack_seq_data([(1, None)], self.QUALITY) \
+            == pack_seq_data([(1, Quality())], self.QUALITY)
+
     def test_wrong_value_count(self):
         with pytest.raises(CountMismatch):
             pack_seq_data([1, 2, 3, 4, 5], GOLDEN_SCHEMA)

@@ -82,7 +82,7 @@ class Collector:
             return (len(self.datagrams) >= self._expected
                     or time.monotonic() >= self._deadline)
 
-        self.summary = subscribe(cfg, sink, stop, poll_interval=0.02)
+        self.summary = subscribe(cfg, sink, stop)
 
     def __enter__(self):
         self._thread.start()
@@ -355,7 +355,7 @@ class TestLoopbackUnicast:
             return len(seen) >= 2
 
         thread = threading.Thread(
-            target=lambda: subscribe(cfg, sink, stop, poll_interval=0.02),
+            target=lambda: subscribe(cfg, sink, stop),
             daemon=True)
         thread.start()
         time.sleep(0.1)
@@ -386,7 +386,7 @@ class TestLoopbackUnicast:
         result = {}
         thread = threading.Thread(
             target=lambda: result.setdefault(
-                "summary", subscribe(cfg, sink, stop, poll_interval=0.02)),
+                "summary", subscribe(cfg, sink, stop)),
             daemon=True)
         thread.start()
         time.sleep(0.1)
@@ -410,25 +410,6 @@ class TestLoopbackUnicast:
 
 
 class TestReceive:
-    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf])
-    def test_poll_interval_must_be_finite_and_positive(self, interval,
-                                                       monkeypatch):
-        # 0 escaped as BlockingIOError, inf as OverflowError and the others
-        # as assorted ValueErrors, each once the socket was bound.
-        def no_socket(*args, **kwargs):
-            raise AssertionError("a socket was opened")
-
-        monkeypatch.setattr(socket, "socket", no_socket)
-        stops = []
-        match = "poll interval must be finite and positive"
-        with pytest.raises(ValueError, match=match):
-            receive(unicast(1), stops.append, ReceiveSummary(),
-                    poll_interval=interval)
-        with pytest.raises(ValueError, match=match):
-            subscribe(unicast(1), lambda d: None, stops.append,
-                      poll_interval=interval)
-        assert stops == []
-
     def test_back_to_back_datagrams_arrive_in_order_and_stamped(self):
         port = free_port()
         summary = ReceiveSummary()
@@ -442,7 +423,7 @@ class TestReceive:
 
         thread = threading.Thread(
             target=lambda: received.extend(
-                receive(unicast(port), stop, summary, poll_interval=0.02)),
+                receive(unicast(port), stop, summary)),
             daemon=True)
         thread.start()
         assert ready.wait(5.0), "receiver never started"
@@ -575,8 +556,7 @@ class TestReceive:
             return polls.count(3) == 2  # once after the third, once after a wait
 
         summary = ReceiveSummary()
-        received.extend(receive(unicast(port), stop, summary,
-                                poll_interval=0.01))
+        received.extend(receive(unicast(port), stop, summary))
         assert [datagram for datagram, _ in received] == [b"\0", b"\1", b"\2"]
         assert all(sent_at[0] <= arrival <= time.time()
                    for _, arrival in received)
