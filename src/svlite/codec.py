@@ -666,12 +666,17 @@ def dissect(data: bytes) -> list[DissectLine]:
 
 # Indents of the row depths, 0 (link header and savPdu) to 3 (ASDU fields).
 _INDENTS = ("", "  ", "    ", "      ")
+# Ends the rendered text of each WarningLine, so a row's start stays its own.
+WARNING_MARK = "  [warning]"
 
 
 def render_dissection(lines: list[DissectLine]) -> str:
-    return "\n".join([f"{_INDENTS[depth]}{name}: {decoded}" if decoded
-                      else _INDENTS[depth] + name
-                      for depth, name, _, decoded in lines])
+    rendered = []
+    for line in lines:
+        depth, name, _, decoded = line
+        text = f"{_INDENTS[depth]}{name}: {decoded}" if decoded else _INDENTS[depth] + name
+        rendered.append(text + WARNING_MARK if isinstance(line, WarningLine) else text)
+    return "\n".join(rendered)
 
 
 # Offsets where each link-header row ends, untagged and tagged. Untagged,

@@ -40,12 +40,14 @@ SO_RXQ_OVFL = 40  # a u32, datagrams the socket's queue has dropped so far
 _TIMESPEC = struct.Struct("@ll")
 _DROPS = struct.Struct("@I")
 ANCILLARY_SPACE = socket.CMSG_SPACE(_TIMESPEC.size) + socket.CMSG_SPACE(_DROPS.size)
-# Sleep after a drain that found datagrams, so that the next drain takes a
-# batch. 5 ms holds 64 datagrams at 12800 SPS, far inside the 1 MB
-# SO_RCVBUF, and kernel arrival stamps keep each datagram's own time.
+# After a drain that found datagrams, the loop sleeps while WAKE_DATAGRAMS
+# more arrive at the spacing the kernel stamped: 128 of 86 octets take
+# 104 KiB of queue, a quarter of what Linux grants at its default rmem_max.
+WAKE_DATAGRAMS = 128
+# The sleep after a drain of one datagram, or of stamps that do not rise.
 WAKE_S = 0.005
-# Longest block in poll() after a drain that found nothing: how long an
-# idle receive loop may take to see that ``stop()`` turned true.
+# Longest block in poll() after an empty drain, and longest sleep after one
+# that found datagrams: how soon the receive loop sees ``stop()`` turn true.
 POLL_S = 0.05
 
 
@@ -246,6 +248,15 @@ def read_ancillary(ancdata) -> tuple[float | None, int | None]:
     return arrival, dropped
 
 
+def _wait_after(count: int, first: float, last: float) -> float:
+    """The sleep after a drain of ``count`` datagrams stamped ``first`` to
+    ``last``: :data:`WAKE_DATAGRAMS` at their spacing, at most :data:`POLL_S`,
+    or :data:`WAKE_S` for one datagram or stamps that do not rise."""
+    if count < 2 or last <= first:
+        return WAKE_S
+    return min(POLL_S, WAKE_DATAGRAMS * (last - first) / (count - 1))
+
+
 def receive(cfg: EndpointConfig, stop, summary: ReceiveSummary):
     """Receive datagrams in batches: a generator of ``(datagram,
     arrival)`` pairs in arrival order, counting into ``summary``.
@@ -256,8 +267,10 @@ def receive(cfg: EndpointConfig, stop, summary: ReceiveSummary):
     again after every datagram and every wait, and a true result ends
     iteration. When a drain of the socket finds nothing, the loop blocks
     up to :data:`POLL_S` for the next datagram; after one that found
-    datagrams it sleeps :data:`WAKE_S`, so that it wakes once per batch,
-    not per datagram.
+    datagrams it sleeps :func:`_wait_after` its stamps, so that it wakes
+    once per batch. A stream at or below 2560 SPS that jumps above
+    10240 SPS within that 50 ms sleep can overflow a default-sized queue,
+    which ``kernel_dropped`` counts.
 
     On Linux ``arrival`` is the kernel's stamp on the realtime clock
     (``SO_TIMESTAMPNS``), and ``summary.kernel_dropped`` follows
@@ -286,36 +299,38 @@ def receive(cfg: EndpointConfig, stop, summary: ReceiveSummary):
             raise TransportError(
                 f"bind/join {cfg.address}:{cfg.port} failed: {exc}",
                 state=summary) from exc
-        wake = 0.0
+        stamped = False
         if sys.platform.startswith("linux"):
             try:
                 sock.setsockopt(socket.SOL_SOCKET, SO_TIMESTAMPNS, 1)
                 sock.setsockopt(socket.SOL_SOCKET, SO_RXQ_OVFL, 1)
-                wake = WAKE_S
+                stamped = True
             except OSError:
                 pass  # no kernel stamps, so wake and stamp per datagram
         sock.setblocking(False)
         poller = select.poll()
         poller.register(sock, select.POLLIN)
-        batched = False
+        count = first = 0  # datagrams in this drain, and the first's arrival
         while not stop():
             try:
                 datagram, ancdata, _, _ = sock.recvmsg(
                     RECV_BUFFER, ANCILLARY_SPACE)
             except BlockingIOError:
-                if batched and wake:
-                    time.sleep(wake)
+                if count and stamped:
+                    time.sleep(_wait_after(count, first, arrival))
                 else:
                     poller.poll(POLL_S * 1000)
-                batched = False
+                count = 0
                 continue
             arrival, dropped = read_ancillary(ancdata)
             if arrival is None:
                 arrival = time.time()
             if dropped is not None:
                 summary.kernel_dropped = dropped
+            if not count:
+                first = arrival
+            count += 1
             summary.datagrams += 1
-            batched = True
             yield datagram, arrival
     finally:
         sock.close()

@@ -202,8 +202,12 @@ class TestDecodeCommand:
         path.write_text((GOLDEN_WIRE[:22] + b"\x01\x00" + GOLDEN_WIRE[24:]).hex())
         code, out, _ = run_cli(capsys, "decode", "--hex", str(path))
         assert code == 0
-        assert "Reserved1: 0x0100" in out
         assert "1 datagrams, 1 warnings" in out
+        # The warning row, and only it, ends in the mark.
+        lines = out.splitlines()
+        assert "Reserved1: 0x0100  [warning]" in lines
+        assert "Reserved2: 0x0000" in lines
+        assert sum(line.endswith("  [warning]") for line in lines) == 1
 
     def test_empty_record_and_bad_smp_synch_are_warnings(self, tmp_path, capsys):
         at = GOLDEN_WIRE.index(bytes.fromhex("850100")) + 2

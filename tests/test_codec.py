@@ -29,6 +29,7 @@ from svlite.codec import (
     SvFrame,
     UtcTimestamp,
     VlanTag,
+    WARNING_MARK,
     decode_frame,
     dissect,
     encode_frame,
@@ -825,11 +826,18 @@ class TestDissect:
 
     def test_empty_capture(self):
         assert dissect(b"") == [(0, "empty capture", "", "")]
-        assert render_dissection(dissect(b"")) == "empty capture"
+        assert render_dissection(dissect(b"")) == "empty capture" + WARNING_MARK
 
     def test_truncated_mid_asdu_reports_offset(self):
         lines = dissect(GOLDEN_WIRE[:40])
         assert lines[-1][1] == "TRUNCATED at offset 40"
+
+    def test_warning_rows_alone_end_in_the_mark(self):
+        # The mark follows the row's text, so each line keeps its start.
+        text = render_dissection(dissect(GOLDEN_WIRE[:40]))
+        assert text.endswith("\nTRUNCATED at offset 40" + WARNING_MARK)
+        assert text.count(WARNING_MARK) == 1
+        assert WARNING_MARK not in render_dissection(dissect(GOLDEN_WIRE))
 
     def test_never_raises_on_garbage(self):
         rng = random.Random(7)

@@ -28,7 +28,7 @@ from svlite.config import RunConfig, dump_config
 from svlite.errors import SvError
 
 SWEEP_LAYOUTS = 300
-SWEEP_DIGEST = "5a43e4238d395fe52872689fb6621f6797e603e17b7f270b5e4fabf88a69f322"
+SWEEP_DIGEST = "681f2c890431b659a208a18b189ea57d0add35957110f6f02c8b94325563b51a"
 
 
 def _outcome(mode: DecodeMode, wire: bytes) -> str:

@@ -25,12 +25,15 @@ from svlite.config import RunConfig
 from svlite.errors import TransportError, WidthMismatch
 from svlite.sources import _sampler, sample_provider
 from svlite.transport import (
+    POLL_S,
     SO_RXQ_OVFL,
     SO_TIMESTAMPNS,
+    WAKE_S,
     EndpointConfig,
     Mode,
     PublisherState,
     ReceiveSummary,
+    _wait_after,
     frame_ticks,
     publish_stream,
     read_ancillary,
@@ -409,6 +412,30 @@ class TestLoopbackUnicast:
             subscribe(cfg, lambda d: None, lambda: True)
 
 
+def drain_and_wait(monkeypatch, queued: int):
+    """Queue ``queued`` datagrams on ``receive``'s first ``stop()`` poll and
+    stop once the loop has drained them and waited; return the arrivals it
+    yielded and the waits it asked ``time.sleep`` for."""
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    port = free_port()
+    received, polls = [], []
+
+    def stop():
+        if not polls:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as tx:
+                for index in range(queued):
+                    tx.sendto(bytes([index]), ("127.0.0.1", port))
+        polls.append(len(received))
+        # Once after the last datagram, once after the wait.
+        return polls.count(queued) == 2 or len(polls) > 1000
+
+    received.extend(receive(unicast(port), stop, ReceiveSummary()))
+    assert [datagram for datagram, _ in received] == [
+        bytes([index]) for index in range(queued)]
+    return [arrival for _, arrival in received], sleeps
+
+
 class TestReceive:
     def test_back_to_back_datagrams_arrive_in_order_and_stamped(self):
         port = free_port()
@@ -562,6 +589,35 @@ class TestReceive:
                    for _, arrival in received)
         assert sleeps == []
         assert summary.kernel_dropped == 0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the wait follows kernel stamps")
+    def test_a_drain_waits_for_128_datagrams_at_its_stamped_spacing(
+            self, monkeypatch):
+        arrivals, sleeps = drain_and_wait(monkeypatch, 10)
+        assert sleeps == [_wait_after(10, arrivals[0], arrivals[-1])]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the wait follows kernel stamps")
+    def test_a_drain_of_one_datagram_waits_wake_s(self, monkeypatch):
+        _, sleeps = drain_and_wait(monkeypatch, 1)
+        assert sleeps == [WAKE_S]
+
+
+class TestWaitAfter:
+    # The sleep after a drain is the time 128 datagrams take at the spacing
+    # of its first and last stamps, capped at POLL_S; WAKE_S after one
+    # datagram or stamps that do not rise.
+    @pytest.mark.parametrize("count, first, last, wait", [
+        (20, 0.0, 19 * 250e-6, 0.032),  # 4000 SPS
+        (65, 0.0, 64 * 78.125e-6, 0.010),  # 12800 SPS
+        (3, 0.0, 2 * 0.010, POLL_S),  # 100 SPS
+        (1, 1_700_000_000.0, 1_700_000_000.0, WAKE_S),
+        (4, 1_700_000_000.0, 1_700_000_000.0, WAKE_S),
+        (4, 1_700_000_000.0, 1_699_999_999.0, WAKE_S),
+    ])
+    def test_wait_after_a_drain(self, count, first, last, wait):
+        assert _wait_after(count, first, last) == pytest.approx(wait)
 
 
 class TestMulticastLoopback:
