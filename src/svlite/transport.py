@@ -33,22 +33,17 @@ PORT_RANGE = (1, 0xFFFF)
 TTL_RANGE = (0, 0xFF)
 # Octets the subscriber reads of each datagram; the rest of a longer one is lost.
 RECV_BUFFER = 2048
-# socket(7) options that Python's socket module does not name. Each
-# control message carries its option's number as its type.
+# socket(7) options that Python's socket module does not name.
 SO_TIMESTAMPNS = 35  # SCM_TIMESTAMPNS: a struct timespec, realtime clock
-SO_RXQ_OVFL = 40  # a u32, datagrams the socket's queue has dropped so far
+SO_MEMINFO = 55  # u32 words indexed by sock_diag(7)'s SK_MEMINFO_*
 _TIMESPEC = struct.Struct("@ll")
-_DROPS = struct.Struct("@I")
-ANCILLARY_SPACE = socket.CMSG_SPACE(_TIMESPEC.size) + socket.CMSG_SPACE(_DROPS.size)
-# After a drain that found datagrams, the loop sleeps while WAKE_DATAGRAMS
-# more arrive at the spacing the kernel stamped: 128 of 86 octets take
-# 104 KiB of queue, a quarter of what Linux grants at its default rmem_max.
-WAKE_DATAGRAMS = 128
+_MEMINFO = struct.Struct("@9I")  # [0] RMEM_ALLOC, [1] RCVBUF, [8] DROPS
+ANCILLARY_SPACE = socket.CMSG_SPACE(_TIMESPEC.size)
 # The sleep after a drain of one datagram, or of stamps that do not rise.
 WAKE_S = 0.005
 # Longest block in poll() after an empty drain, and longest sleep after one
 # that found datagrams: how soon the receive loop sees ``stop()`` turn true.
-POLL_S = 0.05
+POLL_S = 0.2
 
 
 class Mode(Enum):
@@ -231,63 +226,71 @@ def publish_stream(
     return state
 
 
-def read_ancillary(ancdata) -> tuple[float | None, int | None]:
-    """The kernel arrival stamp, in seconds on the realtime clock, and the
-    cumulative receive-queue drop count in ``recvmsg``'s control messages,
-    each ``None`` where no message carries it. Messages of any other level
-    or type are ignored."""
-    arrival = dropped = None
+def read_ancillary(ancdata) -> float | None:
+    """The kernel arrival stamp, in seconds on the realtime clock, in
+    ``recvmsg``'s control messages, or ``None`` where no message carries
+    it. Messages of any other level or type are ignored."""
     for level, kind, data in ancdata:
-        if level != socket.SOL_SOCKET:
-            continue
-        if kind == SO_TIMESTAMPNS and len(data) == _TIMESPEC.size:
+        if (level, kind) == (socket.SOL_SOCKET, SO_TIMESTAMPNS) \
+                and len(data) == _TIMESPEC.size:
             seconds, nanoseconds = _TIMESPEC.unpack(data)
-            arrival = seconds + nanoseconds * 1e-9
-        elif kind == SO_RXQ_OVFL and len(data) == _DROPS.size:
-            dropped = _DROPS.unpack(data)[0]
-    return arrival, dropped
+            return seconds + nanoseconds * 1e-9
+    return None
 
 
-def _wait_after(count: int, first: float, last: float) -> float:
+def read_meminfo(sock: socket.socket) -> tuple[int, int, int] | None:
+    """``SO_MEMINFO``'s ``(rmem_alloc, rcvbuf, drops)``: octets charged for
+    ``sock``'s queued datagrams, the queue granted, and datagrams dropped for
+    want of room; ``None`` if unreadable or shorter than 9 words."""
+    try:
+        queued, capacity, *_, drops = _MEMINFO.unpack_from(sock.getsockopt(
+            socket.SOL_SOCKET, SO_MEMINFO, _MEMINFO.size))
+    except (OSError, struct.error):
+        return None
+    return queued, capacity, drops
+
+
+def _wait_after(count: int, first: float, last: float, queued: int,
+                capacity: int) -> float:
     """The sleep after a drain of ``count`` datagrams stamped ``first`` to
-    ``last``: :data:`WAKE_DATAGRAMS` at their spacing, at most :data:`POLL_S`,
-    or :data:`WAKE_S` for one datagram or stamps that do not rise."""
-    if count < 2 or last <= first:
+    ``last`` and charged ``queued`` octets of a ``capacity``-octet queue:
+    the time a quarter of ``capacity`` fills at that spacing and charge, at
+    most :data:`POLL_S`; :data:`WAKE_S` for one datagram, stamps that do not
+    rise, or nothing queued."""
+    if count < 2 or last <= first or queued <= 0:
         return WAKE_S
-    return min(POLL_S, WAKE_DATAGRAMS * (last - first) / (count - 1))
+    return min(POLL_S, capacity * count / (4 * queued)
+               * (last - first) / (count - 1))
 
 
 def receive(cfg: EndpointConfig, stop, summary: ReceiveSummary):
     """Receive datagrams in batches: a generator of ``(datagram,
     arrival)`` pairs in arrival order, counting into ``summary``.
 
-    Iteration binds, joins the group in multicast mode, and only then
-    polls ``stop()`` for the first time; bind or join failures raise
-    :class:`TransportError` carrying ``summary``. ``stop()`` is polled
-    again after every datagram and every wait, and a true result ends
-    iteration. When a drain of the socket finds nothing, the loop blocks
-    up to :data:`POLL_S` for the next datagram; after one that found
-    datagrams it sleeps :func:`_wait_after` its stamps, so that it wakes
-    once per batch. A stream at or below 2560 SPS that jumps above
-    10240 SPS within that 50 ms sleep can overflow a default-sized queue,
-    which ``kernel_dropped`` counts.
+    Iteration binds, joins the group in multicast mode (the only mode that
+    shares its port), and only then polls ``stop()`` for the first time;
+    bind or join failures raise :class:`TransportError` carrying
+    ``summary``. ``stop()`` is polled again after every datagram and every
+    wait, and a true result ends iteration. An empty drain blocks up to
+    :data:`POLL_S` for a datagram; one that found datagrams sleeps
+    :func:`_wait_after` its stamps and :func:`read_meminfo` as it began, so
+    a wake finds the queue about a quarter full: only a rate that more than
+    quadruples within one sleep can overflow it.
 
     On Linux ``arrival`` is the kernel's stamp on the realtime clock
-    (``SO_TIMESTAMPNS``), and ``summary.kernel_dropped`` follows
-    ``SO_RXQ_OVFL``. Where those options cannot be set, the loop does not
-    sleep, so it wakes per datagram, and ``arrival`` is ``time.time()``
-    when ``recvmsg`` returns. The socket closes when iteration ends or the
-    generator is closed.
+    (``SO_TIMESTAMPNS``) and ``summary.kernel_dropped`` ``SO_MEMINFO``'s drop
+    count, read at each wake and as iteration ends. If either option fails
+    the loop wakes per datagram; an unstamped ``arrival`` is ``time.time()``.
+    Ending or closing the generator closes the socket.
     """
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    memory = None  # (queued, capacity, drops) at the last wake, batched only
     try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
+        with contextlib.suppress(OSError):  # best effort, kernel may clamp
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
-        except OSError:
-            pass  # best effort, kernel may clamp
         try:
             if cfg.mode is Mode.MULTICAST:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 sock.bind(("", cfg.port))
                 member = socket.inet_aton(cfg.address) + socket.inet_aton(
                     cfg.bind_interface or "0.0.0.0")
@@ -299,40 +302,37 @@ def receive(cfg: EndpointConfig, stop, summary: ReceiveSummary):
             raise TransportError(
                 f"bind/join {cfg.address}:{cfg.port} failed: {exc}",
                 state=summary) from exc
-        stamped = False
         if sys.platform.startswith("linux"):
-            try:
+            with contextlib.suppress(OSError):  # else wake per datagram
                 sock.setsockopt(socket.SOL_SOCKET, SO_TIMESTAMPNS, 1)
-                sock.setsockopt(socket.SOL_SOCKET, SO_RXQ_OVFL, 1)
-                stamped = True
-            except OSError:
-                pass  # no kernel stamps, so wake and stamp per datagram
+                memory = read_meminfo(sock)
         sock.setblocking(False)
         poller = select.poll()
         poller.register(sock, select.POLLIN)
         count = first = 0  # datagrams in this drain, and the first's arrival
         while not stop():
+            if not count and memory:
+                memory = read_meminfo(sock) or memory
+                summary.kernel_dropped = memory[2]
             try:
                 datagram, ancdata, _, _ = sock.recvmsg(
                     RECV_BUFFER, ANCILLARY_SPACE)
             except BlockingIOError:
-                if count and stamped:
-                    time.sleep(_wait_after(count, first, arrival))
+                if count and memory:
+                    time.sleep(_wait_after(count, first, arrival, *memory[:2]))
                 else:
                     poller.poll(POLL_S * 1000)
                 count = 0
                 continue
-            arrival, dropped = read_ancillary(ancdata)
-            if arrival is None:
-                arrival = time.time()
-            if dropped is not None:
-                summary.kernel_dropped = dropped
+            arrival = read_ancillary(ancdata) or time.time()
             if not count:
                 first = arrival
             count += 1
             summary.datagrams += 1
             yield datagram, arrival
     finally:
+        if memory:
+            summary.kernel_dropped = (read_meminfo(sock) or memory)[2]
         sock.close()
 
 

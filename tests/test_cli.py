@@ -728,6 +728,30 @@ class TestSubscribeCommand:
         assert code == 1
         assert "transport error" in err
 
+    def test_second_subscriber_on_a_unicast_port_exits_1(self, tmp_path,
+                                                          capsys):
+        # A unicast port is not shared: the subscriber that binds it first
+        # keeps every datagram, and a second one fails to bind.
+        path = _unicast_config(tmp_path)
+        endpoint = load_config(str(path)).endpoint
+        tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+
+        def stop():
+            tx.sendto(b"x", (endpoint.address, endpoint.port))
+            return False
+
+        first = transport.receive(endpoint, stop, transport.ReceiveSummary())
+        try:
+            assert next(first)[0] == b"x"
+            code, out, err = run_cli(capsys, "subscribe", "--config",
+                                     str(path), "--duration", "1s")
+        finally:
+            first.close()
+            tx.close()
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            f"transport error: bind/join 127.0.0.1:{endpoint.port} failed")
+
 
 # 50 Hz x 256 with quality on every member, a channel that goes invalid
 # every 7th tick and a noise channel.

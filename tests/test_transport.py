@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import GOLDEN_SCHEMA, golden_frame, random_valid_frame
+from svlite import transport
 from svlite.analyzer import StreamAnalyzer
 from svlite.codec import (
     DecodeMode,
@@ -26,7 +27,6 @@ from svlite.errors import TransportError, WidthMismatch
 from svlite.sources import _sampler, sample_provider
 from svlite.transport import (
     POLL_S,
-    SO_RXQ_OVFL,
     SO_TIMESTAMPNS,
     WAKE_S,
     EndpointConfig,
@@ -37,6 +37,7 @@ from svlite.transport import (
     frame_ticks,
     publish_stream,
     read_ancillary,
+    read_meminfo,
     receive,
     subscribe,
 )
@@ -415,9 +416,12 @@ class TestLoopbackUnicast:
 def drain_and_wait(monkeypatch, queued: int):
     """Queue ``queued`` datagrams on ``receive``'s first ``stop()`` poll and
     stop once the loop has drained them and waited; return the arrivals it
-    yielded and the waits it asked ``time.sleep`` for."""
-    sleeps = []
+    yielded, the waits it asked ``time.sleep`` for and what each of its
+    ``read_meminfo`` calls gave."""
+    sleeps, reads = [], []
     monkeypatch.setattr(time, "sleep", sleeps.append)
+    monkeypatch.setattr(transport, "read_meminfo",
+                        lambda sock: reads.append(read_meminfo(sock)) or reads[-1])
     port = free_port()
     received, polls = [], []
 
@@ -433,7 +437,7 @@ def drain_and_wait(monkeypatch, queued: int):
     received.extend(receive(unicast(port), stop, ReceiveSummary()))
     assert [datagram for datagram, _ in received] == [
         bytes([index]) for index in range(queued)]
-    return [arrival for _, arrival in received], sleeps
+    return [arrival for _, arrival in received], sleeps, reads
 
 
 class TestReceive:
@@ -468,24 +472,50 @@ class TestReceive:
             assert all(abs(now - arrival) < 1.0 for arrival in arrivals)
         assert (summary.datagrams, summary.kernel_dropped) == (200, 0)
 
-    def test_control_messages_give_the_stamp_and_the_drop_count(self):
+    def test_control_messages_give_the_kernel_stamp(self):
         stamp = (socket.SOL_SOCKET, SO_TIMESTAMPNS,
                  struct.pack("@ll", 1_700_000_000, 250_000_000))
-        drops = (socket.SOL_SOCKET, SO_RXQ_OVFL, struct.pack("@I", 7))
         foreign = [(socket.IPPROTO_IP, SO_TIMESTAMPNS, bytes(16)),
-                   (socket.SOL_SOCKET, socket.SCM_RIGHTS, bytes(4))]
-        assert read_ancillary([*foreign, stamp, drops]) == (1_700_000_000.25, 7)
-        assert read_ancillary([stamp]) == (1_700_000_000.25, None)
-        assert read_ancillary(foreign) == (None, None)
-        assert read_ancillary([]) == (None, None)
+                   (socket.SOL_SOCKET, socket.SCM_RIGHTS, bytes(4)),
+                   (socket.SOL_SOCKET, SO_TIMESTAMPNS, bytes(8))]
+        assert read_ancillary([*foreign, stamp]) == 1_700_000_000.25
+        assert read_ancillary(foreign) is None
+        assert read_ancillary([]) is None
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="SO_RXQ_OVFL is Linux's")
+                        reason="SO_MEMINFO is Linux's")
+    def test_meminfo_gives_the_queue_the_kernel_charges(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as rx, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as tx:
+            rx.bind(("127.0.0.1", 0))
+            assert read_meminfo(rx) == (
+                0, rx.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF), 0)
+            for _ in range(3):
+                tx.sendto(bytes(86), rx.getsockname())
+            queued, _, drops = read_meminfo(rx)
+            assert queued >= 3 * 86  # each charged at least its payload
+            assert drops == 0
+
+    @pytest.mark.parametrize("reply", [OSError(errno.ENOPROTOOPT, "no"),
+                                       bytes(8 * 4)],
+                             ids=["unreadable", "eight_words"])
+    def test_meminfo_unreadable_or_short_gives_none(self, reply):
+        class Unreadable:
+            def getsockopt(self, level, option, size):
+                assert (level, size) == (socket.SOL_SOCKET, 9 * 4)
+                if isinstance(reply, OSError):
+                    raise reply
+                return reply
+
+        assert read_meminfo(Unreadable()) is None
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="SO_MEMINFO is Linux's")
     def test_receive_queue_overflow_is_counted_apart(self):
         # 2000 datagrams of 1400 octets overflow the socket's buffer, at
         # most twice the 1 MB asked for, before the first drain, so the
-        # tail is dropped. A marker sent once a drain runs dry carries the
-        # kernel's count of those drops.
+        # tail is dropped. The wake before a marker, sent once a drain
+        # runs dry, reads the kernel's count of those drops.
         port = free_port()
         flood = [index.to_bytes(2, "big") * 700 for index in range(2000)]
         summary = ReceiveSummary()
@@ -592,22 +622,105 @@ class TestReceive:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the wait follows kernel stamps")
-    def test_a_drain_waits_for_128_datagrams_at_its_stamped_spacing(
+    def test_a_drain_sleeps_while_a_quarter_of_the_queue_fills(
             self, monkeypatch):
-        arrivals, sleeps = drain_and_wait(monkeypatch, 10)
-        assert sleeps == [_wait_after(10, arrivals[0], arrivals[-1])]
+        arrivals, sleeps, reads = drain_and_wait(monkeypatch, 10)
+        # Read as the socket opens, at the wake before the drain, and as
+        # iteration ends after its sleep.
+        assert len(reads) == 3
+        queued, capacity, _ = reads[1]
+        assert 0 < queued <= capacity
+        assert sleeps == [
+            _wait_after(10, arrivals[0], arrivals[-1], queued, capacity)]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the wait follows kernel stamps")
     def test_a_drain_of_one_datagram_waits_wake_s(self, monkeypatch):
-        _, sleeps = drain_and_wait(monkeypatch, 1)
+        _, sleeps, _ = drain_and_wait(monkeypatch, 1)
         assert sleeps == [WAKE_S]
+
+    def test_without_meminfo_each_datagram_wakes_the_loop(self, monkeypatch):
+        # A socket whose SO_MEMINFO cannot be read never sleeps between
+        # drains, as without kernel stamps.
+        monkeypatch.setattr(transport, "read_meminfo", lambda sock: None)
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        port = free_port()
+        received, polls = [], []
+
+        def stop():
+            if not polls:
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as tx:
+                    for index in range(3):
+                        tx.sendto(bytes([index]), ("127.0.0.1", port))
+            polls.append(len(received))
+            return polls.count(3) == 2
+
+        summary = ReceiveSummary()
+        received.extend(receive(unicast(port), stop, summary))
+        assert [datagram for datagram, _ in received] == [b"\0", b"\1", b"\2"]
+        assert sleeps == []
+        assert summary.kernel_dropped == 0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="SO_MEMINFO is Linux's")
+    def test_drops_after_the_last_wake_count_when_iteration_ends(self):
+        # The flood overflows the queue while the loop holds the first
+        # datagram, and stop() ends iteration before another wake.
+        port = free_port()
+        summary = ReceiveSummary()
+        polls = []
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as tx:
+            def stop():
+                if not polls:
+                    tx.sendto(b"first", ("127.0.0.1", port))
+                else:
+                    for index in range(2000):
+                        tx.sendto(index.to_bytes(2, "big") * 700,
+                                  ("127.0.0.1", port))
+                polls.append(summary.datagrams)
+                return len(polls) > 1
+
+            received = list(receive(unicast(port), stop, summary))
+        assert [datagram for datagram, _ in received] == [b"first"]
+        assert summary.datagrams == 1
+        assert summary.kernel_dropped > 0
+
+    def test_a_second_unicast_receiver_fails_to_bind(self):
+        # Only multicast mode shares its port; a second unicast receiver
+        # would otherwise take every datagram from the first.
+        port = free_port()
+        tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+
+        def stop():
+            tx.sendto(b"x", ("127.0.0.1", port))
+            return False
+
+        first = receive(unicast(port), stop, ReceiveSummary())
+        try:
+            assert next(first)[0] == b"x"
+            summary = ReceiveSummary()
+            with pytest.raises(TransportError, match="bind/join") as raised:
+                next(receive(unicast(port), lambda: True, summary))
+            assert raised.value.state is summary
+        finally:
+            first.close()
+            tx.close()
+
+
+# The octets Linux charges the queue for each 86-octet datagram over
+# loopback, and the queue it grants at its default rmem_max (212992).
+LOOPBACK_CHARGE = 832
+DEFAULT_QUEUE = 2 * 212992
 
 
 class TestWaitAfter:
-    # The sleep after a drain is the time 128 datagrams take at the spacing
-    # of its first and last stamps, capped at POLL_S; WAKE_S after one
-    # datagram or stamps that do not rise.
+    # The sleep after a drain is the time a quarter of the queue takes to
+    # fill at the spacing of its first and last stamps, each datagram
+    # charged as the drain's share of the queue, capped at POLL_S; WAKE_S
+    # after one datagram, stamps that do not rise or nothing queued. On
+    # the default queue a quarter is 128 loopback datagrams.
     @pytest.mark.parametrize("count, first, last, wait", [
         (20, 0.0, 19 * 250e-6, 0.032),  # 4000 SPS
         (65, 0.0, 64 * 78.125e-6, 0.010),  # 12800 SPS
@@ -617,7 +730,39 @@ class TestWaitAfter:
         (4, 1_700_000_000.0, 1_699_999_999.0, WAKE_S),
     ])
     def test_wait_after_a_drain(self, count, first, last, wait):
-        assert _wait_after(count, first, last) == pytest.approx(wait)
+        assert _wait_after(count, first, last, count * LOOPBACK_CHARGE,
+                           DEFAULT_QUEUE) == pytest.approx(wait)
+
+    @pytest.mark.parametrize("queued, capacity, wait", [
+        (20 * LOOPBACK_CHARGE, 2 << 20, 0.1575),  # a 2 MiB grant: 630 datagrams
+        (20 * 4096, DEFAULT_QUEUE, 0.0065),  # 4 KiB a datagram: 26 datagrams
+        (0, DEFAULT_QUEUE, WAKE_S),  # nothing queued as the drain began
+    ])
+    def test_wait_after_follows_the_queue_the_kernel_reports(
+            self, queued, capacity, wait):
+        # 20 datagrams at 4000 SPS, as the first case above.
+        assert _wait_after(20, 0.0, 19 * 250e-6, queued, capacity) \
+            == pytest.approx(wait, rel=1e-3)
+
+    @given(count=st.integers(2, 10_000), first=st.floats(0.0, 2.0**32),
+           spacing=st.floats(1e-9, 1.0), queued=st.integers(1, 2**31),
+           capacity=st.integers(1, 2**31))
+    def test_wait_after_fills_at_most_a_quarter_of_the_queue(
+            self, count, first, spacing, queued, capacity):
+        last = first + (count - 1) * spacing
+        for args in [(1, first, last), (count, first, first),
+                     (count, last, first)]:
+            assert _wait_after(*args, queued, capacity) == WAKE_S
+        assert _wait_after(count, first, last, 0, capacity) == WAKE_S
+        if last <= first:
+            return  # the spacing is below the clock's resolution here
+        wait = _wait_after(count, first, last, queued, capacity)
+        assert 0 < wait <= POLL_S
+        # What arrives at the drain's spacing and charge during the wait
+        # fills at most a quarter of the queue, and a quarter unless capped.
+        filled = wait / ((last - first) / (count - 1)) * queued / count
+        assert filled <= capacity / 4 * (1 + 1e-9)
+        assert wait == POLL_S or filled >= capacity / 4 * (1 - 1e-9)
 
 
 class TestMulticastLoopback:
