@@ -123,8 +123,11 @@ class UtcTimestamp:
     def from_octets(cls, octets: bytes) -> "UtcTimestamp":
         if len(octets) != 8:
             raise WidthMismatch(f"refrTm needs 8 octets, got {len(octets)}")
-        seconds, low = _REFR_TM.unpack(octets)  # each field bounded by its width
-        stamp = object.__new__(cls)
+        return cls._from_words(*_REFR_TM.unpack(octets))
+
+    @classmethod
+    def _from_words(cls, seconds: int, low: int) -> "UtcTimestamp":
+        stamp = object.__new__(cls)  # each field bounded by its width
         _set_field(stamp, "seconds", seconds)
         _set_field(stamp, "fraction", low >> 8)
         _set_field(stamp, "time_quality", low & 0xFF)
@@ -260,6 +263,8 @@ def _walk(data: bytes, cursor: int):
     """Return ``(tlvs, stop)``: the ``(depth, tag, tlv_start, value_start,
     value_end)`` of the savPdu at ``cursor`` (depth 0) and the TLVs inside
     it, depth first, entering only seqASDU (depth 1) and ASDU (depth 2).
+    An ASDU that :func:`_read_asdu` reads is not entered: its one entry
+    holds that read in place of its tag, and stands for its seven rows.
 
     ``stop`` is None, or the fault that ended the walk, as
     :func:`_inspect` raises it: ``Truncated`` or ``UnsupportedLength``, the
@@ -301,8 +306,9 @@ def _walk(data: bytes, cursor: int):
             return tlvs, (Truncated, f"tag 0x{tag:02x} at offset {cursor} overruns "
                                      f"its container ending at {end}",
                           min(n, value_end), (depth, tag, cursor, start, value_end))
-        append((depth, tag, cursor, start, value_end))
-        if depth < 3 and tag == containers[depth]:
+        read = depth == 2 and tag == TAG_ASDU and _read_asdu(data, start, value_end)
+        append((depth, read or tag, cursor, start, value_end))
+        if depth < 3 and tag == containers[depth] and not read:
             ends.append(value_end)
             depth, end, cursor = depth + 1, value_end, start
         elif depth == 0:
@@ -323,7 +329,8 @@ def _inspect(data: bytes, mode: DecodeMode | None = None):
     Returns ``(header, tlvs, faults, asdus)``: the TCI (None untagged),
     EtherType (the TPID untagged), APPID, Length, Reserved1 and Reserved2,
     zeros past a short frame; the walk's TLVs; the faults; and per ASDU its
-    field rows and the values lenient decoding reads. A fault is the error
+    field rows and the values lenient decoding reads, or None and the read
+    of one the walk read in one unpack, which has no fault. A fault is the error
     class and message strict decoding raises, the warning lenient decoding
     records instead (None: it raises too) and the dissect rows that show
     it: an int flags the row that many past the savPdu's, a row is added
@@ -388,8 +395,9 @@ def _inspect(data: bytes, mode: DecodeMode | None = None):
     rows: dict[int, int] = {}  # by tag, the row of each field of the open ASDU
     values: dict[int, bytes] = {}  # and its value
     no_asdu = None
-    asdu_end = -1
-    for row, (depth, tag, _, start, end) in enumerate(tlvs[1:], 1):
+    asdu_end, row = -1, 0
+    for depth, tag, _, start, end in tlvs[1:]:
+        row += 1
         if depth == 3 and tag in _ASDU_FIELDS:
             if tag in values:
                 message = f"duplicate {_ASDU_FIELDS[tag][0]} in ASDU"
@@ -401,6 +409,9 @@ def _inspect(data: bytes, mode: DecodeMode | None = None):
             values = {}
             asdu_row = row
             asdu_end = end
+        elif type(tag) is tuple:  # an ASDU read in one unpack
+            asdus.append((None, tag))
+            row += 6
         elif depth == 1 and tag == TAG_NOASDU:
             no_asdu = int.from_bytes(data[start:end], "big")
             no_asdu_row = row
@@ -464,23 +475,30 @@ def decode_frame(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> SvFrame:
     A fault is raised from this function, so the error carries none of
     the walker's frames and a caller that keeps it pins none of its state.
     """
-    data = bytes(data)
+    if not isinstance(mode, DecodeMode):
+        raise ValueError(f"decode mode must be a DecodeMode, got {mode!r}")
+    data = memoryview(data).tobytes()  # bytes() reads an int as that many zeros
     try:
         header, _, faults, asdus = _inspect(data, mode)
     except SvError as fault:
         raise fault.with_traceback(None)  # drop _inspect's frames and locals
     tci, _, appid, *_ = header
     return SvFrame(data[0:6], data[6:12], VlanTag.from_tci(tci or 0), appid,
-                   SavApdu([_asdu_from_values(values) for _, values in asdus]),
+                   SavApdu([_asdu_from(data, *asdu) for asdu in asdus]),
                    decode_warnings=tuple(lenient for _, _, lenient, _ in faults))
 
 
 _SMP_SYNCH = tuple(SmpSynch)
+_SYNCH_TEXT = tuple(f"{synch.value} ({synch.name.lower()})" for synch in SmpSynch)
 _set_field = object.__setattr__  # frozen fields that octet widths bound: no checks
 _REFR_TM = struct.Struct(">II")  # seconds; fraction << 8 | time quality
 
 
-def _asdu_from_values(raw: dict[int, bytes]) -> Asdu:
+def _asdu_from(data: bytes, rows, raw) -> Asdu:
+    if rows is None:  # the walk's read of one unpack
+        sv_id, _, seq_start, end, _, cnt, _, rev, _, seconds, low, _, synch = raw
+        return Asdu(sv_id, cnt, rev, UtcTimestamp._from_words(seconds, low),
+                    _SMP_SYNCH[synch], data[seq_start:end])
     sv_id, smp_cnt, conf_rev, refr_tm, synch, seq_data = _FIELD_VALUES(raw)
     return Asdu(sv_id.decode("ascii", "replace"), int.from_bytes(smp_cnt, "big"),
                 int.from_bytes(conf_rev, "big"), UtcTimestamp.from_octets(refr_tm),
@@ -501,17 +519,24 @@ class FramePlan:
     (``fixed.size``) to its fixed octets, padding over the changing ones.
     A datagram whose unpack equals ``fixed_octets``, the frame's own,
     carries every tag and length of the frame, and it decodes to the frame
-    with only smpCnt, refrTm and seqData read anew.
+    with only smpCnt, refrTm and seqData read anew. An ASDU the walk read
+    in one unpack is cut where that read places its fields.
     """
 
     def __init__(self, wire: bytes):
         wire = bytes(wire)
         _, tlvs, _, asdus = _inspect(wire)
-        spans = sorted((*tlvs[rows[tag]][3:], asdu, field)
-                       for asdu, (rows, _) in enumerate(asdus) for field, tag
-                       in enumerate((TAG_SMPCNT, TAG_REFRTM, TAG_SEQDATA)))
+        spans, skip = [], 0  # a read ASDU's seven rows are one TLV: skip six
+        for asdu, (rows, read) in enumerate(asdus):
+            if rows is None:  # smpCnt 2 octets into the struct, refrTm 12
+                fixed, skip = read[1], skip + 6
+                cuts = (fixed + 2, fixed + 4), (fixed + 12, fixed + 20), read[2:4]
+            else:
+                cuts = [tlvs[rows[tag] - skip][3:]
+                        for tag in (TAG_SMPCNT, TAG_REFRTM, TAG_SEQDATA)]
+            spans += [(*cut, asdu, field) for field, cut in enumerate(cuts)]
         parts, slots, cursor = [], [[0] * 3 for _ in asdus], 0
-        for start, end, asdu, field in spans:
+        for start, end, asdu, field in sorted(spans):
             slots[asdu][field] = len(parts) + 1
             parts += [wire[cursor:start], wire[start:end]]
             cursor = end
@@ -626,14 +651,14 @@ def _warning(depth: int, name: str, raw: str = "", decoded: str = "") -> Dissect
 
 
 def dissect(data: bytes) -> list[DissectLine]:
-    """Best-effort field walk for captures; never raises.
+    """Best-effort field walk for captures; never raises on octets.
 
     Returns ``(depth, name, raw_hex, decoded)`` rows in wire order. Each
     fault that strict decoding can raise on the frame makes a
     :class:`WarningLine`, and a short buffer ends in a ``TRUNCATED at
-    offset N`` one.
+    offset N`` one. An int, not octets, raises ``TypeError``.
     """
-    data = bytes(data)
+    data = memoryview(data).tobytes()  # bytes() reads an int as that many zeros
     header, tlvs, faults, _ = _inspect(data)
     tci, ethertype, appid, length_field, res1, res2 = header
     dst, src = data[0:6], data[6:12]
@@ -691,13 +716,15 @@ def _render_uint(value: bytes) -> str:
 
 def _render_smp_synch(value: bytes) -> str:
     synch = int.from_bytes(value, "big")
-    return f"{synch} ({_SMP_SYNCH[synch].name.lower() if synch < 3 else '?'})"
+    return _SYNCH_TEXT[synch] if synch < 3 else f"{synch} (?)"
 
 
 def _render_refr_tm(value: bytes) -> str:
-    if len(value) != 8:
-        return f"{len(value)} octets (expected 8)"
-    seconds, low = _REFR_TM.unpack(value)
+    return (_stamp_text(*_REFR_TM.unpack(value)) if len(value) == 8
+            else f"{len(value)} octets (expected 8)")
+
+
+def _stamp_text(seconds: int, low: int) -> str:
     return (f"{time.strftime('%Y-%m-%d %H:%M:%S', time.gmtime(seconds))}Z "
             f"+{low >> 8}/16777216 s (q=0x{low & 0xFF:02x})")
 
@@ -722,6 +749,7 @@ _FIXED_HEADS = tuple(tag << 8 | width for tag, (_, width, _) in _ASDU_FIELDS.ite
                      if width)
 _FIXED_FIELDS = struct.Struct(">" + "".join(
     "H" + _WIDTH_CODES[head & 0xFF] for head in _FIXED_HEADS))
+_HEADS_OF = itemgetter(0, 2, 4, 7)  # the words of _FIXED_HEADS in an unpack
 # What lenient decoding reads for a missing field: the ``Asdu`` default.
 _MISSING = {TAG_SVID: b"", TAG_SMPCNT: bytes(2), TAG_CONFREV: b"\0\0\0\1",
             TAG_REFRTM: bytes(8), TAG_SMPSYNCH: b"\0", TAG_SEQDATA: b""}
@@ -735,11 +763,43 @@ _ROWS.update(((3, tag), (name, render))
              for tag, (name, _, render) in _ASDU_FIELDS.items())
 
 
+def _read_asdu(data: bytes, start: int, end: int):
+    """``(svID, fixed, seq_start, end, *the _FIXED_FIELDS at fixed)`` of the
+    ASDU value ``data[start:end]`` if laid out exactly as :func:`_encode_asdu`
+    writes it, with a short-form ASCII svID and smpSynch 0-2; else None."""
+    if start + 2 > end or data[start] != TAG_SVID or data[start + 1] >= 0x80 \
+            or start + 27 + data[start + 1] > end:  # svID TLV, struct (23), seqData head
+        return None
+    fixed = start + 2 + data[start + 1]
+    seq = fixed + _FIXED_FIELDS.size
+    fields = _FIXED_FIELDS.unpack_from(data, fixed)
+    seq_start = seq + 2 + max(data[seq + 1] - 0x80, 0)  # 0x81 and 0x82 forms
+    if (seq_start > end or _HEADS_OF(fields) != _FIXED_HEADS or fields[-1] > 2
+            or not (sv_id := data[start + 2:fixed]).isascii()
+            or data[seq:seq_start] != ber.encode_header(TAG_SEQDATA, end - seq_start)):
+        return None
+    return (sv_id.decode("ascii"), fixed, seq_start, end, *fields)
+
+
 def _tlv_rows(data: bytes, tlvs, lines: list[DissectLine]) -> None:
     """Append the row of each TLV the walker returned."""
     asdu_index = 0
     rows, append = _ROWS, lines.append
     for depth, tag, tlv_start, start, end in tlvs:
+        if type(tag) is tuple:  # a read ASDU: fixed-field TLVs of 4, 6, 10, 3 octets
+            sv_id, fixed, seq_start, _, _, cnt, _, rev, _, seconds, low, _, synch = tag
+            text, size = data[tlv_start:end].hex(), end - seq_start
+            at, fixed, asdu_index = 2 * (start - tlv_start), 2 * (fixed - tlv_start), \
+                asdu_index + 1
+            lines += [(2, f"ASDU{asdu_index}", text[:at], f"{end - start} octets"),
+                      (3, "svID", text[at:fixed], sv_id),
+                      (3, "smpCnt", text[fixed:fixed + 8], str(cnt)),
+                      (3, "confRev", text[fixed + 8:fixed + 20], str(rev)),
+                      (3, "refrTm", text[fixed + 20:fixed + 40], _stamp_text(seconds, low)),
+                      (3, "smpSynch", text[fixed + 40:fixed + 46], _SYNCH_TEXT[synch]),
+                      (3, "seqData", text[fixed + 46:],
+                       f"{size} octets {text[len(text) - 2 * size:]}")]
+            continue
         name, render = rows.get((depth, tag), ("", None))
         if render is not None:
             append((depth, name, data[tlv_start:end].hex(), render(data[start:end])))

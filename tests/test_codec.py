@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from svlite.codec import (
     UtcTimestamp,
     VlanTag,
     WARNING_MARK,
+    WarningLine,
     decode_frame,
     dissect,
     encode_frame,
@@ -421,6 +423,24 @@ class TestDecodeModes:
         wire[20:22] = (92).to_bytes(2, "big")
         assert decode_frame(bytes(wire), DecodeMode.LENIENT) == golden_frame()
 
+    @pytest.mark.parametrize("mode", [None, "strict", "lenient", 0],
+                             ids=["none", "strict-str", "lenient-str", "int"])
+    def test_a_mode_that_is_not_a_decode_mode_raises(self, mode):
+        # None once meant dissect's listing of every fault, and a string
+        # lenient handling of each fault with a lenient reading.
+        reserved = GOLDEN_WIRE[:23] + b"\x01" + GOLDEN_WIRE[24:]
+        for wire in (GOLDEN_WIRE, b"\0" * 30, reserved):
+            with pytest.raises(ValueError, match=f"DecodeMode, got {mode!r}"):
+                decode_frame(wire, mode)
+
+    @pytest.mark.parametrize("call", [decode_frame, dissect])
+    def test_an_int_is_not_read_as_zero_octets(self, call):
+        for value in (0, 3, 86, True):
+            with pytest.raises(TypeError):
+                call(value)
+        assert call(bytearray(GOLDEN_WIRE)) == call(memoryview(GOLDEN_WIRE)) \
+            == call(GOLDEN_WIRE)
+
 
 class TestSeqData:
     def test_pack_table_layout(self):
@@ -793,6 +813,135 @@ def test_plan_parity_with_the_walk(frame_and_schema):
         asdu, = asdus
         assert plan.reader(schema)(wire) == (
             asdu.smp_cnt, *schema.seq_struct.unpack(asdu.seq_data))
+
+
+def _outcomes(wire: bytes) -> list:
+    """All that dissect, render, both decode modes and ``FramePlan`` make
+    of ``wire``: each row with its warning flag, the text, each mode's
+    frame and warnings or error class and message, and the plan's cut or
+    the error of a frame that has none."""
+    rows = dissect(wire)
+    outcomes = [[(isinstance(row, WarningLine), tuple(row)) for row in rows],
+                render_dissection(rows)]
+    for mode in DecodeMode:
+        try:
+            frame = decode_frame(wire, mode)
+            outcomes.append((frame, frame.decode_warnings))
+        except SvError as exc:
+            outcomes.append((type(exc), str(exc)))
+    try:
+        plan = FramePlan(wire)
+        outcomes.append((plan.parts, plan.slots, plan.fixed_octets))
+    except Exception as exc:
+        outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def assert_read_parity(wire: bytes) -> int:
+    """Assert that the walk gives the same outcomes when it reads no ASDU
+    in one unpack; return how many it read."""
+    read = _outcomes(wire)
+    with mock.patch.object(codec, "_read_asdu", lambda *_: None):
+        walked = _outcomes(wire)
+        assert not any(rows is None for rows, _ in codec._inspect(wire)[3])
+    assert read == walked
+    return sum(rows is None for rows, _ in codec._inspect(wire)[3])
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       flips=st.lists(st.integers(0, 2 ** 16), max_size=3),
+       cut=st.none() | st.integers(0, 2 ** 16))
+def test_asdu_read_parity_with_the_tlv_walk(seed, flips, cut):
+    """Valid frames, and copies with flipped bits or cut short: reading an
+    ASDU with one unpack changes no row, text, decode outcome or plan."""
+    frame, schema = random_valid_frame(random.Random(seed))
+    wire = bytearray(encode_frame(frame, schema))
+    for bit in flips:
+        bit %= 8 * len(wire)
+        wire[bit >> 3] ^= 0x80 >> (bit & 7)
+    if cut is not None:
+        wire = wire[:cut % (len(wire) + 1)]
+    reads = assert_read_parity(bytes(wire))
+    if not flips and cut is None:
+        assert reads == len(frame.apdu.asdus)
+
+
+def _fields(sv_id=b"xxxxMUnn01", smp_synch=b"\0", seq_data=bytes(14)) -> list:
+    """The golden ASDU's field TLVs with the given values."""
+    return [reference_tlv(0x80, sv_id), reference_tlv(0x82, b"\x00\x01"),
+            reference_tlv(0x83, b"\0\0\0\1"), reference_tlv(0x84, bytes(range(8))),
+            reference_tlv(0x85, smp_synch), reference_tlv(0x87, seq_data)]
+
+
+def _wire_of(*asdus: list) -> bytes:
+    """The golden link header and a savPdu of one ASDU per field list."""
+    seq_asdu = b"".join(reference_tlv(0x30, b"".join(fields)) for fields in asdus)
+    savpdu = reference_tlv(0x60, reference_tlv(0x80, bytes([len(asdus)]))
+                           + reference_tlv(0xA2, seq_asdu))
+    return GOLDEN_WIRE[:20] + (8 + len(savpdu)).to_bytes(2, "big") + bytes(4) + savpdu
+
+
+_GOLDEN_FIELDS = _fields()
+_SEQ_VALUE = bytes(range(1, 15))
+
+# ASDU field lists, and whether the walk reads the ASDU in one unpack.
+_HAND_BUILT = {
+    "golden": (_GOLDEN_FIELDS, True),
+    "empty svID": (_fields(sv_id=b""), True),
+    "64-char svID": (_fields(sv_id=b"x" * 64), True),
+    "127-char svID": (_fields(sv_id=b"x" * 127), True),
+    "128-char svID": (_fields(sv_id=b"x" * 128), False),
+    "non-ASCII svID": (_fields(sv_id="MU\u00e9".encode()), False),
+    "smpSynch 2": (_fields(smp_synch=b"\x02"), True),
+    "smpSynch 3": (_fields(smp_synch=b"\x03"), False),
+    "smpSynch of 2 octets": (_fields(smp_synch=b"\x00\x01"), False),
+    "out of order": ([_GOLDEN_FIELDS[i] for i in (0, 2, 1, 3, 4, 5)], False),
+    "seqData first": ([_GOLDEN_FIELDS[i] for i in (5, 0, 1, 2, 3, 4)], False),
+    "duplicated": (_GOLDEN_FIELDS[:2] + _GOLDEN_FIELDS[1:], False),
+    "duplicated seqData": (_GOLDEN_FIELDS + _GOLDEN_FIELDS[5:], False),
+    "missing": (_GOLDEN_FIELDS[:3] + _GOLDEN_FIELDS[4:], False),
+    "extra tag": (_GOLDEN_FIELDS[:5] + [reference_tlv(0x86, b"\x0f\xa0")]
+                  + _GOLDEN_FIELDS[5:], False),
+    "trailing tag": (_GOLDEN_FIELDS + [reference_tlv(0x86, b"")], False),
+    **{f"seqData of {size}": (_fields(seq_data=bytes(size)), True)
+       for size in (0, 1, 127, 128, 255, 256, 1000)},
+    "seqData 0x81 0x05": (
+        _GOLDEN_FIELDS[:5] + [b"\x87\x81\x05" + _SEQ_VALUE[:5]], False),
+    "seqData 0x82 0x00 0x05": (
+        _GOLDEN_FIELDS[:5] + [b"\x87\x82\x00\x05" + _SEQ_VALUE[:5]], False),
+    "seqData 0x82 0x00 0x80": (
+        _GOLDEN_FIELDS[:5] + [b"\x87\x82\x00\x80" + bytes(128)], False),
+    "seqData 0x83": (_GOLDEN_FIELDS[:5] + [b"\x87\x83\x00\x00\x05" + _SEQ_VALUE[:5]],
+                     False),
+    "seqData indefinite": (_GOLDEN_FIELDS[:5] + [b"\x87\x80" + _SEQ_VALUE], False),
+    "svID 0x81 0x0a": ([b"\x80\x81\x0a" + b"xxxxMUnn01"] + _GOLDEN_FIELDS[1:], False),
+    # Read as a short form, 0x81 would put the struct 131 octets on, after
+    # ASCII octets only: where this ASDU has it, past an unknown tag.
+    "svID 0x81 0x0a, then 129 octets on": (
+        [b"\x80\x81\x0a" + b"xxxxMUnn01", b"\x41\x74" + b"A" * 116]
+        + _GOLDEN_FIELDS[1:], False),
+    "smpCnt 0x81 0x02": (_GOLDEN_FIELDS[:1] + [b"\x82\x81\x02\x00\x01"]
+                         + _GOLDEN_FIELDS[2:], False),
+    "seqData overruns the ASDU": (
+        _GOLDEN_FIELDS[:5] + [b"\x87\x10" + _SEQ_VALUE], False),
+    "seqData stops short": (_GOLDEN_FIELDS[:5] + [b"\x87\x0c" + _SEQ_VALUE], False),
+    "seqData header cut": (_GOLDEN_FIELDS[:5] + [b"\x87"], False),
+    "seqData length octets cut": (_GOLDEN_FIELDS[:5] + [b"\x87\x82\x00"], False),
+    "no seqData": (_GOLDEN_FIELDS[:5], False),
+    "empty": ([], False),
+}
+
+
+@pytest.mark.parametrize("name", _HAND_BUILT)
+def test_asdu_read_parity_on_hand_built_asdus(name):
+    """Each hand-built ASDU alone and beside the golden one, before and
+    after it: the walk reads it in one unpack only when laid out exactly
+    as encode writes it, and the outcomes equal the per-TLV walk's."""
+    fields, read = _HAND_BUILT[name]
+    assert assert_read_parity(_wire_of(fields)) == read
+    assert assert_read_parity(_wire_of(_GOLDEN_FIELDS, fields)) == 1 + read
+    assert assert_read_parity(_wire_of(fields, _GOLDEN_FIELDS)) <= 1 + read
 
 
 def test_missing_field_reads_as_the_asdu_default():
