@@ -520,12 +520,13 @@ class FramePlan:
     A datagram whose unpack equals ``fixed_octets``, the frame's own,
     carries every tag and length of the frame, and it decodes to the frame
     with only smpCnt, refrTm and seqData read anew. An ASDU the walk read
-    in one unpack is cut where that read places its fields.
+    in one unpack is cut where that read places its fields. A frame strict
+    decoding rejects raises that ``SvError``.
     """
 
     def __init__(self, wire: bytes):
         wire = bytes(wire)
-        _, tlvs, _, asdus = _inspect(wire)
+        _, tlvs, _, asdus = _inspect(wire, DecodeMode.STRICT)
         spans, skip = [], 0  # a read ASDU's seven rows are one TLV: skip six
         for asdu, (rows, read) in enumerate(asdus):
             if rows is None:  # smpCnt 2 octets into the struct, refrTm 12

@@ -48,8 +48,9 @@ class Channel:
     """Impaired datagram channel with exact conservation accounting.
 
     A reorder hit holds the datagram back until the next one is
-    transmitted, then schedules it just past that delivery. Deliveries
-    wait in a plain list and surface only from ``drain``, which sorts it.
+    transmitted, then appends it before that one, just past its delivery;
+    the final ``drain`` appends one still held, the last transmitted, last.
+    So the plain list of ``(at, datagram)`` pairs keeps ties in transmit order.
     """
 
     REORDER_EPSILON = 1e-6
@@ -65,9 +66,8 @@ class Channel:
         self._jitter = spec.jitter
         self._latency = spec.base_latency
         self._reorder = spec.reorder_probability
-        self._pending: list[tuple[float, int, bytes]] = []
-        self._held: tuple[float, int, bytes] | None = None
-        self._seq = 0
+        self._pending: list[tuple[float, bytes]] = []
+        self._held: tuple[float, bytes] | None = None
 
     @property
     def spec(self) -> LinkSpec:
@@ -88,11 +88,9 @@ class Channel:
             at = send_time
         if self._held is not None:
             self._finalize_held(past=at)
-        seq = self._seq
-        self._seq += 1
         # Free for a bytes datagram, which bytes() returns as it is; any
         # other buffer is copied, so its sender may reuse it.
-        entry = (at, seq, bytes(datagram))
+        entry = (at, bytes(datagram))
         if draw() < self._reorder:
             self._held = entry
         else:
@@ -100,28 +98,28 @@ class Channel:
             self.delivered += 1
 
     def _finalize_held(self, past: float | None = None) -> None:
-        at, seq, payload = self._held
+        at, payload = self._held
         self._held = None
         if past is not None:
             at = max(at, past + self.REORDER_EPSILON)
-        self._pending.append((at, seq, payload))
+        self._pending.append((at, payload))
         self.delivered += 1
 
     def drain(self, until: float | None = None) -> list[tuple[float, bytes]]:
         """Remove and return deliveries due by ``until``, in delivery order.
 
         ``None`` means end of experiment: any held datagram is finalised
-        at its original time, and the pending list, sorted, is handed over
-        whole rather than copied. Ties in time leave in scheduling order,
-        since ``(at, seq)`` is unique.
+        at its original time, and the sorted pending list is handed over
+        whole rather than copied. The sort is stable on time, so ties leave
+        in transmit order, also where ``past + REORDER_EPSILON == past``.
         """
         if until is None and self._held is not None:
             self._finalize_held()
         due = self._pending
-        due.sort()
+        due.sort(key=itemgetter(0))
         if until is None:
             self._pending = []
-        else:
-            cut = bisect_right(due, until, key=itemgetter(0))
-            due, self._pending = due[:cut], due[cut:]
-        return [(at, payload) for at, _, payload in due]
+            return due
+        cut = bisect_right(due, until, key=itemgetter(0))
+        self._pending = due[cut:]
+        return due[:cut]

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -832,7 +833,7 @@ def _outcomes(wire: bytes) -> list:
     try:
         plan = FramePlan(wire)
         outcomes.append((plan.parts, plan.slots, plan.fixed_octets))
-    except Exception as exc:
+    except SvError as exc:
         outcomes.append((type(exc), str(exc)))
     return outcomes
 
@@ -848,13 +849,9 @@ def assert_read_parity(wire: bytes) -> int:
     return sum(rows is None for rows, _ in codec._inspect(wire)[3])
 
 
-@settings(deadline=None)
-@given(seed=st.integers(0, 2 ** 64 - 1),
-       flips=st.lists(st.integers(0, 2 ** 16), max_size=3),
-       cut=st.none() | st.integers(0, 2 ** 16))
-def test_asdu_read_parity_with_the_tlv_walk(seed, flips, cut):
-    """Valid frames, and copies with flipped bits or cut short: reading an
-    ASDU with one unpack changes no row, text, decode outcome or plan."""
+def _mutated(seed: int, flips: list, cut) -> tuple:
+    """A random valid frame, and its wire with ``flips`` bits flipped and
+    cut at ``cut`` (each taken modulo the wire's size)."""
     frame, schema = random_valid_frame(random.Random(seed))
     wire = bytearray(encode_frame(frame, schema))
     for bit in flips:
@@ -862,9 +859,39 @@ def test_asdu_read_parity_with_the_tlv_walk(seed, flips, cut):
         wire[bit >> 3] ^= 0x80 >> (bit & 7)
     if cut is not None:
         wire = wire[:cut % (len(wire) + 1)]
-    reads = assert_read_parity(bytes(wire))
+    return frame, bytes(wire)
+
+
+_mutations = dict(seed=st.integers(0, 2 ** 64 - 1),
+                  flips=st.lists(st.integers(0, 2 ** 16), max_size=3),
+                  cut=st.none() | st.integers(0, 2 ** 16))
+
+
+@settings(deadline=None)
+@given(**_mutations)
+def test_asdu_read_parity_with_the_tlv_walk(seed, flips, cut):
+    """Valid frames, and copies with flipped bits or cut short: reading an
+    ASDU with one unpack changes no row, text, decode outcome or plan."""
+    frame, wire = _mutated(seed, flips, cut)
+    reads = assert_read_parity(wire)
     if not flips and cut is None:
         assert reads == len(frame.apdu.asdus)
+
+
+@settings(deadline=None)
+@given(**_mutations)
+def test_frame_plan_parity_with_strict_decode(seed, flips, cut):
+    """A frame has a plan exactly when strict decoding reads it; any other
+    raises the ``SvError`` of the same class and message."""
+    _, wire = _mutated(seed, flips, cut)
+    try:
+        asdus = decode_frame(wire).apdu.asdus
+    except SvError as exc:
+        with pytest.raises(type(exc)) as raised:
+            FramePlan(wire)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+    else:
+        assert len(FramePlan(wire).slots) == len(asdus)
 
 
 def _fields(sv_id=b"xxxxMUnn01", smp_synch=b"\0", seq_data=bytes(14)) -> list:
@@ -942,6 +969,22 @@ def test_asdu_read_parity_on_hand_built_asdus(name):
     assert assert_read_parity(_wire_of(fields)) == read
     assert assert_read_parity(_wire_of(_GOLDEN_FIELDS, fields)) == 1 + read
     assert assert_read_parity(_wire_of(fields, _GOLDEN_FIELDS)) <= 1 + read
+
+
+@pytest.mark.parametrize("wire, error, message", [
+    (GOLDEN_WIRE[:-1], Truncated,
+     "tag 0x60 at offset 26 overruns its container ending at 85"),
+    (GOLDEN_WIRE[:22] + b"\0\1" + GOLDEN_WIRE[24:], BadHeader,
+     "reserved octets nonzero (0x0001 0x0000)"),
+    (_wire_of([f for f in _GOLDEN_FIELDS if f[0] != 0x82]), SchemaMismatch,
+     "ASDU missing smpCnt"),
+])
+def test_a_frame_strict_decoding_rejects_has_no_plan(wire, error, message):
+    """A cut frame once got a plan of the ASDUs before its cut, and an
+    ASDU missing a field a bare ``KeyError``."""
+    for build in (decode_frame, FramePlan):
+        with pytest.raises(error, match=re.escape(message)):
+            build(wire)
 
 
 def test_missing_field_reads_as_the_asdu_default():

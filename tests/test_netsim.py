@@ -236,17 +236,23 @@ class HeapChannel:
 
 QUANTUM = 250e-6
 # Send and drain times on a coarse grid, so equal delivery times (ties
-# broken by scheduling order) and drains at an exact delivery time occur.
+# broken by transmit order) and drains at an exact delivery time occur.
 _operation = st.one_of(
     st.tuples(st.just("transmit"), st.integers(0, 12)),
     st.tuples(st.just("until"), st.integers(-1, 14)),
     st.tuples(st.just("drain"), st.none()),
 )
+# From 2 ** 34 s on, past + REORDER_EPSILON rounds to past, so a held
+# datagram ties the successor it is scheduled behind.
+FAR = 2.0 ** 34
 
 
 class TestDrainParity:
     """The sorted-list drain against the heap it replaced. Examples per run
     come from the active hypothesis profile."""
+
+    def test_far_times_round_the_reorder_epsilon_away(self):
+        assert FAR + Channel.REORDER_EPSILON == FAR
 
     @given(
         loss=st.just(0.0) | st.floats(0.0, 1.0),
@@ -254,22 +260,35 @@ class TestDrainParity:
         reorder=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
         latency=st.just(0.0) | st.floats(0.0, 5e-3),
         seed=st.integers(0, 2 ** 32 - 1),
+        offset=st.sampled_from([0.0, FAR]),
         operations=st.lists(_operation, max_size=120),
     )
-    @example(loss=0.0, jitter=0.0, reorder=0.0, latency=0.0, seed=0,
+    @example(loss=0.0, jitter=0.0, reorder=0.0, latency=0.0, seed=0, offset=0.0,
              operations=[("transmit", 1), ("transmit", 1), ("until", 1)])
-    def test_sorted_drain_parity_with_heap(self, loss, jitter, reorder,
-                                           latency, seed, operations):
+    # At seed 2 the first datagram is held and the second is not: the held
+    # one is scheduled at its successor's time, which it ties.
+    @example(loss=0.0, jitter=0.0, reorder=0.5, latency=0.0, seed=2, offset=FAR,
+             operations=[("transmit", 1), ("transmit", 1)])
+    # Every datagram held: each is scheduled at its successor's time, which
+    # it ties, and the last leaves in the final drain at its own.
+    @example(loss=0.0, jitter=0.0, reorder=1.0, latency=0.0, seed=0, offset=FAR,
+             operations=[("transmit", 1), ("transmit", 1), ("until", 1),
+                         ("transmit", 1), ("transmit", 0), ("until", 0)])
+    def test_sorted_drain_parity_with_heap(self, loss, jitter, reorder, latency,
+                                           seed, offset, operations):
         spec = LinkSpec(loss_probability=loss, jitter=jitter,
                         reorder_probability=reorder, seed=seed,
                         base_latency=latency)
         channel, reference = Channel(spec), HeapChannel(spec)
         for index, (kind, slot) in enumerate([*operations, ("drain", None)]):
             if kind == "transmit":
+                # Payloads fall as transmit order rises, so a tie broken by
+                # payload rather than by transmit order shows.
+                payload = (0xFFFF - index).to_bytes(2, "big")
                 for ch in (channel, reference):
-                    ch.transmit(index.to_bytes(2, "big"), slot * QUANTUM)
+                    ch.transmit(payload, offset + slot * QUANTUM)
             else:
-                until = None if kind == "drain" else slot * QUANTUM
+                until = None if kind == "drain" else offset + slot * QUANTUM
                 assert channel.drain(until) == reference.drain(until)
         assert ((channel.transmitted, channel.delivered, channel.lost)
                 == (reference.transmitted, reference.delivered, reference.lost))
