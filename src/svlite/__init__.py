@@ -10,10 +10,8 @@ from .budget import (
     BudgetReport,
     OVERHEAD_UDP_IPV4,
     OVERHEAD_UDP_IPV6,
-    Violation,
     project_bitrate,
     sample_interval,
-    validate_constraints,
 )
 from .codec import (
     Asdu,

@@ -4,8 +4,8 @@ Reads one record from each arriving datagram, the profile's one-ASDU
 frame, by a lenient decode or through the stream's compiled frame layout
 once one is known, infers loss from smpCnt gaps, separates reordering
 from loss with a half-window heuristic, and applies the discard policy:
-a record whose quality is not good never enters the accepted stream,
-which keeps each record as its unpacked seqData fields.
+a record whose quality is not good never enters the accepted list, which
+keeps each record as its unpacked ``schema.seq_struct`` fields.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .codec import DecodeMode, FramePlan, decode_frame, seq_data_values
+from .codec import DecodeMode, FramePlan, decode_frame
 from .codec import unpack_seq_data  # noqa: F401, perfbench traces
 from .errors import SvError
 from .model import QUALITY_OF_OCTET, DatasetSchema, Validity, check_wrap
@@ -37,42 +37,6 @@ class LinkStats:
     loss_rate: float
     inter_arrival_mean: float
     inter_arrival_stddev: float
-
-
-class AcceptedRecords:
-    """The accepted records, read-only, each stored as its
-    ``schema.seq_struct`` fields. Reading one, by index, slice or
-    iteration, builds its values with :func:`seq_data_values` as a fresh
-    list; ``==`` compares those values with a list or another view."""
-
-    __slots__ = ("_fields", "_schema")
-
-    def __init__(self, fields: list, schema: DatasetSchema):
-        self._fields = fields
-        self._schema = schema
-
-    def __len__(self) -> int:
-        return len(self._fields)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [seq_data_values(fields, self._schema)
-                    for fields in self._fields[index]]
-        return seq_data_values(self._fields[index], self._schema)
-
-    def __iter__(self):
-        schema = self._schema
-        return (seq_data_values(fields, schema) for fields in self._fields)
-
-    def __eq__(self, other):
-        if isinstance(other, AcceptedRecords):
-            other = list(other)
-        elif not isinstance(other, list):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == other
-
-    def __repr__(self) -> str:
-        return f"AcceptedRecords({list(self)!r})"
 
 
 def format_link_stats(stats: LinkStats, *extra: tuple[str, str]) -> str:
@@ -115,12 +79,13 @@ class StreamAnalyzer:
     warning that misses it is learned instead, once. When the plan's
     seqData has the schema's width, a datagram with its length and fixed
     octets is read with one struct unpack; any other is decoded leniently.
+    A datagram that ``FramePlan`` refuses, one not laid out as the encoder
+    writes it, teaches no plan, as one of another ASDU count or width.
     Either branch yields the record's ``schema.seq_struct`` fields, or
     none for a seqData of another width, and one rule, written once after
     them, judges them: no fields or an undefined validity is a decode
     failure, a record whose quality is not good is discarded, and an
-    accepted record is kept as its fields in :attr:`accepted`, whose
-    values are built when read.
+    accepted record is appended to :attr:`accepted` as its fields.
     """
 
     def __init__(self, wrap_modulus: int, schema: DatasetSchema):
@@ -132,9 +97,8 @@ class StreamAnalyzer:
         self.lost = 0
         self.out_of_order = 0
         self.quality_discarded = 0
-        records: list = []
-        self._accept = records.append
-        self.accepted = AcceptedRecords(records, schema)
+        self.accepted: list[tuple] = []
+        self._accept = self.accepted.append
         # Index of each quality word among one seqData's fields, the first
         # twice, so that the getter returns a tuple for a single word too.
         quality_at = [index + 1 for index, quality_follows
@@ -186,11 +150,15 @@ class StreamAnalyzer:
             if not frame.decode_warnings and self._decoded == self.received:
                 self._unmatched_clean += 1
                 if self._unmatched_clean in (1, 3):
-                    plan = FramePlan(datagram)
-                    self._read = plan.reader(self.schema)
-                    self._planned_size = -1 if self._read is None else plan.fixed.size
-                    self._fixed = plan.fixed.unpack
-                    self._fixed_octets = plan.fixed_octets
+                    try:
+                        plan = FramePlan(datagram)
+                    except SvError:  # a layout the encoder never writes
+                        self._planned_size = -1
+                    else:
+                        self._read = plan.reader(self.schema)
+                        self._planned_size = -1 if self._read is None else plan.fixed.size
+                        self._fixed = plan.fixed.unpack
+                        self._fixed_octets = plan.fixed_octets
             self._decoded += 1
             layout = self.schema.seq_struct
             fields = (layout.unpack(asdu.seq_data)

@@ -1,9 +1,12 @@
-"""Bandwidth and structural budget checks for a sampled-value stream.
+"""Bandwidth budget of a sampled-value stream.
 
 A stream at nominal frequency f with p points per period sends f*p frames
 per second; each frame rides in a UDP datagram whose outer headers add a
 fixed overhead on top of the SV payload. The arithmetic here is exact:
-rates are integers, intervals are fractions.
+rates are integers, intervals are fractions. The profile's structure, one
+ASDU of at most ``MAX_DATA_ATTRIBUTES`` data attributes, is enforced where
+a stream is described (``RunConfig``) and where it is received (the
+analyzer), not here.
 """
 
 from __future__ import annotations
@@ -11,15 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import SavApdu
-from .model import MAX_DATA_ATTRIBUTES, DatasetSchema, samples_per_second
+from .model import samples_per_second
 
 # Outer Ethernet(14) + IPv4(20) + UDP(8) around the SV payload.
 OVERHEAD_UDP_IPV4 = 42
 # Same with IPv6 in place of IPv4.
 OVERHEAD_UDP_IPV6 = 62
-
-MAX_ASDU_COUNT = 1
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,6 @@ class BudgetReport:
     capacity_bps: int
     fits: bool
     margin_bps: int
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One breached structural rule with the observed value."""
-
-    rule: str
-    observed: int
-
-    def __str__(self):
-        return f"{self.rule}({self.observed})"
 
 
 def project_bitrate(
@@ -74,16 +63,3 @@ def sample_interval(nominal_hz: int, points_per_period: int) -> Fraction:
     """Exact seconds between consecutive samples."""
     return Fraction(1, samples_per_second(nominal_hz, points_per_period))
 
-
-def validate_constraints(apdu: SavApdu, schema: DatasetSchema) -> list[Violation]:
-    """Check the recommended payload shape: one ASDU, at most two data attributes."""
-    violations = []
-    count = len(apdu.asdus)
-    if count == 0:
-        violations.append(Violation("EmptySavPdu", 0))
-    elif count > MAX_ASDU_COUNT:
-        violations.append(Violation("AsduCountExceeded", count))
-    attributes = schema.data_attribute_count
-    if attributes > MAX_DATA_ATTRIBUTES:
-        violations.append(Violation("DatasetTooWide", attributes))
-    return violations

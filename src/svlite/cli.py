@@ -130,8 +130,11 @@ def _load(args):
 def _dump_requested(cfg, args) -> bool:
     if not args.dump_config:
         return False
-    with open(args.dump_config, "w", encoding="utf-8") as handle:
-        handle.write(dump_config(cfg))
+    try:
+        with open(args.dump_config, "w", encoding="utf-8") as handle:
+            handle.write(dump_config(cfg))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.dump_config}: {exc}") from exc
     print(f"wrote {args.dump_config}")
     return True
 

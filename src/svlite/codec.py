@@ -519,31 +519,26 @@ class FramePlan:
     (``fixed.size``) to its fixed octets, padding over the changing ones.
     A datagram whose unpack equals ``fixed_octets``, the frame's own,
     carries every tag and length of the frame, and it decodes to the frame
-    with only smpCnt, refrTm and seqData read anew. An ASDU the walk read
-    in one unpack is cut where that read places its fields. A frame strict
-    decoding rejects raises that ``SvError``.
+    with only smpCnt, refrTm and seqData read anew.
+
+    Only a frame whose every ASDU is laid out as the encoder writes it, and
+    so read in one unpack, is planned. A frame strict decoding rejects
+    raises that ``SvError``; any other raises :class:`SchemaMismatch`.
     """
 
     def __init__(self, wire: bytes):
         wire = bytes(wire)
-        _, tlvs, _, asdus = _inspect(wire, DecodeMode.STRICT)
-        spans, skip = [], 0  # a read ASDU's seven rows are one TLV: skip six
-        for asdu, (rows, read) in enumerate(asdus):
-            if rows is None:  # smpCnt 2 octets into the struct, refrTm 12
-                fixed, skip = read[1], skip + 6
-                cuts = (fixed + 2, fixed + 4), (fixed + 12, fixed + 20), read[2:4]
-            else:
-                cuts = [tlvs[rows[tag] - skip][3:]
-                        for tag in (TAG_SMPCNT, TAG_REFRTM, TAG_SEQDATA)]
-            spans += [(*cut, asdu, field) for field, cut in enumerate(cuts)]
-        parts, slots, cursor = [], [[0] * 3 for _ in asdus], 0
-        for start, end, asdu, field in sorted(spans):
-            slots[asdu][field] = len(parts) + 1
-            parts += [wire[cursor:start], wire[start:end]]
-            cursor = end
-        parts.append(wire[cursor:])
-        self.parts = tuple(parts)
-        self.slots = tuple(map(tuple, slots))
+        cuts = [0]
+        for index, (rows, read) in enumerate(_inspect(wire, DecodeMode.STRICT)[3]):
+            if rows is not None:
+                raise SchemaMismatch(
+                    f"ASDU{index + 1} is not laid out as the encoder writes it")
+            fixed, seq_start, end = read[1:4]
+            # smpCnt 2 octets into the struct, refrTm 12, then seqData
+            cuts += [fixed + 2, fixed + 4, fixed + 12, fixed + 20, seq_start, end]
+        cuts.append(len(wire))
+        self.parts = parts = tuple(wire[start:end] for start, end in zip(cuts, cuts[1:]))
+        self.slots = tuple((at, at + 2, at + 4) for at in range(1, len(parts) - 1, 6))
         self.fixed = struct.Struct(">" + "".join(
             f"{len(part)}{'sx'[index & 1]}" for index, part in enumerate(parts)
             if part or index & 1))
@@ -553,22 +548,18 @@ class FramePlan:
         """Compile one read of a datagram that carries the frame's fixed
         octets, or None.
 
-        Only the reduced profile's frame is read: one ASDU whose seqData
-        follows its smpCnt and is ``schema.packed_width`` octets. Its read
-        is one struct unpack giving ``(smpCnt, *seqData fields)``, the
-        fields in ``schema.seq_struct``'s codes, with every other octet
-        padded over. Any other frame gets None, and is decoded instead.
+        Only the reduced profile's frame is read: one ASDU whose seqData is
+        ``schema.packed_width`` octets. Its read is one struct unpack giving
+        ``(smpCnt, *seqData fields)``, the fields in ``schema.seq_struct``'s
+        codes, with every other octet padded over. Any other frame gets
+        None, and is decoded instead.
         """
-        if len(self.slots) != 1:
-            return None
-        smp_cnt, _, seq_data = self.slots[0]
         layout = schema.seq_struct
-        if seq_data < smp_cnt or len(self.parts[seq_data]) != layout.size:
+        if len(self.slots) != 1 or len(self.parts[5]) != layout.size:
             return None
-        sizes = [len(part) for part in self.parts]
+        head, _, *between, _, tail = map(len, self.parts)
         return struct.Struct(
-            f">{sum(sizes[:smp_cnt])}xH{sum(sizes[smp_cnt + 1:seq_data])}x"
-            f"{layout.format[1:]}{sum(sizes[seq_data + 1:])}x").unpack
+            f">{head}xH{sum(between)}x{layout.format[1:]}{tail}x").unpack
 
 
 def pack_seq_data(values, schema: DatasetSchema) -> bytes:

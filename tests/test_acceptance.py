@@ -9,6 +9,7 @@ import os
 import random
 import socket
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,11 +23,12 @@ from helpers import (
 )
 from svlite import ber, codec
 from svlite.analyzer import StreamAnalyzer, format_link_stats
-from svlite.budget import project_bitrate, sample_interval, validate_constraints
+from svlite.budget import project_bitrate, sample_interval
 from svlite.cli import simulate
-from svlite.codec import Asdu, DecodeMode, SavApdu, decode_frame
-from svlite.config import RunConfig
-from svlite.model import DatasetSchema, SchemaMember
+from svlite.codec import DecodeMode, decode_frame
+from svlite.config import RunConfig, parse_config
+from svlite.errors import ConfigError
+from svlite.model import SchemaMember
 from svlite.netsim import LinkSpec
 from svlite.sources import ChannelSpec, WaveKind, sample_provider
 from svlite.transport import EndpointConfig, Mode, publish_stream, subscribe
@@ -93,27 +95,36 @@ def test_criterion_4_round_trip_property_suite():
 
 
 def test_criterion_5_constraint_validation():
-    two_attrs = DatasetSchema([
-        SchemaMember("TCTR1.AmpSv.instMag.i", 4),
-        SchemaMember("VCVR1.VolSv.instMag.i", 4),
-    ])
-    three_attrs = DatasetSchema([
-        SchemaMember("TCTR1.AmpSv.instMag.i", 4),
-        SchemaMember("VCVR1.VolSv.instMag.i", 4),
-        SchemaMember("TTMP1.Tmp.instMag.i", 2),
-    ])
-    one = SavApdu([Asdu(sv_id="a")])
-    two = SavApdu([Asdu(sv_id="a"), Asdu(sv_id="a")])
-    clean = validate_constraints(one, two_attrs)
-    asdu_violations = validate_constraints(two, two_attrs)
-    width_violations = validate_constraints(one, three_attrs)
-    ok = (clean == []
-          and len(asdu_violations) == 1
-          and asdu_violations[0].rule == "AsduCountExceeded"
-          and asdu_violations[0].observed == 2
-          and len(width_violations) == 1
-          and width_violations[0].rule == "DatasetTooWide"
-          and width_violations[0].observed == 3)
+    """The profile's two structural rules, each where it is enforced: a
+    stream is described with at most two data attributes (``RunConfig``,
+    and ``parse_config`` at the member line that breaks the rule), and a
+    received datagram carries one ASDU (the analyzer counts any other as
+    a decode failure)."""
+    members = [SchemaMember("TCTR1.AmpSv.instMag.i", 4),
+               SchemaMember("VCVR1.VolSv.instMag.i", 4),
+               SchemaMember("TTMP1.Tmp.instMag.i", 2)]
+    two_attrs = RunConfig(channels=tuple(map(ChannelSpec, members[:2])))
+    try:
+        RunConfig(channels=tuple(map(ChannelSpec, members)))
+        described = False
+    except ValueError as exc:
+        described = "3 data attributes" in str(exc)
+    try:
+        parse_config("".join(f"member = {member.name}:{member.width}:signed:0:0:noq\n"
+                             for member in members))
+        parsed = False
+    except ConfigError as exc:
+        parsed = str(exc).startswith("line 3: ") and "3 data attributes" in str(exc)
+    two = golden_frame()
+    two.apdu.asdus.append(replace(two.apdu.asdus[0], smp_cnt=2))
+    analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
+    analyzer.ingest(codec.encode_frame(two, GOLDEN_SCHEMA), 0.0)
+    received_two = (analyzer.received, analyzer.decode_failures, len(analyzer.accepted))
+    analyzer.ingest(codec.encode_frame(golden_frame(), GOLDEN_SCHEMA), 1e-3)
+    ok = (len(two_attrs.schema) == 2 and described and parsed
+          and received_two == (0, 1, 0)
+          and (analyzer.received, analyzer.decode_failures,
+               len(analyzer.accepted)) == (1, 1, 1))
     _verdict("criterion 5: structural constraints flag 2 ASDUs / 3 attributes",
              ok)
 

@@ -13,11 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import GOLDEN_SCHEMA, golden_frame, plan_offsets, \
     random_valid_frame, reference_judge, reference_sequence
-from svlite import analyzer as analyzer_module
+from svlite import analyzer as analyzer_module, codec
 from svlite.analyzer import StreamAnalyzer, format_link_stats
 from svlite.cli import simulate
-from svlite.codec import FramePlan, UtcTimestamp, encode_frame, pack_seq_data
+from svlite.codec import FramePlan, UtcTimestamp, encode_frame, pack_seq_data, \
+    seq_data_values
 from svlite.config import parse_config
+from svlite.errors import SchemaMismatch
 from svlite.model import DatasetSchema, Quality, SchemaMember, Validity
 from svlite.netsim import Channel, LinkSpec
 
@@ -37,6 +39,12 @@ def make_wire(smp_cnt, schema=GOLDEN_SCHEMA, values=None):
 def feed(analyzer, smp_cnts, interval=250e-6):
     for index, smp_cnt in enumerate(smp_cnts):
         analyzer.ingest(make_wire(smp_cnt), index * interval)
+
+
+def accepted_values(analyzer) -> list:
+    """The analyzer's accepted records as the values the reference judge
+    builds: each record's fields through ``seq_data_values``."""
+    return [seq_data_values(fields, analyzer.schema) for fields in analyzer.accepted]
 
 
 class TestGapAccounting:
@@ -189,7 +197,7 @@ class TestQualityPolicy:
         analyzer.ingest(make_wire(0, QUALITY_SCHEMA, [(7, Quality())]), 0.0)
         stats = analyzer.report()
         assert stats.quality_discarded == 0
-        assert analyzer.accepted == [[(7, Quality())]]
+        assert accepted_values(analyzer) == [[(7, Quality())]]
 
     def test_undefined_validity_is_a_decode_failure(self):
         analyzer = StreamAnalyzer(4000, QUALITY_SCHEMA)
@@ -319,15 +327,22 @@ def _varied_stream(seed: int) -> tuple:
     return schema, datagrams
 
 
-def _state(schema, datagrams, times=None):
-    """The analyzer's state after ``datagrams``, arriving at ``times`` or
-    250 us apart."""
+def _ingested(schema, datagrams, times=None) -> StreamAnalyzer:
+    """An analyzer fed ``datagrams``, arriving at ``times`` or 250 us
+    apart."""
     if times is None:
         times = [index * 250e-6 for index in range(len(datagrams))]
     analyzer = StreamAnalyzer(4000, schema)
     for datagram, arrival in zip(datagrams, times, strict=True):
         analyzer.ingest(datagram, arrival)
-    return analyzer.report(), analyzer.decode_failures, analyzer.accepted
+    return analyzer
+
+
+def _state(schema, datagrams, times=None):
+    """The report, decode failures and accepted values of an analyzer fed
+    as :func:`_ingested` feeds it."""
+    analyzer = _ingested(schema, datagrams, times)
+    return analyzer.report(), analyzer.decode_failures, accepted_values(analyzer)
 
 
 class UnmatchedPlan(FramePlan):
@@ -417,6 +432,20 @@ def mixed_seq_data(rng, words):
     return bytes(octets)
 
 
+def off_layout_wire(smp_cnt, values, long_form):
+    """``make_wire``'s golden datagram with its ASDU laid out as the
+    encoder never writes it, which strict decoding reads as the same
+    frame: smpCnt moved in front of svID, or seqData's length in the long
+    form 0x81 with every enclosing length one more."""
+    wire = make_wire(smp_cnt, GOLDEN_SCHEMA, values)
+    if not long_form:  # svID 35..47, smpCnt 47..51
+        return wire[:35] + wire[47:51] + wire[35:47] + wire[51:]
+    grown = bytearray(wire[:71] + b"\x81" + wire[71:])  # seqData's tag at 70
+    for at in (21, 27, 32, 34):  # Length's low octet, savPdu, seqASDU, ASDU
+        grown[at] += 1
+    return bytes(grown)
+
+
 def planned_stream(seed, frames=60, asdus=1):
     """MIXED_SCHEMA datagrams of ``asdus`` ASDUs with every pairing of
     quality octets, each datagram of the first one's layout."""
@@ -432,21 +461,33 @@ def planned_stream(seed, frames=60, asdus=1):
 
 FAST_PATH_SEEDS = range(40)
 
-# Each seed's stream, then two edge inputs of the planned branch, each
+# Each seed's stream, then three edge inputs of the planned branch, each
 # with the plain inputs it must report as.
 FAST_PATH_CASES = [*(pytest.param(seed, None, id=str(seed))
                      for seed in FAST_PATH_SEEDS),
                    pytest.param(0, "integer arrival times",
                                 id="fast_path_integer_arrival_times"),
                    pytest.param(0, "smpCnt at or above the wrap",
-                                id="fast_path_smp_cnt_at_or_above_wrap")]
+                                id="fast_path_smp_cnt_at_or_above_wrap"),
+                   pytest.param(0, "a layout the encoder never writes",
+                                id="fast_path_layout_the_encoder_never_writes")]
 
 
 def _fast_path_case(seed, edge):
     """``(schema, datagrams, times)`` of a case, and for an edge case the
     ``(datagrams, times)`` that must leave the same state: float times for
-    integer ones, and each wire smpCnt reduced below the 4000 wrap."""
+    integer ones, each wire smpCnt reduced below the 4000 wrap, and the
+    encoder's layout of each datagram that ``FramePlan`` refuses."""
     rng = random.Random(seed)
+    if edge == "a layout the encoder never writes":
+        counts = accumulate((rng.choice((1, 1, 2, -1, 7)) for _ in range(40)),
+                            initial=100)
+        records = [(count, [rng.randrange(-2 ** 15, 2 ** 15) for _ in range(4)])
+                   for count in counts]
+        return (GOLDEN_SCHEMA, [off_layout_wire(*record, rng.random() < 0.5)
+                                for record in records], None,
+                ([make_wire(count, GOLDEN_SCHEMA, values)
+                  for count, values in records], None))
     if edge == "smpCnt at or above the wrap":
         counts = [4000, 4001, 7999, 8000, 8003, 65535, 65535, 65534, 61999, 62000]
         counts += [rng.randrange(4000, 0x10000) for _ in range(30)]
@@ -461,10 +502,13 @@ def _fast_path_case(seed, edge):
     return schema, datagrams, times, (datagrams, list(map(float, times)))
 
 
-def _single_asdu(datagrams):
-    """Whether the stream's first datagram, where its plan is learned,
-    carries one ASDU."""
-    return len(FramePlan(datagrams[0]).slots) == 1
+def _planned(datagrams):
+    """Whether the stream's first datagram, where its plan is learned, has
+    a plan of one ASDU."""
+    try:
+        return len(FramePlan(datagrams[0]).slots) == 1
+    except SchemaMismatch:  # laid out as the encoder never writes it
+        return False
 
 
 class TestFramePlanFastPath:
@@ -472,9 +516,10 @@ class TestFramePlanFastPath:
     the same state as a lenient decode of every datagram, and the records
     of both are judged as the reference judge does. Only a one-ASDU
     datagram yields a record; one of any other ASDU count is decoded and
-    fails. Both branches share one record judge and one sequencing tail,
-    so this parity checks how a plan is read; ``reference_sequence``
-    checks the sequencing, in ``test_sequencing_parity_with_reference``."""
+    fails, and one that ``FramePlan`` refuses is decoded and judged. Both
+    branches share one record judge and one sequencing tail, so this
+    parity checks how a plan is read; ``reference_sequence`` checks the
+    sequencing, in ``test_sequencing_parity_with_reference``."""
 
     def test_seeds_cover_schemas_with_and_without_quality(self):
         """Both sides of the analyzer's quality scan run below."""
@@ -484,7 +529,7 @@ class TestFramePlanFastPath:
     def test_seeds_cover_single_and_multi_asdu_streams(self):
         """Both one-ASDU streams, which a plan reads, and multi-ASDU ones,
         whose every datagram is decoded and fails, run below."""
-        assert {_single_asdu(_varied_stream(seed)[1])
+        assert {_planned(_varied_stream(seed)[1])
                 for seed in FAST_PATH_SEEDS} == {False, True}
 
     @pytest.mark.parametrize("seed, edge", FAST_PATH_CASES)
@@ -492,7 +537,7 @@ class TestFramePlanFastPath:
                                                    unpack_calls):
         schema, datagrams, times, plain = _fast_path_case(seed, edge)
         fast = _state(schema, datagrams, times)
-        if _single_asdu(datagrams):
+        if _planned(datagrams):
             assert len(decode_calls) < len(datagrams) / 2  # the fast path ran
         else:
             assert len(decode_calls) == len(datagrams)  # never planned
@@ -583,8 +628,8 @@ class TestFramePlanFastPath:
         assert (len(decode_calls), len(unpack_calls)) == (1, 0)
         stats = analyzer.report()
         assert stats.received == len(datagrams)
-        assert (stats.decode_failures, stats.quality_discarded, analyzer.accepted) \
-            == reference_judge(MIXED_SCHEMA, datagrams)
+        assert (stats.decode_failures, stats.quality_discarded,
+                accepted_values(analyzer)) == reference_judge(MIXED_SCHEMA, datagrams)
 
     def test_clean_stream_decodes_once(self, decode_calls):
         analyzer = StreamAnalyzer(4000, GOLDEN_SCHEMA)
@@ -641,93 +686,33 @@ class TestFramePlanFastPath:
         assert fast == _forced_state(GOLDEN_SCHEMA, datagrams)
 
 
-def _view_stream(schema):
-    """60 one-ASDU datagrams: ``planned_stream``'s with every pairing of
-    quality octets for MIXED_SCHEMA, random seqData otherwise."""
-    if schema is MIXED_SCHEMA:
-        return planned_stream(1)
-    rng = random.Random(1)
-    return [multi_asdu_wire(schema, [rng.randbytes(schema.packed_width)], index)
-            for index in range(60)]
-
-
-def _ingest_view_stream(schema, forced):
-    """An analyzer fed :func:`_view_stream`, every datagram decoded when
-    ``forced``, else all but the first read by the plan."""
-    analyzer = StreamAnalyzer(4000, schema)
-    with forced_decoding() if forced else contextlib.nullcontext():
-        for index, datagram in enumerate(_view_stream(schema)):
-            analyzer.ingest(datagram, index * 250e-6)
-    return analyzer
-
-
-VIEW_CASES = pytest.mark.parametrize("schema, forced", [
-    pytest.param(schema, forced, id=f"{name}-{branch}")
-    for schema, name in ((GOLDEN_SCHEMA, "no_quality"), (MIXED_SCHEMA, "quality"))
-    for forced, branch in ((False, "planned"), (True, "decoded"))])
-
-
-class TestAcceptedView:
-    """The analyzer keeps each accepted record as its seqData fields, and
-    ``accepted`` builds the values only when they are read."""
-
-    @VIEW_CASES
-    def test_values_are_built_when_read(self, schema, forced, decode_calls,
-                                        monkeypatch):
-        datagrams = _view_stream(schema)
-        built = _count_calls(monkeypatch, "seq_data_values")
-        analyzer = _ingest_view_stream(schema, forced)
-        assert len(decode_calls) == (len(datagrams) if forced else 1)
-        assert built == []
-        expected = reference_judge(schema, datagrams)[2]
-        accepted = analyzer.accepted
-        assert len(accepted) == len(expected) > 3
-        assert built == []  # nor does len()
-        assert accepted[-1] == expected[-1] and accepted[0] == expected[0]
-        assert accepted[1:-1:2] == expected[1:-1:2]
-        assert list(accepted) == expected
-        assert accepted == expected and expected == accepted
-        assert accepted != expected[:-1] and expected[:-1] != accepted
-        assert built
-
-    @VIEW_CASES
-    def test_a_read_list_is_a_copy(self, schema, forced):
-        accepted = _ingest_view_stream(schema, forced).accepted
-        first = accepted[0]
-        read = [accepted[0], accepted[:1][0], list(accepted)[0], next(iter(accepted))]
-        for values in read:
-            assert values == first and values is not first
-            values[0] = None
-            values.append(None)
-        assert accepted[0] == first
-
-    def test_accepted_record_retains_under_300_bytes(self):
-        """A record of three members, each with its quality word and a raw
-        value mostly outside the small-int cache, keeps its struct fields
-        (about 190 bytes under tracemalloc on CPython 3.11), not a list of
-        ``(raw, Quality)`` pairs (about 360)."""
-        cfg = parse_config("\n".join((
-            "points_per_period = 256",
-            "member = TCTR1.AmpSv.instMag.i:4:signed:-3:0:q",
-            "member = TCTR1.AmpSv.instMag.n:4:signed:-3:0:q",
-            "member = VCVR1.VolSv.instMag.c:2:signed:-3:0:q",
-            "channel = sine amp=120.5 phase=0.3",
-            "channel = noise dc=1.5 sigma=2.0",
-            "channel = const dc=12.3",
-        )))
-        link = LinkSpec(loss_probability=0.01, seed=5)
-        simulate(cfg, link, 100, 5)  # first-use caches are not records
+def test_accepted_record_retains_under_300_bytes():
+    """A record of three members, each with its quality word and a raw
+    value mostly outside the small-int cache, is kept as its struct fields
+    (about 190 bytes under tracemalloc on CPython 3.11), not a list of
+    ``(raw, Quality)`` pairs (about 360)."""
+    cfg = parse_config("\n".join((
+        "points_per_period = 256",
+        "member = TCTR1.AmpSv.instMag.i:4:signed:-3:0:q",
+        "member = TCTR1.AmpSv.instMag.n:4:signed:-3:0:q",
+        "member = VCVR1.VolSv.instMag.c:2:signed:-3:0:q",
+        "channel = sine amp=120.5 phase=0.3",
+        "channel = noise dc=1.5 sigma=2.0",
+        "channel = const dc=12.3",
+    )))
+    link = LinkSpec(loss_probability=0.01, seed=5)
+    simulate(cfg, link, 100, 5)  # first-use caches are not records
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        analyzer, _ = simulate(cfg, link, 5000, 5)
         gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            analyzer, _ = simulate(cfg, link, 5000, 5)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(analyzer.accepted) > 4900
-        assert retained / len(analyzer.accepted) <= 300
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(analyzer.accepted) > 4900
+    assert retained / len(analyzer.accepted) <= 300
 
 
 @st.composite
@@ -776,10 +761,12 @@ def planned_datagrams(draw):
 @given(planned_datagrams())
 def test_fast_path_state_equals_decoding_every_datagram(stream):
     schema, datagrams = stream
-    with mock.patch.object(analyzer_module, "seq_data_values",
-                           wraps=analyzer_module.seq_data_values) as built:
-        fast = _state(schema, datagrams)
+    with mock.patch.object(codec, "seq_data_values",
+                           wraps=codec.seq_data_values) as built:
+        analyzer = _ingested(schema, datagrams)
     assert built.call_count == 0  # ingest keeps fields and builds no values
+    assert all(type(fields) is tuple for fields in analyzer.accepted)
+    fast = analyzer.report(), analyzer.decode_failures, accepted_values(analyzer)
     stats, decode_failures, accepted = fast
     assert (decode_failures, stats.quality_discarded, accepted) \
         == reference_judge(schema, datagrams)

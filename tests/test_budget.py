@@ -2,25 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from svlite.budget import (
-    OVERHEAD_UDP_IPV4,
-    OVERHEAD_UDP_IPV6,
-    Violation,
-    project_bitrate,
-    sample_interval,
-    validate_constraints,
-)
-from svlite.codec import Asdu, SavApdu
+from svlite.budget import OVERHEAD_UDP_IPV6, project_bitrate, sample_interval
 from svlite.errors import UnsupportedRate
-from svlite.model import DatasetSchema, SchemaMember
-
-
-def _schema(attribute_count: int) -> DatasetSchema:
-    nodes = ["TCTR1.AmpSv", "VCVR1.VolSv", "TTMP1.Tmp"]
-    return DatasetSchema([
-        SchemaMember(f"{nodes[i]}.instMag.i", 4)
-        for i in range(attribute_count)
-    ])
 
 
 class TestProjectBitrate:
@@ -109,41 +92,3 @@ class TestSampleInterval:
     def test_unsupported_points(self):
         with pytest.raises(UnsupportedRate):
             sample_interval(50, 100)
-
-
-class TestValidateConstraints:
-    def test_recommended_shape_passes(self):
-        apdu = SavApdu([Asdu(sv_id="a")])
-        assert validate_constraints(apdu, _schema(2)) == []
-
-    def test_two_asdus_flagged(self):
-        apdu = SavApdu([Asdu(sv_id="a"), Asdu(sv_id="a")])
-        assert validate_constraints(apdu, _schema(1)) == [
-            Violation("AsduCountExceeded", 2)]
-
-    def test_three_attributes_flagged(self):
-        apdu = SavApdu([Asdu(sv_id="a")])
-        assert validate_constraints(apdu, _schema(3)) == [
-            Violation("DatasetTooWide", 3)]
-
-    def test_empty_apdu_flagged(self):
-        assert validate_constraints(SavApdu([]), _schema(1)) == [
-            Violation("EmptySavPdu", 0)]
-
-    def test_both_rules_can_fire(self):
-        apdu = SavApdu([Asdu(sv_id="a")] * 3)
-        violations = validate_constraints(apdu, _schema(3))
-        assert {v.rule for v in violations} == {
-            "AsduCountExceeded", "DatasetTooWide"}
-
-    def test_violation_renders_rule_and_value(self):
-        assert str(Violation("AsduCountExceeded", 2)) == "AsduCountExceeded(2)"
-
-    def test_deep_leaves_are_one_attribute(self):
-        schema = DatasetSchema([
-            SchemaMember("TMGF1.MagFld.instMag.i", 4),
-            SchemaMember("TMGF1.MagFld.GeoCrd.B", 4),
-            SchemaMember("TMGF1.MagFld.GeoCrd.L", 4),
-            SchemaMember("TMGF1.MagFld.GeoCrd.H", 2),
-        ])
-        assert validate_constraints(SavApdu([Asdu(sv_id="a")]), schema) == []

@@ -485,6 +485,16 @@ class TestConfigRoundTrip:
         assert code == 0
         assert load_config(target) == RunConfig()
 
+    @pytest.mark.parametrize("command", ["publish", "subscribe", "simulate"])
+    def test_dump_config_to_an_unwritable_path_exits_2(self, command, tmp_path,
+                                                       capsys):
+        # Once an uncaught FileNotFoundError, exit 1 with a traceback.
+        target = tmp_path / "missing" / "dumped.cfg"
+        code, out, err = run_cli(capsys, command, "--dump-config", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("line,fragment", [
         ("bogus_key = 1", "unknown key"),
         ("appid = 0x1FFFF", "outside"),

@@ -193,6 +193,12 @@ class TestEncodeErrors:
         assert type(excinfo.value) is ValueError
         assert str(excinfo.value) == message.format(dst=frame.dst_mac, src=frame.src_mac)
 
+    def test_an_empty_savpdu_raises(self):
+        frame = golden_frame()
+        frame.apdu.asdus = []
+        with pytest.raises(ValueError, match="savPdu needs at least one ASDU"):
+            encode_frame(frame, GOLDEN_SCHEMA)
+
     @pytest.mark.parametrize("value", ["2", 2.5, True, 3, 255])
     def test_smp_synch_not_an_int_of_0_to_2_raises(self, value):
         # Once "2", 2.5 and True encoded as int(value), and 3-255 encoded
@@ -638,15 +644,13 @@ class TestFramePlan:
         assert wire[first[2]:first[3]] == GOLDEN_WIRE[72:]
         assert second[3] == len(wire)
 
-    @pytest.mark.parametrize("layout", ["golden", "two ASDUs", "seqData first"])
+    @pytest.mark.parametrize("layout", ["golden", "two ASDUs"])
     def test_parts_cut_the_frame_at_its_changing_octets(self, layout):
         frame = golden_frame()
         frame.apdu.asdus.append(Asdu(
             sv_id="x", smp_cnt=2, seq_data=frame.apdu.asdus[0].seq_data))
         wire = {"golden": GOLDEN_WIRE,
                 "two ASDUs": encode_frame(frame, GOLDEN_SCHEMA),
-                # Fixed octets after the last seqData.
-                "seqData first": GOLDEN_WIRE[:35] + GOLDEN_WIRE[70:] + GOLDEN_WIRE[35:70],
                 }[layout]
         plan = FramePlan(wire)
         assert b"".join(plan.parts) == wire
@@ -688,9 +692,14 @@ class TestFramePlan:
         assert FramePlan(GOLDEN_WIRE).reader(narrow) is None
 
     def test_no_reader_for_seq_data_before_smp_cnt(self):
-        # The golden ASDU with seqData moved in front of svID.
+        # The golden ASDU with seqData moved in front of svID: strict
+        # decoding reads it, but the encoder never writes it, so it has no
+        # plan and no reader.
         wire = GOLDEN_WIRE[:35] + GOLDEN_WIRE[70:] + GOLDEN_WIRE[35:70]
-        assert FramePlan(wire).reader(GOLDEN_SCHEMA) is None
+        assert decode_frame(wire) == golden_frame()
+        with pytest.raises(SchemaMismatch,
+                           match="ASDU1 is not laid out as the encoder writes it"):
+            FramePlan(wire)
 
 
 # Valid frames of one to three ASDUs, each with its schema.
@@ -798,8 +807,9 @@ class TestLengthFormEdges:
 @settings(deadline=None)
 @given(valid_frames)
 def test_plan_parity_with_the_walk(frame_and_schema):
-    """The plan's cut rejoins to the frame, holds in its slots the octets
-    that decoding reads, and a one-ASDU plan reads what decoding reads."""
+    """Every frame the encoder writes has a plan: its cut rejoins to the
+    frame, holds in its slots the octets that decoding reads, and a
+    one-ASDU plan reads what decoding reads."""
     frame, schema = frame_and_schema
     wire = encode_frame(frame, schema)
     plan = FramePlan(wire)
@@ -817,10 +827,9 @@ def test_plan_parity_with_the_walk(frame_and_schema):
 
 
 def _outcomes(wire: bytes) -> list:
-    """All that dissect, render, both decode modes and ``FramePlan`` make
-    of ``wire``: each row with its warning flag, the text, each mode's
-    frame and warnings or error class and message, and the plan's cut or
-    the error of a frame that has none."""
+    """All that dissect, render and both decode modes make of ``wire``:
+    each row with its warning flag, the text, and each mode's frame and
+    warnings or error class and message."""
     rows = dissect(wire)
     outcomes = [[(isinstance(row, WarningLine), tuple(row)) for row in rows],
                 render_dissection(rows)]
@@ -830,11 +839,6 @@ def _outcomes(wire: bytes) -> list:
             outcomes.append((frame, frame.decode_warnings))
         except SvError as exc:
             outcomes.append((type(exc), str(exc)))
-    try:
-        plan = FramePlan(wire)
-        outcomes.append((plan.parts, plan.slots, plan.fixed_octets))
-    except SvError as exc:
-        outcomes.append((type(exc), str(exc)))
     return outcomes
 
 
@@ -871,7 +875,7 @@ _mutations = dict(seed=st.integers(0, 2 ** 64 - 1),
 @given(**_mutations)
 def test_asdu_read_parity_with_the_tlv_walk(seed, flips, cut):
     """Valid frames, and copies with flipped bits or cut short: reading an
-    ASDU with one unpack changes no row, text, decode outcome or plan."""
+    ASDU with one unpack changes no row, text or decode outcome."""
     frame, wire = _mutated(seed, flips, cut)
     reads = assert_read_parity(wire)
     if not flips and cut is None:
@@ -881,17 +885,28 @@ def test_asdu_read_parity_with_the_tlv_walk(seed, flips, cut):
 @settings(deadline=None)
 @given(**_mutations)
 def test_frame_plan_parity_with_strict_decode(seed, flips, cut):
-    """A frame has a plan exactly when strict decoding reads it; any other
-    raises the ``SvError`` of the same class and message."""
-    _, wire = _mutated(seed, flips, cut)
+    """Valid frames, and copies with flipped bits or cut short, planned
+    as :func:`assert_plan_rule` states."""
+    assert_plan_rule(_mutated(seed, flips, cut)[1])
+
+
+def assert_plan_rule(wire: bytes) -> None:
+    """Assert that ``wire`` has a plan exactly when strict decoding reads
+    every ASDU in one unpack. A frame strict decoding rejects raises that
+    ``SvError``, class and message; one it reads otherwise raises
+    ``SchemaMismatch``."""
     try:
         asdus = decode_frame(wire).apdu.asdus
     except SvError as exc:
         with pytest.raises(type(exc)) as raised:
             FramePlan(wire)
         assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
-    else:
+        return
+    if all(rows is None for rows, _ in codec._inspect(wire)[3]):
         assert len(FramePlan(wire).slots) == len(asdus)
+    else:
+        with pytest.raises(SchemaMismatch, match="not laid out as the encoder writes it"):
+            FramePlan(wire)
 
 
 def _fields(sv_id=b"xxxxMUnn01", smp_synch=b"\0", seq_data=bytes(14)) -> list:
@@ -933,6 +948,7 @@ _HAND_BUILT = {
     "trailing tag": (_GOLDEN_FIELDS + [reference_tlv(0x86, b"")], False),
     **{f"seqData of {size}": (_fields(seq_data=bytes(size)), True)
        for size in (0, 1, 127, 128, 255, 256, 1000)},
+    "seqData 0x81 0x0e": (_GOLDEN_FIELDS[:5] + [b"\x87\x81\x0e" + bytes(14)], False),
     "seqData 0x81 0x05": (
         _GOLDEN_FIELDS[:5] + [b"\x87\x81\x05" + _SEQ_VALUE[:5]], False),
     "seqData 0x82 0x00 0x05": (
@@ -964,11 +980,28 @@ _HAND_BUILT = {
 def test_asdu_read_parity_on_hand_built_asdus(name):
     """Each hand-built ASDU alone and beside the golden one, before and
     after it: the walk reads it in one unpack only when laid out exactly
-    as encode writes it, and the outcomes equal the per-TLV walk's."""
+    as encode writes it, the outcomes equal the per-TLV walk's, and the
+    frame is planned as :func:`assert_plan_rule` states."""
     fields, read = _HAND_BUILT[name]
-    assert assert_read_parity(_wire_of(fields)) == read
-    assert assert_read_parity(_wire_of(_GOLDEN_FIELDS, fields)) == 1 + read
-    assert assert_read_parity(_wire_of(fields, _GOLDEN_FIELDS)) <= 1 + read
+    wires = _wire_of(fields), _wire_of(_GOLDEN_FIELDS, fields), \
+        _wire_of(fields, _GOLDEN_FIELDS)
+    assert assert_read_parity(wires[0]) == read
+    assert assert_read_parity(wires[1]) == 1 + read
+    assert assert_read_parity(wires[2]) <= 1 + read
+    for wire in wires:
+        assert_plan_rule(wire)
+
+
+@pytest.mark.parametrize("name", ["out of order", "seqData 0x81 0x0e"])
+def test_a_layout_the_encoder_never_writes_has_no_plan(name):
+    """Fields reordered, or seqData's length in a long form: strict
+    decoding reads the golden ASDU, but it has no plan, alone or after a
+    golden ASDU."""
+    fields = _HAND_BUILT[name][0]
+    assert decode_frame(_wire_of(fields)) == decode_frame(_wire_of(_GOLDEN_FIELDS))
+    for index, wire in ((1, _wire_of(fields)), (2, _wire_of(_GOLDEN_FIELDS, fields))):
+        with pytest.raises(SchemaMismatch, match=f"ASDU{index} is not laid out"):
+            FramePlan(wire)
 
 
 @pytest.mark.parametrize("wire, error, message", [
