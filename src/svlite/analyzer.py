@@ -74,13 +74,13 @@ class StreamAnalyzer:
     times, as floats, and 0.0 until there is one.
 
     The first datagram that decodes with no warning is learned as a
-    :class:`FramePlan`. While no datagram has matched that plan, its source
-    may be a stray from another stream, so the second datagram with no
-    warning that misses it is learned instead, once. When the plan's
-    seqData has the schema's width, a datagram with its length and fixed
-    octets is read with one struct unpack; any other is decoded leniently.
-    A datagram that ``FramePlan`` refuses, one not laid out as the encoder
-    writes it, teaches no plan, as one of another ASDU count or width.
+    :class:`FramePlan` in the schema. While no datagram has matched that
+    plan, its source may be a stray from another stream, so the second
+    datagram with no warning that misses it is learned instead, once. A
+    datagram with the plan's length and fixed octets is read with the
+    plan's one struct unpack; any other is decoded leniently. A datagram
+    that ``FramePlan`` refuses, one not laid out as the encoder writes it
+    or of another seqData width, teaches no plan.
     Either branch yields the record's ``schema.seq_struct`` fields, or
     none for a seqData of another width, and one rule, written once after
     them, judges them: no fields or an undefined validity is a decode
@@ -151,14 +151,14 @@ class StreamAnalyzer:
                 self._unmatched_clean += 1
                 if self._unmatched_clean in (1, 3):
                     try:
-                        plan = FramePlan(datagram)
-                    except SvError:  # a layout the encoder never writes
+                        plan = FramePlan(datagram, self.schema)
+                    except SvError:  # not the profile's frame in this schema
                         self._planned_size = -1
                     else:
-                        self._read = plan.reader(self.schema)
-                        self._planned_size = -1 if self._read is None else plan.fixed.size
+                        self._planned_size = plan.fixed.size
                         self._fixed = plan.fixed.unpack
                         self._fixed_octets = plan.fixed_octets
+                        self._read = plan.read
             self._decoded += 1
             layout = self.schema.seq_struct
             fields = (layout.unpack(asdu.seq_data)

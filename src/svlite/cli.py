@@ -231,7 +231,7 @@ def cmd_subscribe(args) -> int:
                     print(f"t={now - t0:6.1f}s received={s.received} "
                           f"lost={s.lost} out_of_order={s.out_of_order} "
                           f"discarded={s.quality_discarded}")
-                    # One line per stall: the slots a silence spanned are skipped.
+                    # One line per stall: the report times a silence spanned are skipped.
                     interval = args.stats_interval
                     next_report += ((now - next_report) // interval + 1) * interval
     finally:
@@ -325,7 +325,7 @@ def simulate(cfg: RunConfig, link: LinkSpec, frames: int,
     channel = Channel(link)
     provider = sample_provider(cfg.channels, cfg.points_per_period, seed)
     ticks = transport.frame_ticks(
-        build_template(cfg), cfg.schema, provider, wrap, 0,
+        build_template(cfg), cfg.schema, provider, wrap,
         lambda tick: refr_tm_octets(tick, wrap))
     for tick, wire in zip(range(frames), ticks):
         channel.transmit(wire, tick * interval)

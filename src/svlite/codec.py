@@ -506,59 +506,48 @@ def _asdu_from(data: bytes, rows, raw) -> Asdu:
 
 
 class FramePlan:
-    """The compiled layout of one encoded frame.
+    """The compiled form of the reduced profile's frame in ``schema``.
 
-    ``parts`` is the frame cut at the edges of every smpCnt, refrTm and
-    seqData value, the octets that change from tick to tick: its fixed
-    octets sit at even indices (empty where nothing lies between two cuts)
-    and the changing octets at odd ones. ``slots`` holds, per ASDU in wire
-    order, the indices in ``parts`` of its smpCnt, refrTm and seqData. With
-    a fixed schema and svID every BER length is constant, so the publisher
-    builds each tick by joining ``parts`` with that tick's octets in the
-    slots. ``fixed`` unpacks a datagram of the frame's length
-    (``fixed.size``) to its fixed octets, padding over the changing ones.
-    A datagram whose unpack equals ``fixed_octets``, the frame's own,
-    carries every tag and length of the frame, and it decodes to the frame
-    with only smpCnt, refrTm and seqData read anew.
+    ``parts`` is the frame cut at the edges of its smpCnt, refrTm and
+    seqData values, ``parts[1]``, ``[3]`` and ``[5]``, the octets that
+    change from tick to tick; the fixed octets sit at even indices (empty
+    where nothing lies between two cuts). With a fixed schema and svID
+    every BER length is constant, so the publisher joins ``parts`` with
+    each tick's octets in place. ``fixed`` unpacks a datagram of the
+    frame's length (``fixed.size``) to its fixed octets, padding over the
+    changing ones. A datagram whose unpack equals ``fixed_octets``, the
+    frame's own, carries every tag and length of the frame, and ``read``
+    reads it in one unpack as ``(smpCnt, *seqData fields)``, the fields in
+    ``schema.seq_struct``'s codes.
 
-    Only a frame whose every ASDU is laid out as the encoder writes it, and
-    so read in one unpack, is planned. A frame strict decoding rejects
-    raises that ``SvError``; any other raises :class:`SchemaMismatch`.
+    Only the profile's frame is planned: one ASDU, laid out as the encoder
+    writes it, of ``schema.packed_width`` seqData octets. A frame strict
+    decoding rejects raises that ``SvError``; another ASDU count or layout
+    raises :class:`SchemaMismatch`, another width :class:`WidthMismatch`.
     """
 
-    def __init__(self, wire: bytes):
+    def __init__(self, wire: bytes, schema: DatasetSchema):
         wire = bytes(wire)
-        cuts = [0]
-        for index, (rows, read) in enumerate(_inspect(wire, DecodeMode.STRICT)[3]):
-            if rows is not None:
-                raise SchemaMismatch(
-                    f"ASDU{index + 1} is not laid out as the encoder writes it")
-            fixed, seq_start, end = read[1:4]
-            # smpCnt 2 octets into the struct, refrTm 12, then seqData
-            cuts += [fixed + 2, fixed + 4, fixed + 12, fixed + 20, seq_start, end]
-        cuts.append(len(wire))
+        asdus = _inspect(wire, DecodeMode.STRICT)[3]
+        if len(asdus) != 1:
+            raise SchemaMismatch(f"{len(asdus)} ASDUs, the profile's frame carries one")
+        rows, read = asdus[0]
+        if rows is not None:
+            raise SchemaMismatch("the ASDU is not laid out as the encoder writes it")
+        fixed, seq_start, end = read[1:4]
+        layout = schema.seq_struct
+        if end - seq_start != layout.size:
+            raise WidthMismatch(
+                f"seqData is {end - seq_start} octets, schema packs {layout.size}")
+        # smpCnt 2 octets into the struct, refrTm 12, then seqData
+        cuts = (0, fixed + 2, fixed + 4, fixed + 12, fixed + 20, seq_start, end, len(wire))
         self.parts = parts = tuple(wire[start:end] for start, end in zip(cuts, cuts[1:]))
-        self.slots = tuple((at, at + 2, at + 4) for at in range(1, len(parts) - 1, 6))
         self.fixed = struct.Struct(">" + "".join(
             f"{len(part)}{'sx'[index & 1]}" for index, part in enumerate(parts)
             if part or index & 1))
         self.fixed_octets = self.fixed.unpack(wire)
-
-    def reader(self, schema: DatasetSchema):
-        """Compile one read of a datagram that carries the frame's fixed
-        octets, or None.
-
-        Only the reduced profile's frame is read: one ASDU whose seqData is
-        ``schema.packed_width`` octets. Its read is one struct unpack giving
-        ``(smpCnt, *seqData fields)``, the fields in ``schema.seq_struct``'s
-        codes, with every other octet padded over. Any other frame gets
-        None, and is decoded instead.
-        """
-        layout = schema.seq_struct
-        if len(self.slots) != 1 or len(self.parts[5]) != layout.size:
-            return None
-        head, _, *between, _, tail = map(len, self.parts)
-        return struct.Struct(
+        head, _, *between, _, tail = map(len, parts)
+        self.read = struct.Struct(
             f">{head}xH{sum(between)}x{layout.format[1:]}{tail}x").unpack
 
 
@@ -758,8 +747,9 @@ _ROWS.update(((3, tag), (name, render))
 def _read_asdu(data: bytes, start: int, end: int):
     """``(svID, fixed, seq_start, end, *the _FIXED_FIELDS at fixed)`` of the
     ASDU value ``data[start:end]`` if laid out exactly as :func:`_encode_asdu`
-    writes it, with a short-form ASCII svID and smpSynch 0-2; else None."""
-    if start + 2 > end or data[start] != TAG_SVID or data[start + 1] >= 0x80 \
+    writes it, with an ASCII svID of at most ``SVID_MAX_LEN`` octets and
+    smpSynch 0-2; else None."""
+    if start + 2 > end or data[start] != TAG_SVID or data[start + 1] > SVID_MAX_LEN \
             or start + 27 + data[start + 1] > end:  # svID TLV, struct (23), seqData head
         return None
     fixed = start + 2 + data[start + 1]

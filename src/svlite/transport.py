@@ -124,21 +124,19 @@ def _open_publish_socket(cfg: EndpointConfig) -> socket.socket:
     return sock
 
 
-def frame_ticks(template: SvFrame, schema: DatasetSchema, source, wrap: int,
-                start_smp_cnt: int, stamp):
+def frame_ticks(template: SvFrame, schema: DatasetSchema, source, wrap: int, stamp):
     """Encode ``template`` now, then on tick N yield it with smpCnt
-    ``(start_smp_cnt + N) % wrap``, the 8 refrTm octets ``stamp(N)`` and
-    the seqData octets ``source(N)`` in every ASDU, as they are. A fixed
-    schema and svID keep every BER length constant, so each tick is one
-    join of the frame's :class:`FramePlan` parts with those octets in its
-    slots, byte-exact and without a re-encode. Each tick is a new
-    ``bytes`` object. seqData octets of another length than the schema's
-    packed width, or refrTm octets of another length than 8, raise
-    :class:`WidthMismatch` rather than resize the frame. A ``wrap`` that
-    :func:`~svlite.model.check_wrap` rejects raises before the first tick."""
+    ``N % wrap``, the 8 refrTm octets ``stamp(N)`` and the seqData octets
+    ``source(N)``, as they are: one join of the frame's :class:`FramePlan`
+    parts with those octets in parts 1, 3 and 5, byte-exact and without a
+    re-encode. Each tick is a new ``bytes`` object. seqData octets of
+    another length than the schema's packed width, or refrTm octets of
+    another length than 8, raise :class:`WidthMismatch` rather than resize
+    the frame. A ``wrap`` that :func:`~svlite.model.check_wrap` rejects, or
+    a template that ``FramePlan`` refuses (one of two ASDUs), raises before
+    the first tick."""
     check_wrap(wrap)
-    plan = FramePlan(encode_frame(template, schema))
-    parts, slots = list(plan.parts), plan.slots
+    parts = list(FramePlan(encode_frame(template, schema), schema).parts)
     width = schema.packed_width
     join = b"".join
 
@@ -154,11 +152,9 @@ def frame_ticks(template: SvFrame, schema: DatasetSchema, source, wrap: int,
                 raise WidthMismatch(
                     f"stamp gave {len(refr_tm)} refrTm octets at tick {tick}, "
                     f"expected 8")
-            counter = ((start_smp_cnt + tick) % wrap).to_bytes(2, "big")
-            for smp_cnt, refr_tm_at, seq_data_at in slots:
-                parts[smp_cnt] = counter
-                parts[refr_tm_at] = refr_tm
-                parts[seq_data_at] = seq_data
+            parts[1] = (tick % wrap).to_bytes(2, "big")
+            parts[3] = refr_tm
+            parts[5] = seq_data
             yield join(parts)
 
     return ticks()
@@ -173,7 +169,6 @@ def publish_stream(
     frames: int,
     *,
     pace_hz: float | None = None,
-    start_smp_cnt: int = 0,
     sock: socket.socket | None = None,
     timestamper=time.time,
 ) -> PublisherState:
@@ -182,11 +177,11 @@ def publish_stream(
     ``source(tick)`` returns that tick's seqData octets, packed in
     ``schema`` (see :func:`~svlite.sources.sample_provider`); they are sent
     as they are, and a wrong length raises :class:`WidthMismatch`.
-    smpCnt starts at ``start_smp_cnt`` and wraps at ``rate``, one wrap per
-    nominal second, which :func:`frame_ticks` checks first. A pace that
-    is not finite and positive raises ``ValueError``, as a bad rate does,
-    before any socket opens. A tick whose send completes after the next
-    tick's deadline counts as a deadline miss.
+    smpCnt starts at 0 and wraps at ``rate``, one wrap per nominal
+    second. :func:`frame_ticks` checks the rate and the template, and a
+    pace that is not finite and positive raises ``ValueError``, all before
+    any socket opens. A tick whose send completes after the next tick's
+    deadline counts as a deadline miss.
     ``timestamper`` feeds refrTm and exists so tests can pin it. Socket
     failures raise :class:`TransportError` carrying the state accumulated
     so far.
@@ -194,14 +189,14 @@ def publish_stream(
     if frames < 0:
         raise ValueError(f"frame count must be >= 0, got {frames}")
     ticks = frame_ticks(
-        template, schema, source, rate, start_smp_cnt,
+        template, schema, source, rate,
         # The product is exact, so the floor truncates the clock to 2**-24 s.
         lambda _: refr_tm_octets(math.floor(timestamper() * 2**24), 2**24))
     pace = pace_hz if pace_hz is not None else float(rate)
     if not (math.isfinite(pace) and pace > 0):
         raise ValueError(f"pace must be finite and positive, got {pace}")
     interval = 1.0 / pace
-    state = PublisherState(smp_cnt=start_smp_cnt % rate, wrap_modulus=rate)
+    state = PublisherState(smp_cnt=0, wrap_modulus=rate)
     own_sock = sock is None
     if own_sock:
         sock = _open_publish_socket(cfg)
@@ -220,7 +215,7 @@ def publish_stream(
                 state.deadline_misses += 1
             state.frames_sent += 1
     finally:
-        state.smp_cnt = (start_smp_cnt + state.frames_sent) % rate
+        state.smp_cnt = state.frames_sent % rate
         if own_sock:
             sock.close()
     return state

@@ -227,11 +227,10 @@ def random_valid_frame(rng: random.Random, member_count: int = 0,
 
 
 def plan_offsets(plan) -> tuple:
-    """Per ASDU of a ``FramePlan``, the value offsets of smpCnt and refrTm
-    and the value span of seqData, summed from its ``parts`` and ``slots``."""
-    starts = list(accumulate(map(len, plan.parts), initial=0))
-    return tuple((starts[smp_cnt], starts[refr_tm], starts[seq_data],
-                  starts[seq_data + 1]) for smp_cnt, refr_tm, seq_data in plan.slots)
+    """The value offsets of smpCnt and refrTm and the value span of
+    seqData in a ``FramePlan``'s frame, summed from its ``parts``."""
+    ends = list(accumulate(map(len, plan.parts)))
+    return ends[0], ends[2], ends[4], ends[5]
 
 
 def reference_judge(schema: DatasetSchema, datagrams) -> tuple:

@@ -11,8 +11,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import GOLDEN_SCHEMA, golden_frame, plan_offsets, \
-    random_valid_frame, reference_judge, reference_sequence
+from helpers import GOLDEN_SCHEMA, golden_frame, random_valid_frame, \
+    reference_judge, reference_sequence
 from svlite import analyzer as analyzer_module, codec
 from svlite.analyzer import StreamAnalyzer, format_link_stats
 from svlite.cli import simulate
@@ -39,6 +39,14 @@ def make_wire(smp_cnt, schema=GOLDEN_SCHEMA, values=None):
 def feed(analyzer, smp_cnts, interval=250e-6):
     for index, smp_cnt in enumerate(smp_cnts):
         analyzer.ingest(make_wire(smp_cnt), index * interval)
+
+
+def asdu_offsets(wire) -> list:
+    """Per ASDU of an encoded frame of any ASDU count, the value offsets of
+    smpCnt and refrTm and the value span of seqData, as the walk's
+    one-unpack read of the ASDU places them."""
+    return [(fixed + 2, fixed + 12, seq_start, end)
+            for _, (_, fixed, seq_start, end, *_) in codec._inspect(bytes(wire))[3]]
 
 
 def accepted_values(analyzer) -> list:
@@ -318,7 +326,7 @@ def _varied_stream(seed: int) -> tuple:
         elif kind < 0.15:
             del wire[rng.randrange(len(wire)):]
         elif kind < 0.2 and quality_ends:
-            seq_start = plan_offsets(FramePlan(wire))[0][2]
+            seq_start = asdu_offsets(wire)[0][2]
             wire[seq_start + rng.choice(quality_ends) - 1] |= 0x03
         elif kind < 0.25:
             varied.apdu.asdus[0].sv_id += "x"
@@ -348,8 +356,8 @@ def _state(schema, datagrams, times=None):
 class UnmatchedPlan(FramePlan):
     """A plan whose fixed octets no datagram unpacks to."""
 
-    def __init__(self, wire):
-        super().__init__(wire)
+    def __init__(self, wire, schema):
+        super().__init__(wire, schema)
         self.fixed_octets = None
 
 
@@ -502,13 +510,14 @@ def _fast_path_case(seed, edge):
     return schema, datagrams, times, (datagrams, list(map(float, times)))
 
 
-def _planned(datagrams):
+def _planned(schema, datagrams):
     """Whether the stream's first datagram, where its plan is learned, has
-    a plan of one ASDU."""
+    a plan in ``schema``."""
     try:
-        return len(FramePlan(datagrams[0]).slots) == 1
-    except SchemaMismatch:  # laid out as the encoder never writes it
+        FramePlan(datagrams[0], schema)
+    except SchemaMismatch:  # more than one ASDU, or a walked one
         return False
+    return True
 
 
 class TestFramePlanFastPath:
@@ -529,7 +538,7 @@ class TestFramePlanFastPath:
     def test_seeds_cover_single_and_multi_asdu_streams(self):
         """Both one-ASDU streams, which a plan reads, and multi-ASDU ones,
         whose every datagram is decoded and fails, run below."""
-        assert {_planned(_varied_stream(seed)[1])
+        assert {_planned(*_varied_stream(seed))
                 for seed in FAST_PATH_SEEDS} == {False, True}
 
     @pytest.mark.parametrize("seed, edge", FAST_PATH_CASES)
@@ -537,7 +546,7 @@ class TestFramePlanFastPath:
                                                    unpack_calls):
         schema, datagrams, times, plain = _fast_path_case(seed, edge)
         fast = _state(schema, datagrams, times)
-        if _planned(datagrams):
+        if _planned(schema, datagrams):
             assert len(decode_calls) < len(datagrams) / 2  # the fast path ran
         else:
             assert len(decode_calls) == len(datagrams)  # never planned
@@ -669,9 +678,9 @@ class TestFramePlanFastPath:
         plans = []
 
         class CountedPlan(FramePlan):
-            def __init__(self, wire):
+            def __init__(self, wire, schema):
                 plans.append(wire)
-                super().__init__(wire)
+                super().__init__(wire, schema)
 
         monkeypatch.setattr(analyzer_module, "FramePlan", CountedPlan)
         other = golden_frame()
@@ -733,7 +742,7 @@ def planned_datagrams(draw):
             quality_octets.append(cursor - 1)
     asdu_count = draw(st.integers(1, 3))
     template = multi_asdu_wire(schema, [bytes(schema.packed_width)] * asdu_count)
-    offsets = plan_offsets(FramePlan(template))
+    offsets = asdu_offsets(template)
     changing = {at for smp_cnt, refr_tm, start, end in offsets
                 for at in (smp_cnt, smp_cnt + 1, *range(refr_tm, refr_tm + 8),
                            *range(start, end))}

@@ -987,7 +987,7 @@ def _rate_verdicts(hz: int, points: int) -> dict:
     if points in (80, 256):  # a wrap carries no points, so 50 x 100 is 5000
         verdicts["frame_ticks"] = _accepts(
             frame_ticks, golden_frame(), GOLDEN_SCHEMA, lambda tick: bytes(14),
-            hz * points, 0, lambda tick: bytes(8))
+            hz * points, lambda tick: bytes(8))
         verdicts["StreamAnalyzer"] = _accepts(StreamAnalyzer, hz * points,
                                               GOLDEN_SCHEMA)
     return verdicts

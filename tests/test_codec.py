@@ -602,19 +602,25 @@ def carries_fixed_octets(plan, datagram) -> bool:
             and plan.fixed.unpack(datagram) == plan.fixed_octets)
 
 
+# A member with its quality word beside one without.
+QUALITY_WORD_SCHEMA = DatasetSchema([
+    SchemaMember("TCTR1.AmpSv.instMag.i", 4, include_quality=True),
+    SchemaMember("TCTR1.AmpSv.instMag.n", 2),
+])
+
+
 class TestFramePlan:
     def test_golden_value_offsets(self):
         # smpCnt value after savPdu(2) noASDU(3) seqASDU(2) ASDU(2) svID(12)
         # and its own header(2); seqData runs to the end of the frame
-        plan = FramePlan(GOLDEN_WIRE)
-        assert plan_offsets(plan) == ((49, 59, 72, 86),)
-        assert plan.slots == ((1, 3, 5),)
+        plan = FramePlan(GOLDEN_WIRE, GOLDEN_SCHEMA)
+        assert plan_offsets(plan) == (49, 59, 72, 86)
         assert [len(part) for part in plan.parts] == [49, 2, 8, 8, 5, 14, 0]
 
     def test_patched_fields_still_match(self):
-        plan = FramePlan(GOLDEN_WIRE)
+        plan = FramePlan(GOLDEN_WIRE, GOLDEN_SCHEMA)
         wire = bytearray(GOLDEN_WIRE)
-        smp_cnt, refr_tm, seq_start, seq_end = plan_offsets(plan)[0]
+        smp_cnt, refr_tm, seq_start, seq_end = plan_offsets(plan)
         wire[smp_cnt:smp_cnt + 2] = b"\xff\xff"
         wire[refr_tm:refr_tm + 8] = bytes(range(8))
         wire[seq_start:seq_end] = bytes(range(seq_end - seq_start))
@@ -622,11 +628,10 @@ class TestFramePlan:
         assert carries_fixed_octets(plan, memoryview(wire))
 
     def test_any_fixed_octet_or_length_change_misses(self):
-        plan = FramePlan(GOLDEN_WIRE)
-        variable = {i for smp_cnt, refr_tm, seq_start, seq_end in plan_offsets(plan)
-                    for i in [*range(smp_cnt, smp_cnt + 2),
-                              *range(refr_tm, refr_tm + 8),
-                              *range(seq_start, seq_end)]}
+        plan = FramePlan(GOLDEN_WIRE, GOLDEN_SCHEMA)
+        smp_cnt, refr_tm, seq_start, seq_end = plan_offsets(plan)
+        variable = {*range(smp_cnt, smp_cnt + 2), *range(refr_tm, refr_tm + 8),
+                    *range(seq_start, seq_end)}
         for index in range(len(GOLDEN_WIRE)):
             wire = bytearray(GOLDEN_WIRE)
             wire[index] ^= 0x01
@@ -634,62 +639,48 @@ class TestFramePlan:
         assert not carries_fixed_octets(plan, GOLDEN_WIRE[:-1])
         assert not carries_fixed_octets(plan, GOLDEN_WIRE + b"\x00")
 
-    def test_one_table_per_asdu(self):
-        frame = golden_frame()
-        frame.apdu.asdus.append(Asdu(
-            sv_id="x", smp_cnt=2, seq_data=frame.apdu.asdus[0].seq_data))
-        wire = encode_frame(frame, GOLDEN_SCHEMA)
-        first, second = plan_offsets(FramePlan(wire))
-        assert wire[second[0]:second[0] + 2] == b"\x00\x02"
-        assert wire[first[2]:first[3]] == GOLDEN_WIRE[72:]
-        assert second[3] == len(wire)
-
-    @pytest.mark.parametrize("layout", ["golden", "two ASDUs"])
+    @pytest.mark.parametrize("layout", ["golden", "quality words"])
     def test_parts_cut_the_frame_at_its_changing_octets(self, layout):
+        schema = {"golden": GOLDEN_SCHEMA, "quality words": QUALITY_WORD_SCHEMA}[layout]
         frame = golden_frame()
-        frame.apdu.asdus.append(Asdu(
-            sv_id="x", smp_cnt=2, seq_data=frame.apdu.asdus[0].seq_data))
-        wire = {"golden": GOLDEN_WIRE,
-                "two ASDUs": encode_frame(frame, GOLDEN_SCHEMA),
-                }[layout]
-        plan = FramePlan(wire)
+        frame.apdu.asdus[0].seq_data = bytes(range(1, schema.packed_width + 1))
+        wire = encode_frame(frame, schema)
+        plan = FramePlan(wire, schema)
         assert b"".join(plan.parts) == wire
-        offsets = plan_offsets(plan)
-        for (smp_cnt, refr_tm, start, end), slots in zip(offsets, plan.slots):
-            assert [plan.parts[i] for i in slots] == [
-                wire[smp_cnt:smp_cnt + 2], wire[refr_tm:refr_tm + 8], wire[start:end]]
-        assert sorted(i for slots in plan.slots for i in slots) == list(
-            range(1, len(plan.parts), 2))
+        smp_cnt, refr_tm, start, end = plan_offsets(plan)
+        assert plan.parts[1::2] == (
+            wire[smp_cnt:smp_cnt + 2], wire[refr_tm:refr_tm + 8], wire[start:end])
+        assert end == len(wire) and plan.parts[5] == frame.apdu.asdus[0].seq_data
 
     def test_reader_of_the_profile_frame_is_one_unpack(self):
         # Pad to smpCnt, read it, pad to seqData, read its members.
-        read = FramePlan(GOLDEN_WIRE).reader(GOLDEN_SCHEMA)
+        read = FramePlan(GOLDEN_WIRE, GOLDEN_SCHEMA).read
         assert read.__self__.format == ">49xH21xiiih0x"
         assert read(GOLDEN_WIRE) == (1, *GOLDEN_VALUES)
 
     def test_reader_reads_quality_words_in_place(self):
-        schema = DatasetSchema([
-            SchemaMember("TCTR1.AmpSv.instMag.i", 4, include_quality=True),
-            SchemaMember("TCTR1.AmpSv.instMag.n", 2),
-        ])
         frame = golden_frame()
         frame.apdu.asdus[0].seq_data = pack_seq_data(
-            [(7, Quality(Validity.QUESTIONABLE)), -2], schema)
-        wire = encode_frame(frame, schema)
-        read = FramePlan(wire).reader(schema)
+            [(7, Quality(Validity.QUESTIONABLE)), -2], QUALITY_WORD_SCHEMA)
+        wire = encode_frame(frame, QUALITY_WORD_SCHEMA)
+        read = FramePlan(wire, QUALITY_WORD_SCHEMA).read
         assert read.__self__.format == ">49xH21xixBh0x"
         assert read(wire) == (1, 7, 0x02, -2)
 
     def test_no_reader_for_two_asdus(self):
+        # The profile's frame carries one ASDU; the encoder writes more,
+        # but no plan reads or publishes them.
         frame = golden_frame()
         frame.apdu.asdus.append(Asdu(
             sv_id="x", smp_cnt=2, seq_data=frame.apdu.asdus[0].seq_data))
-        assert FramePlan(encode_frame(frame, GOLDEN_SCHEMA)).reader(
-            GOLDEN_SCHEMA) is None
+        with pytest.raises(SchemaMismatch,
+                           match="2 ASDUs, the profile's frame carries one"):
+            FramePlan(encode_frame(frame, GOLDEN_SCHEMA), GOLDEN_SCHEMA)
 
     def test_no_reader_for_another_width(self):
         narrow = DatasetSchema([SchemaMember("TCTR1.AmpSv.instMag.i", 4)])
-        assert FramePlan(GOLDEN_WIRE).reader(narrow) is None
+        with pytest.raises(WidthMismatch, match="seqData is 14 octets, schema packs 4"):
+            FramePlan(GOLDEN_WIRE, narrow)
 
     def test_no_reader_for_seq_data_before_smp_cnt(self):
         # The golden ASDU with seqData moved in front of svID: strict
@@ -698,8 +689,8 @@ class TestFramePlan:
         wire = GOLDEN_WIRE[:35] + GOLDEN_WIRE[70:] + GOLDEN_WIRE[35:70]
         assert decode_frame(wire) == golden_frame()
         with pytest.raises(SchemaMismatch,
-                           match="ASDU1 is not laid out as the encoder writes it"):
-            FramePlan(wire)
+                           match="the ASDU is not laid out as the encoder writes it"):
+            FramePlan(wire, GOLDEN_SCHEMA)
 
 
 # Valid frames of one to three ASDUs, each with its schema.
@@ -807,23 +798,24 @@ class TestLengthFormEdges:
 @settings(deadline=None)
 @given(valid_frames)
 def test_plan_parity_with_the_walk(frame_and_schema):
-    """Every frame the encoder writes has a plan: its cut rejoins to the
-    frame, holds in its slots the octets that decoding reads, and a
-    one-ASDU plan reads what decoding reads."""
+    """Every one-ASDU frame the encoder writes has a plan in its schema:
+    its cut rejoins to the frame, holds in parts 1, 3 and 5 the octets
+    that decoding reads, and its read reads what decoding reads. A frame
+    of more ASDUs has none."""
     frame, schema = frame_and_schema
     wire = encode_frame(frame, schema)
-    plan = FramePlan(wire)
-    assert b"".join(plan.parts) == wire
     asdus = decode_frame(wire).apdu.asdus
-    assert len(plan.slots) == len(asdus)
-    for asdu, slots in zip(asdus, plan.slots):
-        assert [plan.parts[i] for i in slots] == [
-            asdu.smp_cnt.to_bytes(2, "big"), stamp_octets(asdu.refr_tm), asdu.seq_data]
+    if len(asdus) != 1:
+        with pytest.raises(SchemaMismatch, match=f"{len(asdus)} ASDUs"):
+            FramePlan(wire, schema)
+        return
+    asdu, = asdus
+    plan = FramePlan(wire, schema)
+    assert b"".join(plan.parts) == wire
+    assert plan.parts[1::2] == (
+        asdu.smp_cnt.to_bytes(2, "big"), stamp_octets(asdu.refr_tm), asdu.seq_data)
     assert carries_fixed_octets(plan, wire)
-    if len(asdus) == 1:
-        asdu, = asdus
-        assert plan.reader(schema)(wire) == (
-            asdu.smp_cnt, *schema.seq_struct.unpack(asdu.seq_data))
+    assert plan.read(wire) == (asdu.smp_cnt, *schema.seq_struct.unpack(asdu.seq_data))
 
 
 def _outcomes(wire: bytes) -> list:
@@ -854,8 +846,8 @@ def assert_read_parity(wire: bytes) -> int:
 
 
 def _mutated(seed: int, flips: list, cut) -> tuple:
-    """A random valid frame, and its wire with ``flips`` bits flipped and
-    cut at ``cut`` (each taken modulo the wire's size)."""
+    """A random valid frame, its schema, and its wire with ``flips`` bits
+    flipped and cut at ``cut`` (each taken modulo the wire's size)."""
     frame, schema = random_valid_frame(random.Random(seed))
     wire = bytearray(encode_frame(frame, schema))
     for bit in flips:
@@ -863,7 +855,7 @@ def _mutated(seed: int, flips: list, cut) -> tuple:
         wire[bit >> 3] ^= 0x80 >> (bit & 7)
     if cut is not None:
         wire = wire[:cut % (len(wire) + 1)]
-    return frame, bytes(wire)
+    return frame, schema, bytes(wire)
 
 
 _mutations = dict(seed=st.integers(0, 2 ** 64 - 1),
@@ -876,7 +868,7 @@ _mutations = dict(seed=st.integers(0, 2 ** 64 - 1),
 def test_asdu_read_parity_with_the_tlv_walk(seed, flips, cut):
     """Valid frames, and copies with flipped bits or cut short: reading an
     ASDU with one unpack changes no row, text or decode outcome."""
-    frame, wire = _mutated(seed, flips, cut)
+    frame, _, wire = _mutated(seed, flips, cut)
     reads = assert_read_parity(wire)
     if not flips and cut is None:
         assert reads == len(frame.apdu.asdus)
@@ -886,27 +878,38 @@ def test_asdu_read_parity_with_the_tlv_walk(seed, flips, cut):
 @given(**_mutations)
 def test_frame_plan_parity_with_strict_decode(seed, flips, cut):
     """Valid frames, and copies with flipped bits or cut short, planned
-    as :func:`assert_plan_rule` states."""
-    assert_plan_rule(_mutated(seed, flips, cut)[1])
+    in their schema as :func:`assert_plan_rule` states."""
+    _, schema, wire = _mutated(seed, flips, cut)
+    assert_plan_rule(wire, schema)
 
 
-def assert_plan_rule(wire: bytes) -> None:
-    """Assert that ``wire`` has a plan exactly when strict decoding reads
-    every ASDU in one unpack. A frame strict decoding rejects raises that
-    ``SvError``, class and message; one it reads otherwise raises
-    ``SchemaMismatch``."""
+def assert_plan_rule(wire: bytes, schema=GOLDEN_SCHEMA) -> None:
+    """Assert that ``wire`` has a plan in ``schema`` exactly when strict
+    decoding reads one ASDU, in one unpack, whose seqData has the schema's
+    width; the plan then reads what decoding reads. A frame strict
+    decoding rejects raises that ``SvError``, class and message; one of
+    another ASDU count or layout ``SchemaMismatch``, and one of another
+    seqData width ``WidthMismatch``."""
     try:
         asdus = decode_frame(wire).apdu.asdus
     except SvError as exc:
         with pytest.raises(type(exc)) as raised:
-            FramePlan(wire)
+            FramePlan(wire, schema)
         assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
         return
-    if all(rows is None for rows, _ in codec._inspect(wire)[3]):
-        assert len(FramePlan(wire).slots) == len(asdus)
+    if len(asdus) != 1:
+        error, message = SchemaMismatch, f"{len(asdus)} ASDUs, the profile's"
+    elif codec._inspect(wire)[3][0][0] is not None:  # a walked ASDU
+        error, message = SchemaMismatch, "not laid out as the encoder writes it"
+    elif len(asdus[0].seq_data) != schema.packed_width:
+        error, message = WidthMismatch, f"seqData is {len(asdus[0].seq_data)} octets"
     else:
-        with pytest.raises(SchemaMismatch, match="not laid out as the encoder writes it"):
-            FramePlan(wire)
+        asdu, = asdus
+        assert FramePlan(wire, schema).read(wire) == (
+            asdu.smp_cnt, *schema.seq_struct.unpack(asdu.seq_data))
+        return
+    with pytest.raises(error, match=message):
+        FramePlan(wire, schema)
 
 
 def _fields(sv_id=b"xxxxMUnn01", smp_synch=b"\0", seq_data=bytes(14)) -> list:
@@ -932,7 +935,8 @@ _HAND_BUILT = {
     "golden": (_GOLDEN_FIELDS, True),
     "empty svID": (_fields(sv_id=b""), True),
     "64-char svID": (_fields(sv_id=b"x" * 64), True),
-    "127-char svID": (_fields(sv_id=b"x" * 127), True),
+    "65-char svID": (_fields(sv_id=b"x" * 65), False),
+    "127-char svID": (_fields(sv_id=b"x" * 127), False),
     "128-char svID": (_fields(sv_id=b"x" * 128), False),
     "non-ASCII svID": (_fields(sv_id="MU\u00e9".encode()), False),
     "smpSynch 2": (_fields(smp_synch=b"\x02"), True),
@@ -999,9 +1003,10 @@ def test_a_layout_the_encoder_never_writes_has_no_plan(name):
     golden ASDU."""
     fields = _HAND_BUILT[name][0]
     assert decode_frame(_wire_of(fields)) == decode_frame(_wire_of(_GOLDEN_FIELDS))
-    for index, wire in ((1, _wire_of(fields)), (2, _wire_of(_GOLDEN_FIELDS, fields))):
-        with pytest.raises(SchemaMismatch, match=f"ASDU{index} is not laid out"):
-            FramePlan(wire)
+    for message, wire in (("the ASDU is not laid out", _wire_of(fields)),
+                          ("2 ASDUs", _wire_of(_GOLDEN_FIELDS, fields))):
+        with pytest.raises(SchemaMismatch, match=message):
+            FramePlan(wire, GOLDEN_SCHEMA)
 
 
 @pytest.mark.parametrize("wire, error, message", [
@@ -1015,7 +1020,7 @@ def test_a_layout_the_encoder_never_writes_has_no_plan(name):
 def test_a_frame_strict_decoding_rejects_has_no_plan(wire, error, message):
     """A cut frame once got a plan of the ASDUs before its cut, and an
     ASDU missing a field a bare ``KeyError``."""
-    for build in (decode_frame, FramePlan):
+    for build in (decode_frame, lambda wire: FramePlan(wire, GOLDEN_SCHEMA)):
         with pytest.raises(error, match=re.escape(message)):
             build(wire)
 

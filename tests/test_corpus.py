@@ -6,8 +6,9 @@ a valid header, unknown tags at each depth and long-form lengths. For
 each one, ``corpus_outcomes.json`` holds what the codec did with it: the
 dissect rows, strict and lenient ``decode_frame`` (the exception class,
 or the decoded frame with its warnings), the datagrams the publisher
-joins from a valid frame, and the stdout of ``svlite decode --raw`` on
-a capture of the whole corpus. Frames and rows are kept as digests.
+joins from a valid frame (or the class of the error with which it refuses
+one of more ASDUs), and the stdout of ``svlite decode --raw`` on a
+capture of the whole corpus. Frames and rows are kept as digests.
 
 Regenerate the fixture, only for a deliberate behaviour change, with
 ``PYTHONPATH=src python tests/test_corpus.py --regenerate``.
@@ -29,6 +30,7 @@ from helpers import GOLDEN_SCHEMA, GOLDEN_WIRE, golden_frame, random_valid_frame
 from svlite.cli import main
 from svlite.codec import DecodeMode, decode_frame, dissect, encode_frame, \
     pack_seq_data
+from svlite.errors import SvError
 from svlite.model import Quality, Validity
 from svlite.transport import EndpointConfig, publish_stream
 
@@ -200,7 +202,8 @@ class _SentDatagrams:
 
 def _published(template, schema) -> str:
     """Digest of two ticks published from ``template``: where the
-    publisher joins smpCnt, refrTm and seqData into each ASDU."""
+    publisher joins smpCnt, refrTm and seqData into its ASDU. A template
+    the publisher refuses, one of more ASDUs, gives the error's class."""
     rng = random.Random(61850)
 
     def source(tick):
@@ -215,9 +218,11 @@ def _published(template, schema) -> str:
         return pack_seq_data(values, schema)
 
     sock = _SentDatagrams()
-    publish_stream(EndpointConfig(), template, schema, source, 0x10000, 2,
-                   pace_hz=1e6, start_smp_cnt=0xBEEF,
-                   sock=sock, timestamper=lambda: 1_234_567_890.625)
+    try:
+        publish_stream(EndpointConfig(), template, schema, source, 0x10000, 2,
+                       pace_hz=1e6, sock=sock, timestamper=lambda: 1_234_567_890.625)
+    except SvError as exc:  # the class is the pinned outcome
+        return type(exc).__name__
     return _digest(sock.sent)
 
 

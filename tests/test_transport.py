@@ -23,7 +23,7 @@ from svlite.codec import (
     pack_seq_data,
 )
 from svlite.config import RunConfig
-from svlite.errors import TransportError, WidthMismatch
+from svlite.errors import SchemaMismatch, TransportError, WidthMismatch
 from svlite.sources import _sampler, sample_provider
 from svlite.transport import (
     POLL_S,
@@ -44,9 +44,10 @@ from svlite.transport import (
 
 CHANNELS = RunConfig().channels
 
-# A frame within every wire-format bound, of one to three ASDUs, and its
-# schema, whose seqData is at most 12 octets.
-TEMPLATES = st.integers(0, 2**64).map(lambda seed: random_valid_frame(random.Random(seed)))
+# A frame of one ASDU within every wire-format bound, and its schema,
+# whose seqData is at most 12 octets.
+TEMPLATES = st.integers(0, 2**64).map(
+    lambda seed: random_valid_frame(random.Random(seed), asdu_count=1))
 # Per tick, the refrTm octets and octets enough for any template's seqData.
 TICK_OCTETS = st.lists(st.tuples(st.binary(min_size=8, max_size=8),
                                  st.binary(min_size=12, max_size=12)),
@@ -153,7 +154,7 @@ class TestFrameTicks:
     @pytest.mark.parametrize("width", [0, 13, 15])
     def test_seq_data_of_the_wrong_length_raises(self, width):
         ticks = frame_ticks(golden_frame(), GOLDEN_SCHEMA,
-                            lambda tick: bytes(width), 4000, 0,
+                            lambda tick: bytes(width), 4000,
                             lambda tick: bytes(8))
         with pytest.raises(WidthMismatch):
             next(ticks)
@@ -162,7 +163,7 @@ class TestFrameTicks:
         sources = []
         with pytest.raises(ValueError, match="65536"):
             frame_ticks(golden_frame(), GOLDEN_SCHEMA, sources.append, 0x10001,
-                        0, lambda tick: bytes(8))
+                        lambda tick: bytes(8))
         sock = RecordingSocket()
         with pytest.raises(ValueError, match="65536"):
             publish_stream(unicast(1), golden_frame(), GOLDEN_SCHEMA,
@@ -204,29 +205,31 @@ class TestFrameTicks:
         # strict decoding rejects.
         ticks = frame_ticks(golden_frame(), GOLDEN_SCHEMA,
                             lambda tick: bytes(GOLDEN_SCHEMA.packed_width),
-                            4000, 0, lambda tick: bytes(width))
+                            4000, lambda tick: bytes(width))
         with pytest.raises(WidthMismatch, match=f"{width} refrTm octets"):
             next(ticks)
 
     def test_seq_data_is_joined_as_it_is(self):
         seq_data = bytes(range(1, 15))
         ticks = frame_ticks(golden_frame(), GOLDEN_SCHEMA,
-                            lambda tick: seq_data, 4000, 0,
+                            lambda tick: seq_data, 4000,
                             lambda tick: bytes(8))
         frame = decode_frame(next(ticks), DecodeMode.STRICT)
         assert frame.apdu.asdus[0].seq_data == seq_data
 
-    @given(TEMPLATES, st.integers(2, 0x10000), st.integers(0, 2**32), TICK_OCTETS)
-    def test_tick_parity_with_encode_frame(self, drawn, wrap, start, octets):
+    # Small wraps wrap within the drawn ticks.
+    @given(TEMPLATES, st.one_of(st.integers(2, 4), st.integers(2, 0x10000)),
+           TICK_OCTETS)
+    def test_tick_parity_with_encode_frame(self, drawn, wrap, octets):
         template, schema = drawn
         width = schema.packed_width
         ticks = frame_ticks(template, schema,
-                            lambda tick: octets[tick][1][:width], wrap, start,
+                            lambda tick: octets[tick][1][:width], wrap,
                             lambda tick: octets[tick][0])
         sent = [next(ticks) for _ in octets]
         for tick, (refr_tm, seq_data) in enumerate(octets):
             reference = replace(template, apdu=SavApdu([
-                replace(asdu, smp_cnt=(start + tick) % wrap,
+                replace(asdu, smp_cnt=tick % wrap,
                         refr_tm=UtcTimestamp.from_octets(refr_tm),
                         seq_data=seq_data[:width])
                 for asdu in template.apdu.asdus]))
@@ -281,14 +284,25 @@ class TestPublishCounters:
         assert excinfo.value.state.frames_sent == 0
 
     def test_transport_error_carries_the_counter_reached(self):
-        sock = RecordingSocket(fail_after=3)
+        # Five sends reach smpCnt 0-3 and then 0 again: the counter wrapped.
+        sock = RecordingSocket(fail_after=5)
         with pytest.raises(TransportError) as excinfo:
             publish_stream(unicast(1), golden_frame(), GOLDEN_SCHEMA,
                            lambda tick: bytes(GOLDEN_SCHEMA.packed_width),
-                           rate=4000, frames=5, pace_hz=100_000.0,
-                           start_smp_cnt=3998, sock=sock)
+                           rate=4, frames=7, pace_hz=100_000.0, sock=sock)
         state = excinfo.value.state
-        assert (state.frames_sent, state.smp_cnt) == (3, 1)
+        assert (state.frames_sent, state.smp_cnt) == (5, 1)
+        assert [decode_frame(wire).apdu.asdus[0].smp_cnt
+                for wire in sock.sent] == [0, 1, 2, 3, 0]
+
+    def test_a_template_of_two_asdus_is_refused_before_any_send(self):
+        template = golden_frame()
+        template.apdu.asdus.append(replace(template.apdu.asdus[0], sv_id="x"))
+        sources, sock = [], RecordingSocket()
+        with pytest.raises(SchemaMismatch, match="2 ASDUs, the profile's frame"):
+            publish_stream(unicast(1), template, GOLDEN_SCHEMA, sources.append,
+                           rate=4000, frames=3, sock=sock)
+        assert (sources, sock.sent) == ([], [])
 
 
 class TestPublisherStamp:
